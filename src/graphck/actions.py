@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import DEFAULT_LIMIT, LimitExceededError
+from .poset import bits, check_antisymmetric, closure
 
 Letter = tuple[str, int]  # (generator name, +1 or -1)
 Word = Union[str, int, Sequence[Letter]]
@@ -39,35 +40,24 @@ class FiniteT0Space:
     closure_pairs: frozenset[tuple[str, str]]  # (p, q) with q in closure{p}
 
     def __post_init__(self):
-        seen = set()
-        for p in self.points:
-            if p in seen:
+        index = {}
+        for i, p in enumerate(self.points):
+            if p in index:
                 raise ActionFormatError(f"point {p!r}: duplicate id")
-            seen.add(p)
+            index[p] = i
+        succ = [0] * len(self.points)
         for p, q in self.closure_pairs:
             for x in (p, q):
-                if x not in seen:
+                if x not in index:
                     raise ActionFormatError(f"specialization pair names unknown point {x!r}")
+            succ[index[p]] |= 1 << index[q]
         # reflexive-transitive closure, then antisymmetry = T0
-        above = {p: {p} for p in self.points}
-        for p, q in self.closure_pairs:
-            above[p].add(q)
-        changed = True
-        while changed:
-            changed = False
-            for p in self.points:
-                new = set()
-                for q in above[p]:
-                    new |= above[q]
-                if not new <= above[p]:
-                    above[p] |= new
-                    changed = True
-        for p in self.points:
-            for q in above[p]:
-                if q != p and p in above[q]:
-                    raise ActionFormatError(
-                        f"specialization is not antisymmetric: {p!r} and {q!r}"
-                    )
+        up = closure(succ)
+        try:
+            check_antisymmetric(up, self.points)
+        except ValueError as exc:
+            raise ActionFormatError(f"specialization is {exc}") from None
+        above = {p: frozenset(self.points[j] for j in bits(m)) for p, m in zip(self.points, up)}
         # normalize to the full transitive relation so that equality of spaces
         # is equality of topologies, however the input pairs were given
         object.__setattr__(
@@ -75,7 +65,7 @@ class FiniteT0Space:
             "closure_pairs",
             frozenset((p, q) for p in self.points for q in above[p] if q != p),
         )
-        object.__setattr__(self, "_above", {p: frozenset(s) for p, s in above.items()})
+        object.__setattr__(self, "_above", above)
 
     @classmethod
     def from_pairs(
@@ -130,14 +120,11 @@ class FiniteT0Space:
 
     def open_sets(self) -> list[frozenset[str]]:
         """All open sets, ordered by (size, canonical mask).  Exponential."""
-        n = len(self.points)
-        out = []
-        for m in range(1 << n):
-            S = frozenset(self.points[i] for i in range(n) if m >> i & 1)
-            if self.is_open(S):
-                out.append(S)
-        out.sort(key=lambda S: (len(S), sum(1 << self.index[p] for p in S)))
-        return out
+        subsets = (
+            frozenset(p for i, p in enumerate(self.points) if m >> i & 1)
+            for m in range(1 << len(self.points))
+        )
+        return sorted((S for S in subsets if self.is_open(S)), key=self.set_key)
 
     def subspace(self, S: Iterable[str]) -> "FiniteT0Space":
         S = frozenset(S)
@@ -360,87 +347,56 @@ class FinitePartialAction:
     def orbit(self, x: str) -> frozenset[str]:
         if x not in self.space.index:
             raise ActionFormatError(f"unknown point {x!r}")
-        steps = self._steps()
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for s in steps:
-                    q = s.mapping.get(p)
-                    if q is not None and q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return frozenset(seen)
+        return self._orbits[x]
 
     @cached_property
     def _orbits(self) -> dict[str, frozenset[str]]:
-        out: dict[str, frozenset[str]] = {}
+        """Orbits: the closure of the relation joining x and theta(x) for each generator."""
+        pts, index = self.space.points, self.space.index
+        succ = [0] * len(pts)
+        for gen in self.generators:
+            for x, y in gen.pairs:
+                succ[index[x]] |= 1 << index[y]
+                succ[index[y]] |= 1 << index[x]
+        return {p: frozenset(pts[j] for j in bits(m)) for p, m in zip(pts, closure(succ))}
+
+    @cached_property
+    def _quasi_orbits(self) -> dict[frozenset[str], tuple[str, ...]]:
+        """Points grouped by the closure of their orbit, in canonical order."""
+        out: dict[frozenset[str], list[str]] = {}
         for p in self.space.points:
-            if p not in out:
-                orb = self.orbit(p)
-                for q in orb:
-                    out[q] = orb
-        return out
+            out.setdefault(self.space.closure(self._orbits[p]), []).append(p)
+        return {K: tuple(members) for K, members in out.items()}
 
     def quasi_orbit(self, x: str) -> frozenset[str]:
         if x not in self.space.index:
             raise ActionFormatError(f"unknown point {x!r}")
-        kx = self.space.closure(self._orbits[x])
-        return frozenset(
-            p for p in self.space.points if self.space.closure(self._orbits[p]) == kx
-        )
+        return frozenset(self._quasi_orbits[self.space.closure(self._orbits[x])])
 
     def quasi_orbit_space(self) -> "QuasiOrbitSpace":
         sp = self.space
-        classes: list[tuple[str, ...]] = []
-        key_of: dict[str, int] = {}
-        closures: list[frozenset[str]] = []
-        seen: set[frozenset[str]] = set()
-        for p in sp.points:
-            K = sp.closure(self._orbits[p])
-            if K in seen:
-                continue
-            seen.add(K)
-            members = sp.sort_set(
-                q for q in sp.points if sp.closure(self._orbits[q]) == K
-            )
-            classes.append(members)
-            closures.append(K)
+        classes = list(self._quasi_orbits.values())
         # label singleton classes by their sole member so that the trivial
         # action reproduces the space on the nose
         labels = [
             members[0] if len(members) == 1 else "{" + ",".join(members) + "}"
             for members in classes
         ]
-        for i, members in enumerate(classes):
-            for q in members:
-                key_of[q] = i
-        # quotient topology: transitive closure of the representative relation
-        n = len(classes)
-        ge = [[i == j for j in range(n)] for i in range(n)]
-        for p, q in ((a, b) for a in sp.points for b in sp.above(a)):
-            ge[key_of[p]][key_of[q]] = True  # class(q) lies in closure of class(p)
-        for k in range(n):
-            for i in range(n):
-                if ge[i][k]:
-                    for j in range(n):
-                        if ge[k][j]:
-                            ge[i][j] = True
-        for i in range(n):
-            for j in range(n):
-                if i != j and ge[i][j] and ge[j][i]:
-                    raise AssertionError("quasi-orbit quotient failed antisymmetry")
+        key_of = {q: i for i, members in enumerate(classes) for q in members}
+        # the quotient topology is generated by the representative relation;
+        # FiniteT0Space closes it and checks antisymmetry
         pairs = frozenset(
-            (labels[i], labels[j]) for i in range(n) for j in range(n) if ge[i][j] and i != j
+            (labels[key_of[p]], labels[key_of[q]])
+            for p in sp.points
+            for q in sp.above(p)
+            if key_of[p] != key_of[q]
         )
         quotient = FiniteT0Space(tuple(labels), pairs)
         return QuasiOrbitSpace(
             space=quotient,
             classes=tuple(frozenset(c) for c in classes),
             class_of={p: labels[key_of[p]] for p in sp.points},
-            closures=tuple(closures),
+            closures=tuple(self._quasi_orbits),
         )
 
     # -- invariance ------------------------------------------------------------
@@ -475,9 +431,6 @@ class FinitePartialAction:
                 S |= s.apply_set(S & s.domain)
             if len(S) == before:
                 return frozenset(S)
-
-    def closed_invariant_sets(self, limit: int = DEFAULT_LIMIT) -> list[frozenset[str]]:
-        return [S for S in self.invariant_subsets(limit) if self.space.is_closed(S)]
 
     def is_minimal(self) -> bool:
         """No closed invariant subsets besides the empty set and everything."""
@@ -785,21 +738,24 @@ def decide_G_infinite(a: FinitePartialAction, V: Iterable[str]) -> GInfiniteDeci
 # -- parsing ---------------------------------------------------------------------
 
 
+def _names(x, size: Optional[int] = None) -> bool:
+    """x is a list of point names (of the given length), as the schemas require."""
+    return isinstance(x, list) and all(isinstance(p, str) for p in x) and size in (None, len(x))
+
+
 def action_from_json_obj(raw: dict) -> FinitePartialAction:
     if not isinstance(raw, dict):
         raise ActionFormatError("top level: expected a JSON object")
     points = raw.get("points")
-    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+    if not _names(points):
         raise ActionFormatError('"points": expected a list of strings')
     spec = raw.get("specialization", [])
     if not isinstance(spec, list):
         raise ActionFormatError('"specialization": expected a list of pairs')
-    pairs = []
     for k, pq in enumerate(spec):
-        if not (isinstance(pq, list) and len(pq) == 2):
-            raise ActionFormatError(f"specialization #{k}: expected a pair")
-        pairs.append((pq[0], pq[1]))
-    space = FiniteT0Space.from_pairs(points, pairs)
+        if not _names(pq, 2):
+            raise ActionFormatError(f"specialization #{k}: expected a pair of point names")
+    space = FiniteT0Space.from_pairs(points, spec)
     group = raw.get("group")
     if not isinstance(group, str):
         raise ActionFormatError('"group": expected "Z" or "F<k>"')
@@ -812,16 +768,12 @@ def action_from_json_obj(raw: dict) -> FinitePartialAction:
         where = f"generator #{k}"
         if not isinstance(gx, dict) or "name" not in gx or "map" not in gx:
             raise ActionFormatError(f"{where}: expected name and map")
-        names.append(gx["name"])
-        mp = gx["map"]
-        if not isinstance(mp, list):
+        if not isinstance(gx["name"], str):
+            raise ActionFormatError(f"{where}: name must be a string")
+        if not isinstance(gx["map"], list) or not all(_names(xy, 2) for xy in gx["map"]):
             raise ActionFormatError(f"{where}: map must be a list of pairs")
-        try:
-            gens.append(
-                PartialHomeo(space, tuple((xy[0], xy[1]) for xy in mp))
-            )
-        except (IndexError, TypeError):
-            raise ActionFormatError(f"{where}: map must be a list of pairs") from None
+        names.append(gx["name"])
+        gens.append(PartialHomeo(space, tuple((x, y) for x, y in gx["map"])))
     return FinitePartialAction(space, group, tuple(names), tuple(gens))
 
 
@@ -836,12 +788,16 @@ def parse_action(text: str) -> FinitePartialAction:
 def decomposition_from_json_obj(raw: dict) -> Decomposition:
     if not isinstance(raw, dict) or "V" not in raw or "parts" not in raw:
         raise ActionFormatError("witness: expected an object with V and parts")
-    if not isinstance(raw["V"], list):
-        raise ActionFormatError('"V": expected a list of points')
+    if not _names(raw["V"]):
+        raise ActionFormatError('"V": expected a list of point names')
+    if not isinstance(raw["parts"], list):
+        raise ActionFormatError('"parts": expected a list')
     parts = []
     for k, part in enumerate(raw["parts"]):
         if not isinstance(part, dict) or "set" not in part or "word" not in part:
             raise ActionFormatError(f"part #{k}: expected set and word")
+        if not _names(part["set"]) or not isinstance(part["word"], str):
+            raise ActionFormatError(f"part #{k}: set must list point names, word be a string")
         parts.append((frozenset(part["set"]), part["word"]))
     split = raw.get("split")
     if split is not None and not isinstance(split, int):

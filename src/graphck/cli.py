@@ -83,10 +83,6 @@ def _parse_point_set(a: act.FinitePartialAction, text: str) -> frozenset[str]:
     return frozenset(names)
 
 
-def _emit(out, text: str) -> None:
-    out.write(text)
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -94,9 +90,9 @@ def _cmd_analyze(args, out) -> None:
     g, _ = _load_graph(args.graph)
     report = classify(g, args.limit)
     if args.format == "json":
-        _emit(out, report_to_json(report))
+        out.write(report_to_json(report))
     elif args.format == "text":
-        _emit(out, report_to_text(report))
+        out.write(report_to_text(report))
     else:
         raise _CliError("analyze supports --format text or json")
 
@@ -105,22 +101,22 @@ def _cmd_lattice(args, out) -> None:
     g, _ = _load_graph(args.graph)
     lat = idl.admissible_pairs(g, args.limit)
     if args.format == "json":
-        _emit(out, idl.lattice_to_json(lat))
+        out.write(idl.lattice_to_json(lat))
     elif args.format == "dot":
-        _emit(out, idl.lattice_to_dot(lat))
+        out.write(idl.lattice_to_dot(lat))
     else:
-        _emit(out, idl.lattice_to_text(lat))
+        out.write(idl.lattice_to_text(lat))
 
 
 def _cmd_spectrum(args, out) -> None:
     g, _ = _load_graph(args.graph)
     ps = spc.prim_space(g, args.limit)
     if args.format == "json":
-        _emit(out, spc.prim_space_to_json(ps))
+        out.write(spc.prim_space_to_json(ps))
     elif args.format == "dot":
-        _emit(out, spc.prim_space_to_dot(ps))
+        out.write(spc.prim_space_to_dot(ps))
     else:
-        _emit(out, spc.prim_space_to_text(ps))
+        out.write(spc.prim_space_to_text(ps))
 
 
 def _cmd_quotient(args, out) -> None:
@@ -131,7 +127,7 @@ def _cmd_quotient(args, out) -> None:
         raise _CliError("quotient supports --format text or json")
     # the graph is emitted in the input file's format; --format json forces JSON
     out_fmt = "json" if args.format == "json" else fmt
-    _emit(out, serialize_graph(q, out_fmt))
+    out.write(serialize_graph(q, out_fmt))
 
 
 _PACTION_QUERIES = (
@@ -178,12 +174,8 @@ def _paction_result(a: act.FinitePartialAction, args) -> dict:
     if query == "invariant_subsets":
         sets = a.invariant_subsets(args.limit)
         return {"query": query, "sets": [sorted_list(S) for S in sets]}
-    if query == "is_minimal":
-        return {"query": query, "result": a.is_minimal()}
-    if query == "is_topologically_free":
-        return {"query": query, "result": a.is_topologically_free()}
-    if query == "is_residually_topologically_free":
-        return {"query": query, "result": a.is_residually_topologically_free()}
+    if query in ("is_minimal", "is_topologically_free", "is_residually_topologically_free"):
+        return {"query": query, "result": getattr(a, query)()}
     if query == "element_map":
         if args.word is None:
             raise _CliError("element_map needs --word")
@@ -276,9 +268,9 @@ def _cmd_paction(args, out) -> None:
     a = _load_action(args.action)
     result = _paction_result(a, args)
     if args.format == "json":
-        _emit(out, json.dumps(result, indent=2) + "\n")
+        out.write(json.dumps(result, indent=2) + "\n")
     elif args.format == "text":
-        _emit(out, _paction_text(result))
+        out.write(_paction_text(result))
     else:
         raise _CliError("paction supports --format text or json")
 

@@ -19,6 +19,7 @@ from .graphs import (
     is_finite,
     scc_decomposition,
 )
+from .poset import closure
 
 
 def is_hereditary(g: Graph, S: Iterable[str]) -> bool:
@@ -87,21 +88,7 @@ def saturated_hereditary_sets(
         a, b = comp_of[e.src], comp_of[e.rng]
         if a != b:
             preds[b] |= 1 << a
-    required = [0] * k  # closure of preds under preds, per component
-    for i in range(k):
-        seen = 0
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            new = preds[j] & ~seen
-            seen |= new
-            t = 0
-            while new:
-                if new & 1:
-                    stack.append(t)
-                new >>= 1
-                t += 1
-        required[i] = seen
+    required = closure(preds)  # per component: itself and everything reaching it
 
     out = []
     for m in range(1 << k):

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Iterable, Union
+
+from .poset import closure
 
 DEFAULT_LIMIT = 16
 
@@ -45,6 +47,7 @@ class LimitExceededError(RuntimeError):
         )
 
 
+@total_ordering
 class Omega:
     """Infinite multiplicity: absorbing under + and above every integer."""
 
@@ -68,28 +71,9 @@ class Omega:
     def __hash__(self):
         return hash("omega-multiplicity")
 
-    def __gt__(self, other):
-        if isinstance(other, int):
-            return True
-        if isinstance(other, Omega):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, Omega)):
-            return True
-        return NotImplemented
-
     def __lt__(self, other):
         if isinstance(other, (int, Omega)):
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, int):
-            return False
-        if isinstance(other, Omega):
-            return True
         return NotImplemented
 
     def __repr__(self):
@@ -235,22 +219,7 @@ class Graph:
         succ = [0] * n
         for e in self.edges:
             succ[self.index(e.src)] |= 1 << self.index(e.rng)
-        reach = []
-        for i in range(n):
-            seen = 1 << i
-            stack = [i]
-            while stack:
-                j = stack.pop()
-                new = succ[j] & ~seen
-                seen |= new
-                k = 0
-                while new:
-                    if new & 1:
-                        stack.append(k)
-                    new >>= 1
-                    k += 1
-            reach.append(seen)
-        return tuple(reach)
+        return closure(succ)
 
     def geq(self, v: str, w: str) -> bool:
         """Decide v >= w: w = v, or some path runs from w to v."""
@@ -266,11 +235,7 @@ class Graph:
     def ancestors_of(self, vs: Iterable[str]) -> frozenset[str]:
         """All vertices from which some member of vs is reachable."""
         target = self.mask(vs)
-        m = 0
-        for i in range(len(self.vertices)):
-            if self._reach[i] & target:
-                m |= 1 << i
-        return self.unmask(m)
+        return frozenset(v for v, r in zip(self.vertices, self._reach) if r & target)
 
 
 @dataclass(frozen=True)
@@ -413,7 +378,7 @@ def first_return_count(g: Graph, v: str, cap: int = 2) -> int:
                     work.append((e.rng, False))
 
     count: dict[str, int] = {}
-    for u in topo:  # topo has successors first
+    for u in topo + [v]:  # successors first, v itself last
         total = 0
         for e in g.out_edges(u):
             if e.rng == v:
@@ -426,18 +391,7 @@ def first_return_count(g: Graph, v: str, cap: int = 2) -> int:
                 total = cap
                 break
         count[u] = min(total, cap)
-
-    total = 0
-    for e in g.out_edges(v):
-        if e.rng == v:
-            total += step(e.mult)
-        elif e.rng in region:
-            c = count[e.rng]
-            if c:
-                total += step(e.mult) * c
-        if total >= cap:
-            return cap
-    return min(total, cap)
+    return count[v]
 
 
 def induced_subgraph(g: Graph, vs: Iterable[str]) -> Graph:
@@ -466,12 +420,7 @@ class Path:
     def __post_init__(self):
         if not self.edge_ids:
             raise ValueError("a path needs at least one edge")
-        by_id = {e.id: e for e in self.graph.edges}
-        edges = []
-        for eid in self.edge_ids:
-            if eid not in by_id:
-                raise ValueError(f"unknown edge {eid!r}")
-            edges.append(by_id[eid])
+        edges = self._edges
         for a, b in zip(edges, edges[1:]):
             if a.src != b.rng:
                 raise ValueError(
@@ -487,6 +436,9 @@ class Path:
     @cached_property
     def _edges(self) -> tuple[Edge, ...]:
         by_id = {e.id: e for e in self.graph.edges}
+        for eid in self.edge_ids:
+            if eid not in by_id:
+                raise ValueError(f"unknown edge {eid!r}")
         return tuple(by_id[eid] for eid in self.edge_ids)
 
     @property
@@ -555,6 +507,9 @@ def _parse_json(text: str) -> Graph:
         missing = [key for key in ("src", "rng", "mult") if key not in e]
         if missing:
             raise GraphFormatError(f"{where}: missing {', '.join(missing)}")
+        for key in ("src", "rng"):
+            if not isinstance(e[key], str):
+                raise GraphFormatError(f"{where}: {key} must be a string")
         edges.append(
             Edge(
                 id=eid,

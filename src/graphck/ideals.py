@@ -11,8 +11,9 @@ I_{H,B} of the graph algebra.  Meets follow the closed formula
 
     (H & H', (H & B') | (B & H') | (B & B'))
 
-while joins are computed extensionally as least upper bounds, which exist
-because the lattice is finite with top (all vertices, empty B).
+which `pair_meet` implements.  The lattice tables read meets and joins off
+the canonical pair order instead, a linear extension of the pair order: the
+meet is the last common lower bound, the join the first common upper bound.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .conditions import is_hereditary, is_saturated, saturated_hereditary_sets
 from .graphs import (
@@ -31,6 +32,7 @@ from .graphs import (
     is_finite,
     mult_sum,
 )
+from .poset import Poset, to_dot
 
 
 def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
@@ -100,6 +102,11 @@ def pair_leq(p: AdmissiblePair, q: AdmissiblePair) -> bool:
     return p.h <= q.h and p.b <= (q.h | q.b)
 
 
+def pair_order(pairs: Sequence[AdmissiblePair]) -> Poset:
+    """The pairs ordered by pair_leq, as one bitmask up-set per pair."""
+    return Poset(tuple(sum(1 << j for j, q in enumerate(pairs) if pair_leq(p, q)) for p in pairs))
+
+
 def pair_meet(p: AdmissiblePair, q: AdmissiblePair) -> AdmissiblePair:
     _same_graph(p, q)
     h = p.h & q.h
@@ -140,62 +147,29 @@ class IdealLattice:
             raise ValueError(f"pair {p.label} is not in the lattice") from None
 
     @cached_property
+    def _order(self) -> Poset:
+        return pair_order(self.pairs)
+
+    @cached_property
     def leq(self) -> tuple[tuple[bool, ...], ...]:
-        return tuple(
-            tuple(pair_leq(p, q) for q in self.pairs) for p in self.pairs
-        )
-
-    @cached_property
-    def _up(self) -> tuple[int, ...]:
-        """Bitmask per element: the set of elements above it."""
-        n = len(self.pairs)
-        return tuple(
-            sum(1 << j for j in range(n) if self.leq[i][j]) for i in range(n)
-        )
-
-    @cached_property
-    def _down(self) -> tuple[int, ...]:
-        n = len(self.pairs)
-        return tuple(
-            sum(1 << j for j in range(n) if self.leq[j][i]) for i in range(n)
-        )
+        return self._order.leq
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j) where j covers i: i < j with nothing strictly between."""
-        n = len(self.pairs)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq[i][j]:
-                    continue
-                between = self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
-                if not between:
-                    out.append((i, j))
-        return tuple(out)
+        return self._order.covers
+
+    # The canonical (|H|, mask H, |B|, mask B) order of the pairs is a linear
+    # extension of the pair order: H < H' grows |H|, and H = H' forces B in B'
+    # because B is disjoint from H.  So the kernel's tables apply.
 
     @cached_property
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(self.index_of(pair_meet(p, q)) for q in self.pairs)
-            for p in self.pairs
-        )
+        return self._order.meet_table()
 
     @cached_property
     def join_table(self) -> tuple[tuple[int, ...], ...]:
-        n = len(self.pairs)
-        table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                ubs = self._up[i] & self._up[j]
-                least = [
-                    k for k in range(n) if ubs >> k & 1 and ubs & ~self._up[k] == 0
-                ]
-                assert len(least) == 1, "join is not unique; lattice is broken"
-                row.append(least[0])
-            table.append(tuple(row))
-        return tuple(table)
+        return self._order.join_table()
 
     def meet(self, i: int, j: int) -> int:
         return self.meet_table[i][j]
@@ -281,13 +255,7 @@ def lattice_to_json(lat: IdealLattice) -> str:
 
 
 def lattice_to_dot(lat: IdealLattice) -> str:
-    lines = ["digraph ideal_lattice {", "  rankdir=BT;"]
-    for p in lat.pairs:
-        lines.append(f'  "{p.label}";')
-    for i, j in lat.covers:
-        lines.append(f'  "{lat.pairs[i].label}" -> "{lat.pairs[j].label}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return to_dot("ideal_lattice", (p.label for p in lat.pairs), lat.covers)
 
 
 def lattice_to_text(lat: IdealLattice) -> str:

@@ -1,0 +1,102 @@
+"""Finite partial orders as per-element bitmask up-sets.
+
+Elements are the indices 0..n-1.  ``up[i]`` has bit j set exactly when
+i <= j (so bit i itself is always set), and ``down[j]`` is its transpose.
+One closure routine turns any successor relation into such masks; covers,
+meets, joins and the DOT drawing are all read off them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
+
+
+def bits(m: int) -> Iterator[int]:
+    """Indices of the set bits of m, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def closure(succ: Sequence[int]) -> tuple[int, ...]:
+    """Reflexive-transitive closure: out[i] = everything reachable from i, i included."""
+    out = []
+    for i in range(len(succ)):
+        seen = 1 << i
+        stack = [i]
+        while stack:
+            new = succ[stack.pop()] & ~seen
+            seen |= new
+            while new:  # inlined bits(new): this loop runs for every graph
+                low = new & -new
+                stack.append(low.bit_length() - 1)
+                new ^= low
+        out.append(seen)
+    return tuple(out)
+
+
+def check_antisymmetric(up: Sequence[int], names: Sequence[str]) -> None:
+    """Raise ValueError naming the first i < j with i <= j and j <= i."""
+    for i, m in enumerate(up):
+        for j in bits(m >> (i + 1)):
+            if up[i + 1 + j] >> i & 1:
+                raise ValueError(f"not antisymmetric: {names[i]!r} and {names[i + 1 + j]!r}")
+
+
+@dataclass(frozen=True)
+class Poset:
+    up: tuple[int, ...]
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        out = [0] * len(self.up)
+        for i, m in enumerate(self.up):
+            for j in bits(m):
+                out[j] |= 1 << i
+        return tuple(out)
+
+    @cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        n = len(self.up)
+        return tuple(tuple(bool(m >> j & 1) for j in range(n)) for m in self.up)
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Pairs (i, j) in ascending order where j covers i: i < j, nothing between."""
+        down = self.down
+        out = []
+        for i, m in enumerate(self.up):
+            above = m & ~(1 << i)
+            out.extend((i, j) for j in bits(above) if down[j] & above == 1 << j)
+        return tuple(out)
+
+    # Meets and joins need a lattice whose indices follow a linear extension
+    # (i <= j implies i <= j as integers).  Every lower bound of i and j then
+    # lies below their meet, so the meet is the highest-indexed common lower
+    # bound; dually the join is the lowest-indexed common upper bound.
+
+    def _check_linear_extension(self) -> None:
+        if any(m & ((1 << i) - 1) for i, m in enumerate(self.up)):
+            raise ValueError("element indices do not follow a linear extension")
+
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
+        self._check_linear_extension()
+        return tuple(tuple((a & b).bit_length() - 1 for b in self.down) for a in self.down)
+
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
+        self._check_linear_extension()
+        return tuple(
+            tuple((a & b & -(a & b)).bit_length() - 1 for b in self.up) for a in self.up
+        )
+
+
+def to_dot(name: str, labels: Iterable[str], covers: Iterable[tuple[int, int]]) -> str:
+    """Hasse diagram, edges from lower to upper; labels quoted, \\ and " escaped."""
+    nodes = ['"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in labels]
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines += [f"  {x};" for x in nodes]
+    lines += [f"  {nodes[i]} -> {nodes[j]};" for i, j in covers]
+    return "\n".join(lines + ["}"]) + "\n"

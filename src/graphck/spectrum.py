@@ -25,10 +25,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from .actions import FiniteT0Space
 from .conditions import condition_K, is_hereditary, is_saturated, \
     saturated_hereditary_sets
 from .graphs import DEFAULT_LIMIT, Graph, OMEGA
-from .ideals import AdmissiblePair, breaking_vertices_of, pair_leq, pair_meet
+from .ideals import AdmissiblePair, breaking_vertices_of, pair_leq, pair_meet, pair_order
+from .poset import Poset, bits, check_antisymmetric, to_dot
 
 
 def omega(g: Graph, xs: Iterable[str]) -> frozenset[str]:
@@ -76,9 +78,7 @@ def breaking_vertices(g: Graph) -> list[str]:
     for v in g.vertices:
         if g.in_degree(v) != OMEGA:
             continue
-        Ov = omega(g, [v])
-        assert is_hereditary(g, Ov) and is_saturated(g, Ov)
-        if v in breaking_vertices_of(g, Ov):
+        if v in breaking_vertices_of(g, omega(g, [v])):  # raises unless saturated hereditary
             out.append(v)
     return out
 
@@ -117,11 +117,6 @@ def prime_points(g: Graph, limit: int = DEFAULT_LIMIT) -> list[PrimPoint]:
         H = omega(g, [v])
         B = breaking_vertices_of(g, H) - {v}
         points.append(PrimPoint("breaking", None, v, AdmissiblePair(g, H, B)))
-    seen = set()
-    for pt in points:
-        key = (pt.pair.h, pt.pair.b)
-        assert key not in seen, f"duplicate prime pair {pt.pair.label}: bug"
-        seen.add(key)
     return points
 
 
@@ -135,56 +130,35 @@ class PrimSpace:
         return len(self.points)
 
     @cached_property
+    def _order(self) -> Poset:
+        return pair_order([pt.pair for pt in self.points])
+
+    @cached_property
     def leq(self) -> tuple[tuple[bool, ...], ...]:
         """leq[i][j]: point j lies in the closure of point i."""
-        return tuple(
-            tuple(pair_leq(p.pair, q.pair) for q in self.points)
-            for p in self.points
-        )
+        return self._order.leq
 
     def closure_of(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(len(self.points)) if self.leq[i][j])
+        return tuple(bits(self._order.up[i]))
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        n = len(self.points)
-        leq = self.leq
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not leq[i][j]:
-                    continue
-                if any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)):
-                    continue
-                out.append((i, j))
-        return tuple(out)
+        return self._order.covers
 
 
 def prim_space(g: Graph, limit: int = DEFAULT_LIMIT) -> PrimSpace:
     points = tuple(prime_points(g, limit))
     status = "Primitive" if condition_K(g).holds else "PrimeOnly"
     space = PrimSpace(g, points, status)
-    # distinct pairs make specialization antisymmetric
-    n = len(points)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                assert not (space.leq[i][j] and space.leq[j][i])
+    # raises on a repeated prime pair: distinct pairs make specialization antisymmetric
+    check_antisymmetric(space._order.up, [pt.label for pt in points])
     return space
 
 
 def prim_space_to_t0(ps: PrimSpace):
     """The prime-point poset as a finite T0 space (labels are point labels)."""
-    from .actions import FiniteT0Space
-
     labels = [pt.label for pt in ps.points]
-    pairs = [
-        (labels[i], labels[j])
-        for i in range(len(labels))
-        for j in range(len(labels))
-        if i != j and ps.leq[i][j]
-    ]
-    return FiniteT0Space.from_pairs(labels, pairs)
+    return FiniteT0Space.from_pairs(labels, ((labels[i], labels[j]) for i, j in ps.covers))
 
 
 def meet_of_primes_above(g: Graph, p: AdmissiblePair, points: list[PrimPoint]) -> AdmissiblePair:
@@ -215,13 +189,7 @@ def prim_space_to_json(ps: PrimSpace) -> str:
 
 
 def prim_space_to_dot(ps: PrimSpace) -> str:
-    lines = ["digraph prim_space {", "  rankdir=BT;"]
-    for pt in ps.points:
-        lines.append(f'  "{pt.label}";')
-    for i, j in ps.covers:
-        lines.append(f'  "{ps.points[i].label}" -> "{ps.points[j].label}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return to_dot("prim_space", (pt.label for pt in ps.points), ps.covers)
 
 
 def prim_space_to_text(ps: PrimSpace) -> str:

@@ -63,6 +63,40 @@ def test_space_equality_is_topological():
     assert a == b  # transitive closure is normalized
 
 
+def set_fixpoint_above(points, pairs):
+    """Reflexive-transitive closure by iterating set unions to a fixpoint."""
+    above = {p: {p} for p in points}
+    for p, q in pairs:
+        above[p].add(q)
+    changed = True
+    while changed:
+        changed = False
+        for p in points:
+            new = set().union(*(above[q] for q in above[p]))
+            if not new <= above[p]:
+                above[p] |= new
+                changed = True
+    return above
+
+
+def test_closure_matches_set_fixpoint():
+    rng = random.Random(83)
+    spaces = 0
+    for _ in range(300):
+        points = tuple(f"p{i}" for i in range(rng.randint(1, 7)))
+        pairs = {(p, q) for p in points for q in points if p != q and rng.random() < 0.15}
+        above = set_fixpoint_above(points, pairs)
+        if any(q != p and p in above[q] for p in points for q in above[p]):
+            with pytest.raises(ActionFormatError, match="antisymmetric"):
+                FiniteT0Space.from_pairs(points, pairs)
+            continue
+        sp = FiniteT0Space.from_pairs(points, pairs)
+        assert {p: sp.above(p) for p in points} == above
+        assert sp.closure_pairs == {(p, q) for p in points for q in above[p] if q != p}
+        spaces += 1
+    assert spaces > 100
+
+
 # -- partial homeomorphisms ----------------------------------------------------------
 
 

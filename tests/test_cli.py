@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -92,6 +93,39 @@ def test_parse_error_exit_1(tmp_path):
     assert code == 1 and out == "" and "dangling endpoint" in err
     code, _, err = invoke("analyze", str(tmp_path / "missing.json"))
     assert code == 1 and "cannot read" in err
+
+
+def test_mistyped_graph_json_exit_1(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": ["v"], "edges": [{"src": ["v"], "rng": "v", "mult": 1}]}')
+    code, out, err = invoke("analyze", str(bad))
+    assert code == 1 and out == "" and "edge #0: src must be a string" in err
+
+
+def invoke_action(tmp_path, **changes):
+    obj = {"points": ["a", "b"], "specialization": [], "group": "F1"}
+    obj["generators"] = [{"name": "g", "map": [["a", "a"]]}]
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps({**obj, **changes}))
+    return invoke("paction", str(path), "is_minimal")
+
+
+def test_mistyped_specialization_exit_1(tmp_path):
+    code, out, err = invoke_action(tmp_path, specialization=[["a", ["b"]]])
+    assert code == 1 and out == "" and "specialization #0" in err
+
+
+def test_mistyped_generator_name_exit_1(tmp_path):
+    code, out, err = invoke_action(tmp_path, generators=[{"name": 7, "map": []}])
+    assert code == 1 and out == "" and "generator #0: name must be a string" in err
+
+
+def test_mistyped_witness_json_exit_1(tmp_path):
+    path = make_action(tmp_path)
+    wit = tmp_path / "w.json"
+    wit.write_text(json.dumps({"V": ["1"], "parts": [{"set": [["1"]], "word": ""}]}))
+    code, out, err = invoke("paction", path, "check_infinite_witness", "--witness", str(wit))
+    assert code == 1 and out == "" and "part #0: set must list point names" in err
 
 
 def test_limit_exit_2(tmp_path):
@@ -211,8 +245,11 @@ def tokenize_dot(text):
     assert text.startswith("digraph ")
     body = text[text.index("{") + 1 : text.rindex("}")]
     statements, current, quoted = [], [], False
-    for ch in body:
-        if ch == '"':
+    chars = iter(body)
+    for ch in chars:
+        if ch == "\\" and quoted:
+            current.append(ch + next(chars))  # an escaped character
+        elif ch == '"':
             quoted = not quoted
             current.append(ch)
         elif ch == ";" and not quoted:
@@ -226,11 +263,26 @@ def tokenize_dot(text):
     return statements
 
 
-def test_dot_outputs_parse(corpus):
+def test_dot_outputs_parse(corpus, tmp_path):
+    # the omega edge makes a"x a breaking vertex, so Breaking(...) labels show too
+    quoting = tmp_path / "quoting.json"
+    quoting.write_text(
+        json.dumps(
+            {
+                "vertices": ['a"x', "b\\y"],
+                "edges": [
+                    {"src": 'a"x', "rng": 'a"x', "mult": 2},
+                    {"src": "b\\y", "rng": 'a"x', "mult": "omega"},
+                ],
+            }
+        )
+    )
+    graphs = [str(CORPUS_DIR / f"{name}.json") for name in ("e1", "e2", "e4", "e5")]
     for target in ("lattice", "spectrum"):
-        for name in ("e1", "e2", "e4", "e5"):
-            code, out, _ = invoke(target, str(CORPUS_DIR / f"{name}.json"), "--format", "dot")
+        for path in graphs + [str(quoting)]:
+            code, out, _ = invoke(target, path, "--format", "dot")
             assert code == 0
+            labels = set()
             for stmt in tokenize_dot(out):
                 if stmt == "rankdir=BT":
                     continue
@@ -238,6 +290,14 @@ def test_dot_outputs_parse(corpus):
                 assert 1 <= len(chunks) <= 2
                 for c in chunks:
                     assert c.startswith('"') and c.endswith('"')
+                    labels.add(re.sub(r"\\(.)", r"\1", c[1:-1]))
+            if path == str(quoting):
+                expected = (
+                    {'H={};B={}', 'H={b\\y};B={}', 'H={b\\y};B={a"x}', 'H={a"x,b\\y};B={}'}
+                    if target == "lattice"
+                    else {'Tail{a"x,b\\y}', 'Tail{a"x}', 'Breaking(a"x)'}
+                )
+                assert labels == expected
 
 
 # -- determinism (smoke; the full matrix runs in the acceptance suite) ------------------

@@ -16,7 +16,7 @@ from graphck import (
     quotient_graph,
 )
 
-from util import brute_glb, brute_lub, poset_isomorphic, random_graph
+from util import brute_covers, brute_glb, brute_lub, poset_isomorphic, random_graph
 
 
 def pairs_of(lat):
@@ -88,6 +88,7 @@ def test_lattice_laws_and_oracles(corpus):
         if n > 60:
             continue
         leq = lat.leq
+        assert list(lat.covers) == brute_covers(leq)
         # partial order sanity
         for i in range(n):
             assert leq[i][i]
@@ -99,6 +100,8 @@ def test_lattice_laws_and_oracles(corpus):
                 m = lat.meet(i, j)
                 jn = lat.join(i, j)
                 assert m == brute_glb(leq, i, j)
+                # the closed meet formula agrees with the table
+                assert lat.index_of(pair_meet(lat.pairs[i], lat.pairs[j])) == m
                 assert jn == brute_lub(leq, i, j)
                 # commutativity
                 assert m == lat.meet(j, i) and jn == lat.join(j, i)

@@ -1,0 +1,88 @@
+"""The bitmask poset kernel against brute-force order oracles."""
+
+import random
+
+import pytest
+
+from graphck.poset import Poset, bits, check_antisymmetric, closure, to_dot
+
+from util import brute_closure, brute_covers, brute_glb, brute_lub
+
+
+def random_relation(rng, n, p):
+    return {(i, j) for i in range(n) for j in range(n) if rng.random() < p}
+
+
+def masks(rel, n):
+    return [sum(1 << j for j in range(n) if (i, j) in rel) for i in range(n)]
+
+
+def test_bits_ascending():
+    assert list(bits(0)) == [] and list(bits(0b101001)) == [0, 3, 5]
+
+
+def test_closure_matches_warshall():
+    rng = random.Random(71)
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        rel = random_relation(rng, n, rng.choice((0.05, 0.15, 0.4)))  # cycles included
+        up = closure(masks(rel, n))
+        brute = brute_closure(n, rel)
+        assert [[bool(m >> j & 1) for j in range(n)] for m in up] == brute
+
+
+def random_order(rng, n):
+    """A random partial order on range(n), indices a linear extension."""
+    rel = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+    return Poset(closure(masks(rel, n)))
+
+
+def test_covers_and_leq_match_brute_force():
+    rng = random.Random(73)
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        order = random_order(rng, n)
+        check_antisymmetric(order.up, [str(i) for i in range(n)])
+        assert list(order.covers) == brute_covers(order.leq)
+        for i in range(n):
+            for j in range(n):
+                assert (order.down[j] >> i & 1) == (order.up[i] >> j & 1)
+
+
+def test_meet_and_join_of_random_lattices():
+    """Random orders with a bottom and a top; checked where they are lattices."""
+    rng = random.Random(79)
+    checked = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        rel = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+        rel |= {(0, j) for j in range(n)} | {(i, n - 1) for i in range(n)}
+        order = Poset(closure(masks(rel, n)))
+        leq = order.leq
+        glb = [[brute_glb(leq, i, j) for j in range(n)] for i in range(n)]
+        lub = [[brute_lub(leq, i, j) for j in range(n)] for i in range(n)]
+        if any(x is None for row in glb + lub for x in row):
+            continue  # not a lattice
+        assert [list(r) for r in order.meet_table()] == glb
+        assert [list(r) for r in order.join_table()] == lub
+        checked += 1
+    assert checked > 100
+
+
+def test_meet_needs_a_linear_extension():
+    chain = Poset((0b11, 0b10))  # 0 <= 1
+    assert chain.meet_table() == ((0, 0), (0, 1))
+    with pytest.raises(ValueError, match="linear extension"):
+        Poset((0b01, 0b11)).meet_table()  # 1 <= 0
+
+
+def test_antisymmetry_violation_names_elements():
+    with pytest.raises(ValueError, match="not antisymmetric: 'a' and 'c'"):
+        check_antisymmetric(closure([0b100, 0, 0b001]), ["a", "b", "c"])
+
+
+def test_dot_escapes_labels():
+    dot = to_dot("g", ['a"x', "b\\y"], [(0, 1)])
+    assert dot == (
+        'digraph g {\n  rankdir=BT;\n  "a\\"x";\n  "b\\\\y";\n  "a\\"x" -> "b\\\\y";\n}\n'
+    )

@@ -172,6 +172,29 @@ def brute_lub(leq, i: int, j: int):
     return least[0] if len(least) == 1 else None
 
 
+def brute_covers(leq):
+    """(i, j) with i < j in the order and no k strictly between, ascending."""
+    n = len(leq)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and leq[i][j]
+        and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))
+    ]
+
+
+def brute_closure(n: int, pairs):
+    """Reflexive-transitive closure of a relation on range(n), by Warshall."""
+    rel = [[i == j or (i, j) in pairs for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                rel[i][j] = rel[i][j] or (rel[i][k] and rel[k][j])
+    return rel
+
+
 def poset_isomorphic(leq1, leq2) -> bool:
     """Brute-force order-isomorphism search with signature pruning."""
     n = len(leq1)
