@@ -23,7 +23,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--limit", type=int, default=16)
+    ap.add_argument("--limit", type=int, default=16, help="vertex limit of the lattice enumeration")
     args = ap.parse_args()
 
     header = f"{'graph':8} {'|V|':>3} {'L':>3} {'K':>3} {'simple':>7} {'PI':>7} {'pairs':>5} {'primes':>6} {'status':>9}"
@@ -31,9 +31,9 @@ def main() -> None:
     print("-" * len(header))
     for path in sorted(CORPUS.glob("*.json")):
         g = parse_graph(path.read_text())
-        r = classify(g, args.limit)
+        r = classify(g)
         lat = admissible_pairs(g, args.limit)
-        ps = prim_space(g, args.limit)
+        ps = prim_space(g)
         print(
             f"{path.stem:8} {len(g.vertices):>3} "
             f"{'yes' if r.aperiodic else 'no':>3} "

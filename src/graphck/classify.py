@@ -15,11 +15,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .conditions import condition_K, condition_L, saturated_hereditary_sets
+from .conditions import condition_K, condition_L, hereditary_closure, saturation
 from .graphs import (
-    DEFAULT_LIMIT,
     Graph,
-    LimitExceededError,
     OMEGA,
     Path,
     cycle_vertices,
@@ -39,7 +37,7 @@ _EXTERNAL_L_NOTE = (
 
 @dataclass(frozen=True)
 class SimpleVerdict:
-    verdict: str  # "yes" | "no" | "unknown"
+    verdict: str  # "yes" | "no"
     reason_kind: Optional[str] = None  # "nontrivial_lattice" | "condition_L_fails"
     pair: Optional[AdmissiblePair] = None
     cycle: Optional[Path] = None
@@ -84,7 +82,7 @@ class TailWitness:
 
 @dataclass(frozen=True)
 class PurelyInfiniteVerdict:
-    verdict: str  # "yes" | "no" | "unknown"
+    verdict: str  # "yes" | "no"
     # reason kinds: "fails_K" | "tail_vertex_not_fed_by_cycle" | "breaking_vertex_gap"
     reason_kind: Optional[str] = None
     vertex: Optional[str] = None
@@ -128,7 +126,6 @@ class ClassificationReport:
     dual_system_topologically_free: str  # "yes" | "no" | "unknown"
     simple: SimpleVerdict
     purely_infinite: PurelyInfiniteVerdict
-    limit_exceeded: bool
     condition_L_witness: Optional[object] = None  # CycleWitness on failure
     condition_K_witness: Optional[str] = None
 
@@ -162,16 +159,22 @@ class ClassificationReport:
             "simple": self.simple.to_json_obj(),
             "purely_infinite": self.purely_infinite.to_json_obj(self.graph),
             "witnesses": witnesses,
-            "limit_exceeded": self.limit_exceeded,
+            "limit_exceeded": False,  # verdicts are always decided; kept for the schema
         }
 
 
-def is_simple(g: Graph, limit: int = DEFAULT_LIMIT):
-    """Simplicity verdict: Condition (L) plus a trivial ideal lattice."""
-    sh = saturated_hereditary_sets(g, limit)
-    nontrivial = [H for H in sh if H and H != frozenset(g.vertices)]
-    if nontrivial:
-        pair = AdmissiblePair(g, nontrivial[0], frozenset())
+def is_simple(g: Graph):
+    """Simplicity verdict: Condition (L) plus a trivial ideal lattice.
+
+    The witness is the canonically first nontrivial saturated hereditary set.
+    It has the least size, and a nontrivial set H of least size is generated
+    by any of its vertices v: the saturated hereditary closure of {v} lies in
+    H, is nonempty and is not everything, so it is H.
+    """
+    V = frozenset(g.vertices)
+    generated = {saturation(g, hereditary_closure(g, [v])) for v in V} - {V}
+    if generated:
+        pair = AdmissiblePair(g, min(generated, key=g.set_key), frozenset())
         return SimpleVerdict("no", "nontrivial_lattice", pair=pair)
     L = condition_L(g)
     if not L.holds:
@@ -223,7 +226,7 @@ def _connect(g: Graph, src: str, dst: str) -> tuple[str, ...]:
     raise AssertionError(f"no path {src!r} -> {dst!r}: caller promised one")
 
 
-def is_purely_infinite(g: Graph, limit: int = DEFAULT_LIMIT) -> PurelyInfiniteVerdict:
+def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     """Pure infiniteness: Condition (K), cycles feeding every tail vertex,
     and no infinite-receiver gaps anywhere in the ideal lattice.
 
@@ -235,13 +238,17 @@ def is_purely_infinite(g: Graph, limit: int = DEFAULT_LIMIT) -> PurelyInfiniteVe
     breaking range, the quotient by (H, empty B) keeps the gap projection of
     v as a fresh source vertex whose corner is one-dimensional, a finite
     projection.  Pure infiniteness passes to quotients, so such a graph is
-    never purely infinite.
+    never purely infinite.  A vertex v breaks over H only if H holds every
+    source of an infinite edge bundle into v, so H contains the saturated
+    hereditary closure Hmin(v) of those sources; and v then already breaks
+    over Hmin(v), which is no larger.  So the canonically first H with a
+    breaking vertex is some Hmin(v).
     """
     K = condition_K(g)
     if not K.holds:
         return PurelyInfiniteVerdict("no", "fails_K", vertex=K.witness)
     witnesses = []
-    for M in maximal_tails(g, limit):
+    for M in maximal_tails(g):
         sub = induced_subgraph(g, M)
         on_cycle = g.sort_set(cycle_vertices(sub))
         for v in g.sort_set(M):
@@ -254,39 +261,29 @@ def is_purely_infinite(g: Graph, limit: int = DEFAULT_LIMIT) -> PurelyInfiniteVe
             cycle = _find_cycle_at(sub, y)
             cycle_in_g = Path(g, cycle.edge_ids)  # same ids, ambient graph
             witnesses.append(TailWitness(M, v, cycle_in_g, _connect(g, y, v)))
-    for H in saturated_hereditary_sets(g, limit):
+    gap_sets = []
+    for v in g.vertices:
+        if g.in_degree(v) == OMEGA:
+            sources = [e.src for e in g.in_edges(v) if e.mult == OMEGA]
+            H = saturation(g, hereditary_closure(g, sources))
+            if v in breaking_vertices_of(g, H):
+                gap_sets.append(H)
+    if gap_sets:
+        H = min(gap_sets, key=g.set_key)
         gaps = g.sort_set(breaking_vertices_of(g, H))
-        if gaps:
-            return PurelyInfiniteVerdict(
-                "no", "breaking_vertex_gap", vertex=gaps[0], h_set=H
-            )
+        return PurelyInfiniteVerdict("no", "breaking_vertex_gap", vertex=gaps[0], h_set=H)
     return PurelyInfiniteVerdict("yes", witnesses=tuple(witnesses))
 
 
-def classify(g: Graph, limit: int = DEFAULT_LIMIT) -> ClassificationReport:
+def classify(g: Graph) -> ClassificationReport:
     L = condition_L(g)
     K = condition_K(g)
-    assert L.holds or not K.holds  # (K) implies (L)
 
     finite_graph = all(e.mult != OMEGA for e in g.edges)
     if finite_graph:
         dual_tf = "yes" if L.holds else "no"
     else:
         dual_tf = "unknown"  # the equivalence is only available for finite graphs
-
-    limit_exceeded = False
-    try:
-        simple = is_simple(g, limit)
-        pi = is_purely_infinite(g, limit)
-    except LimitExceededError:
-        limit_exceeded = True
-        simple = SimpleVerdict("unknown")
-        pi = (
-            PurelyInfiniteVerdict("no", "fails_K", vertex=K.witness)
-            if not K.holds
-            else PurelyInfiniteVerdict("unknown")
-        )
-    assert pi.verdict != "yes" or K.holds
 
     return ClassificationReport(
         graph=g,
@@ -297,9 +294,8 @@ def classify(g: Graph, limit: int = DEFAULT_LIMIT) -> ClassificationReport:
         exact=True,  # integer grading; amenable groups give exact bundles
         ideal_property_of_crossproduct="yes" if K.holds else "unknown",
         dual_system_topologically_free=dual_tf,
-        simple=simple,
-        purely_infinite=pi,
-        limit_exceeded=limit_exceeded,
+        simple=is_simple(g),
+        purely_infinite=is_purely_infinite(g),
         condition_L_witness=L.witness,
         condition_K_witness=K.witness,
     )
@@ -330,8 +326,6 @@ def report_to_text(report: ClassificationReport) -> str:
     s = report.simple
     if s.verdict == "yes":
         lines.append("simple:                              yes")
-    elif s.verdict == "unknown":
-        lines.append("simple:                              unknown (limit exceeded)")
     elif s.reason_kind == "nontrivial_lattice":
         lines.append(
             f"simple:                              no: nontrivial ideal I_{{{s.pair.label}}}"
@@ -344,8 +338,6 @@ def report_to_text(report: ClassificationReport) -> str:
     p = report.purely_infinite
     if p.verdict == "yes":
         lines.append("purely infinite:                     yes")
-    elif p.verdict == "unknown":
-        lines.append("purely infinite:                     unknown (limit exceeded)")
     elif p.reason_kind == "fails_K":
         lines.append(
             f"purely infinite:                     no: Condition (K) fails at {p.vertex}"
@@ -363,6 +355,4 @@ def report_to_text(report: ClassificationReport) -> str:
             "purely infinite:                     "
             f"no: vertex {p.vertex} in tail {{{tail}}} is not fed by a cycle"
         )
-    if report.limit_exceeded:
-        lines.append("note: enumeration limit exceeded; lattice-dependent fields unknown")
     return "\n".join(lines) + "\n"

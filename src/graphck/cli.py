@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse or validation failure, 2 enumeration limit
-exceeded.  Results go to stdout, diagnostics to stderr.  Identical
-invocations produce byte-identical output.
+exceeded.  Only `lattice` and `paction invariant_subsets` enumerate subsets
+and so take the limit; `analyze` and `spectrum` run in polynomial time.
+Results go to stdout, diagnostics to stderr.  Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _parse_point_set(a: act.FinitePartialAction, text: str) -> frozenset[str]:
 
 def _cmd_analyze(args, out) -> None:
     g, _ = _load_graph(args.graph)
-    report = classify(g, args.limit)
+    report = classify(g)
     if args.format == "json":
         out.write(report_to_json(report))
     elif args.format == "text":
@@ -110,7 +112,7 @@ def _cmd_lattice(args, out) -> None:
 
 def _cmd_spectrum(args, out) -> None:
     g, _ = _load_graph(args.graph)
-    ps = spc.prim_space(g, args.limit)
+    ps = spc.prim_space(g)
     if args.format == "json":
         out.write(spc.prim_space_to_json(ps))
     elif args.format == "dot":
@@ -299,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--limit",
             type=int,
             default=DEFAULT_LIMIT,
-            help=f"enumeration guard on input size (default: {DEFAULT_LIMIT})",
+            help="input size guard of the lattice and invariant_subsets "
+            f"enumerations (default: {DEFAULT_LIMIT})",
         )
 
     p = sub.add_parser("analyze", help="classification report for a graph")

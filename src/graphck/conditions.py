@@ -14,6 +14,7 @@ from .graphs import (
     DEFAULT_LIMIT,
     Edge,
     Graph,
+    LimitExceededError,
     Path,
     first_return_count,
     is_finite,
@@ -24,18 +25,18 @@ from .poset import closure
 
 def is_hereditary(g: Graph, S: Iterable[str]) -> bool:
     S = frozenset(S)
-    return all(w in S for v in S for w in g.ancestors_of([v]))
+    return g.ancestors_of(S) == S
+
+
+def _forced(g: Graph, S, v: str) -> bool:
+    """v has finite nonzero in-degree and all of its in-edges start in S."""
+    deg = g.in_degree(v)
+    return is_finite(deg) and deg > 0 and all(e.src in S for e in g.in_edges(v))
 
 
 def is_saturated(g: Graph, S: Iterable[str]) -> bool:
     S = frozenset(S)
-    for v in g.vertices:
-        if v in S:
-            continue
-        deg = g.in_degree(v)
-        if is_finite(deg) and deg > 0 and all(e.src in S for e in g.in_edges(v)):
-            return False
-    return True
+    return not any(v not in S and _forced(g, S, v) for v in g.vertices)
 
 
 def hereditary_closure(g: Graph, S: Iterable[str]) -> frozenset[str]:
@@ -49,21 +50,11 @@ def saturation(g: Graph, H: Iterable[str]) -> frozenset[str]:
     if not is_hereditary(g, H):
         raise ValueError(f"saturation input is not hereditary: {sorted(H)}")
     current = set(H)
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            if v in current:
-                continue
-            deg = g.in_degree(v)
-            if is_finite(deg) and deg > 0 and all(
-                e.src in current for e in g.in_edges(v)
-            ):
-                current.add(v)
-                changed = True
-    out = frozenset(current)
-    assert is_hereditary(g, out), "saturation broke heredity"
-    return out
+    while True:
+        forced = [v for v in g.vertices if v not in current and _forced(g, current, v)]
+        if not forced:
+            return frozenset(current)
+        current.update(forced)
 
 
 def saturated_hereditary_sets(
@@ -75,7 +66,8 @@ def saturated_hereditary_sets(
     the full vertex set.  Hereditary sets are enumerated as predecessor-closed
     unions of strongly connected components, then filtered by saturation.
     """
-    g.check_limit(limit)
+    if len(g.vertices) > limit:
+        raise LimitExceededError(len(g.vertices), limit)
     comps = scc_decomposition(g)
     k = len(comps)
     comp_of: dict[str, int] = {}
@@ -103,7 +95,6 @@ def saturated_hereditary_sets(
         if is_saturated(g, H):
             out.append(H)
     out.sort(key=g.set_key)
-    assert out and out[0] == frozenset() and out[-1] == frozenset(g.vertices)
     return out
 
 

@@ -135,6 +135,9 @@ class Graph:
         for v in self.vertices:
             if v in seen:
                 raise GraphFormatError(f"vertex {v!r}: duplicate id")
+            reserved = [c for c in ",;" if c in v]  # set separators in labels and selectors
+            if reserved:
+                raise GraphFormatError(f"vertex {v!r}: reserved character {reserved[0]!r} in id")
             seen.add(v)
         eids = set()
         for e in self.edges:
@@ -177,10 +180,6 @@ class Graph:
         """Canonical sort key for vertex sets: by size, then by bitmask."""
         m = self.mask(vs)
         return (bin(m).count("1"), m)
-
-    def check_limit(self, limit: int = DEFAULT_LIMIT) -> None:
-        if len(self.vertices) > limit:
-            raise LimitExceededError(len(self.vertices), limit)
 
     # -- adjacency ----------------------------------------------------------
 
@@ -472,7 +471,7 @@ class Path:
 
 
 def detect_format(text: str) -> str:
-    return "json" if text.lstrip()[:1] == "{" else "edgelist"
+    return "json" if text.lstrip()[:1] in ("{", "[") else "edgelist"
 
 
 def parse_graph(text: str, format: str = "json") -> Graph:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .conditions import is_hereditary, is_saturated, saturated_hereditary_sets
+from .conditions import hereditary_closure, is_hereditary, is_saturated, \
+    saturated_hereditary_sets, saturation
 from .graphs import (
     DEFAULT_LIMIT,
     Edge,
@@ -114,12 +115,22 @@ def pair_meet(p: AdmissiblePair, q: AdmissiblePair) -> AdmissiblePair:
     return AdmissiblePair(p.graph, h, b)  # constructor re-checks admissibility
 
 
-def pair_join(
-    p: AdmissiblePair, q: AdmissiblePair, limit: int = DEFAULT_LIMIT
-) -> AdmissiblePair:
+def pair_join(p: AdmissiblePair, q: AdmissiblePair) -> AdmissiblePair:
+    """The least pair above p and q.
+
+    Its H holds p.h | q.h.  A vertex of p.b | q.b outside H that does not
+    break over H receives no edge from outside H, nor from outside any larger
+    H, so it cannot sit in any B above and must join H.
+    """
     _same_graph(p, q)
-    lattice = admissible_pairs(p.graph, limit)
-    return lattice.pairs[lattice.join(lattice.index_of(p), lattice.index_of(q))]
+    g = p.graph
+    b = p.b | q.b
+    h = saturation(g, p.h | q.h)
+    stray = b - h - breaking_vertices_of(g, h)
+    while stray:
+        h = saturation(g, hereditary_closure(g, h | stray))
+        stray = b - h - breaking_vertices_of(g, h)
+    return AdmissiblePair(g, h, b - h)
 
 
 @dataclass(frozen=True)

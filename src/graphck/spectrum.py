@@ -26,9 +26,8 @@ from functools import cached_property
 from typing import Iterable
 
 from .actions import FiniteT0Space
-from .conditions import condition_K, is_hereditary, is_saturated, \
-    saturated_hereditary_sets
-from .graphs import DEFAULT_LIMIT, Graph, OMEGA
+from .conditions import condition_K, is_hereditary, is_saturated
+from .graphs import Graph, OMEGA
 from .ideals import AdmissiblePair, breaking_vertices_of, pair_leq, pair_meet, pair_order
 from .poset import Poset, bits, check_antisymmetric, to_dot
 
@@ -61,13 +60,17 @@ def is_maximal_tail(g: Graph, M: Iterable[str]) -> bool:
     return is_hereditary(g, H) and is_saturated(g, H) and is_downward_directed(g, M)
 
 
-def maximal_tails(g: Graph, limit: int = DEFAULT_LIMIT) -> list[frozenset[str]]:
-    """All maximal tails, ordered by size descending then canonical mask."""
-    tails = []
-    for H in saturated_hereditary_sets(g, limit):
-        M = frozenset(g.vertices) - H
-        if M and is_downward_directed(g, M):
-            tails.append(M)
+def maximal_tails(g: Graph) -> list[frozenset[str]]:
+    """All maximal tails, ordered by size descending then canonical mask.
+
+    A maximal tail is finite and downward directed, so some member y lies
+    below all of its members, and being upward closed it is then exactly the
+    set reachable from y.  Conversely, a set reachable from one vertex is
+    upward closed and downward directed, and its complement is hereditary;
+    it is a maximal tail iff that complement is saturated.
+    """
+    V = frozenset(g.vertices)
+    tails = [M for M in {g.reachable_from([y]) for y in V} if is_saturated(g, V - M)]
     tails.sort(key=lambda M: (-len(M), g.mask(M)))
     return tails
 
@@ -107,10 +110,10 @@ class PrimPoint:
         }
 
 
-def prime_points(g: Graph, limit: int = DEFAULT_LIMIT) -> list[PrimPoint]:
+def prime_points(g: Graph) -> list[PrimPoint]:
     """One point per maximal tail, then one per breaking vertex."""
     points = []
-    for M in maximal_tails(g, limit):
+    for M in maximal_tails(g):
         H = frozenset(g.vertices) - M
         points.append(PrimPoint("tail", M, None, AdmissiblePair(g, H, breaking_vertices_of(g, H))))
     for v in breaking_vertices(g):
@@ -146,8 +149,8 @@ class PrimSpace:
         return self._order.covers
 
 
-def prim_space(g: Graph, limit: int = DEFAULT_LIMIT) -> PrimSpace:
-    points = tuple(prime_points(g, limit))
+def prim_space(g: Graph) -> PrimSpace:
+    points = tuple(prime_points(g))
     status = "Primitive" if condition_K(g).holds else "PrimeOnly"
     space = PrimSpace(g, points, status)
     # raises on a repeated prime pair: distinct pairs make specialization antisymmetric

@@ -7,6 +7,7 @@ import jsonschema
 from graphck import (
     Graph,
     admissible_pairs,
+    breaking_vertices_of,
     classify,
     condition_K,
     first_return_count,
@@ -18,9 +19,10 @@ from graphck import (
     quotient_graph,
     report_to_json,
     report_to_text,
+    saturated_hereditary_sets,
 )
 
-from util import DOCS_DIR, random_graph
+from util import DOCS_DIR, random_graph, random_looped_graph, random_omega_graph
 
 
 def test_classify_e1(corpus):
@@ -164,14 +166,66 @@ def test_tail_facts_backing_the_pi_reduction(corpus):
                     assert first_return_count(sub, y) == first_return_count(g, y)
 
 
-def test_limit_exceeded_marks_unknown():
+def test_edgeless_20_verdicts_are_decided():
+    # beyond the enumeration limit, yet every verdict is decided
     g = Graph(tuple(f"v{i}" for i in range(20)), ())
-    r = classify(g, limit=16)
-    assert r.limit_exceeded
-    assert r.simple.verdict == "unknown"
-    assert r.purely_infinite.verdict == "unknown"
-    # conditions (L) and (K) are never limited
+    r = classify(g)
     assert r.aperiodic and r.residually_aperiodic
+    assert (r.simple.verdict, r.simple.reason_kind) == ("no", "nontrivial_lattice")
+    assert (r.simple.pair.h, r.simple.pair.b) == (frozenset(["v0"]), frozenset())
+    pi = r.purely_infinite
+    assert (pi.verdict, pi.reason_kind) == ("no", "tail_vertex_not_fed_by_cycle")
+    assert (pi.tail, pi.vertex) == (frozenset(["v0"]), "v0")
+    assert json.loads(report_to_json(r))["limit_exceeded"] is False
+
+
+def mixed_graphs(seed: int, count: int):
+    """Seeded random, omega-heavy and looped graphs, in turn."""
+    rng = random.Random(seed)
+    makers = (random_graph, random_omega_graph, random_looped_graph)
+    return [makers[i % 3](rng, max_n=7) for i in range(count)]
+
+
+def test_simple_witness_is_first_nontrivial_sh_set(corpus):
+    for g in list(corpus.values()) + mixed_graphs(89, 450):
+        V = frozenset(g.vertices)
+        nontrivial = [H for H in saturated_hereditary_sets(g) if H and H != V]
+        r = is_simple(g)
+        if nontrivial:
+            assert r.reason_kind == "nontrivial_lattice"
+            assert (r.pair.h, r.pair.b) == (nontrivial[0], frozenset())
+        else:
+            assert r.reason_kind != "nontrivial_lattice"
+
+
+def test_gap_witness_is_first_sh_set_with_breaking_vertex(corpus):
+    hits = 0
+    for g in list(corpus.values()) + mixed_graphs(97, 450):
+        expected = next(
+            (
+                (H, g.sort_set(breaking_vertices_of(g, H))[0])
+                for H in saturated_hereditary_sets(g)
+                if breaking_vertices_of(g, H)
+            ),
+            None,
+        )
+        r = is_purely_infinite(g)
+        if r.reason_kind == "breaking_vertex_gap":
+            hits += 1
+            assert expected == (r.h_set, r.vertex)
+        elif r.verdict == "yes":
+            assert expected is None
+    assert hits >= 30  # the looped graphs reach the gap clause often
+
+
+def test_report_invariants():
+    for g in mixed_graphs(101, 300):
+        r = classify(g)
+        assert r.aperiodic or not r.residually_aperiodic  # (K) implies (L)
+        assert r.purely_infinite.verdict != "yes" or r.residually_aperiodic
+        assert r.simple.verdict in ("yes", "no")
+        assert r.purely_infinite.verdict in ("yes", "no")
+        assert r.to_json_obj()["limit_exceeded"] is False
 
 
 def test_report_json_schema(corpus):

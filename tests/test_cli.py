@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 from graphck.cli import run
 
@@ -102,6 +103,25 @@ def test_mistyped_graph_json_exit_1(tmp_path):
     assert code == 1 and out == "" and "edge #0: src must be a string" in err
 
 
+def test_json_array_input_is_read_as_json(tmp_path):
+    bad = tmp_path / "array.json"
+    bad.write_text("[1, 2]")
+    code, out, err = invoke("analyze", str(bad))
+    assert code == 1 and out == "" and "top level: expected a JSON object" in err
+
+
+def test_reserved_characters_in_vertex_names_exit_1(tmp_path):
+    js = tmp_path / "comma.json"
+    js.write_text(json.dumps({"vertices": ["a,b", "c"], "edges": []}))
+    el = tmp_path / "semicolon.edges"
+    el.write_text("vertex c\nvertex a;b\n")
+    for path, name, char in ((js, "a,b", ","), (el, "a;b", ";")):
+        for cmd in ("analyze", "lattice"):
+            code, out, err = invoke(cmd, str(path))
+            assert code == 1 and out == ""
+            assert f"vertex {name!r}: reserved character {char!r}" in err
+
+
 def invoke_action(tmp_path, **changes):
     obj = {"points": ["a", "b"], "specialization": [], "group": "F1"}
     obj["generators"] = [{"name": "g", "map": [["a", "a"]]}]
@@ -133,10 +153,50 @@ def test_limit_exit_2(tmp_path):
     big.write_text(json.dumps({"vertices": [f"v{i}" for i in range(17)], "edges": []}))
     code, _, err = invoke("lattice", str(big))
     assert code == 2 and "--limit" in err
+    # analyze and spectrum enumerate no subsets, so the limit does not apply
+    for cmd in ("analyze", "spectrum"):
+        code, _, _ = invoke(cmd, str(big))
+        assert code == 0
     code, _, _ = invoke("spectrum", str(big), "--limit", "17")
     assert code == 0
     code, _, err = invoke("analyze", str(big), "--limit", "0")
     assert code == 1
+
+
+def test_analyze_and_spectrum_enumerate_no_subsets(tmp_path, monkeypatch, corpus):
+    def refuse(*args, **kwargs):
+        raise AssertionError("subset enumeration")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "graphck" and hasattr(module, "saturated_hereditary_sets"):
+            monkeypatch.setattr(module, "saturated_hereditary_sets", refuse)
+    with pytest.raises(AssertionError, match="subset enumeration"):
+        invoke("lattice", E4)
+    # 40 vertices: far beyond what an enumeration of 2^40 sets could finish
+    edgeless = tmp_path / "edgeless.json"
+    edgeless.write_text(json.dumps({"vertices": [f"v{i}" for i in range(40)], "edges": []}))
+    chain = tmp_path / "chain.edges"
+    chain.write_text(
+        "".join(f"vertex v{i}\n" for i in range(40))
+        + "".join(f"v{i} v{i + 1} 1\n" for i in range(39))
+    )
+    paths = [str(CORPUS_DIR / f"{name}.json") for name in corpus] + [str(edgeless), str(chain)]
+    outputs = {}
+    for path in paths:
+        for cmd, fmt in (("analyze", "text"), ("analyze", "json"), ("spectrum", "json"),
+                         ("spectrum", "text"), ("spectrum", "dot")):
+            code, out, err = invoke(cmd, path, "--format", fmt)
+            assert code == 0 and err == ""
+            outputs[cmd, fmt, path] = out
+    ps = json.loads(outputs["spectrum", "json", str(edgeless)])
+    assert [pt["label"] for pt in ps["points"]] == [f"Tail{{v{i}}}" for i in range(40)]
+    report = json.loads(outputs["analyze", "json", str(edgeless)])
+    assert report["simple"]["reason"]["pair"] == {"H": ["v0"], "B": []}
+    assert report["purely_infinite"]["reason"]["kind"] == "tail_vertex_not_fed_by_cycle"
+    # the chain's algebra is a full matrix algebra: simple, not purely infinite
+    report = json.loads(outputs["analyze", "json", str(chain)])
+    assert (report["simple"]["verdict"], report["purely_infinite"]["verdict"]) == ("yes", "no")
+    assert len(json.loads(outputs["spectrum", "json", str(chain)])["points"]) == 1
 
 
 def make_action(tmp_path):

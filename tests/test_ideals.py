@@ -16,7 +16,14 @@ from graphck import (
     quotient_graph,
 )
 
-from util import brute_covers, brute_glb, brute_lub, poset_isomorphic, random_graph
+from util import (
+    brute_covers,
+    brute_glb,
+    brute_lub,
+    poset_isomorphic,
+    random_graph,
+    random_omega_graph,
+)
 
 
 def pairs_of(lat):
@@ -82,6 +89,7 @@ def test_pair_ops_examples(corpus):
 def test_lattice_laws_and_oracles(corpus):
     rng = random.Random(47)
     graphs = list(corpus.values()) + [random_graph(rng, max_n=6) for _ in range(40)]
+    graphs += [random_omega_graph(rng, max_n=6) for _ in range(20)]
     for g in graphs:
         lat = admissible_pairs(g)
         n = len(lat.pairs)
@@ -103,6 +111,7 @@ def test_lattice_laws_and_oracles(corpus):
                 # the closed meet formula agrees with the table
                 assert lat.index_of(pair_meet(lat.pairs[i], lat.pairs[j])) == m
                 assert jn == brute_lub(leq, i, j)
+                assert lat.index_of(pair_join(lat.pairs[i], lat.pairs[j])) == jn
                 # commutativity
                 assert m == lat.meet(j, i) and jn == lat.join(j, i)
                 # absorption

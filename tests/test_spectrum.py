@@ -21,7 +21,13 @@ from graphck import (
 )
 from graphck.spectrum import meet_of_primes_above
 
-from util import brute_maximal_tails, random_graph, random_strongly_connected_graph
+from util import (
+    brute_maximal_tails,
+    random_graph,
+    random_looped_graph,
+    random_omega_graph,
+    random_strongly_connected_graph,
+)
 
 
 def test_omega_examples(corpus):
@@ -47,10 +53,11 @@ def test_maximal_tails_examples(corpus):
 
 def test_maximal_tails_match_brute_force(corpus):
     rng = random.Random(53)
-    graphs = list(corpus.values()) + [random_graph(rng, max_n=6) for _ in range(60)]
+    makers = (random_graph, random_omega_graph, random_looped_graph)
+    graphs = list(corpus.values()) + [makers[i % 3](rng, max_n=6) for i in range(240)]
     for g in graphs:
         tails = maximal_tails(g)
-        assert set(tails) == brute_maximal_tails(g)
+        assert tails == sorted(brute_maximal_tails(g), key=lambda M: (-len(M), g.mask(M)))
         for M in tails:
             assert is_maximal_tail(g, M)
             H = frozenset(g.vertices) - M

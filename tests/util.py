@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from pathlib import Path as FsPath
 
 from hypothesis import strategies as st
@@ -283,6 +284,27 @@ def random_graph(
         for k in range(m)
     )
     return Graph(vertices, edges)
+
+
+def random_omega_graph(rng: random.Random, max_n: int = 7) -> Graph:
+    """A random_graph with about half of its edge bundles made infinite."""
+    g = random_graph(rng, max_n)
+    edges = tuple(replace(e, mult=OMEGA) if rng.random() < 0.5 else e for e in g.edges)
+    return Graph(g.vertices, edges)
+
+
+def random_looped_graph(rng: random.Random, max_n: int = 7) -> Graph:
+    """A random_omega_graph with a double or infinite loop at every vertex.
+
+    The loops make Condition (K) hold and feed every tail vertex by a cycle,
+    so pure infiniteness comes down to the breaking-vertex gap clause.
+    """
+    g = random_omega_graph(rng, max_n)
+    loops = tuple(
+        Edge(id=f"l{i}", src=v, rng=v, mult=rng.choice([2, 2, OMEGA]))
+        for i, v in enumerate(g.vertices)
+    )
+    return Graph(g.vertices, loops + g.edges)
 
 
 def random_strongly_connected_graph(rng: random.Random, max_n: int = 6) -> Graph:
