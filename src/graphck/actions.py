@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import DEFAULT_LIMIT, LimitExceededError
-from .poset import bits, check_antisymmetric, closure
+from .poset import Poset, bits, check_antisymmetric, closure
 
 Letter = tuple[str, int]  # (generator name, +1 or -1)
 Word = Union[str, int, Sequence[Letter]]
@@ -57,7 +57,7 @@ class FiniteT0Space:
             check_antisymmetric(up, self.points)
         except ValueError as exc:
             raise ActionFormatError(f"specialization is {exc}") from None
-        above = {p: frozenset(self.points[j] for j in bits(m)) for p, m in zip(self.points, up)}
+        above = {p: self.unmask(m) for p, m in zip(self.points, up)}
         # normalize to the full transitive relation so that equality of spaces
         # is equality of topologies, however the input pairs were given
         object.__setattr__(
@@ -66,6 +66,7 @@ class FiniteT0Space:
             frozenset((p, q) for p in self.points for q in above[p] if q != p),
         )
         object.__setattr__(self, "_above", above)
+        object.__setattr__(self, "_up", up)
 
     @classmethod
     def from_pairs(
@@ -84,17 +85,27 @@ class FiniteT0Space:
     def sort_set(self, ps: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(ps, key=self.index.__getitem__))
 
+    def mask(self, ps: Iterable[str]) -> int:
+        m = 0
+        for p in ps:
+            m |= 1 << self.index[p]
+        return m
+
+    def unmask(self, m: int) -> frozenset[str]:
+        return frozenset(self.points[j] for j in bits(m))
+
     def above(self, p: str) -> frozenset[str]:
         """closure{p}: every point specializing to p."""
         return self._above[p]
 
     @cached_property
+    def _down(self) -> tuple[int, ...]:
+        """Per point, the mask of the smallest open set containing it."""
+        return Poset(self._up).down
+
+    @cached_property
     def _below(self) -> dict[str, frozenset[str]]:
-        out = {p: set() for p in self.points}
-        for p in self.points:
-            for q in self._above[p]:
-                out[q].add(p)
-        return {p: frozenset(s) for p, s in out.items()}
+        return {p: self.unmask(m) for p, m in zip(self.points, self._down)}
 
     def below(self, p: str) -> frozenset[str]:
         """The smallest open set containing p."""
@@ -134,7 +145,7 @@ class FiniteT0Space:
         )
 
     def set_key(self, S: Iterable[str]):
-        mask = sum(1 << self.index[p] for p in S)
+        mask = self.mask(S)
         return (bin(mask).count("1"), mask)
 
 
@@ -218,7 +229,8 @@ class PartialHomeo:
         sub = space if space is not None else self.space.subspace(S)
         pairs = tuple((x, y) for x, y in self.pairs if x in S)
         for x, y in pairs:
-            assert y in S, "restriction target escapes the invariant set"
+            if y not in S:
+                raise ValueError(f"restriction target escapes the invariant set: {x!r} -> {y!r}")
         return PartialHomeo(sub, pairs)
 
 
@@ -319,30 +331,52 @@ class FinitePartialAction:
                 out.append(letter)
         return tuple(out)
 
+    @cached_property
+    def _index_maps(self) -> tuple[tuple[int, ...], ...]:
+        """Each generator, then its inverse, as an index tuple: position i holds
+        the index of the image of point i, or -1 where the map is undefined."""
+        index, n = self.space.index, len(self.space.points)
+        out = []
+        for gen in self.generators:
+            fwd, inv = [-1] * n, [-1] * n
+            for x, y in gen.pairs:
+                fwd[index[x]], inv[index[y]] = index[y], index[x]
+            out += (tuple(fwd), tuple(inv))
+        return tuple(out)
+
+    @cached_property
+    def _inverses(self) -> dict[str, PartialHomeo]:
+        return {name: gen.inverse() for name, gen in self._by_name.items()}
+
     def letter_map(self, letter: Letter) -> PartialHomeo:
-        gen = self._by_name[letter[0]]
-        return gen if letter[1] == 1 else gen.inverse()
+        name, sign = letter
+        return self._by_name[name] if sign == 1 else self._inverses[name]
 
     def element_map(self, word: Word) -> PartialHomeo:
         """The partial homeomorphism of the reduced word; e acts as identity."""
         letters = self.reduce_word(self.parse_word(word))
-        if not letters:
-            return PartialHomeo.identity(self.space)
+        pts, maps = self.space.points, self._index_maps
+        slot = {name: 2 * k for k, name in enumerate(self.generator_names)}
+        current = tuple(range(len(pts)))
         # the rightmost letter acts first: theta_{l1 ... ln} = l1 o ... o ln
-        maps = [self.letter_map(letter) for letter in letters]
-        current = maps[-1]
-        for m in reversed(maps[:-1]):
-            current = m.compose(current)
-        return current
+        for name, sign in reversed(letters):
+            f = maps[slot[name] + (sign < 0)]
+            current = tuple(f[v] if v >= 0 else -1 for v in current)
+        pairs = tuple((pts[i], pts[j]) for i, j in enumerate(current) if j >= 0)
+        return PartialHomeo(self.space, pairs)
 
     # -- orbits ----------------------------------------------------------------
 
-    def _steps(self) -> list[PartialHomeo]:
-        out = []
+    @cached_property
+    def _step_succ(self) -> tuple[int, ...]:
+        """Per point, the mask of its images under the generators and their inverses."""
+        index = self.space.index
+        succ = [0] * len(self.space.points)
         for gen in self.generators:
-            out.append(gen)
-            out.append(gen.inverse())
-        return out
+            for x, y in gen.pairs:
+                succ[index[x]] |= 1 << index[y]
+                succ[index[y]] |= 1 << index[x]
+        return tuple(succ)
 
     def orbit(self, x: str) -> frozenset[str]:
         if x not in self.space.index:
@@ -352,13 +386,8 @@ class FinitePartialAction:
     @cached_property
     def _orbits(self) -> dict[str, frozenset[str]]:
         """Orbits: the closure of the relation joining x and theta(x) for each generator."""
-        pts, index = self.space.points, self.space.index
-        succ = [0] * len(pts)
-        for gen in self.generators:
-            for x, y in gen.pairs:
-                succ[index[x]] |= 1 << index[y]
-                succ[index[y]] |= 1 << index[x]
-        return {p: frozenset(pts[j] for j in bits(m)) for p, m in zip(pts, closure(succ))}
+        sp = self.space
+        return {p: sp.unmask(m) for p, m in zip(sp.points, closure(self._step_succ))}
 
     @cached_property
     def _quasi_orbits(self) -> dict[frozenset[str], tuple[str, ...]]:
@@ -402,98 +431,68 @@ class FinitePartialAction:
     # -- invariance ------------------------------------------------------------
 
     def is_invariant(self, S: Iterable[str]) -> bool:
+        """Every generator and its inverse map S into S: each pair (x, theta(x))
+        lies inside S or outside it."""
         S = frozenset(S)
-        for s in self._steps():
-            if not s.apply_set(S & s.domain) <= S:
-                return False
-        return True
+        return all((x in S) == (y in S) for gen in self.generators for x, y in gen.pairs)
 
     def invariant_subsets(self, limit: int = DEFAULT_LIMIT) -> list[frozenset[str]]:
-        """Every invariant subset (not only open or closed ones)."""
+        """Every invariant subset (not only open or closed ones), ordered by set_key.
+
+        A set is invariant exactly when it is a union of orbits, so these are
+        the 2^#orbits unions of the distinct orbits.  The limit bounds the
+        number of points, not the number of sets returned.
+        """
         n = len(self.space.points)
         if n > limit:
             raise LimitExceededError(n, limit, what="points")
-        out = []
-        for m in range(1 << n):
-            S = frozenset(self.space.points[i] for i in range(n) if m >> i & 1)
-            if self.is_invariant(S):
-                out.append(S)
-        out.sort(key=self.space.set_key)
-        return out
+        unions = [(0, frozenset())]  # (mask, set) pairs
+        for orbit in set(self._orbits.values()):
+            m = self.space.mask(orbit)
+            unions += [(u | m, S | orbit) for u, S in unions]
+        unions.sort(key=lambda uS: (uS[0].bit_count(), uS[0]))
+        return [S for _, S in unions]
+
+    @cached_property
+    def _closed_invariant_masks(self) -> tuple[int, ...]:
+        """Per point, the mask of the smallest closed invariant set containing it:
+        everything reachable by specialization and by generator steps."""
+        return closure([s | up for s, up in zip(self._step_succ, self.space._up)])
 
     def minimal_closed_invariant_containing(self, x: str) -> frozenset[str]:
-        S = {x}
-        steps = self._steps()
-        while True:
-            before = len(S)
-            S |= self.space.closure(S)
-            for s in steps:
-                S |= s.apply_set(S & s.domain)
-            if len(S) == before:
-                return frozenset(S)
+        return self.space.unmask(self._closed_invariant_masks[self.space.index[x]])
 
     def is_minimal(self) -> bool:
         """No closed invariant subsets besides the empty set and everything."""
-        everything = frozenset(self.space.points)
-        if not everything:
-            return True
-        return all(
-            self.minimal_closed_invariant_containing(x) == everything
-            for x in self.space.points
-        )
+        everything = (1 << len(self.space.points)) - 1
+        return all(m == everything for m in self._closed_invariant_masks)
 
     # -- topological freeness ---------------------------------------------------
 
     def _fixed_union(self) -> frozenset[str]:
-        """Union of fixed points of theta_w over nontrivial realized words."""
-        if not self.generators:
-            return frozenset()
-        if self.group == "Z":
-            # theta_n fixes exactly the points on cycles of the generator map
-            theta = self.generators[0].mapping
-            fixed: set[str] = set()
-            for x in self.space.points:
-                cur = x
-                for _ in range(len(self.space.points)):
-                    cur = theta.get(cur)
-                    if cur is None:
-                        break
-                    if cur == x:
-                        fixed.add(x)
-                        break
-            return frozenset(fixed)
-        # free group: BFS over (map, leading letter) states of reduced words
-        letters: list[Letter] = []
-        for name in self.generator_names:
-            letters.append((name, 1))
-            letters.append((name, -1))
-        fixed = set()
-        seen_states = set()
-        frontier: list[tuple[PartialHomeo, Letter]] = []
-        for letter in letters:
-            m = self.letter_map(letter)
-            if m.pairs:
-                state = (m.pairs, letter)
-                seen_states.add(state)
-                frontier.append((m, letter))
-                fixed |= m.fixed_points()
-        while frontier:
-            nxt = []
-            for m, head in frontier:
-                for letter in letters:
-                    if letter == (head[0], -head[1]):
-                        continue  # keep the word reduced
-                    composed = self.letter_map(letter).compose(m)
-                    if not composed.pairs:
-                        continue
-                    state = (composed.pairs, letter)
-                    if state in seen_states:
-                        continue
-                    seen_states.add(state)
-                    fixed |= composed.fixed_points()
-                    nxt.append((composed, letter))
-            frontier = nxt
-        return frozenset(fixed)
+        """Union of fixed points of theta_w over nontrivial reduced words w.
+
+        theta_w fixes x exactly when the letters of w, applied right to left,
+        walk from x back to x with every step defined and no letter followed
+        by its inverse.  So the union is read off reachability among
+        (point, last letter) states, polynomial in the number of points; the
+        generator of Z walks like the one of F1.
+        """
+        maps, n = self._index_maps, len(self.space.points)
+        k = len(maps)  # letters: each generator, then its inverse; j ^ 1 inverts j
+        succ = [0] * (n * k)
+        for p in range(n):
+            for j in range(k):
+                for i, f in enumerate(maps):
+                    if i != j ^ 1 and f[p] >= 0:  # keep the word reduced and defined
+                        succ[p * k + j] |= 1 << (f[p] * k + i)
+        reach = closure(succ)
+        at = (1 << k) - 1  # the k states at a point, shifted to it
+        fixed = 0
+        for x in range(n):
+            if any(f[x] >= 0 and reach[f[x] * k + i] >> (x * k) & at for i, f in enumerate(maps)):
+                fixed |= 1 << x
+        return self.space.unmask(fixed)
 
     def is_topologically_free(self) -> bool:
         return not self.space.interior(self._fixed_union())
@@ -501,7 +500,8 @@ class FinitePartialAction:
     def restrict(self, S: Iterable[str]) -> "FinitePartialAction":
         """Restriction to an invariant set, as an action on the subspace."""
         S = frozenset(S)
-        assert self.is_invariant(S)
+        if not self.is_invariant(S):
+            raise ValueError(f"cannot restrict to a non-invariant set {sorted(S)}")
         sub = self.space.subspace(S)
         gens = tuple(g.restrict(S, sub) for g in self.generators)
         return FinitePartialAction(sub, self.group, self.generator_names, gens)
@@ -509,13 +509,17 @@ class FinitePartialAction:
     def is_residually_topologically_free(self) -> bool:
         """Topological freeness of the restriction to every closed invariant set.
 
-        It suffices to check the minimal closed invariant set of each point:
+        It suffices to check the minimal closed invariant set Y of each point:
         every closed invariant set is a union of those, and a fixed open
-        patch in the union already sits inside one of them.
+        patch in the union already sits inside one of them.  Words act on
+        the invariant set Y as on the whole space, so the restriction's fixed
+        union is the whole action's fixed union inside Y, and it is free
+        when no point of that set has its smallest open set within Y inside it.
         """
-        for x in self.space.points:
-            Y = self.minimal_closed_invariant_containing(x)
-            if not self.restrict(Y).is_topologically_free():
+        fixed, down = self.space.mask(self._fixed_union()), self.space._down
+        for Y in set(self._closed_invariant_masks):
+            inside = fixed & Y
+            if any(not down[p] & Y & ~inside for p in bits(inside)):
                 return False
         return True
 
@@ -749,6 +753,10 @@ def action_from_json_obj(raw: dict) -> FinitePartialAction:
     points = raw.get("points")
     if not _names(points):
         raise ActionFormatError('"points": expected a list of strings')
+    for p in points:
+        reserved = [c for c in ",;" if c in p]  # set separators in outputs and --set
+        if reserved:
+            raise ActionFormatError(f"point {p!r}: reserved character {reserved[0]!r} in id")
     spec = raw.get("specialization", [])
     if not isinstance(spec, list):
         raise ActionFormatError('"specialization": expected a list of pairs')

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse or validation failure, 2 enumeration limit
-exceeded.  Only `lattice` and `paction invariant_subsets` enumerate subsets
-and so take the limit; `analyze` and `spectrum` run in polynomial time.
+exceeded.  Only `lattice` and `paction invariant_subsets`, whose outputs can
+be exponential, take the limit; `analyze` and `spectrum` run in polynomial time.
 Results go to stdout, diagnostics to stderr.  Identical invocations produce
 byte-identical output.
 """
@@ -301,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--limit",
             type=int,
             default=DEFAULT_LIMIT,
-            help="input size guard of the lattice and invariant_subsets "
-            f"enumerations (default: {DEFAULT_LIMIT})",
+            help="input size guard of lattice and paction invariant_subsets "
+            f"(default: {DEFAULT_LIMIT})",
         )
 
     p = sub.add_parser("analyze", help="classification report for a graph")

@@ -20,7 +20,14 @@ from graphck import (
     trivial_action,
 )
 
-from util import random_action, random_open_set, random_word
+from util import (
+    brute_fixed_union,
+    brute_invariant_subsets,
+    random_action,
+    random_cycle_transposition_action,
+    random_open_set,
+    random_word,
+)
 
 
 def sierpinski():
@@ -275,6 +282,49 @@ def test_invariant_subsets_and_complement_property():
             assert everything - V in inv_set  # complements stay invariant
 
 
+def differential_actions():
+    """Seeded actions over Z, F1, F2 and F3, then cycle-plus-transposition F2
+    actions on 5 and 6 discrete points."""
+    rng = random.Random(149)
+    out = [random_action(rng, max_points=6, max_gens=3) for _ in range(150)]
+    out += [random_cycle_transposition_action(rng, n) for n in (5, 6) for _ in range(6)]
+    return out
+
+
+def test_invariant_subsets_match_brute_force():
+    groups = set()
+    for a in differential_actions():
+        groups.add(a.group)
+        brute = brute_invariant_subsets(a)
+        assert a.invariant_subsets() == brute
+        closed = [S for S in brute if a.space.is_closed(S)]
+        for x in a.space.points:
+            smallest = min((S for S in closed if x in S), key=len)
+            assert a.minimal_closed_invariant_containing(x) == smallest
+    assert groups == {"Z", "F1", "F2", "F3"}
+    # unions of orbits, not a scan of 2^40 subsets: 40 points in two orbits
+    sp = FiniteT0Space.discrete(tuple(f"p{i}" for i in range(40)))
+    pts = sp.points
+    shift = tuple((pts[i], pts[(i + 1) % 20 + 20 * (i >= 20)]) for i in range(40))
+    a = FinitePartialAction(sp, "Z", ("t",), (PartialHomeo(sp, shift),))
+    low, high = frozenset(pts[:20]), frozenset(pts[20:])
+    assert a.invariant_subsets(limit=40) == [frozenset(), low, high, low | high]
+
+
+def test_fixed_union_matches_brute_force():
+    for a in differential_actions():
+        assert a._fixed_union() == brute_fixed_union(a)
+
+
+def test_restrict_to_non_invariant_set_raises():
+    a = three_chain_action()
+    with pytest.raises(ValueError, match="non-invariant set"):
+        a.restrict({"1"})
+    with pytest.raises(ValueError, match="escapes the invariant set"):
+        a.generators[0].restrict({"1"})
+    assert a.restrict({"1", "2", "3"}).generators == a.generators
+
+
 def test_is_minimal_matches_brute_force():
     rng = random.Random(109)
     for _ in range(60):
@@ -300,6 +350,11 @@ def test_freeness_examples():
     # identity on an open set is a realized nontrivial word fixing it
     ident = FinitePartialAction(sp, "F1", ("g",), (PartialHomeo.identity(sp, ("1",)),))
     assert not ident.is_topologically_free()
+    # a 12-cycle and a partial transposition realize far too many partial
+    # maps to list word by word; the 12th power of the cycle fixes every point
+    big = random_cycle_transposition_action(random.Random(0), 12)
+    assert big._fixed_union() == frozenset(big.space.points)
+    assert not big.is_topologically_free()
 
 
 def test_z_and_f1_freeness_agree():

@@ -122,6 +122,16 @@ def test_reserved_characters_in_vertex_names_exit_1(tmp_path):
             assert f"vertex {name!r}: reserved character {char!r}" in err
 
 
+def test_reserved_characters_in_point_names_exit_1(tmp_path):
+    path = tmp_path / "action.json"
+    for name, char in (("a,b", ","), ("a;b", ";")):
+        path.write_text(json.dumps({"points": [name, "c"], "group": "F0", "generators": []}))
+        for extra in (["invariant_subsets"], ["decide_G_infinite", "--set", name]):
+            code, out, err = invoke("paction", str(path), *extra)
+            assert code == 1 and out == ""
+            assert f"point {name!r}: reserved character {char!r}" in err
+
+
 def invoke_action(tmp_path, **changes):
     obj = {"points": ["a", "b"], "specialization": [], "group": "F1"}
     obj["generators"] = [{"name": "g", "map": [["a", "a"]]}]
@@ -161,6 +171,16 @@ def test_limit_exit_2(tmp_path):
     assert code == 0
     code, _, err = invoke("analyze", str(big), "--limit", "0")
     assert code == 1
+    # paction invariant_subsets guards the number of points, not of sets:
+    # a 17-cycle has two invariant subsets
+    pts = [f"p{i}" for i in range(17)]
+    cycle = {"name": "t", "map": [[pts[i], pts[(i + 1) % 17]] for i in range(17)]}
+    action = tmp_path / "cycle.json"
+    action.write_text(json.dumps({"points": pts, "group": "Z", "generators": [cycle]}))
+    code, _, err = invoke("paction", str(action), "invariant_subsets")
+    assert code == 2 and "--limit" in err
+    code, out, _ = invoke("paction", str(action), "invariant_subsets", "--limit", "17")
+    assert code == 0 and out.startswith("invariant subsets: 2\n")
 
 
 def test_analyze_and_spectrum_enumerate_no_subsets(tmp_path, monkeypatch, corpus):

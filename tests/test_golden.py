@@ -1,4 +1,6 @@
-"""Golden CLI output: sha256 of stdout, recorded before the poset kernel.
+"""Golden CLI output: sha256 of stdout, recorded before the poset kernel
+(graph commands and `quasi_orbit_space`) and before the actions layer ran on
+compiled index maps (the other `paction` queries).
 
 Unlike the determinism checks, which compare two runs of the same code,
 these digests pin the bytes the CLI printed when they were recorded, so a
@@ -24,17 +26,45 @@ FORMATS = {
     "spectrum": ("text", "json", "dot"),
 }
 
-# the action of test_criterion_9's paction query
-ACTION = {
-    "points": ["1", "2", "3"],
-    "specialization": [["1", "2"]],
-    "group": "F1",
-    "generators": [{"name": "g", "map": [["3", "3"]]}],
+ACTIONS = {
+    # the action of test_criterion_9's paction query
+    "": {
+        "points": ["1", "2", "3"],
+        "specialization": [["1", "2"]],
+        "group": "F1",
+        "generators": [{"name": "g", "map": [["3", "3"]]}],
+    },
+    # a 5-cycle and a partial transposition of 1 and 3 fixing 2 and 4, on
+    # five discrete points: a free-group word search over many partial maps
+    "cycle": {
+        "points": ["1", "2", "3", "4", "5"],
+        "group": "F2",
+        "generators": [
+            {"name": "a", "map": [["1", "2"], ["2", "3"], ["3", "4"], ["4", "5"], ["5", "1"]]},
+            {"name": "b", "map": [["1", "3"], ["3", "1"], ["2", "2"], ["4", "4"]]},
+        ],
+    },
 }
 
-CASES = [
-    (cmd, name, fmt) for name in CORPUS_NAMES for cmd, fmts in FORMATS.items() for fmt in fmts
-] + [("paction", "quasi_orbit_space", fmt) for fmt in ("text", "json")]
+PACTION_QUERIES = (
+    "invariant_subsets",
+    "is_minimal",
+    "is_topologically_free",
+    "is_residually_topologically_free",
+)
+
+# a paction case's arg is "<query>" on the test_criterion_9 action, or
+# "<query>:<action>" on another entry of ACTIONS
+CASES = (
+    [(cmd, name, fmt) for name in CORPUS_NAMES for cmd, fmts in FORMATS.items() for fmt in fmts]
+    + [("paction", "quasi_orbit_space", fmt) for fmt in ("text", "json")]
+    + [
+        ("paction", f"{query}:{which}" if which else query, fmt)
+        for which in ACTIONS
+        for query in PACTION_QUERIES
+        for fmt in ("text", "json")
+    ]
+)
 
 GOLDEN = {
     "analyze e1 text": "f58315a94700ca945653ee1afda7b36f71812c89f19d55c225516bbf99728c5a",
@@ -95,14 +125,31 @@ GOLDEN = {
     "spectrum e7 dot": "a63878c3a93753f228283b3661507982b0b655ce8a11797c2f2f3e292163aacd",
     "paction quasi_orbit_space text": "32619e774199baa17340c2edfe54d2213a9b828cda7461836d44f156a61b0cd8",
     "paction quasi_orbit_space json": "667a02e03ae7ff0d02ad61409ed9b4352bdaf4a38aa57844ee99b74396551db8",
+    "paction invariant_subsets text": "5d5ce23517b7fe1a4183167315e9636a66875a13561b93fa1bb86d18edf6939b",
+    "paction invariant_subsets json": "5764c077707f35f976f4bc7452f0821e512244690e475243da725219b36dbb7d",
+    "paction is_minimal text": "b817872728b5880b39d6cd0c4ac8962bf738ffd454b8422340ace4c537ca6124",
+    "paction is_minimal json": "0933c75a4e158ee1466e721d069d52fd3d8f99f511b246c32b1d01f9fa99db82",
+    "paction is_topologically_free text": "2f2ef43ede3bdb254a20311c60772074ed01994ebef70ebd989c66106d2e511b",
+    "paction is_topologically_free json": "75a6e69c6ab0d0b99552fa35a7765d0238e38854a1f86a0797a63f139cda7a20",
+    "paction is_residually_topologically_free text": "c9f9017cc30f565e78ab0d4e107b60d1209cdb577be097bf558f2775c8aa0ed6",
+    "paction is_residually_topologically_free json": "fbcdba2e915b23851280500723d141921523d5a638383aee23112a854d294b37",
+    "paction invariant_subsets:cycle text": "8aa93f99be732cd50d7572a469c51b6e54c17f8f3655b8492cf34bb726582947",
+    "paction invariant_subsets:cycle json": "cae1b8f512c181cbb900e684624929286e7f677689bec90582bd3553176966ab",
+    "paction is_minimal:cycle text": "5b08232a6d60b3b1decf515d188b240f716a0318f221b726d8a413df8ca0de6c",
+    "paction is_minimal:cycle json": "c53acbbdea8bc05da11b0fbec4971efc931bbec14acc1ddc03bd047f89fd1499",
+    "paction is_topologically_free:cycle text": "2f2ef43ede3bdb254a20311c60772074ed01994ebef70ebd989c66106d2e511b",
+    "paction is_topologically_free:cycle json": "75a6e69c6ab0d0b99552fa35a7765d0238e38854a1f86a0797a63f139cda7a20",
+    "paction is_residually_topologically_free:cycle text": "c9f9017cc30f565e78ab0d4e107b60d1209cdb577be097bf558f2775c8aa0ed6",
+    "paction is_residually_topologically_free:cycle json": "fbcdba2e915b23851280500723d141921523d5a638383aee23112a854d294b37",
 }
 
 
 def stdout_digest(cmd, arg, fmt, tmp_dir):
     if cmd == "paction":
+        query, _, which = arg.partition(":")
         path = tmp_dir / "action.json"
-        path.write_text(json.dumps(ACTION))
-        argv = [cmd, str(path), arg, "--format", fmt]
+        path.write_text(json.dumps(ACTIONS[which]))
+        argv = [cmd, str(path), query, "--format", fmt]
     else:
         argv = [cmd, str(CORPUS_DIR / f"{arg}.json"), "--format", fmt]
     out, err = io.StringIO(), io.StringIO()

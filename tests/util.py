@@ -445,3 +445,99 @@ def random_word(rng: random.Random, a: FinitePartialAction, max_len: int = 3) ->
         name = rng.choice(a.generator_names)
         letters.append(name if rng.random() < 0.5 else f"{name}^-1")
     return " ".join(letters)
+
+
+def random_cycle_transposition_action(rng: random.Random, n: int) -> FinitePartialAction:
+    """F2 on n discrete points: an n-cycle and a partial transposition.
+
+    The transposition swaps two points and fixes a random set of others, so
+    the free-group word search meets up to thousands of distinct partial maps.
+    """
+    space = FiniteT0Space.discrete(tuple(f"p{i}" for i in range(n)))
+    pts = list(space.points)
+    rng.shuffle(pts)
+    cycle = PartialHomeo(space, tuple((pts[k], pts[(k + 1) % n]) for k in range(n)))
+    x, y, *rest = rng.sample(space.points, n)
+    fixed = rng.sample(rest, rng.randint(0, len(rest)))
+    swap = PartialHomeo(space, ((x, y), (y, x)) + tuple((z, z) for z in fixed))
+    return FinitePartialAction(space, "F2", ("a", "b"), (cycle, swap))
+
+
+# -- action oracles ------------------------------------------------------------------
+
+
+def brute_invariant_subsets(a: FinitePartialAction) -> list[frozenset]:
+    """Every invariant subset by scanning all 2^n subsets: S is invariant when
+    each generator and each inverse maps the part of S in its domain into S.
+    Ordered by size, then by the bitmask of point positions."""
+    steps = []
+    for gen in a.generators:
+        steps.append(dict(gen.pairs))
+        steps.append({y: x for x, y in gen.pairs})
+    pts = a.space.points
+    out = [
+        S
+        for S in all_subsets(pts)
+        if all(m[x] in S for m in steps for x in S if x in m)
+    ]
+    return sorted(out, key=lambda S: (len(S), sum(1 << pts.index(p) for p in S)))
+
+
+def brute_fixed_union(a: FinitePartialAction) -> frozenset:
+    """Union of fixed points of theta_w over nontrivial realized words.
+
+    Over Z: the points on cycles of the generator map.  Over a free group: a
+    BFS over (map, leading letter) states of reduced words, composing
+    validated PartialHomeo maps.
+    """
+    if not a.generators:
+        return frozenset()
+    if a.group == "Z":
+        theta = a.generators[0].mapping
+        fixed: set[str] = set()
+        for x in a.space.points:
+            cur = x
+            for _ in range(len(a.space.points)):
+                cur = theta.get(cur)
+                if cur is None:
+                    break
+                if cur == x:
+                    fixed.add(x)
+                    break
+        return frozenset(fixed)
+
+    def letter_map(letter):
+        gen = a.generators[a.generator_names.index(letter[0])]
+        return gen if letter[1] == 1 else gen.inverse()
+
+    letters = []
+    for name in a.generator_names:
+        letters.append((name, 1))
+        letters.append((name, -1))
+    fixed = set()
+    seen_states = set()
+    frontier = []
+    for letter in letters:
+        m = letter_map(letter)
+        if m.pairs:
+            state = (m.pairs, letter)
+            seen_states.add(state)
+            frontier.append((m, letter))
+            fixed |= m.fixed_points()
+    while frontier:
+        nxt = []
+        for m, head in frontier:
+            for letter in letters:
+                if letter == (head[0], -head[1]):
+                    continue  # keep the word reduced
+                composed = letter_map(letter).compose(m)
+                if not composed.pairs:
+                    continue
+                state = (composed.pairs, letter)
+                if state in seen_states:
+                    continue
+                seen_states.add(state)
+                fixed |= composed.fixed_points()
+                nxt.append((composed, letter))
+        frontier = nxt
+    return frozenset(fixed)
