@@ -262,10 +262,9 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
             cycle_in_g = Path(g, cycle.edge_ids)  # same ids, ambient graph
             witnesses.append(TailWitness(M, v, cycle_in_g, _connect(g, y, v)))
     gap_sets = []
-    for v in g.vertices:
-        if g.in_degree(v) == OMEGA:
-            sources = [e.src for e in g.in_edges(v) if e.mult == OMEGA]
-            H = saturation(g, hereditary_closure(g, sources))
+    for v, omega_src in zip(g.vertices, g._in_src[1]):
+        if omega_src:
+            H = saturation(g, hereditary_closure(g, g.unmask(omega_src)))
             if v in breaking_vertices_of(g, H):
                 gap_sets.append(H)
     if gap_sets:

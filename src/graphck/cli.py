@@ -132,147 +132,155 @@ def _cmd_quotient(args, out) -> None:
     out.write(serialize_graph(q, out_fmt))
 
 
-_PACTION_QUERIES = (
-    "orbit",
-    "quasi_orbit",
-    "quasi_orbit_space",
-    "invariant_subsets",
-    "is_minimal",
-    "is_topologically_free",
-    "is_residually_topologically_free",
-    "element_map",
-    "decide_G_infinite",
-    "check_paradoxical_witness",
-    "check_infinite_witness",
-)
+def _sorted_list(a: act.FinitePartialAction, S) -> list[str]:
+    return list(a.space.sort_set(S))
 
 
-def _paction_result(a: act.FinitePartialAction, args) -> dict:
-    sp = a.space
-    query = args.query
-
-    def sorted_list(S):
-        return list(sp.sort_set(S))
-
-    if query in ("orbit", "quasi_orbit"):
-        if args.point is None:
-            raise _CliError(f"{query} needs --point")
-        if args.point not in sp.index:
-            raise _CliError(f"unknown point {args.point!r}")
-        S = a.orbit(args.point) if query == "orbit" else a.quasi_orbit(args.point)
-        return {"query": query, "point": args.point, "set": sorted_list(S)}
-    if query == "quasi_orbit_space":
-        qo = a.quasi_orbit_space()
-        labels = list(qo.space.points)
-        return {
-            "query": query,
-            "classes": [sorted_list(c) for c in qo.classes],
-            "labels": labels,
-            "specialization": sorted(
-                [list(pq) for pq in qo.space.closure_pairs],
-                key=lambda pq: (labels.index(pq[0]), labels.index(pq[1])),
-            ),
-        }
-    if query == "invariant_subsets":
-        sets = a.invariant_subsets(args.limit)
-        return {"query": query, "sets": [sorted_list(S) for S in sets]}
-    if query in ("is_minimal", "is_topologically_free", "is_residually_topologically_free"):
-        return {"query": query, "result": getattr(a, query)()}
-    if query == "element_map":
-        if args.word is None:
-            raise _CliError("element_map needs --word")
-        try:
-            m = a.element_map(args.word)
-        except act.ActionFormatError as exc:
-            raise _CliError(str(exc)) from None
-        return {
-            "query": query,
-            "word": args.word,
-            "map": [list(xy) for xy in m.pairs],
-            "domain": sorted_list(m.domain),
-            "image": sorted_list(m.image),
-        }
-    if query == "decide_G_infinite":
-        if args.set is None:
-            raise _CliError("decide_G_infinite needs --set")
-        V = _parse_point_set(a, args.set)
-        try:
-            decision = act.decide_G_infinite(a, V)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from None
-        return {
-            "query": query,
-            "set": sorted_list(V),
-            "infinite": decision.infinite,
-            "proof": decision.proof.to_json_obj(),
-        }
-    if query in ("check_paradoxical_witness", "check_infinite_witness"):
-        if args.witness is None:
-            raise _CliError(f"{query} needs --witness")
-        try:
-            d = act.parse_decomposition(_read(args.witness))
-            check = (
-                act.check_paradoxical_witness(a, d)
-                if query == "check_paradoxical_witness"
-                else act.check_infinite_witness(a, d)
-            )
-        except act.ActionFormatError as exc:
-            raise _CliError(f"malformed decomposition: {exc}") from None
-        obj: dict = {"query": query, "valid": check.valid}
-        obj["violation"] = (
-            check.violation.to_json_obj() if check.violation is not None else None
-        )
-        return obj
-    raise _CliError(f"unknown paction query {query!r}")
+def _point_set(a: act.FinitePartialAction, args) -> dict:
+    if args.point is None:
+        raise _CliError(f"{args.query} needs --point")
+    if args.point not in a.space.index:
+        raise _CliError(f"unknown point {args.point!r}")
+    S = getattr(a, args.query)(args.point)  # a.orbit or a.quasi_orbit
+    return {"query": args.query, "point": args.point, "set": _sorted_list(a, S)}
 
 
-def _paction_text(result: dict) -> str:
-    query = result["query"]
-    if query in ("orbit", "quasi_orbit"):
-        return f"{query}({result['point']}) = {{{','.join(result['set'])}}}\n"
-    if query == "quasi_orbit_space":
-        lines = [f"quasi-orbits: {len(result['classes'])}"]
-        for label, members in zip(result["labels"], result["classes"]):
-            lines.append(f"  {label}: {{{','.join(members)}}}")
-        lines.append("specialization pairs (b in closure of a):")
-        if not result["specialization"]:
-            lines.append("  none")
-        for a_, b_ in result["specialization"]:
-            lines.append(f"  {a_} -> {b_}")
-        return "\n".join(lines) + "\n"
-    if query == "invariant_subsets":
-        lines = [f"invariant subsets: {len(result['sets'])}"]
-        lines += ["  {" + ",".join(S) + "}" for S in result["sets"]]
-        return "\n".join(lines) + "\n"
-    if query in (
-        "is_minimal",
-        "is_topologically_free",
-        "is_residually_topologically_free",
-    ):
-        return f"{query}: {'yes' if result['result'] else 'no'}\n"
-    if query == "element_map":
-        pairs = " ".join(f"{x}->{y}" for x, y in result["map"])
-        return f"word {result['word']!r} acts as: {pairs or '(empty map)'}\n"
-    if query == "decide_G_infinite":
-        return (
-            f"G-infinite: no (finite counting, |V|={result['proof']['size']})\n"
-            f"  {result['proof']['detail']}\n"
-        )
-    if query in ("check_paradoxical_witness", "check_infinite_witness"):
-        if result["valid"]:
-            return "witness: valid\n"
-        v = result["violation"]
-        return f"witness: violation [{v['clause']}] {v['detail']}\n"
-    raise AssertionError(query)
+def _point_set_text(result: dict) -> str:
+    return f"{result['query']}({result['point']}) = {{{','.join(result['set'])}}}\n"
+
+
+def _quasi_orbit_space(a: act.FinitePartialAction, args) -> dict:
+    qo = a.quasi_orbit_space()
+    labels = list(qo.space.points)
+    return {
+        "query": args.query,
+        "classes": [_sorted_list(a, c) for c in qo.classes],
+        "labels": labels,
+        "specialization": sorted(
+            [list(pq) for pq in qo.space.closure_pairs],
+            key=lambda pq: (labels.index(pq[0]), labels.index(pq[1])),
+        ),
+    }
+
+
+def _quasi_orbit_space_text(result: dict) -> str:
+    lines = [f"quasi-orbits: {len(result['classes'])}"]
+    for label, members in zip(result["labels"], result["classes"]):
+        lines.append(f"  {label}: {{{','.join(members)}}}")
+    lines.append("specialization pairs (b in closure of a):")
+    if not result["specialization"]:
+        lines.append("  none")
+    for a_, b_ in result["specialization"]:
+        lines.append(f"  {a_} -> {b_}")
+    return "\n".join(lines) + "\n"
+
+
+def _invariant_subsets(a: act.FinitePartialAction, args) -> dict:
+    sets = a.invariant_subsets(args.limit)
+    return {"query": args.query, "sets": [_sorted_list(a, S) for S in sets]}
+
+
+def _invariant_subsets_text(result: dict) -> str:
+    lines = [f"invariant subsets: {len(result['sets'])}"]
+    lines += ["  {" + ",".join(S) + "}" for S in result["sets"]]
+    return "\n".join(lines) + "\n"
+
+
+def _verdict(a: act.FinitePartialAction, args) -> dict:
+    return {"query": args.query, "result": getattr(a, args.query)()}
+
+
+def _verdict_text(result: dict) -> str:
+    return f"{result['query']}: {'yes' if result['result'] else 'no'}\n"
+
+
+def _element_map(a: act.FinitePartialAction, args) -> dict:
+    if args.word is None:
+        raise _CliError("element_map needs --word")
+    try:
+        m = a.element_map(args.word)
+    except act.ActionFormatError as exc:
+        raise _CliError(str(exc)) from None
+    return {
+        "query": args.query,
+        "word": args.word,
+        "map": [list(xy) for xy in m.pairs],
+        "domain": _sorted_list(a, m.domain),
+        "image": _sorted_list(a, m.image),
+    }
+
+
+def _element_map_text(result: dict) -> str:
+    pairs = " ".join(f"{x}->{y}" for x, y in result["map"])
+    return f"word {result['word']!r} acts as: {pairs or '(empty map)'}\n"
+
+
+def _decide_G_infinite(a: act.FinitePartialAction, args) -> dict:
+    if args.set is None:
+        raise _CliError("decide_G_infinite needs --set")
+    V = _parse_point_set(a, args.set)
+    try:
+        decision = act.decide_G_infinite(a, V)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
+    return {
+        "query": args.query,
+        "set": _sorted_list(a, V),
+        "infinite": decision.infinite,
+        "proof": decision.proof.to_json_obj(),
+    }
+
+
+def _decide_G_infinite_text(result: dict) -> str:
+    return (
+        f"G-infinite: no (finite counting, |V|={result['proof']['size']})\n"
+        f"  {result['proof']['detail']}\n"
+    )
+
+
+def _witness_check(a: act.FinitePartialAction, args) -> dict:
+    if args.witness is None:
+        raise _CliError(f"{args.query} needs --witness")
+    try:
+        d = act.parse_decomposition(_read(args.witness))
+        check = getattr(act, args.query)(a, d)  # one of the two witness checkers
+    except act.ActionFormatError as exc:
+        raise _CliError(f"malformed decomposition: {exc}") from None
+    violation = check.violation.to_json_obj() if check.violation is not None else None
+    return {"query": args.query, "valid": check.valid, "violation": violation}
+
+
+def _witness_check_text(result: dict) -> str:
+    if result["valid"]:
+        return "witness: valid\n"
+    v = result["violation"]
+    return f"witness: violation [{v['clause']}] {v['detail']}\n"
+
+
+# query -> (result builder, text renderer); the JSON format prints the result
+_PACTION = {
+    "orbit": (_point_set, _point_set_text),
+    "quasi_orbit": (_point_set, _point_set_text),
+    "quasi_orbit_space": (_quasi_orbit_space, _quasi_orbit_space_text),
+    "invariant_subsets": (_invariant_subsets, _invariant_subsets_text),
+    "is_minimal": (_verdict, _verdict_text),
+    "is_topologically_free": (_verdict, _verdict_text),
+    "is_residually_topologically_free": (_verdict, _verdict_text),
+    "element_map": (_element_map, _element_map_text),
+    "decide_G_infinite": (_decide_G_infinite, _decide_G_infinite_text),
+    "check_paradoxical_witness": (_witness_check, _witness_check_text),
+    "check_infinite_witness": (_witness_check, _witness_check_text),
+}
 
 
 def _cmd_paction(args, out) -> None:
     a = _load_action(args.action)
-    result = _paction_result(a, args)
+    build, render = _PACTION[args.query]
+    result = build(a, args)
     if args.format == "json":
         out.write(json.dumps(result, indent=2) + "\n")
     elif args.format == "text":
-        out.write(_paction_text(result))
+        out.write(render(result))
     else:
         raise _CliError("paction supports --format text or json")
 
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paction", help="partial-action queries on a finite T0 space")
     p.add_argument("action")
-    p.add_argument("query", choices=_PACTION_QUERIES)
+    p.add_argument("query", choices=_PACTION)
     p.add_argument("--point", help="point for orbit/quasi_orbit")
     p.add_argument("--word", help="group word for element_map")
     p.add_argument("--set", help="comma-separated open set for decide_G_infinite")

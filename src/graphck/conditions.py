@@ -20,28 +20,32 @@ from .graphs import (
     is_finite,
     scc_decomposition,
 )
-from .poset import closure
+from .poset import union
 
 
 def is_hereditary(g: Graph, S: Iterable[str]) -> bool:
-    S = frozenset(S)
-    return g.ancestors_of(S) == S
+    m = g.mask(S)
+    return union(g._back, m) == m
 
 
-def _forced(g: Graph, S, v: str) -> bool:
-    """v has finite nonzero in-degree and all of its in-edges start in S."""
-    deg = g.in_degree(v)
-    return is_finite(deg) and deg > 0 and all(e.src in S for e in g.in_edges(v))
+def _forced(g: Graph, m: int) -> int:
+    """Mask of the vertices with finite nonzero in-degree whose in-edges all
+    start in m: no OMEGA source, some source, every source in m."""
+    out = 0
+    for i, (src, omega_src) in enumerate(zip(*g._in_src)):
+        if src and not omega_src and not src & ~m:
+            out |= 1 << i
+    return out
 
 
 def is_saturated(g: Graph, S: Iterable[str]) -> bool:
-    S = frozenset(S)
-    return not any(v not in S and _forced(g, S, v) for v in g.vertices)
+    m = g.mask(S)
+    return not _forced(g, m) & ~m
 
 
 def hereditary_closure(g: Graph, S: Iterable[str]) -> frozenset[str]:
     """Smallest hereditary superset of S: everything that reaches S."""
-    return g.ancestors_of(S) if S else frozenset()
+    return g.ancestors_of(S)
 
 
 def saturation(g: Graph, H: Iterable[str]) -> frozenset[str]:
@@ -49,12 +53,10 @@ def saturation(g: Graph, H: Iterable[str]) -> frozenset[str]:
     H = frozenset(H)
     if not is_hereditary(g, H):
         raise ValueError(f"saturation input is not hereditary: {sorted(H)}")
-    current = set(H)
-    while True:
-        forced = [v for v in g.vertices if v not in current and _forced(g, current, v)]
-        if not forced:
-            return frozenset(current)
-        current.update(forced)
+    m = g.mask(H)
+    while forced := _forced(g, m) & ~m:
+        m |= forced
+    return g.unmask(m)
 
 
 def saturated_hereditary_sets(
@@ -68,34 +70,14 @@ def saturated_hereditary_sets(
     """
     if len(g.vertices) > limit:
         raise LimitExceededError(len(g.vertices), limit)
-    comps = scc_decomposition(g)
-    k = len(comps)
-    comp_of: dict[str, int] = {}
-    for i, c in enumerate(comps):
-        for v in c.vertices:
-            comp_of[v] = i
-    # preds[i] = components with an edge into component i
-    preds = [0] * k
-    for e in g.edges:
-        a, b = comp_of[e.src], comp_of[e.rng]
-        if a != b:
-            preds[b] |= 1 << a
-    required = closure(preds)  # per component: itself and everything reaching it
-
+    comps = [g.mask(c.vertices) for c in scc_decomposition(g)]
     out = []
-    for m in range(1 << k):
-        ok = True
-        for i in range(k):
-            if m >> i & 1 and required[i] & ~m:
-                ok = False
-                break
-        if not ok:
-            continue
-        H = frozenset(v for i in range(k) if m >> i & 1 for v in comps[i].vertices)
-        if is_saturated(g, H):
+    for m in range(1 << len(comps)):
+        H = union(comps, m)
+        if union(g._back, H) == H and not _forced(g, H) & ~H:
             out.append(H)
-    out.sort(key=g.set_key)
-    return out
+    out.sort(key=lambda H: (H.bit_count(), H))
+    return [g.unmask(H) for H in out]
 
 
 @dataclass(frozen=True)
@@ -163,9 +145,7 @@ def condition_L(g: Graph) -> ConditionL:
                 base = min(range(len(walk)), key=lambda i: g.index(walk[i].src))
                 walk = walk[base:] + walk[:base]
                 path = Path.from_walk(g, walk)
-                witness = CycleWitness.for_cycle(g, path)
-                assert witness.missing_entrance
-                return ConditionL(False, witness)
+                return ConditionL(False, CycleWitness.for_cycle(g, path))
             pos[v] = len(trail)
             trail.append(v)
             (e,) = g.in_edges(v)

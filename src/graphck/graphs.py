@@ -14,6 +14,14 @@ An edge multiplicity is a positive integer or ``OMEGA``; the latter stands
 for a countably infinite bundle of parallel edges and lets finite data model
 infinite receivers.  A finite bundle may equivalently be given as one edge of
 multiplicity m or as m parallel edges.
+
+Vertex sets are frozensets of names at the public API.  Inside the graph
+layer they are int masks in canonical order (bit i is vertex i), and the
+graph caches one mask per vertex for its out-neighbours (``_succ``), the
+vertices it reaches (``_reach``), its ancestors (``_back``) and the sources
+of its in-edges and of its infinite in-bundles (``_in_src``).  Every
+reachability question goes through ``poset.closure``, the one closure
+routine.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from typing import Iterable, Union
 
-from .poset import closure
+from .poset import Poset, bits, closure, union
 
 DEFAULT_LIMIT = 16
 
@@ -209,16 +217,38 @@ class Graph:
         """Total multiplicity of edges ending at v."""
         return mult_sum(e.mult for e in self.in_edges(v))
 
-    # -- reachability ---------------------------------------------------------
+    # -- per-vertex masks ------------------------------------------------------
+
+    @cached_property
+    def _succ(self) -> tuple[int, ...]:
+        """succ[i] = mask of the ranges of vertex i's out-edges."""
+        succ = [0] * len(self.vertices)
+        for e in self.edges:
+            succ[self._index[e.src]] |= 1 << self._index[e.rng]
+        return tuple(succ)
 
     @cached_property
     def _reach(self) -> tuple[int, ...]:
-        """reach[i] = bitmask of vertices reachable from vertex i (incl. i)."""
-        n = len(self.vertices)
-        succ = [0] * n
+        """reach[i] = mask of the vertices reachable from vertex i (incl. i)."""
+        return closure(self._succ)
+
+    @cached_property
+    def _back(self) -> tuple[int, ...]:
+        """back[i] = mask of the vertices that reach vertex i (incl. i)."""
+        return Poset(self._reach).down
+
+    @cached_property
+    def _in_src(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per vertex, the mask of its in-edge sources, and the mask of the
+        sources of its OMEGA in-edges."""
+        src = [0] * len(self.vertices)
+        omega_src = [0] * len(self.vertices)
         for e in self.edges:
-            succ[self.index(e.src)] |= 1 << self.index(e.rng)
-        return closure(succ)
+            bit = 1 << self._index[e.src]
+            src[self._index[e.rng]] |= bit
+            if isinstance(e.mult, Omega):
+                omega_src[self._index[e.rng]] |= bit
+        return tuple(src), tuple(omega_src)
 
     def geq(self, v: str, w: str) -> bool:
         """Decide v >= w: w = v, or some path runs from w to v."""
@@ -226,15 +256,11 @@ class Graph:
 
     def reachable_from(self, vs: Iterable[str]) -> frozenset[str]:
         """All vertices reachable from vs (vs included)."""
-        m = 0
-        for v in vs:
-            m |= self._reach[self.index(v)]
-        return self.unmask(m)
+        return self.unmask(union(self._reach, self.mask(vs)))
 
     def ancestors_of(self, vs: Iterable[str]) -> frozenset[str]:
         """All vertices from which some member of vs is reachable."""
-        target = self.mask(vs)
-        return frozenset(v for v, r in zip(self.vertices, self._reach) if r & target)
+        return self.unmask(union(self._back, self.mask(vs)))
 
 
 @dataclass(frozen=True)
@@ -249,60 +275,14 @@ def scc_decomposition(g: Graph) -> tuple[Component, ...]:
     A component is nontrivial exactly when it contains a cycle, i.e. it has
     more than one vertex or carries a self-loop.
     """
-    n = len(g.vertices)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for e in g.edges:
-        succ[g.index(e.src)].append(g.index(e.rng))
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        # iterative Tarjan; (vertex, iterator position) work list
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if index_of[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if recurse:
-                continue
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-
-    comps.sort(key=lambda c: c[0])
     out = []
-    for comp in comps:
-        vs = tuple(g.vertices[i] for i in comp)
-        loops = any(e.src == e.rng and e.src in vs for e in g.edges)
-        out.append(Component(vs, len(comp) > 1 or loops))
+    seen = 0
+    for i, (r, b) in enumerate(zip(g._reach, g._back)):
+        if seen >> i & 1:
+            continue
+        seen |= r & b  # the component of i, which is its smallest member
+        vs = tuple(g.vertices[j] for j in bits(r & b))
+        out.append(Component(vs, len(vs) > 1 or bool(g._succ[i] >> i & 1)))
     return tuple(out)
 
 
@@ -325,72 +305,39 @@ def first_return_count(g: Graph, v: str, cap: int = 2) -> int:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    g.index(v)
-
-    def step(m: Mult) -> int:
-        return cap if isinstance(m, Omega) else min(m, cap)
-
-    # restrict to vertices on some v->...->v walk avoiding v internally
-    fwd: set[str] = set()
-    stack = [e.rng for e in g.out_edges(v) if e.rng != v]
-    while stack:
-        u = stack.pop()
-        if u in fwd or u == v:
-            continue
-        fwd.add(u)
-        stack.extend(e.rng for e in g.out_edges(u) if e.rng != v)
-    bwd: set[str] = set()
-    stack = [e.src for e in g.in_edges(v) if e.src != v]
-    while stack:
-        u = stack.pop()
-        if u in bwd or u == v:
-            continue
-        bwd.add(u)
-        stack.extend(e.src for e in g.in_edges(u) if e.src != v)
-    region = fwd & bwd
+    i = g.index(v)
+    bit = 1 << i
+    succ = [s & ~bit for s in g._succ]
+    reach = closure(succ)  # walks that never enter v
+    # the region: vertices on some v -> ... -> v walk avoiding v internally
+    into_v = g._in_src[0][i] & ~bit
+    region = 0
+    for u in bits(union(reach, succ[i])):
+        if reach[u] & into_v:
+            region |= 1 << u
 
     # a cycle inside the region pumps to infinitely many first returns
-    if region:
-        sub = induced_subgraph(g, region)
-        if any(c.nontrivial for c in scc_decomposition(sub)):
-            return cap
+    if any(reach[w] >> u & 1 for u in bits(region) for w in bits(succ[u])):
+        return cap
 
-    # region is a DAG: count completions u -> ... -> v by saturated DP,
-    # in a topological order obtained by iterative DFS over the region
-    topo: list[str] = []
-    seen: set[str] = set()
-    for start in sorted(region, key=g.index):
-        if start in seen:
-            continue
-        work = [(start, False)]
-        while work:
-            u, expanded = work.pop()
-            if expanded:
-                topo.append(u)
-                continue
-            if u in seen:
-                continue
-            seen.add(u)
-            work.append((u, True))
-            for e in g.out_edges(u):
-                if e.rng in region and e.rng not in seen:
-                    work.append((e.rng, False))
-
-    count: dict[str, int] = {}
-    for u in topo + [v]:  # successors first, v itself last
+    # region is a DAG: a successor reaches fewer region vertices, so it comes
+    # first; count completions u -> ... -> v by saturated DP, v itself last
+    order = sorted(bits(region), key=lambda u: (reach[u] & region).bit_count())
+    count = [0] * len(g.vertices)
+    for u in order + [i]:
         total = 0
-        for e in g.out_edges(u):
-            if e.rng == v:
-                total += step(e.mult)
-            elif e.rng in region:
-                c = count[e.rng]
-                if c:
-                    total += step(e.mult) * c
+        for e in g.out_edges_by_vertex[g.vertices[u]]:
+            j = g._index[e.rng]
+            step = cap if isinstance(e.mult, Omega) else min(e.mult, cap)
+            if j == i:
+                total += step
+            elif region >> j & 1:
+                total += step * count[j]
             if total >= cap:
                 total = cap
                 break
-        count[u] = min(total, cap)
-    return count[v]
+        count[u] = total
+    return count[i]
 
 
 def induced_subgraph(g: Graph, vs: Iterable[str]) -> Graph:

@@ -25,14 +25,7 @@ from typing import Iterable, Sequence
 
 from .conditions import hereditary_closure, is_hereditary, is_saturated, \
     saturated_hereditary_sets, saturation
-from .graphs import (
-    DEFAULT_LIMIT,
-    Edge,
-    Graph,
-    OMEGA,
-    is_finite,
-    mult_sum,
-)
+from .graphs import DEFAULT_LIMIT, Edge, Graph
 from .poset import Poset, to_dot
 
 
@@ -44,14 +37,12 @@ def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
     H = frozenset(H)
     if not (is_hereditary(g, H) and is_saturated(g, H)):
         raise ValueError(f"not a saturated hereditary set: {sorted(H)}")
-    out = []
-    for v in g.vertices:
-        if v in H or g.in_degree(v) != OMEGA:
-            continue
-        outside = mult_sum(e.mult for e in g.in_edges(v) if e.src not in H)
-        if is_finite(outside) and outside > 0:
-            out.append(v)
-    return frozenset(out)
+    h = g.mask(H)
+    out = 0  # a member of the hereditary H has every source in H, so never qualifies
+    for i, (src, omega_src) in enumerate(zip(*g._in_src)):
+        if omega_src and not omega_src & ~h and src & ~h:
+            out |= 1 << i
+    return g.unmask(out)
 
 
 @dataclass(frozen=True)
@@ -104,8 +95,18 @@ def pair_leq(p: AdmissiblePair, q: AdmissiblePair) -> bool:
 
 
 def pair_order(pairs: Sequence[AdmissiblePair]) -> Poset:
-    """The pairs ordered by pair_leq, as one bitmask up-set per pair."""
-    return Poset(tuple(sum(1 << j for j, q in enumerate(pairs) if pair_leq(p, q)) for p in pairs))
+    """The pairs ordered by pair_leq, as one bitmask up-set per pair.
+
+    With masks h = H and hb = H | B, pair_leq(p, q) reads h_p <= h_q and
+    hb_p <= hb_q.
+    """
+    for p in pairs:
+        _same_graph(pairs[0], p)
+    masks = [(p.graph.mask(p.h), p.graph.mask(p.h | p.b)) for p in pairs]
+    return Poset(tuple(
+        sum(1 << j for j, (h2, hb2) in enumerate(masks) if not h & ~h2 and not hb & ~hb2)
+        for h, hb in masks
+    ))
 
 
 def pair_meet(p: AdmissiblePair, q: AdmissiblePair) -> AdmissiblePair:
@@ -141,8 +142,10 @@ class IdealLattice:
     def __post_init__(self):
         bottom = self.pairs[0]
         top = self.pairs[-1]
-        assert bottom.h == frozenset() and bottom.b == frozenset()
-        assert top.h == frozenset(self.graph.vertices) and top.b == frozenset()
+        if bottom.h or bottom.b:
+            raise ValueError(f"first pair {bottom.label} is not the bottom (H={{}}, B={{}})")
+        if top.h != frozenset(self.graph.vertices) or top.b:
+            raise ValueError(f"last pair {top.label} is not the top (H=V, B={{}})")
 
     def __len__(self) -> int:
         return len(self.pairs)

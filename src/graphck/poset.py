@@ -21,6 +21,14 @@ def bits(m: int) -> Iterator[int]:
         m ^= low
 
 
+def union(table: Sequence[int], m: int) -> int:
+    """OR of table[i] over the set bits i of m."""
+    out = 0
+    for i in bits(m):
+        out |= table[i]
+    return out
+
+
 def closure(succ: Sequence[int]) -> tuple[int, ...]:
     """Reflexive-transitive closure: out[i] = everything reachable from i, i included."""
     out = []

@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .actions import FiniteT0Space
 from .conditions import condition_K, is_hereditary, is_saturated
-from .graphs import Graph, OMEGA
+from .graphs import Graph
 from .ideals import AdmissiblePair, breaking_vertices_of, pair_leq, pair_meet, pair_order
 from .poset import Poset, bits, check_antisymmetric, to_dot
 
@@ -78,10 +78,9 @@ def maximal_tails(g: Graph) -> list[frozenset[str]]:
 def breaking_vertices(g: Graph) -> list[str]:
     """Vertices with infinite in-degree that break over their own omega set."""
     out = []
-    for v in g.vertices:
-        if g.in_degree(v) != OMEGA:
-            continue
-        if v in breaking_vertices_of(g, omega(g, [v])):  # raises unless saturated hereditary
+    for v, omega_src in zip(g.vertices, g._in_src[1]):
+        # breaking_vertices_of raises unless omega(v) is saturated hereditary
+        if omega_src and v in breaking_vertices_of(g, omega(g, [v])):
             out.append(v)
     return out
 

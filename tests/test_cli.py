@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import ast
 import io
 import json
 import re
@@ -398,3 +399,16 @@ def test_subprocess_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["aperiodic"] is True
+
+
+def test_library_invariants_use_no_assert():
+    # python -O strips assert statements, so an invariant checked by one vanishes
+    sources = sorted((REPO / "src" / "graphck").glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

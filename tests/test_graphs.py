@@ -17,7 +17,12 @@ from graphck import (
 )
 from graphck.graphs import detect_format, mult_sum
 
-from util import brute_first_return_count, random_graph
+from util import (
+    brute_first_return_count,
+    random_graph,
+    random_looped_graph,
+    random_omega_graph,
+)
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -185,12 +190,21 @@ def test_scc_examples(corpus):
 
 def test_scc_partition_and_determinism():
     rng = random.Random(3)
-    for _ in range(40):
-        g = random_graph(rng)
+    graphs = [random_graph(rng) for _ in range(40)]
+    graphs += [random_omega_graph(rng) for _ in range(20)]
+    graphs += [random_looped_graph(rng) for _ in range(20)]
+    for g in graphs:
         comps = scc_decomposition(g)
         seen = [v for c in comps for v in c.vertices]
         assert sorted(seen) == sorted(g.vertices)
         assert scc_decomposition(g) == comps
+        # smallest-member order, members in canonical order
+        firsts = [g.index(c.vertices[0]) for c in comps]
+        assert firsts == sorted(firsts)
+        for c in comps:
+            assert list(c.vertices) == sorted(c.vertices, key=g.index)
+            loop = any(e.src == e.rng == c.vertices[0] for e in g.edges)
+            assert c.nontrivial == (len(c.vertices) > 1 or loop)
         # components agree with mutual reachability, which geq derives
         # independently from the reachability closure
         comp_of = {v: i for i, c in enumerate(comps) for v in c.vertices}
@@ -219,6 +233,13 @@ def test_first_return_pumping():
     )
     assert first_return_count(g, "v") == 2
     assert first_return_count(g, "v", cap=5) == 5
+    # v -> a -> b -> v with b -> a: the third first return has 7 edges,
+    # more than twice the vertex count
+    g = parse_graph(
+        "vertex v\nvertex a\nvertex b\nv a 1\na b 1\nb v 1\nb a 1\n", "edgelist"
+    )
+    assert first_return_count(g, "v", cap=3) == 3
+    assert brute_first_return_count(g, "v", cap=3) == 3
 
 
 def test_first_return_against_brute_force(corpus):
@@ -226,12 +247,16 @@ def test_first_return_against_brute_force(corpus):
     graphs = list(corpus.values()) + [
         random_graph(rng, max_n=4, max_edges=7) for _ in range(60)
     ]
+    graphs += [random_omega_graph(rng, max_n=6) for _ in range(30)]
+    graphs += [random_looped_graph(rng, max_n=6) for _ in range(30)]
     for g in graphs:
         for v in g.vertices:
-            assert first_return_count(g, v) == brute_first_return_count(g, v), (
-                graph_to_json(g),
-                v,
-            )
+            for cap in (1, 2, 3):
+                assert first_return_count(g, v, cap) == brute_first_return_count(g, v, cap), (
+                    graph_to_json(g),
+                    v,
+                    cap,
+                )
 
 
 def test_first_return_matches_scc_cycles():

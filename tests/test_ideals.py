@@ -6,6 +6,7 @@ import pytest
 
 from graphck import (
     AdmissiblePair,
+    IdealLattice,
     admissible_pairs,
     breaking_vertices_of,
     lattice_to_dot,
@@ -14,14 +15,17 @@ from graphck import (
     pair_leq,
     pair_meet,
     quotient_graph,
+    saturated_hereditary_sets,
 )
 
 from util import (
+    brute_breaking_vertices_of,
     brute_covers,
     brute_glb,
     brute_lub,
     poset_isomorphic,
     random_graph,
+    random_looped_graph,
     random_omega_graph,
 )
 
@@ -41,6 +45,20 @@ def test_breaking_candidates_examples(corpus):
         assert breaking_vertices_of(g, frozenset()) == frozenset()
     with pytest.raises(ValueError, match="saturated hereditary"):
         breaking_vertices_of(e4, frozenset("v"))
+
+
+def test_breaking_vertices_against_brute_force():
+    rng = random.Random(29)
+    graphs = [random_graph(rng, max_n=7) for _ in range(60)]
+    graphs += [random_omega_graph(rng, max_n=7) for _ in range(60)]
+    graphs += [random_looped_graph(rng, max_n=7) for _ in range(60)]
+    nonempty = 0
+    for g in graphs:
+        for H in saturated_hereditary_sets(g):
+            fast = breaking_vertices_of(g, H)
+            assert fast == brute_breaking_vertices_of(g, H), (g, H)
+            nonempty += bool(fast)
+    assert nonempty > 50  # the inputs exercise nonempty ranges, not only empty ones
 
 
 def test_admissible_pair_validation(corpus):
@@ -75,6 +93,14 @@ def test_lattice_examples(corpus):
     assert pairs_of(lat3) == [(frozenset(), frozenset()), (frozenset("vw"), frozenset())]
 
 
+def test_lattice_must_run_bottom_to_top(corpus):
+    pairs = admissible_pairs(corpus["e4"]).pairs
+    with pytest.raises(ValueError, match="not the bottom"):
+        IdealLattice(corpus["e4"], pairs[::-1])
+    with pytest.raises(ValueError, match="not the top"):
+        IdealLattice(corpus["e4"], pairs[:-1])
+
+
 def test_pair_ops_examples(corpus):
     e4 = corpus["e4"]
     lat = admissible_pairs(e4)
@@ -101,6 +127,7 @@ def test_lattice_laws_and_oracles(corpus):
         for i in range(n):
             assert leq[i][i]
             for j in range(n):
+                assert leq[i][j] == pair_leq(lat.pairs[i], lat.pairs[j])
                 if i != j:
                     assert not (leq[i][j] and leq[j][i])
         for i in range(n):

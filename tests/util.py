@@ -23,6 +23,7 @@ from graphck import (
     PartialHomeo,
     parse_graph,
 )
+from graphck.graphs import is_finite, mult_sum
 
 REPO = FsPath(__file__).resolve().parent.parent
 CORPUS_DIR = REPO / "corpus"
@@ -70,6 +71,22 @@ def brute_sh_sets(g: Graph) -> set[frozenset]:
     }
 
 
+def brute_breaking_vertices_of(g: Graph, H) -> frozenset[str]:
+    """Infinite receivers outside H fed finitely (but not zero) from outside H,
+    by summing in-edge multiplicities."""
+    H = frozenset(H)
+    if not (brute_is_hereditary(g, H) and brute_is_saturated(g, H)):
+        raise ValueError(f"not a saturated hereditary set: {sorted(H)}")
+    out = []
+    for v in g.vertices:
+        if v in H or g.in_degree(v) != OMEGA:
+            continue
+        outside = mult_sum(e.mult for e in g.in_edges(v) if e.src not in H)
+        if is_finite(outside) and outside > 0:
+            out.append(v)
+    return frozenset(out)
+
+
 def enumerate_simple_cycles(g: Graph):
     """All vertex-simple cycles, as edge lists in traversal order.
 
@@ -112,11 +129,22 @@ def brute_condition_L(g: Graph) -> bool:
 def brute_first_return_count(g: Graph, v: str, cap: int = 2) -> int:
     """Count first-return walks at v by bounded DFS, saturating at cap.
 
-    Depth is bounded by twice the vertex count: if any longer first-return
-    walk exists, at least two shorter ones do, so saturation is reached
-    within the bound.  Only use on small graphs.
+    Without a cycle avoiding v, a first-return walk has at most n edges.
+    With one, some vertex u of such a cycle C lies on a v -> u -> v first
+    return P1 P2, and P1 C^k P2 (k < cap) are cap walks of at most
+    (cap + 1) * n edges.  So the count is exact within that depth.  Only
+    walks into vertices that can still reach v are followed.  Only use on
+    small graphs.
     """
-    bound = 2 * len(g.vertices)
+    bound = (cap + 1) * len(g.vertices)
+    reaches_v = {v}
+    grown = True
+    while grown:
+        grown = False
+        for e in g.edges:
+            if e.rng in reaches_v and e.src not in reaches_v:
+                reaches_v.add(e.src)
+                grown = True
 
     def step(m) -> int:
         return cap if m == OMEGA else min(m, cap)
@@ -133,7 +161,7 @@ def brute_first_return_count(g: Graph, v: str, cap: int = 2) -> int:
                 total += w
                 if total >= cap:
                     return cap
-            else:
+            elif e.rng in reaches_v:
                 work.append((e.rng, depth + 1, w))
     return min(total, cap)
 
