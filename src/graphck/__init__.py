@@ -21,7 +21,6 @@ from .graphs import (
     first_return_count,
     graph_to_edgelist,
     graph_to_json,
-    induced_subgraph,
     mult_sum,
     parse_graph,
     scc_decomposition,

@@ -5,6 +5,11 @@ means q lies in the closure of {p}.  Open sets are exactly the down-sets of
 that order, closed sets the up-sets, and interior(S) is the largest down-set
 inside S.  This convention is fixed here once and used everywhere.
 
+Inside, a point set is an int mask over the canonical point order (bit i is
+``points[i]``, as in ``poset``), and a partial map is an index tuple whose
+position i holds the index of the image of point i, or -1 where the map is
+undefined.  Frozensets of point names appear only at the API.
+
 Actions are generated: the generators of a free group (or the single
 generator for the integers) are partial homeomorphisms, i.e. order
 isomorphisms between open sets, and a word acts by composing the letters of
@@ -22,7 +27,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import DEFAULT_LIMIT, LimitExceededError
-from .poset import Poset, bits, check_antisymmetric, closure
+from .poset import Poset, bits, check_antisymmetric, closure, union
 
 Letter = tuple[str, int]  # (generator name, +1 or -1)
 Word = Union[str, int, Sequence[Letter]]
@@ -57,15 +62,15 @@ class FiniteT0Space:
             check_antisymmetric(up, self.points)
         except ValueError as exc:
             raise ActionFormatError(f"specialization is {exc}") from None
-        above = {p: self.unmask(m) for p, m in zip(self.points, up)}
         # normalize to the full transitive relation so that equality of spaces
         # is equality of topologies, however the input pairs were given
+        pts = self.points
         object.__setattr__(
             self,
             "closure_pairs",
-            frozenset((p, q) for p in self.points for q in above[p] if q != p),
+            frozenset((pts[i], pts[j]) for i, m in enumerate(up) for j in bits(m & ~(1 << i))),
         )
-        object.__setattr__(self, "_above", above)
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "_up", up)
 
     @classmethod
@@ -77,10 +82,6 @@ class FiniteT0Space:
     @classmethod
     def discrete(cls, points: Iterable[str]) -> "FiniteT0Space":
         return cls.from_pairs(points)
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {p: i for i, p in enumerate(self.points)}
 
     def sort_set(self, ps: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(ps, key=self.index.__getitem__))
@@ -94,93 +95,90 @@ class FiniteT0Space:
     def unmask(self, m: int) -> frozenset[str]:
         return frozenset(self.points[j] for j in bits(m))
 
-    def above(self, p: str) -> frozenset[str]:
-        """closure{p}: every point specializing to p."""
-        return self._above[p]
-
     @cached_property
     def _down(self) -> tuple[int, ...]:
         """Per point, the mask of the smallest open set containing it."""
         return Poset(self._up).down
 
-    @cached_property
-    def _below(self) -> dict[str, frozenset[str]]:
-        return {p: self.unmask(m) for p, m in zip(self.points, self._down)}
+    def above(self, p: str) -> frozenset[str]:
+        """closure{p}: every point specializing to p."""
+        return self.unmask(self._up[self.index[p]])
 
     def below(self, p: str) -> frozenset[str]:
         """The smallest open set containing p."""
-        return self._below[p]
+        return self.unmask(self._down[self.index[p]])
+
+    def _interior(self, m: int) -> int:
+        """Mask of the interior of m: everything outside the closure of its complement."""
+        return m & ~union(self._up, ((1 << len(self.points)) - 1) & ~m)
 
     def closure(self, S: Iterable[str]) -> frozenset[str]:
-        out: set[str] = set()
-        for p in S:
-            out |= self._above[p]
-        return frozenset(out)
+        return self.unmask(union(self._up, self.mask(S)))
 
     def interior(self, S: Iterable[str]) -> frozenset[str]:
-        S = frozenset(S)
-        return frozenset(p for p in S if self._below[p] <= S)
+        return self.unmask(self._interior(self.mask(S)))
 
     def is_open(self, S: Iterable[str]) -> bool:
-        S = frozenset(S)
-        return all(self._below[p] <= S for p in S)
+        m = self.mask(S)
+        return self._interior(m) == m
 
     def is_closed(self, S: Iterable[str]) -> bool:
-        S = frozenset(S)
-        return self.closure(S) == S
-
-    def open_sets(self) -> list[frozenset[str]]:
-        """All open sets, ordered by (size, canonical mask).  Exponential."""
-        subsets = (
-            frozenset(p for i, p in enumerate(self.points) if m >> i & 1)
-            for m in range(1 << len(self.points))
-        )
-        return sorted((S for S in subsets if self.is_open(S)), key=self.set_key)
-
-    def subspace(self, S: Iterable[str]) -> "FiniteT0Space":
-        S = frozenset(S)
-        return FiniteT0Space(
-            tuple(p for p in self.points if p in S),
-            frozenset((p, q) for p, q in self.closure_pairs if p in S and q in S),
-        )
-
-    def set_key(self, S: Iterable[str]):
-        mask = self.mask(S)
-        return (bin(mask).count("1"), mask)
+        m = self.mask(S)
+        return union(self._up, m) == m
 
 
 @dataclass(frozen=True)
 class PartialHomeo:
-    """An order isomorphism between two open subsets of a finite T0 space."""
+    """An order isomorphism between two open subsets of a finite T0 space.
+
+    Validation leaves the map on the instance as two index tuples over the
+    space's points: ``_fwd`` (theta) and ``_inv`` (its inverse).
+    """
 
     space: FiniteT0Space
     pairs: tuple[tuple[str, str], ...]  # (x, theta(x)), sorted canonically
 
     def __post_init__(self):
         sp = self.space
-        dom = [x for x, _ in self.pairs]
-        img = [y for _, y in self.pairs]
-        for x in dom + img:
-            if x not in sp.index:
+        index, pts = sp.index, sp.points
+        for x in [x for x, _ in self.pairs] + [y for _, y in self.pairs]:
+            if x not in index:
                 raise ActionFormatError(f"map names unknown point {x!r}")
-        if len(set(dom)) != len(dom):
+        fwd, inv, order = [-1] * len(pts), [-1] * len(pts), []
+        repeat = clash = False
+        dom = img = 0
+        for x, y in self.pairs:
+            i, j = index[x], index[y]
+            repeat |= fwd[i] >= 0
+            clash |= inv[j] >= 0
+            fwd[i], inv[j] = j, i
+            dom, img = dom | 1 << i, img | 1 << j
+            order.append(i)
+        if repeat:
             raise ActionFormatError("map domain repeats a point")
-        if len(set(img)) != len(img):
+        if clash:
             raise ActionFormatError("map is not injective")
-        object.__setattr__(
-            self, "pairs", tuple(sorted(self.pairs, key=lambda xy: sp.index[xy[0]]))
-        )
-        if not sp.is_open(frozenset(dom)):
-            raise ActionFormatError(f"map domain is not open: {sorted(dom)}")
-        if not sp.is_open(frozenset(img)):
-            raise ActionFormatError(f"map image is not open: {sorted(img)}")
-        m = dict(self.pairs)
-        for x in dom:
-            for y in dom:
-                if (m[y] in sp.above(m[x])) != (y in sp.above(x)):
-                    raise ActionFormatError(
-                        f"map is not an order isomorphism at {x!r}, {y!r}"
-                    )
+        if sp._interior(dom) != dom:
+            raise ActionFormatError(f"map domain is not open: {sorted(sp.unmask(dom))}")
+        if sp._interior(img) != img:
+            raise ActionFormatError(f"map image is not open: {sorted(sp.unmask(img))}")
+        # theta preserves and reflects specialization at x exactly when the
+        # points above x in the domain are the pull-back of those above theta(x)
+        up = sp._up
+        for i in order:
+            pulled = 0
+            for j in bits(up[fwd[i]] & img):
+                pulled |= 1 << inv[j]
+            bad = (up[i] & dom) ^ pulled
+            if bad:  # name the first offending pair in input order
+                y = min(bits(bad), key=order.index)
+                raise ActionFormatError(
+                    f"map is not an order isomorphism at {pts[i]!r}, {pts[y]!r}"
+                )
+        pairs = tuple((pts[i], pts[j]) for i, j in enumerate(fwd) if j >= 0)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_fwd", tuple(fwd))
+        object.__setattr__(self, "_inv", tuple(inv))
 
     @classmethod
     def from_dict(cls, space: FiniteT0Space, mapping: dict) -> "PartialHomeo":
@@ -203,35 +201,11 @@ class PartialHomeo:
     def image(self) -> frozenset[str]:
         return frozenset(y for _, y in self.pairs)
 
-    def __call__(self, x: str) -> str:
-        return self.mapping[x]
-
     def apply_set(self, S: Iterable[str]) -> frozenset[str]:
         return frozenset(self.mapping[x] for x in S if x in self.mapping)
 
     def inverse(self) -> "PartialHomeo":
         return PartialHomeo(self.space, tuple((y, x) for x, y in self.pairs))
-
-    def compose(self, other: "PartialHomeo") -> "PartialHomeo":
-        """self after other, on the maximal natural domain."""
-        pairs = []
-        for x, y in other.pairs:
-            if y in self.mapping:
-                pairs.append((x, self.mapping[y]))
-        return PartialHomeo(self.space, tuple(pairs))
-
-    def fixed_points(self) -> frozenset[str]:
-        return frozenset(x for x, y in self.pairs if x == y)
-
-    def restrict(self, S: Iterable[str], space: Optional[FiniteT0Space] = None):
-        """Restriction to an invariant set S, as a map on the subspace."""
-        S = frozenset(S)
-        sub = space if space is not None else self.space.subspace(S)
-        pairs = tuple((x, y) for x, y in self.pairs if x in S)
-        for x, y in pairs:
-            if y not in S:
-                raise ValueError(f"restriction target escapes the invariant set: {x!r} -> {y!r}")
-        return PartialHomeo(sub, pairs)
 
 
 _GROUP_RE = re.compile(r"^F(\d+)$")
@@ -333,24 +307,8 @@ class FinitePartialAction:
 
     @cached_property
     def _index_maps(self) -> tuple[tuple[int, ...], ...]:
-        """Each generator, then its inverse, as an index tuple: position i holds
-        the index of the image of point i, or -1 where the map is undefined."""
-        index, n = self.space.index, len(self.space.points)
-        out = []
-        for gen in self.generators:
-            fwd, inv = [-1] * n, [-1] * n
-            for x, y in gen.pairs:
-                fwd[index[x]], inv[index[y]] = index[y], index[x]
-            out += (tuple(fwd), tuple(inv))
-        return tuple(out)
-
-    @cached_property
-    def _inverses(self) -> dict[str, PartialHomeo]:
-        return {name: gen.inverse() for name, gen in self._by_name.items()}
-
-    def letter_map(self, letter: Letter) -> PartialHomeo:
-        name, sign = letter
-        return self._by_name[name] if sign == 1 else self._inverses[name]
+        """Each generator's index tuple, then its inverse's."""
+        return tuple(f for gen in self.generators for f in (gen._fwd, gen._inv))
 
     def element_map(self, word: Word) -> PartialHomeo:
         """The partial homeomorphism of the reduced word; e acts as identity."""
@@ -370,62 +328,61 @@ class FinitePartialAction:
     @cached_property
     def _step_succ(self) -> tuple[int, ...]:
         """Per point, the mask of its images under the generators and their inverses."""
-        index = self.space.index
         succ = [0] * len(self.space.points)
-        for gen in self.generators:
-            for x, y in gen.pairs:
-                succ[index[x]] |= 1 << index[y]
-                succ[index[y]] |= 1 << index[x]
+        for f in self._index_maps:
+            for i, j in enumerate(f):
+                if j >= 0:
+                    succ[i] |= 1 << j
         return tuple(succ)
 
-    def orbit(self, x: str) -> frozenset[str]:
+    @cached_property
+    def _orbits(self) -> tuple[int, ...]:
+        """Per point, its orbit: the closure of the relation joining x and theta(x)."""
+        return closure(self._step_succ)
+
+    def _point(self, x: str) -> int:
         if x not in self.space.index:
             raise ActionFormatError(f"unknown point {x!r}")
-        return self._orbits[x]
+        return self.space.index[x]
+
+    def orbit(self, x: str) -> frozenset[str]:
+        return self.space.unmask(self._orbits[self._point(x)])
 
     @cached_property
-    def _orbits(self) -> dict[str, frozenset[str]]:
-        """Orbits: the closure of the relation joining x and theta(x) for each generator."""
-        sp = self.space
-        return {p: sp.unmask(m) for p, m in zip(sp.points, closure(self._step_succ))}
-
-    @cached_property
-    def _quasi_orbits(self) -> dict[frozenset[str], tuple[str, ...]]:
-        """Points grouped by the closure of their orbit, in canonical order."""
-        out: dict[frozenset[str], list[str]] = {}
-        for p in self.space.points:
-            out.setdefault(self.space.closure(self._orbits[p]), []).append(p)
-        return {K: tuple(members) for K, members in out.items()}
+    def _quasi_orbits(self) -> dict[int, int]:
+        """Orbit closure -> the points whose orbit has that closure, in the
+        canonical order of each class's first point."""
+        out: dict[int, int] = {}
+        for i, m in enumerate(self._orbits):
+            K = union(self.space._up, m)
+            out[K] = out.get(K, 0) | 1 << i
+        return out
 
     def quasi_orbit(self, x: str) -> frozenset[str]:
-        if x not in self.space.index:
-            raise ActionFormatError(f"unknown point {x!r}")
-        return frozenset(self._quasi_orbits[self.space.closure(self._orbits[x])])
+        K = union(self.space._up, self._orbits[self._point(x)])
+        return self.space.unmask(self._quasi_orbits[K])
 
     def quasi_orbit_space(self) -> "QuasiOrbitSpace":
         sp = self.space
         classes = list(self._quasi_orbits.values())
         # label singleton classes by their sole member so that the trivial
         # action reproduces the space on the nose
-        labels = [
-            members[0] if len(members) == 1 else "{" + ",".join(members) + "}"
-            for members in classes
-        ]
-        key_of = {q: i for i, members in enumerate(classes) for q in members}
+        members = [[sp.points[i] for i in bits(c)] for c in classes]
+        labels = [ps[0] if len(ps) == 1 else "{" + ",".join(ps) + "}" for ps in members]
+        key_of = {i: k for k, c in enumerate(classes) for i in bits(c)}
         # the quotient topology is generated by the representative relation;
         # FiniteT0Space closes it and checks antisymmetry
         pairs = frozenset(
-            (labels[key_of[p]], labels[key_of[q]])
-            for p in sp.points
-            for q in sp.above(p)
-            if key_of[p] != key_of[q]
+            (labels[key_of[i]], labels[key_of[j]])
+            for i, up in enumerate(sp._up)
+            for j in bits(up)
+            if key_of[i] != key_of[j]
         )
         quotient = FiniteT0Space(tuple(labels), pairs)
         return QuasiOrbitSpace(
             space=quotient,
-            classes=tuple(frozenset(c) for c in classes),
-            class_of={p: labels[key_of[p]] for p in sp.points},
-            closures=tuple(self._quasi_orbits),
+            classes=tuple(sp.unmask(c) for c in classes),
+            class_of={p: labels[key_of[i]] for i, p in enumerate(sp.points)},
         )
 
     # -- invariance ------------------------------------------------------------
@@ -437,7 +394,8 @@ class FinitePartialAction:
         return all((x in S) == (y in S) for gen in self.generators for x, y in gen.pairs)
 
     def invariant_subsets(self, limit: int = DEFAULT_LIMIT) -> list[frozenset[str]]:
-        """Every invariant subset (not only open or closed ones), ordered by set_key.
+        """Every invariant subset (not only open or closed ones), ordered by
+        size, then mask.
 
         A set is invariant exactly when it is a union of orbits, so these are
         the 2^#orbits unions of the distinct orbits.  The limit bounds the
@@ -447,8 +405,8 @@ class FinitePartialAction:
         if n > limit:
             raise LimitExceededError(n, limit, what="points")
         unions = [(0, frozenset())]  # (mask, set) pairs
-        for orbit in set(self._orbits.values()):
-            m = self.space.mask(orbit)
+        for m in set(self._orbits):
+            orbit = self.space.unmask(m)
             unions += [(u | m, S | orbit) for u, S in unions]
         unions.sort(key=lambda uS: (uS[0].bit_count(), uS[0]))
         return [S for _, S in unions]
@@ -469,8 +427,8 @@ class FinitePartialAction:
 
     # -- topological freeness ---------------------------------------------------
 
-    def _fixed_union(self) -> frozenset[str]:
-        """Union of fixed points of theta_w over nontrivial reduced words w.
+    def _fixed_union(self) -> int:
+        """Mask of the union of fixed points of theta_w over nontrivial reduced words w.
 
         theta_w fixes x exactly when the letters of w, applied right to left,
         walk from x back to x with every step defined and no letter followed
@@ -492,19 +450,10 @@ class FinitePartialAction:
         for x in range(n):
             if any(f[x] >= 0 and reach[f[x] * k + i] >> (x * k) & at for i, f in enumerate(maps)):
                 fixed |= 1 << x
-        return self.space.unmask(fixed)
+        return fixed
 
     def is_topologically_free(self) -> bool:
-        return not self.space.interior(self._fixed_union())
-
-    def restrict(self, S: Iterable[str]) -> "FinitePartialAction":
-        """Restriction to an invariant set, as an action on the subspace."""
-        S = frozenset(S)
-        if not self.is_invariant(S):
-            raise ValueError(f"cannot restrict to a non-invariant set {sorted(S)}")
-        sub = self.space.subspace(S)
-        gens = tuple(g.restrict(S, sub) for g in self.generators)
-        return FinitePartialAction(sub, self.group, self.generator_names, gens)
+        return not self.space._interior(self._fixed_union())
 
     def is_residually_topologically_free(self) -> bool:
         """Topological freeness of the restriction to every closed invariant set.
@@ -516,7 +465,7 @@ class FinitePartialAction:
         union is the whole action's fixed union inside Y, and it is free
         when no point of that set has its smallest open set within Y inside it.
         """
-        fixed, down = self.space.mask(self._fixed_union()), self.space._down
+        fixed, down = self._fixed_union(), self.space._down
         for Y in set(self._closed_invariant_masks):
             inside = fixed & Y
             if any(not down[p] & Y & ~inside for p in bits(inside)):
@@ -529,7 +478,6 @@ class QuasiOrbitSpace:
     space: FiniteT0Space
     classes: tuple[frozenset[str], ...]
     class_of: dict[str, str]
-    closures: tuple[frozenset[str], ...]
 
 
 def trivial_action(space: FiniteT0Space) -> FinitePartialAction:

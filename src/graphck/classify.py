@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .conditions import condition_K, condition_L, hereditary_closure, saturation
-from .graphs import (
-    Graph,
-    OMEGA,
-    Path,
-    cycle_vertices,
-    induced_subgraph,
-)
+from .graphs import Graph, OMEGA, Path, cycle_vertices
 from .ideals import AdmissiblePair, breaking_vertices_of
 from .spectrum import maximal_tails
 
@@ -198,7 +192,7 @@ def _find_cycle_at(g: Graph, v: str) -> Path:
                 return Path.from_walk(g, walk + [e])
             if e.rng not in seen:
                 stack.append((e.rng, walk + [e]))
-    raise AssertionError(f"no cycle at {v!r}: caller promised one")
+    raise RuntimeError(f"no cycle at {v!r}: caller promised one")
 
 
 def _connect(g: Graph, src: str, dst: str) -> tuple[str, ...]:
@@ -223,7 +217,7 @@ def _connect(g: Graph, src: str, dst: str) -> tuple[str, ...]:
                         return tuple(reversed(ids))
                     nxt.append(e.rng)
         frontier = nxt
-    raise AssertionError(f"no path {src!r} -> {dst!r}: caller promised one")
+    raise RuntimeError(f"no path {src!r} -> {dst!r}: caller promised one")
 
 
 def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
@@ -248,9 +242,10 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     if not K.holds:
         return PurelyInfiniteVerdict("no", "fails_K", vertex=K.witness)
     witnesses = []
+    cycles = cycle_vertices(g)
     for M in maximal_tails(g):
-        sub = induced_subgraph(g, M)
-        on_cycle = g.sort_set(cycle_vertices(sub))
+        # a tail is forward-closed, so its cycles and their DFS stay inside it
+        on_cycle = g.sort_set(cycles & M)
         for v in g.sort_set(M):
             fed_by = [y for y in on_cycle if g.geq(v, y)]
             if not fed_by:
@@ -258,9 +253,7 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
                     "no", "tail_vertex_not_fed_by_cycle", vertex=v, tail=M
                 )
             y = fed_by[0]
-            cycle = _find_cycle_at(sub, y)
-            cycle_in_g = Path(g, cycle.edge_ids)  # same ids, ambient graph
-            witnesses.append(TailWitness(M, v, cycle_in_g, _connect(g, y, v)))
+            witnesses.append(TailWitness(M, v, _find_cycle_at(g, y), _connect(g, y, v)))
     gap_sets = []
     for v, omega_src in zip(g.vertices, g._in_src[1]):
         if omega_src:

@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -347,7 +348,9 @@ def run(argv, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors to sys.stderr and --help to sys.stdout
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     if args.limit < 1:

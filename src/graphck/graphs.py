@@ -340,17 +340,6 @@ def first_return_count(g: Graph, v: str, cap: int = 2) -> int:
     return count[i]
 
 
-def induced_subgraph(g: Graph, vs: Iterable[str]) -> Graph:
-    """Subgraph on vs, keeping vertex order, edge order and edge ids."""
-    keep = set(vs)
-    for v in keep:
-        g.index(v)
-    return Graph(
-        vertices=tuple(v for v in g.vertices if v in keep),
-        edges=tuple(e for e in g.edges if e.src in keep and e.rng in keep),
-    )
-
-
 @dataclass(frozen=True)
 class Path:
     """A composable edge sequence, listed range-first.

@@ -28,7 +28,7 @@ from typing import Iterable
 from .actions import FiniteT0Space
 from .conditions import condition_K, is_hereditary, is_saturated
 from .graphs import Graph
-from .ideals import AdmissiblePair, breaking_vertices_of, pair_leq, pair_meet, pair_order
+from .ideals import AdmissiblePair, breaking_vertices_of, pair_order
 from .poset import Poset, bits, check_antisymmetric, to_dot
 
 
@@ -161,16 +161,6 @@ def prim_space_to_t0(ps: PrimSpace):
     """The prime-point poset as a finite T0 space (labels are point labels)."""
     labels = [pt.label for pt in ps.points]
     return FiniteT0Space.from_pairs(labels, ((labels[i], labels[j]) for i, j in ps.covers))
-
-
-def meet_of_primes_above(g: Graph, p: AdmissiblePair, points: list[PrimPoint]) -> AdmissiblePair:
-    """Fold the meet over all prime pairs above p; empty fold gives the top."""
-    top = AdmissiblePair(g, frozenset(g.vertices), frozenset())
-    acc = top
-    for pt in points:
-        if pair_leq(p, pt.pair):
-            acc = pair_meet(acc, pt.pair)
-    return acc
 
 
 # -- exports -------------------------------------------------------------------

@@ -26,13 +26,15 @@ from graphck import (
     saturation,
 )
 from graphck.cli import run as cli_run
-from graphck.spectrum import meet_of_primes_above
 from graphck.actions import Decomposition, check_paradoxical_witness, decide_G_infinite
 
 from util import (
     CORPUS_DIR,
     REPO,
     brute_is_hereditary,
+    letter_map,
+    meet_of_primes_above,
+    open_sets,
     poset_isomorphic,
     random_action,
     random_graph,
@@ -186,7 +188,7 @@ def test_criterion_7_partial_action_axioms():
                     new = (letter,) + w
                     if new in memo:
                         continue
-                    lm = a.letter_map(letter).mapping
+                    lm = letter_map(a, letter).mapping
                     memo[new] = {
                         x: lm[y] for x, y in memo[w].items() if y in lm
                     }
@@ -220,7 +222,7 @@ def test_criterion_7_partial_action_axioms():
         if flat != sorted(sp.points):
             failures += 1
         for c in qo.classes:
-            keys = {sp.closure(a._orbits[x]) for x in c}
+            keys = {sp.closure(a.orbit(x)) for x in c}
             if len(keys) != 1:
                 failures += 1
         if len({frozenset(c) for c in qo.classes}) != len(qo.classes):
@@ -241,7 +243,7 @@ def test_criterion_8_finite_impossibility():
     bad = 0
     actions = [random_action(rng, max_points=5) for _ in range(40)]
     for a in actions:
-        for V in a.space.open_sets():
+        for V in open_sets(a.space):
             if not V:
                 continue
             decision = decide_G_infinite(a, V)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,11 +23,15 @@ from graphck import (
 
 from util import (
     brute_fixed_union,
+    brute_homeo_error,
     brute_invariant_subsets,
+    compose,
+    open_sets,
     random_action,
     random_cycle_transposition_action,
     random_open_set,
     random_word,
+    restrict,
 )
 
 
@@ -61,7 +66,7 @@ def test_sierpinski_topology():
     assert sp.is_closed({"b"}) and not sp.is_closed({"a"})
     assert sp.interior({"b"}) == frozenset()  # a fixed closed point is invisible
     assert sp.closure({"a"}) == {"a", "b"}
-    assert [sorted(S) for S in sp.open_sets()] == [[], ["a"], ["a", "b"]]
+    assert [sorted(S) for S in open_sets(sp)] == [[], ["a"], ["a", "b"]]
 
 
 def test_space_equality_is_topological():
@@ -87,7 +92,7 @@ def set_fixpoint_above(points, pairs):
 
 
 def test_closure_matches_set_fixpoint():
-    rng = random.Random(83)
+    rng, pick = random.Random(83), random.Random(89)
     spaces = 0
     for _ in range(300):
         points = tuple(f"p{i}" for i in range(rng.randint(1, 7)))
@@ -100,6 +105,15 @@ def test_closure_matches_set_fixpoint():
         sp = FiniteT0Space.from_pairs(points, pairs)
         assert {p: sp.above(p) for p in points} == above
         assert sp.closure_pairs == {(p, q) for p in points for q in above[p] if q != p}
+        # the topology from the definitions: closed sets are up-sets, open sets down-sets
+        below = {p: {q for q in points if p in above[q]} for p in points}
+        assert {p: sp.below(p) for p in points} == below
+        for _ in range(8):
+            S = frozenset(p for p in points if pick.random() < 0.5)
+            closed = frozenset().union(*(above[p] for p in S))
+            inner = frozenset(p for p in S if below[p] <= S)
+            assert sp.closure(S) == closed and sp.is_closed(S) == (closed == S)
+            assert sp.interior(S) == inner and sp.is_open(S) == (inner == S)
         spaces += 1
     assert spaces > 100
 
@@ -120,10 +134,62 @@ def test_homeo_validation():
         PartialHomeo.from_dict(chain, {"a": "d", "b": "c"})
 
 
+def mutated_maps(rng, space, pairs):
+    """The pairs in shuffled input order, then with their images shuffled, one
+    image repeated, one image moved to a random point, one random pair
+    inserted and one pair dropped."""
+    pairs = list(pairs)
+    rng.shuffle(pairs)
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    shuffled = rng.sample(ys, len(ys))
+    out = [pairs, list(zip(xs, shuffled))]
+    if len(pairs) >= 2:
+        i, j = rng.sample(range(len(pairs)), 2)
+        out.append(list(zip(xs, ys[:i] + [ys[j]] + ys[i + 1 :])))
+    k = rng.randint(0, len(pairs))
+    out.append(list(zip(xs, ys[:k] + [rng.choice(space.points)] + ys[k + 1 :])))
+    out.append(pairs[:k] + [(rng.choice(space.points), rng.choice(space.points))] + pairs[k:])
+    if pairs:
+        out.append(pairs[:k] + pairs[k + 1 :])
+    return out
+
+
+def test_homeo_validation_matches_pairwise_check():
+    # the mask checks accept and reject exactly as the pairwise definition,
+    # naming the same offending pair
+    kinds = (
+        "map domain repeats a point",
+        "map is not injective",
+        "map domain is not open",
+        "map image is not open",
+        "map is not an order isomorphism",
+    )
+    rng = random.Random(151)
+    outcomes = Counter()
+    for a in differential_actions():
+        sp = a.space
+        index = {p: i for i, p in enumerate(sp.points)}
+        for gen in a.generators:
+            for pairs in mutated_maps(rng, sp, gen.pairs):
+                expected = brute_homeo_error(sp, pairs)
+                outcomes[expected and next(k for k in kinds if expected.startswith(k))] += 1
+                if expected is not None:
+                    with pytest.raises(ActionFormatError) as exc:
+                        PartialHomeo(sp, tuple(pairs))
+                    assert str(exc.value) == expected
+                    continue
+                h = PartialHomeo(sp, tuple(pairs))
+                assert h.pairs == tuple(sorted(pairs, key=lambda xy: index[xy[0]]))
+                assert h._fwd == tuple(index.get(h.mapping.get(p), -1) for p in sp.points)
+                assert h._inv == h.inverse()._fwd
+    assert set(outcomes) == {None, *kinds}
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 def test_homeo_compose_and_inverse():
     a = three_chain_action()
     g = a.generators[0]
-    gg = g.compose(g)
+    gg = compose(g, g)
     assert gg.mapping == {"1": "3"}
     assert g.inverse().mapping == {"2": "1", "3": "2"}
 
@@ -160,7 +226,7 @@ def test_free_reduction():
     # unreduced composition would only act where g is defined; the reduced
     # word extends it
     g = a.generators[0]
-    assert set(g.inverse().compose(g).mapping) == {"1", "2"}
+    assert set(compose(g.inverse(), g).mapping) == {"1", "2"}
 
 
 def test_rejects_higher_rank_integer_groups():
@@ -186,7 +252,7 @@ def test_extension_axiom_exhaustive():
             for t in words:
                 ts = a.element_map(s)
                 tt = a.element_map(t)
-                comp = ts.compose(tt)
+                comp = compose(ts, tt)
                 whole = a.element_map(tuple(s) + tuple(t))
                 for x, y in comp.pairs:
                     assert whole.mapping.get(x) == y
@@ -257,11 +323,11 @@ def test_quotient_map_is_continuous_and_open():
             for q in sp.above(p):
                 assert label[q] in qo.space.above(label[p])
         # openness: the image of every open set is open
-        for U in sp.open_sets():
+        for U in open_sets(sp):
             image = frozenset(label[p] for p in U)
             assert qo.space.is_open(image)
         # the quotient order is closure containment of orbit closures
-        K = {label[p]: sp.closure(a._orbits[p]) for p in sp.points}
+        K = {label[p]: sp.closure(a.orbit(p)) for p in sp.points}
         for c in qo.space.points:
             for d in qo.space.points:
                 assert (c in qo.space.above(d)) == (K[c] <= K[d])
@@ -313,16 +379,7 @@ def test_invariant_subsets_match_brute_force():
 
 def test_fixed_union_matches_brute_force():
     for a in differential_actions():
-        assert a._fixed_union() == brute_fixed_union(a)
-
-
-def test_restrict_to_non_invariant_set_raises():
-    a = three_chain_action()
-    with pytest.raises(ValueError, match="non-invariant set"):
-        a.restrict({"1"})
-    with pytest.raises(ValueError, match="escapes the invariant set"):
-        a.generators[0].restrict({"1"})
-    assert a.restrict({"1", "2", "3"}).generators == a.generators
+        assert a.space.unmask(a._fixed_union()) == brute_fixed_union(a)
 
 
 def test_is_minimal_matches_brute_force():
@@ -353,7 +410,7 @@ def test_freeness_examples():
     # a 12-cycle and a partial transposition realize far too many partial
     # maps to list word by word; the 12th power of the cycle fixes every point
     big = random_cycle_transposition_action(random.Random(0), 12)
-    assert big._fixed_union() == frozenset(big.space.points)
+    assert big.space.unmask(big._fixed_union()) == frozenset(big.space.points)
     assert not big.is_topologically_free()
 
 
@@ -375,7 +432,7 @@ def test_residual_freeness_matches_full_enumeration():
     for _ in range(60):
         a = random_action(rng, max_points=5)
         brute = all(
-            a.restrict(S).is_topologically_free()
+            restrict(a, S).is_topologically_free()
             for S in a.invariant_subsets()
             if a.space.is_closed(S)
         )

@@ -11,7 +11,6 @@ from graphck import (
     classify,
     condition_K,
     first_return_count,
-    induced_subgraph,
     is_purely_infinite,
     is_simple,
     maximal_tails,
@@ -22,7 +21,13 @@ from graphck import (
     saturated_hereditary_sets,
 )
 
-from util import DOCS_DIR, random_graph, random_looped_graph, random_omega_graph
+from util import (
+    DOCS_DIR,
+    induced_subgraph,
+    random_graph,
+    random_looped_graph,
+    random_omega_graph,
+)
 
 
 def test_classify_e1(corpus):

@@ -159,6 +159,15 @@ def test_mistyped_witness_json_exit_1(tmp_path):
     assert code == 1 and out == "" and "part #0: set must list point names" in err
 
 
+def test_argparse_writes_to_the_given_streams(capsys):
+    code, out, err = invoke("paction", E1, "nope")
+    assert code == 1 and out == ""
+    assert err.startswith("usage: graphck paction") and "invalid choice: 'nope'" in err
+    code, out, err = invoke("--help")
+    assert code == 0 and err == "" and out.startswith("usage: graphck")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_limit_exit_2(tmp_path):
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"vertices": [f"v{i}" for i in range(17)], "edges": []}))
@@ -401,8 +410,15 @@ def test_subprocess_entry_point():
     assert json.loads(proc.stdout)["aperiodic"] is True
 
 
+def is_assertion_error(node) -> bool:
+    """`raise AssertionError` or `raise AssertionError(...)`."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_library_invariants_use_no_assert():
-    # python -O strips assert statements, so an invariant checked by one vanishes
+    # python -O strips assert statements, so an invariant checked by one
+    # vanishes; a broken promise raises RuntimeError, not AssertionError
     sources = sorted((REPO / "src" / "graphck").glob("*.py"))
     assert sources
     found = [
@@ -410,5 +426,6 @@ def test_library_invariants_use_no_assert():
         for path in sources
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Raise) and is_assertion_error(node)
     ]
     assert found == []

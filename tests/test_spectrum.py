@@ -19,10 +19,10 @@ from graphck import (
     prim_space_to_json,
     prime_points,
 )
-from graphck.spectrum import meet_of_primes_above
 
 from util import (
     brute_maximal_tails,
+    meet_of_primes_above,
     random_graph,
     random_looped_graph,
     random_omega_graph,

@@ -15,12 +15,15 @@ from pathlib import Path as FsPath
 from hypothesis import strategies as st
 
 from graphck import (
+    AdmissiblePair,
     Edge,
     FinitePartialAction,
     FiniteT0Space,
     Graph,
     OMEGA,
     PartialHomeo,
+    pair_leq,
+    pair_meet,
     parse_graph,
 )
 from graphck.graphs import is_finite, mult_sum
@@ -55,6 +58,26 @@ def brute_is_saturated(g: Graph, S) -> bool:
             if all(e.src in S for e in g.in_edges(v)) and v not in S:
                 return False
     return True
+
+
+def induced_subgraph(g: Graph, vs) -> Graph:
+    """Subgraph on vs, keeping vertex order, edge order and edge ids."""
+    keep = set(vs)
+    for v in keep:
+        g.index(v)
+    return Graph(
+        vertices=tuple(v for v in g.vertices if v in keep),
+        edges=tuple(e for e in g.edges if e.src in keep and e.rng in keep),
+    )
+
+
+def meet_of_primes_above(g: Graph, p: AdmissiblePair, points) -> AdmissiblePair:
+    """Fold the meet over all prime pairs above p; empty fold gives the top."""
+    acc = AdmissiblePair(g, frozenset(g.vertices), frozenset())
+    for pt in points:
+        if pair_leq(p, pt.pair):
+            acc = pair_meet(acc, pt.pair)
+    return acc
 
 
 def all_subsets(items):
@@ -429,7 +452,7 @@ def find_order_iso(space: FiniteT0Space, dom, img, rng: random.Random):
 
 
 def random_partial_homeo(rng: random.Random, space: FiniteT0Space) -> PartialHomeo:
-    opens = space.open_sets()
+    opens = open_sets(space)
     for _ in range(30):
         mode = rng.random()
         if mode < 0.4:
@@ -494,6 +517,76 @@ def random_cycle_transposition_action(rng: random.Random, n: int) -> FiniteParti
 # -- action oracles ------------------------------------------------------------------
 
 
+def is_down_set(space: FiniteT0Space, S) -> bool:
+    """S is open: it holds every point whose closure meets it."""
+    return all(q in S for p in S for q in space.points if p in space.above(q))
+
+
+def open_sets(space: FiniteT0Space) -> list[frozenset]:
+    """All open sets, ordered by size, then by the bitmask of point positions."""
+    pts = space.points
+    opens = [S for S in all_subsets(pts) if is_down_set(space, S)]
+    return sorted(opens, key=lambda S: (len(S), sum(1 << pts.index(p) for p in S)))
+
+
+def compose(f: PartialHomeo, g: PartialHomeo) -> PartialHomeo:
+    """f after g, on the maximal natural domain."""
+    return PartialHomeo(f.space, tuple((x, f.mapping[y]) for x, y in g.pairs if y in f.mapping))
+
+
+def fixed_points(f: PartialHomeo) -> frozenset:
+    return frozenset(x for x, y in f.pairs if x == y)
+
+
+def letter_map(a: FinitePartialAction, letter) -> PartialHomeo:
+    """The generator of a (name, +1 or -1) letter, or its inverse."""
+    gen = a.generators[a.generator_names.index(letter[0])]
+    return gen if letter[1] == 1 else gen.inverse()
+
+
+def subspace(space: FiniteT0Space, S) -> FiniteT0Space:
+    S = frozenset(S)
+    return FiniteT0Space(
+        tuple(p for p in space.points if p in S),
+        frozenset((p, q) for p, q in space.closure_pairs if p in S and q in S),
+    )
+
+
+def restrict(a: FinitePartialAction, S) -> FinitePartialAction:
+    """The restriction of an action to an invariant set, as an action on the subspace."""
+    S = frozenset(S)
+    assert a.is_invariant(S), sorted(S)
+    sub = subspace(a.space, S)
+    gens = tuple(
+        PartialHomeo(sub, tuple((x, y) for x, y in gen.pairs if x in S)) for gen in a.generators
+    )
+    return FinitePartialAction(sub, a.group, a.generator_names, gens)
+
+
+def brute_homeo_error(space: FiniteT0Space, pairs):
+    """The ActionFormatError message that building PartialHomeo(space, pairs)
+    must raise, or None for a valid map: the checks in their fixed order,
+    order isomorphism by comparing every pair of domain points in input order."""
+    dom = [x for x, _ in pairs]
+    img = [y for _, y in pairs]
+    for x in dom + img:
+        if x not in space.points:
+            return f"map names unknown point {x!r}"
+    if len(set(dom)) != len(dom):
+        return "map domain repeats a point"
+    if len(set(img)) != len(img):
+        return "map is not injective"
+    for what, S in (("domain", dom), ("image", img)):
+        if not is_down_set(space, S):
+            return f"map {what} is not open: {sorted(S)}"
+    m = dict(pairs)
+    for x in dom:
+        for y in dom:
+            if (m[y] in space.above(m[x])) != (y in space.above(x)):
+                return f"map is not an order isomorphism at {x!r}, {y!r}"
+    return None
+
+
 def brute_invariant_subsets(a: FinitePartialAction) -> list[frozenset]:
     """Every invariant subset by scanning all 2^n subsets: S is invariant when
     each generator and each inverse maps the part of S in its domain into S.
@@ -534,10 +627,6 @@ def brute_fixed_union(a: FinitePartialAction) -> frozenset:
                     break
         return frozenset(fixed)
 
-    def letter_map(letter):
-        gen = a.generators[a.generator_names.index(letter[0])]
-        return gen if letter[1] == 1 else gen.inverse()
-
     letters = []
     for name in a.generator_names:
         letters.append((name, 1))
@@ -546,26 +635,26 @@ def brute_fixed_union(a: FinitePartialAction) -> frozenset:
     seen_states = set()
     frontier = []
     for letter in letters:
-        m = letter_map(letter)
+        m = letter_map(a, letter)
         if m.pairs:
             state = (m.pairs, letter)
             seen_states.add(state)
             frontier.append((m, letter))
-            fixed |= m.fixed_points()
+            fixed |= fixed_points(m)
     while frontier:
         nxt = []
         for m, head in frontier:
             for letter in letters:
                 if letter == (head[0], -head[1]):
                     continue  # keep the word reduced
-                composed = letter_map(letter).compose(m)
+                composed = compose(letter_map(a, letter), m)
                 if not composed.pairs:
                     continue
                 state = (composed.pairs, letter)
                 if state in seen_states:
                     continue
                 seen_states.add(state)
-                fixed |= composed.fixed_points()
+                fixed |= fixed_points(composed)
                 nxt.append((composed, letter))
         frontier = nxt
     return frozenset(fixed)
