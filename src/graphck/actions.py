@@ -388,10 +388,11 @@ class FinitePartialAction:
     # -- invariance ------------------------------------------------------------
 
     def is_invariant(self, S: Iterable[str]) -> bool:
-        """Every generator and its inverse map S into S: each pair (x, theta(x))
-        lies inside S or outside it."""
-        S = frozenset(S)
-        return all((x in S) == (y in S) for gen in self.generators for x, y in gen.pairs)
+        """Every generator and its inverse map S into S: S is a union of orbits."""
+        m = 0
+        for x in S:
+            m |= 1 << self._point(x)
+        return union(self._orbits, m) == m
 
     def invariant_subsets(self, limit: int = DEFAULT_LIMIT) -> list[frozenset[str]]:
         """Every invariant subset (not only open or closed ones), ordered by
@@ -418,7 +419,7 @@ class FinitePartialAction:
         return closure([s | up for s, up in zip(self._step_succ, self.space._up)])
 
     def minimal_closed_invariant_containing(self, x: str) -> frozenset[str]:
-        return self.space.unmask(self._closed_invariant_masks[self.space.index[x]])
+        return self.space.unmask(self._closed_invariant_masks[self._point(x)])
 
     def is_minimal(self) -> bool:
         """No closed invariant subsets besides the empty set and everything."""

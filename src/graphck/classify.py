@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .conditions import condition_K, condition_L, hereditary_closure, saturation
-from .graphs import Graph, OMEGA, Path, cycle_vertices
+from .graphs import Graph, OMEGA, Path, cycle_vertices, scc_decomposition
 from .ideals import AdmissiblePair, breaking_vertices_of
+from .poset import bits
 from .spectrum import maximal_tails
 
 # No(L) reasons for non-simplicity lean on standard graph-algebra theory
@@ -166,7 +167,9 @@ def is_simple(g: Graph):
     H, is nonempty and is not everything, so it is H.
     """
     V = frozenset(g.vertices)
-    generated = {saturation(g, hereditary_closure(g, [v])) for v in V} - {V}
+    generated = {  # the members of a component share their ancestors
+        saturation(g, hereditary_closure(g, c.vertices[:1])) for c in scc_decomposition(g)
+    } - {V}
     if generated:
         pair = AdmissiblePair(g, min(generated, key=g.set_key), frozenset())
         return SimpleVerdict("no", "nontrivial_lattice", pair=pair)
@@ -242,17 +245,17 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     if not K.holds:
         return PurelyInfiniteVerdict("no", "fails_K", vertex=K.witness)
     witnesses = []
-    cycles = cycle_vertices(g)
+    cycles = g.mask(cycle_vertices(g))
     for M in maximal_tails(g):
         # a tail is forward-closed, so its cycles and their DFS stay inside it
-        on_cycle = g.sort_set(cycles & M)
+        on_cycle = cycles & g.mask(M)
         for v in g.sort_set(M):
-            fed_by = [y for y in on_cycle if g.geq(v, y)]
+            fed_by = g._back[g.index(v)] & on_cycle
             if not fed_by:
                 return PurelyInfiniteVerdict(
                     "no", "tail_vertex_not_fed_by_cycle", vertex=v, tail=M
                 )
-            y = fed_by[0]
+            y = g.vertices[next(bits(fed_by))]
             witnesses.append(TailWitness(M, v, _find_cycle_at(g, y), _connect(g, y, v)))
     gap_sets = []
     for v, omega_src in zip(g.vertices, g._in_src[1]):

@@ -94,10 +94,8 @@ def _cmd_analyze(args, out) -> None:
     report = classify(g)
     if args.format == "json":
         out.write(report_to_json(report))
-    elif args.format == "text":
-        out.write(report_to_text(report))
     else:
-        raise _CliError("analyze supports --format text or json")
+        out.write(report_to_text(report))
 
 
 def _cmd_lattice(args, out) -> None:
@@ -126,8 +124,6 @@ def _cmd_quotient(args, out) -> None:
     g, fmt = _load_graph(args.graph)
     pair = _parse_pair_selector(g, args.pair)
     q = idl.quotient_graph(g, pair)
-    if args.format not in ("text", "json"):
-        raise _CliError("quotient supports --format text or json")
     # the graph is emitted in the input file's format; --format json forces JSON
     out_fmt = "json" if args.format == "json" else fmt
     out.write(serialize_graph(q, out_fmt))
@@ -280,10 +276,8 @@ def _cmd_paction(args, out) -> None:
     result = build(a, args)
     if args.format == "json":
         out.write(json.dumps(result, indent=2) + "\n")
-    elif args.format == "text":
-        out.write(render(result))
     else:
-        raise _CliError("paction supports --format text or json")
+        out.write(render(result))
 
 
 # -- driver -----------------------------------------------------------------------
@@ -299,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=("text", "json")):
         p.add_argument(
             "--format",
-            choices=("text", "json", "dot"),
+            choices=formats,
             default="text",
             help="output format (default: text)",
         )
@@ -320,11 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="admissible-pair ideal lattice")
     p.add_argument("graph")
-    common(p)
+    common(p, ("text", "json", "dot"))
 
     p = sub.add_parser("spectrum", help="prime/primitive pair poset")
     p.add_argument("graph")
-    common(p)
+    common(p, ("text", "json", "dot"))
 
     p = sub.add_parser("quotient", help="quotient graph by an admissible pair")
     p.add_argument("graph")

@@ -3,6 +3,12 @@
 Condition (L): every cycle has an entrance, i.e. an edge e != mu_k ending at
 a cycle vertex r(mu_k).  Condition (K): every vertex has zero or at least two
 first-return paths.  Both tests return explicit witnesses on failure.
+
+Both fail only on a strongly connected component that is a bare simple
+cycle, so both are one pass over the components.  (K) fails on a component
+whose internal edge multiplicities (OMEGA counting as at least two) sum to
+its size.  (L) fails on such a component that also has no entrance: one
+whose vertices all have total in-degree one, so it holds all its ancestors.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ from .graphs import (
     Graph,
     LimitExceededError,
     Path,
-    first_return_count,
     is_finite,
+    mult_sum,
     scc_decomposition,
 )
-from .poset import union
+from .poset import bits, union
 
 
 def is_hereditary(g: Graph, S: Iterable[str]) -> bool:
@@ -118,40 +124,21 @@ class ConditionL:
 
 
 def condition_L(g: Graph) -> ConditionL:
-    """Decide Condition (L); a failure carries an entrance-less cycle.
-
-    An entrance-less cycle is necessarily simple, and each of its vertices
-    has total in-degree exactly one (the cycle edge itself).  It suffices to
-    walk unique in-edges backwards inside the set of in-degree-one vertices.
-    """
-    candidates = {v for v in g.vertices if g.in_degree(v) == 1}
-    state: dict[str, int] = {}  # 0 = in progress, 1 = cleared
-    for start in g.vertices:
-        if start not in candidates or start in state:
+    """Decide Condition (L); a failure carries an entrance-less cycle: the
+    one among the ancestors of the first vertex whose ancestors all have
+    in-degree one, read backwards along unique in-edges from its smallest
+    vertex."""
+    deg1 = g.mask(v for v in g.vertices if g.in_degree(v) == 1)
+    for back in g._back:
+        if back & ~deg1:
             continue
-        trail: list[str] = []
-        pos: dict[str, int] = {}
-        v = start
-        while True:
-            if v not in candidates or state.get(v) == 1:
-                break
-            if v in pos:
-                cycle_vs = trail[pos[v]:]
-                walk = []  # traversal order along the cycle
-                for u in reversed(cycle_vs):
-                    (e,) = g.in_edges(u)
-                    walk.append(e)
-                # rotate so the walk starts at the canonically smallest vertex
-                base = min(range(len(walk)), key=lambda i: g.index(walk[i].src))
-                walk = walk[base:] + walk[:base]
-                path = Path.from_walk(g, walk)
-                return ConditionL(False, CycleWitness.for_cycle(g, path))
-            pos[v] = len(trail)
-            trail.append(v)
+        first = next(j for j in bits(back) if not g._back[j] & ~g._reach[j])
+        ids, v = [], g.vertices[first]
+        for _ in range(g._back[first].bit_count()):  # the cycle is its own ancestry
             (e,) = g.in_edges(v)
+            ids.append(e.id)
             v = e.src
-        for u in trail:
-            state[u] = 1
+        return ConditionL(False, CycleWitness.for_cycle(g, Path(g, tuple(ids))))
     return ConditionL(True)
 
 
@@ -162,7 +149,17 @@ class ConditionK:
 
 
 def condition_K(g: Graph) -> ConditionK:
-    for v in g.vertices:
-        if first_return_count(g, v, cap=2) == 1:
-            return ConditionK(False, v)
+    """Decide Condition (K); a failure carries the smallest vertex of the
+    first component that is a bare cycle: its internal edge multiplicities
+    sum to its size, each member has one first-return path."""
+    for comp in scc_decomposition(g):
+        m = g.mask(comp.vertices)
+        inner = mult_sum(
+            e.mult
+            for v in comp.vertices
+            for e in g.out_edges_by_vertex[v]
+            if m >> g._index[e.rng] & 1
+        )
+        if inner == len(comp.vertices):
+            return ConditionK(False, comp.vertices[0])
     return ConditionK(True)

@@ -22,6 +22,7 @@ from graphck import (
 )
 
 from util import (
+    all_subsets,
     brute_fixed_union,
     brute_homeo_error,
     brute_invariant_subsets,
@@ -271,6 +272,14 @@ def test_orbit_examples():
         a.orbit("9")
 
 
+def test_invariance_queries_reject_unknown_points():
+    a = three_chain_action()
+    with pytest.raises(ActionFormatError, match="unknown point 'zz'"):
+        a.is_invariant({"zz"})
+    with pytest.raises(ActionFormatError, match="unknown point 'zz'"):
+        a.minimal_closed_invariant_containing("zz")
+
+
 def test_two_component_orbits():
     sp = FiniteT0Space.discrete(("1", "2", "3"))
     gen = PartialHomeo.from_dict(sp, {"1": "2"})
@@ -363,6 +372,7 @@ def test_invariant_subsets_match_brute_force():
         groups.add(a.group)
         brute = brute_invariant_subsets(a)
         assert a.invariant_subsets() == brute
+        assert {S for S in all_subsets(a.space.points) if a.is_invariant(S)} == set(brute)
         closed = [S for S in brute if a.space.is_closed(S)]
         for x in a.space.points:
             smallest = min((S for S in closed if x in S), key=len)

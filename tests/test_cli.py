@@ -37,9 +37,13 @@ def test_analyze_json(corpus):
     jsonschema.validate(obj, schema("report"))
 
 
-def test_analyze_rejects_dot():
+def test_analyze_rejects_dot(tmp_path):
     code, out, err = invoke("analyze", E1, "--format", "dot")
     assert code == 1 and "format" in err
+    # quotient and paction write text or JSON only, and say so at parse time
+    for argv in (["quotient", E1, "--pair", "H=;B="], ["paction", make_action(tmp_path), "orbit"]):
+        code, out, err = invoke(*argv, "--format", "dot")
+        assert (code, out) == (1, "") and "invalid choice: 'dot'" in err
 
 
 def test_lattice_formats(corpus):
@@ -227,6 +231,22 @@ def test_analyze_and_spectrum_enumerate_no_subsets(tmp_path, monkeypatch, corpus
     report = json.loads(outputs["analyze", "json", str(chain)])
     assert (report["simple"]["verdict"], report["purely_infinite"]["verdict"]) == ("yes", "no")
     assert len(json.loads(outputs["spectrum", "json", str(chain)])["points"]) == 1
+
+
+def test_analyze_and_spectrum_count_no_first_returns(monkeypatch, corpus):
+    # Conditions (L) and (K) are read off the components, not per-vertex closures
+    def refuse(*args, **kwargs):
+        raise AssertionError("first-return count")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "graphck" and hasattr(module, "first_return_count"):
+            monkeypatch.setattr(module, "first_return_count", refuse)
+    for name in corpus:
+        path = str(CORPUS_DIR / f"{name}.json")
+        for cmd, fmt in (("analyze", "text"), ("analyze", "json"), ("spectrum", "json"),
+                         ("spectrum", "text"), ("spectrum", "dot")):
+            code, out, err = invoke(cmd, path, "--format", fmt)
+            assert code == 0 and err == "" and out
 
 
 def make_action(tmp_path):

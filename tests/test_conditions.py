@@ -5,6 +5,7 @@ import random
 import pytest
 
 from graphck import (
+    ConditionK,
     Graph,
     condition_K,
     condition_L,
@@ -27,12 +28,28 @@ from util import (
     brute_sh_sets,
     graphs,
     random_graph,
+    random_looped_graph,
+    random_omega_graph,
     random_strongly_connected_graph,
+    walk_condition_L,
 )
 
 
 def random_vertex_set(rng, g):
     return frozenset(v for v in g.vertices if rng.random() < 0.4)
+
+
+def seeded_graphs():
+    """The same 3,000 seeded graphs of each random kind on every call."""
+    rng = random.Random(47)
+    for kind in (
+        random_graph,
+        random_omega_graph,
+        random_looped_graph,
+        random_strongly_connected_graph,
+    ):
+        for _ in range(3000):
+            yield kind(rng)
 
 
 @given(graphs(), st.data())
@@ -177,6 +194,25 @@ def test_condition_L_witness_is_entranceless(corpus):
             assert len(set(inner)) == len(inner)
 
 
+def test_condition_L_matches_reference_walk(corpus):
+    for g in list(corpus.values()) + list(seeded_graphs()):
+        assert condition_L(g) == walk_condition_L(g)  # witness edges and entrances too
+
+
+def test_condition_L_witness_is_first_vertex_ancestry_not_first_component():
+    # a is the first vertex whose ancestors all have in-degree one; they hold
+    # the cycle b,c, although the component x,y comes first
+    g = parse_graph(
+        '{"vertices":["a","x","y","b","c"],"edges":['
+        '{"id":"xy","src":"x","rng":"y","mult":1},{"id":"yx","src":"y","rng":"x","mult":1},'
+        '{"id":"bc","src":"b","rng":"c","mult":1},{"id":"cb","src":"c","rng":"b","mult":1},'
+        '{"id":"ba","src":"b","rng":"a","mult":1}]}'
+    )
+    res = condition_L(g)
+    assert res == walk_condition_L(g)
+    assert res.witness.cycle.walk_edge_ids() == ("bc", "cb")
+
+
 def test_cycle_entrances_on_parallel_loops(corpus):
     e1 = corpus["e1"]
     from graphck import Path
@@ -206,3 +242,35 @@ def test_K_implies_L(corpus):
     for g in graphs:
         if condition_K(g).holds:
             assert condition_L(g).holds
+
+
+def first_single_return(g):
+    """Condition (K) from its definition: the first vertex with exactly one
+    first-return path."""
+    for v in g.vertices:
+        if first_return_count(g, v) == 1:
+            return ConditionK(False, v)
+    return ConditionK(True)
+
+
+def test_condition_K_matches_first_return_definition(corpus):
+    for g in list(corpus.values()) + list(seeded_graphs()):
+        assert condition_K(g) == first_single_return(g)
+
+
+@pytest.mark.parametrize(
+    "edges, witness",
+    [
+        ("v v 2", None),  # a double loop
+        ("v v omega", None),  # an infinite loop
+        ("v v 1\nv v 1", None),  # two loop records
+        ("u v 1\nv w 1\nw u 1\nu w 1", None),  # a 3-cycle with a chord
+        ("u v 1\nv w 1\nw v 1", "v"),  # a bare 2-cycle with an entrance
+        ("v v 2\nu w 1\nw u 1\nv u 1", "u"),  # the looped component comes first
+        ("w w 1\nu v 1\nv u 1", "v"),  # the first vertex's component, not the first edge's
+    ],
+)
+def test_condition_K_on_loops_and_chords(edges, witness):
+    g = parse_graph("vertex v\nvertex u\nvertex w\n" + edges + "\n", "edgelist")
+    assert condition_K(g) == ConditionK(witness is None, witness)
+    assert condition_K(g) == first_single_return(g)

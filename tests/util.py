@@ -16,12 +16,15 @@ from hypothesis import strategies as st
 
 from graphck import (
     AdmissiblePair,
+    ConditionL,
+    CycleWitness,
     Edge,
     FinitePartialAction,
     FiniteT0Space,
     Graph,
     OMEGA,
     PartialHomeo,
+    Path,
     pair_leq,
     pair_meet,
     parse_graph,
@@ -147,6 +150,41 @@ def cycle_has_entrance(g: Graph, cycle_edges) -> bool:
 
 def brute_condition_L(g: Graph) -> bool:
     return all(cycle_has_entrance(g, c) for c in enumerate_simple_cycles(g))
+
+
+def walk_condition_L(g: Graph) -> ConditionL:
+    """Reference Condition (L): walk unique in-edges backwards inside the
+    in-degree-one vertices from each start in canonical order, and rotate the
+    first cycle met to start at its canonically smallest vertex."""
+    candidates = {v for v in g.vertices if g.in_degree(v) == 1}
+    state: dict[str, int] = {}  # 0 = in progress, 1 = cleared
+    for start in g.vertices:
+        if start not in candidates or start in state:
+            continue
+        trail: list[str] = []
+        pos: dict[str, int] = {}
+        v = start
+        while True:
+            if v not in candidates or state.get(v) == 1:
+                break
+            if v in pos:
+                cycle_vs = trail[pos[v]:]
+                walk = []  # traversal order along the cycle
+                for u in reversed(cycle_vs):
+                    (e,) = g.in_edges(u)
+                    walk.append(e)
+                # rotate so the walk starts at the canonically smallest vertex
+                base = min(range(len(walk)), key=lambda i: g.index(walk[i].src))
+                walk = walk[base:] + walk[:base]
+                path = Path.from_walk(g, walk)
+                return ConditionL(False, CycleWitness.for_cycle(g, path))
+            pos[v] = len(trail)
+            trail.append(v)
+            (e,) = g.in_edges(v)
+            v = e.src
+        for u in trail:
+            state[u] = 1
+    return ConditionL(True)
 
 
 def brute_first_return_count(g: Graph, v: str, cap: int = 2) -> int:
