@@ -20,13 +20,12 @@ action for them.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
-from .graphs import DEFAULT_LIMIT, LimitExceededError
+from .graphs import DEFAULT_LIMIT, LimitExceededError, decode_json
 from .poset import Poset, bits, check_antisymmetric, closure, union
 
 Letter = tuple[str, int]  # (generator name, +1 or -1)
@@ -735,11 +734,7 @@ def action_from_json_obj(raw: dict) -> FinitePartialAction:
 
 
 def parse_action(text: str) -> FinitePartialAction:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ActionFormatError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
-    return action_from_json_obj(raw)
+    return action_from_json_obj(decode_json(text, ActionFormatError))
 
 
 def decomposition_from_json_obj(raw: dict) -> Decomposition:
@@ -763,8 +758,4 @@ def decomposition_from_json_obj(raw: dict) -> Decomposition:
 
 
 def parse_decomposition(text: str) -> Decomposition:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ActionFormatError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
-    return decomposition_from_json_obj(raw)
+    return decomposition_from_json_obj(decode_json(text, ActionFormatError))

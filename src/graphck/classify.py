@@ -7,6 +7,9 @@ amenable, so the bundle is always exact.  Simplicity needs (L) plus a trivial
 ideal lattice; pure infiniteness needs (K) plus every maximal-tail vertex
 being fed by a cycle inside its tail.  Every verdict carries a
 machine-checkable witness.
+
+Vertex sets are frozensets of names at the public API, in the verdicts and
+their witnesses, and int masks in canonical order inside.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .conditions import condition_K, condition_L, hereditary_closure, saturation
-from .graphs import Graph, OMEGA, Path, cycle_vertices, scc_decomposition
-from .ideals import AdmissiblePair, breaking_vertices_of
+from .conditions import _sh_closure, condition_K, condition_L
+from .graphs import Graph, OMEGA, Path
+from .ideals import AdmissiblePair, _breaking
 from .poset import bits
 from .spectrum import maximal_tails
 
@@ -85,23 +88,20 @@ class PurelyInfiniteVerdict:
     h_set: Optional[frozenset[str]] = None
     witnesses: tuple[TailWitness, ...] = ()
 
-    def to_json_obj(self, g: Optional[Graph] = None) -> dict:
-        def vlist(S):
-            return sorted(S) if g is None else list(g.sort_set(S))
-
+    def to_json_obj(self, g: Graph) -> dict:
         obj: dict = {"verdict": self.verdict}
         if self.reason_kind == "fails_K":
             obj["reason"] = {"kind": self.reason_kind, "vertex": self.vertex}
         elif self.reason_kind == "tail_vertex_not_fed_by_cycle":
             obj["reason"] = {
                 "kind": self.reason_kind,
-                "tail": vlist(self.tail),
+                "tail": list(g.sort_set(self.tail)),
                 "vertex": self.vertex,
             }
         elif self.reason_kind == "breaking_vertex_gap":
             obj["reason"] = {
                 "kind": self.reason_kind,
-                "H": vlist(self.h_set),
+                "H": list(g.sort_set(self.h_set)),
                 "vertex": self.vertex,
             }
         else:
@@ -166,12 +166,11 @@ def is_simple(g: Graph):
     by any of its vertices v: the saturated hereditary closure of {v} lies in
     H, is nonempty and is not everything, so it is H.
     """
-    V = frozenset(g.vertices)
-    generated = {  # the members of a component share their ancestors
-        saturation(g, hereditary_closure(g, c.vertices[:1])) for c in scc_decomposition(g)
-    } - {V}
+    # the members of a component share their ancestors
+    generated = {_sh_closure(g, c & -c) for c in g._comps} - {g._full}
     if generated:
-        pair = AdmissiblePair(g, min(generated, key=g.set_key), frozenset())
+        h = min(generated, key=lambda m: (m.bit_count(), m))
+        pair = AdmissiblePair(g, g.unmask(h), frozenset())
         return SimpleVerdict("no", "nontrivial_lattice", pair=pair)
     L = condition_L(g)
     if not L.holds:
@@ -245,12 +244,13 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     if not K.holds:
         return PurelyInfiniteVerdict("no", "fails_K", vertex=K.witness)
     witnesses = []
-    cycles = g.mask(cycle_vertices(g))
     for M in maximal_tails(g):
         # a tail is forward-closed, so its cycles and their DFS stay inside it
-        on_cycle = cycles & g.mask(M)
-        for v in g.sort_set(M):
-            fed_by = g._back[g.index(v)] & on_cycle
+        m = g.mask(M)
+        on_cycle = g._cyclic & m
+        for i in bits(m):
+            v = g.vertices[i]
+            fed_by = g._back[i] & on_cycle
             if not fed_by:
                 return PurelyInfiniteVerdict(
                     "no", "tail_vertex_not_fed_by_cycle", vertex=v, tail=M
@@ -258,15 +258,15 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
             y = g.vertices[next(bits(fed_by))]
             witnesses.append(TailWitness(M, v, _find_cycle_at(g, y), _connect(g, y, v)))
     gap_sets = []
-    for v, omega_src in zip(g.vertices, g._in_src[1]):
+    for i, omega_src in enumerate(g._in_src[1]):
         if omega_src:
-            H = saturation(g, hereditary_closure(g, g.unmask(omega_src)))
-            if v in breaking_vertices_of(g, H):
-                gap_sets.append(H)
+            h = _sh_closure(g, omega_src)
+            if _breaking(g, h) >> i & 1:
+                gap_sets.append(h)
     if gap_sets:
-        H = min(gap_sets, key=g.set_key)
-        gaps = g.sort_set(breaking_vertices_of(g, H))
-        return PurelyInfiniteVerdict("no", "breaking_vertex_gap", vertex=gaps[0], h_set=H)
+        h = min(gap_sets, key=lambda m: (m.bit_count(), m))
+        gap = g.vertices[next(bits(_breaking(g, h)))]
+        return PurelyInfiniteVerdict("no", "breaking_vertex_gap", vertex=gap, h_set=g.unmask(h))
     return PurelyInfiniteVerdict("yes", witnesses=tuple(witnesses))
 
 

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse or validation failure, 2 enumeration limit
-exceeded.  Only `lattice` and `paction invariant_subsets`, whose outputs can
-be exponential, take the limit; `analyze` and `spectrum` run in polynomial time.
-Results go to stdout, diagnostics to stderr.  Identical invocations produce
-byte-identical output.
+exceeded.  Only `lattice` and `paction` (for `invariant_subsets`), whose
+outputs can be exponential, take `--limit`; `analyze` and `spectrum` run in
+polynomial time.  Results go to stdout, diagnostics to stderr.  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -283,6 +283,12 @@ def _cmd_paction(args, out) -> None:
 # -- driver -----------------------------------------------------------------------
 
 
+def _limit(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphck",
@@ -300,32 +306,35 @@ def build_parser() -> argparse.ArgumentParser:
             default="text",
             help="output format (default: text)",
         )
-        p.add_argument(
-            "--limit",
-            type=int,
-            default=DEFAULT_LIMIT,
-            help="input size guard of lattice and paction invariant_subsets "
-            f"(default: {DEFAULT_LIMIT})",
-        )
+
+    def limit(p, what):
+        doc = f"input size guard of {what} (default: {DEFAULT_LIMIT})"
+        p.add_argument("--limit", type=_limit, default=DEFAULT_LIMIT, help=doc)
 
     p = sub.add_parser("analyze", help="classification report for a graph")
+    p.set_defaults(handler=_cmd_analyze)
     p.add_argument("graph")
     common(p)
 
     p = sub.add_parser("lattice", help="admissible-pair ideal lattice")
+    p.set_defaults(handler=_cmd_lattice)
     p.add_argument("graph")
     common(p, ("text", "json", "dot"))
+    limit(p, "the lattice enumeration")
 
     p = sub.add_parser("spectrum", help="prime/primitive pair poset")
+    p.set_defaults(handler=_cmd_spectrum)
     p.add_argument("graph")
     common(p, ("text", "json", "dot"))
 
     p = sub.add_parser("quotient", help="quotient graph by an admissible pair")
+    p.set_defaults(handler=_cmd_quotient)
     p.add_argument("graph")
     p.add_argument("--pair", required=True, help='selector "H=a,b;B=c"; empty: "H=;B="')
     common(p)
 
     p = sub.add_parser("paction", help="partial-action queries on a finite T0 space")
+    p.set_defaults(handler=_cmd_paction)
     p.add_argument("action")
     p.add_argument("query", choices=_PACTION)
     p.add_argument("--point", help="point for orbit/quasi_orbit")
@@ -333,32 +342,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="comma-separated open set for decide_G_infinite")
     p.add_argument("--witness", help="decomposition JSON file for witness checks")
     common(p)
+    limit(p, "invariant_subsets")
 
     return parser
+
+
+_PARSER = build_parser()  # built once: building it costs about 20 parses
 
 
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
         # argparse prints usage errors to sys.stderr and --help to sys.stdout
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if args.limit < 1:
-        err.write("error: --limit must be at least 1\n")
-        return 1
-    handlers = {
-        "analyze": _cmd_analyze,
-        "lattice": _cmd_lattice,
-        "spectrum": _cmd_spectrum,
-        "quotient": _cmd_quotient,
-        "paction": _cmd_paction,
-    }
     try:
-        handlers[args.command](args, out)
+        args.handler(args, out)
     except _CliError as exc:
         err.write(f"error: {exc}\n")
         return exc.code

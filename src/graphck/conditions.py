@@ -9,6 +9,9 @@ cycle, so both are one pass over the components.  (K) fails on a component
 whose internal edge multiplicities (OMEGA counting as at least two) sum to
 its size.  (L) fails on such a component that also has no entrance: one
 whose vertices all have total in-degree one, so it holds all its ancestors.
+
+Vertex sets are frozensets of names at the public API and int masks in
+canonical order inside; ``_sh_closure`` is the one saturated hereditary closure.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .graphs import (
     Path,
     is_finite,
     mult_sum,
-    scc_decomposition,
 )
 from .poset import bits, union
 
@@ -49,9 +51,22 @@ def is_saturated(g: Graph, S: Iterable[str]) -> bool:
     return not _forced(g, m) & ~m
 
 
+def _sh_closure(g: Graph, m: int) -> int:
+    """Least saturated hereditary superset of m: its ancestors, then every
+    forced vertex until none is left (saturating keeps a set hereditary)."""
+    m = union(g._back, m)
+    while forced := _forced(g, m) & ~m:
+        m |= forced
+    return m
+
+
+def _is_sh(g: Graph, m: int) -> bool:
+    return union(g._back, m) == m and not _forced(g, m) & ~m
+
+
 def hereditary_closure(g: Graph, S: Iterable[str]) -> frozenset[str]:
     """Smallest hereditary superset of S: everything that reaches S."""
-    return g.ancestors_of(S)
+    return g.unmask(union(g._back, g.mask(S)))
 
 
 def saturation(g: Graph, H: Iterable[str]) -> frozenset[str]:
@@ -59,10 +74,7 @@ def saturation(g: Graph, H: Iterable[str]) -> frozenset[str]:
     H = frozenset(H)
     if not is_hereditary(g, H):
         raise ValueError(f"saturation input is not hereditary: {sorted(H)}")
-    m = g.mask(H)
-    while forced := _forced(g, m) & ~m:
-        m |= forced
-    return g.unmask(m)
+    return g.unmask(_sh_closure(g, g.mask(H)))
 
 
 def saturated_hereditary_sets(
@@ -76,11 +88,10 @@ def saturated_hereditary_sets(
     """
     if len(g.vertices) > limit:
         raise LimitExceededError(len(g.vertices), limit)
-    comps = [g.mask(c.vertices) for c in scc_decomposition(g)]
     out = []
-    for m in range(1 << len(comps)):
-        H = union(comps, m)
-        if union(g._back, H) == H and not _forced(g, H) & ~H:
+    for m in range(1 << len(g._comps)):
+        H = union(g._comps, m)
+        if _is_sh(g, H):
             out.append(H)
     out.sort(key=lambda H: (H.bit_count(), H))
     return [g.unmask(H) for H in out]
@@ -152,14 +163,13 @@ def condition_K(g: Graph) -> ConditionK:
     """Decide Condition (K); a failure carries the smallest vertex of the
     first component that is a bare cycle: its internal edge multiplicities
     sum to its size, each member has one first-return path."""
-    for comp in scc_decomposition(g):
-        m = g.mask(comp.vertices)
+    for c in g._comps:
         inner = mult_sum(
             e.mult
-            for v in comp.vertices
-            for e in g.out_edges_by_vertex[v]
-            if m >> g._index[e.rng] & 1
+            for i in bits(c)
+            for e in g.out_edges_by_vertex[g.vertices[i]]
+            if c >> g._index[e.rng] & 1
         )
-        if inner == len(comp.vertices):
-            return ConditionK(False, comp.vertices[0])
+        if inner == c.bit_count():
+            return ConditionK(False, g.vertices[next(bits(c))])
     return ConditionK(True)

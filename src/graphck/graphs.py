@@ -19,9 +19,11 @@ Vertex sets are frozensets of names at the public API.  Inside the graph
 layer they are int masks in canonical order (bit i is vertex i), and the
 graph caches one mask per vertex for its out-neighbours (``_succ``), the
 vertices it reaches (``_reach``), its ancestors (``_back``) and the sources
-of its in-edges and of its infinite in-bundles (``_in_src``).  Every
-reachability question goes through ``poset.closure``, the one closure
-routine.
+of its in-edges and of its infinite in-bundles (``_in_src``).  It also
+caches the mask of all vertices (``_full``) and the condensation: the
+component masks (``_comps``) and the mask of the vertices on a cycle
+(``_cyclic``).  Every reachability question goes through ``poset.closure``,
+the one closure routine.
 """
 
 from __future__ import annotations
@@ -250,6 +252,25 @@ class Graph:
                 omega_src[self._index[e.rng]] |= bit
         return tuple(src), tuple(omega_src)
 
+    @cached_property
+    def _full(self) -> int:
+        return (1 << len(self.vertices)) - 1
+
+    @cached_property
+    def _comps(self) -> tuple[int, ...]:
+        """Strongly connected component masks, ordered by smallest member."""
+        out, seen = [], 0
+        for i, (r, b) in enumerate(zip(self._reach, self._back)):
+            if not seen >> i & 1:
+                seen |= r & b
+                out.append(r & b)
+        return tuple(out)
+
+    @cached_property
+    def _cyclic(self) -> int:
+        """Mask of the vertices on a cycle: some successor reaches back."""
+        return sum(1 << i for i, (s, b) in enumerate(zip(self._succ, self._back)) if s & b)
+
     def geq(self, v: str, w: str) -> bool:
         """Decide v >= w: w = v, or some path runs from w to v."""
         return bool(self._reach[self.index(w)] >> self.index(v) & 1)
@@ -257,10 +278,6 @@ class Graph:
     def reachable_from(self, vs: Iterable[str]) -> frozenset[str]:
         """All vertices reachable from vs (vs included)."""
         return self.unmask(union(self._reach, self.mask(vs)))
-
-    def ancestors_of(self, vs: Iterable[str]) -> frozenset[str]:
-        """All vertices from which some member of vs is reachable."""
-        return self.unmask(union(self._back, self.mask(vs)))
 
 
 @dataclass(frozen=True)
@@ -275,24 +292,14 @@ def scc_decomposition(g: Graph) -> tuple[Component, ...]:
     A component is nontrivial exactly when it contains a cycle, i.e. it has
     more than one vertex or carries a self-loop.
     """
-    out = []
-    seen = 0
-    for i, (r, b) in enumerate(zip(g._reach, g._back)):
-        if seen >> i & 1:
-            continue
-        seen |= r & b  # the component of i, which is its smallest member
-        vs = tuple(g.vertices[j] for j in bits(r & b))
-        out.append(Component(vs, len(vs) > 1 or bool(g._succ[i] >> i & 1)))
-    return tuple(out)
+    return tuple(
+        Component(tuple(g.vertices[j] for j in bits(c)), bool(c & g._cyclic)) for c in g._comps
+    )
 
 
 def cycle_vertices(g: Graph) -> frozenset[str]:
     """Vertices lying on at least one cycle."""
-    out: set[str] = set()
-    for comp in scc_decomposition(g):
-        if comp.nontrivial:
-            out.update(comp.vertices)
-    return frozenset(out)
+    return g.unmask(g._cyclic)
 
 
 def first_return_count(g: Graph, v: str, cap: int = 2) -> int:
@@ -418,11 +425,18 @@ def parse_graph(text: str, format: str = "json") -> Graph:
     raise ValueError(f"unknown graph format {format!r}")
 
 
-def _parse_json(text: str) -> Graph:
+def decode_json(text: str, error: type[ValueError]):
+    """json.loads, raising error on malformed or too deeply nested text."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
+        raise error(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise error("invalid JSON: nested too deeply") from None
+
+
+def _parse_json(text: str) -> Graph:
+    raw = decode_json(text, GraphFormatError)
     if not isinstance(raw, dict):
         raise GraphFormatError("top level: expected a JSON object")
     vertices = raw.get("vertices")

@@ -14,6 +14,9 @@ I_{H,B} of the graph algebra.  Meets follow the closed formula
 which `pair_meet` implements.  The lattice tables read meets and joins off
 the canonical pair order instead, a linear extension of the pair order: the
 meet is the last common lower bound, the join the first common upper bound.
+
+Vertex sets are frozensets of names at the public API, including the fields
+of `AdmissiblePair`, and int masks in canonical order inside.
 """
 
 from __future__ import annotations
@@ -23,10 +26,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .conditions import hereditary_closure, is_hereditary, is_saturated, \
-    saturated_hereditary_sets, saturation
+from .conditions import _is_sh, _sh_closure, saturated_hereditary_sets
 from .graphs import DEFAULT_LIMIT, Edge, Graph
-from .poset import Poset, to_dot
+from .poset import Poset, bits, to_dot
+
+
+def _breaking(g: Graph, h: int) -> int:
+    """Mask of the infinite receivers outside the hereditary mask h fed
+    finitely (but not zero) from outside h."""
+    out = 0
+    for i, (src, omega_src) in enumerate(zip(*g._in_src)):
+        if omega_src and not omega_src & ~h and src & ~h:
+            out |= 1 << i
+    return out
 
 
 def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
@@ -35,14 +47,10 @@ def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
     This is the admissible range for the B component of a pair over H.
     """
     H = frozenset(H)
-    if not (is_hereditary(g, H) and is_saturated(g, H)):
-        raise ValueError(f"not a saturated hereditary set: {sorted(H)}")
     h = g.mask(H)
-    out = 0  # a member of the hereditary H has every source in H, so never qualifies
-    for i, (src, omega_src) in enumerate(zip(*g._in_src)):
-        if omega_src and not omega_src & ~h and src & ~h:
-            out |= 1 << i
-    return g.unmask(out)
+    if not _is_sh(g, h):
+        raise ValueError(f"not a saturated hereditary set: {sorted(H)}")
+    return g.unmask(_breaking(g, h))
 
 
 @dataclass(frozen=True)
@@ -125,13 +133,11 @@ def pair_join(p: AdmissiblePair, q: AdmissiblePair) -> AdmissiblePair:
     """
     _same_graph(p, q)
     g = p.graph
-    b = p.b | q.b
-    h = saturation(g, p.h | q.h)
-    stray = b - h - breaking_vertices_of(g, h)
-    while stray:
-        h = saturation(g, hereditary_closure(g, h | stray))
-        stray = b - h - breaking_vertices_of(g, h)
-    return AdmissiblePair(g, h, b - h)
+    b = g.mask(p.b | q.b)
+    h = _sh_closure(g, g.mask(p.h | q.h))
+    while stray := b & ~h & ~_breaking(g, h):
+        h = _sh_closure(g, h | stray)
+    return AdmissiblePair(g, g.unmask(h), g.unmask(b & ~h))
 
 
 @dataclass(frozen=True)
@@ -204,7 +210,7 @@ def admissible_pairs(g: Graph, limit: int = DEFAULT_LIMIT) -> IdealLattice:
     """All admissible pairs of g, in canonical order, as a lattice."""
     pairs = []
     for H in saturated_hereditary_sets(g, limit):
-        candidates = g.sort_set(breaking_vertices_of(g, H))
+        candidates = [g.vertices[i] for i in bits(_breaking(g, g.mask(H)))]
         for m in range(1 << len(candidates)):
             B = frozenset(candidates[i] for i in range(len(candidates)) if m >> i & 1)
             pairs.append(AdmissiblePair(g, H, B))
@@ -224,9 +230,7 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
     if p.graph != g:
         raise ValueError("pair does not belong to this graph")
     keep = [v for v in g.vertices if v not in p.h]
-    gap_vertices = [
-        v for v in g.sort_set(breaking_vertices_of(g, p.h)) if v not in p.b
-    ]
+    gap_vertices = [g.vertices[i] for i in bits(_breaking(g, g.mask(p.h)) & ~g.mask(p.b))]
     taken = set(keep)
     bar_of: dict[str, str] = {}
     for v in gap_vertices:

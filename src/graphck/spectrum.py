@@ -16,6 +16,9 @@ overall but only finitely many (and at least one) from *outside* Omega(v),
 i.e. from vertices that dominate v.  The count is over sources outside
 Omega(v); counting sources inside Omega(v) instead is a different (and here
 rejected) reading.
+
+Vertex sets are frozensets of names at the public API and int masks in
+canonical order inside; a maximal tail is a row of the ``_reach`` table.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from functools import cached_property
 from typing import Iterable
 
 from .actions import FiniteT0Space
-from .conditions import condition_K, is_hereditary, is_saturated
+from .conditions import _is_sh, condition_K
 from .graphs import Graph
-from .ideals import AdmissiblePair, breaking_vertices_of, pair_order
-from .poset import Poset, bits, check_antisymmetric, to_dot
+from .ideals import AdmissiblePair, _breaking, pair_order
+from .poset import Poset, bits, check_antisymmetric, to_dot, union
 
 
 def omega(g: Graph, xs: Iterable[str]) -> frozenset[str]:
@@ -37,27 +40,17 @@ def omega(g: Graph, xs: Iterable[str]) -> frozenset[str]:
 
     Equivalently: the complement of the set of vertices reachable from xs.
     """
-    xs = frozenset(xs)
-    if not xs:
+    m = g.mask(xs)
+    if not m:
         raise ValueError("omega needs a nonempty vertex set")
-    reachable = g.reachable_from(xs)
-    return frozenset(g.vertices) - reachable
-
-
-def is_downward_directed(g: Graph, M: Iterable[str]) -> bool:
-    """Any two members of M dominate a common member of M."""
-    M = frozenset(M)
-    return all(
-        any(g.geq(v, y) and g.geq(w, y) for y in M) for v in M for w in M
-    )
+    return g.unmask(g._full & ~union(g._reach, m))
 
 
 def is_maximal_tail(g: Graph, M: Iterable[str]) -> bool:
-    M = frozenset(M)
-    if not M:
-        return False
-    H = frozenset(g.vertices) - M
-    return is_hereditary(g, H) and is_saturated(g, H) and is_downward_directed(g, M)
+    """M is the set reachable from one vertex and its complement is saturated
+    hereditary (see maximal_tails)."""
+    m = g.mask(M)
+    return m in g._reach and _is_sh(g, g._full & ~m)
 
 
 def maximal_tails(g: Graph) -> list[frozenset[str]]:
@@ -69,18 +62,17 @@ def maximal_tails(g: Graph) -> list[frozenset[str]]:
     upward closed and downward directed, and its complement is hereditary;
     it is a maximal tail iff that complement is saturated.
     """
-    V = frozenset(g.vertices)
-    tails = [M for M in {g.reachable_from([y]) for y in V} if is_saturated(g, V - M)]
-    tails.sort(key=lambda M: (-len(M), g.mask(M)))
-    return tails
+    tails = {M for M in g._reach if _is_sh(g, g._full & ~M)}
+    return [g.unmask(M) for M in sorted(tails, key=lambda M: (-M.bit_count(), M))]
 
 
 def breaking_vertices(g: Graph) -> list[str]:
     """Vertices with infinite in-degree that break over their own omega set."""
     out = []
-    for v, omega_src in zip(g.vertices, g._in_src[1]):
-        # breaking_vertices_of raises unless omega(v) is saturated hereditary
-        if omega_src and v in breaking_vertices_of(g, omega(g, [v])):
+    for i, (v, omega_src) in enumerate(zip(g.vertices, g._in_src[1])):
+        # omega(v) is the complement of what v reaches, hence hereditary, and
+        # saturated because an infinite receiver is never forced into it
+        if omega_src and _breaking(g, g._full & ~g._reach[i]) >> i & 1:
             out.append(v)
     return out
 
@@ -113,12 +105,14 @@ def prime_points(g: Graph) -> list[PrimPoint]:
     """One point per maximal tail, then one per breaking vertex."""
     points = []
     for M in maximal_tails(g):
-        H = frozenset(g.vertices) - M
-        points.append(PrimPoint("tail", M, None, AdmissiblePair(g, H, breaking_vertices_of(g, H))))
+        h = g._full & ~g.mask(M)
+        pair = AdmissiblePair(g, g.unmask(h), g.unmask(_breaking(g, h)))
+        points.append(PrimPoint("tail", M, None, pair))
     for v in breaking_vertices(g):
-        H = omega(g, [v])
-        B = breaking_vertices_of(g, H) - {v}
-        points.append(PrimPoint("breaking", None, v, AdmissiblePair(g, H, B)))
+        i = g.index(v)
+        h = g._full & ~g._reach[i]
+        pair = AdmissiblePair(g, g.unmask(h), g.unmask(_breaking(g, h) & ~(1 << i)))
+        points.append(PrimPoint("breaking", None, v, pair))
     return points
 
 

@@ -177,14 +177,15 @@ def test_limit_exit_2(tmp_path):
     big.write_text(json.dumps({"vertices": [f"v{i}" for i in range(17)], "edges": []}))
     code, _, err = invoke("lattice", str(big))
     assert code == 2 and "--limit" in err
-    # analyze and spectrum enumerate no subsets, so the limit does not apply
+    code, out, err = invoke("lattice", str(big), "--limit", "0")
+    assert (code, out) == (1, "") and "--limit: must be a positive integer, got '0'" in err
+    # analyze and spectrum enumerate no subsets, so they take no limit
     for cmd in ("analyze", "spectrum"):
         code, _, _ = invoke(cmd, str(big))
         assert code == 0
-    code, _, _ = invoke("spectrum", str(big), "--limit", "17")
-    assert code == 0
-    code, _, err = invoke("analyze", str(big), "--limit", "0")
-    assert code == 1
+        code, out, err = invoke(cmd, str(big), "--limit", "17")
+        assert (code, out) == (1, "") and err.startswith("usage: graphck")
+        assert "unrecognized arguments: --limit 17" in err
     # paction invariant_subsets guards the number of points, not of sets:
     # a 17-cycle has two invariant subsets
     pts = [f"p{i}" for i in range(17)]
@@ -195,6 +196,44 @@ def test_limit_exit_2(tmp_path):
     assert code == 2 and "--limit" in err
     code, out, _ = invoke("paction", str(action), "invariant_subsets", "--limit", "17")
     assert code == 0 and out.startswith("invariant subsets: 2\n")
+
+
+def test_parser_built_once_parses_like_a_fresh_one(tmp_path, monkeypatch):
+    import graphck.cli as cli
+
+    action = make_action(tmp_path)
+    E6 = str(CORPUS_DIR / "e6.json")  # three vertices
+    calls = [
+        ["paction", action, "nope"],
+        ["paction", action, "orbit", "--point", "1"],
+        ["paction", action, "is_minimal"],
+        ["lattice", E6, "--limit", "2"],
+        ["lattice", E6],
+    ]
+    reused = [invoke(*argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(invoke(*argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0, 0, 2, 0]
+    assert reused[1][1] == "orbit(1) = {1,2,3}\n"
+
+
+def test_deeply_nested_json_exits_1(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    action = make_action(tmp_path)
+    for argv in (
+        ["analyze", str(deep)],
+        ["lattice", str(deep)],
+        ["paction", str(deep), "is_minimal"],
+        ["paction", action, "check_infinite_witness", "--witness", str(deep)],
+    ):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and "nested too deeply" in err
+        assert "Traceback" not in err
 
 
 def test_analyze_and_spectrum_enumerate_no_subsets(tmp_path, monkeypatch, corpus):

@@ -22,6 +22,7 @@ from graphck import (
 from hypothesis import given, strategies as st
 
 from util import (
+    all_subsets,
     brute_condition_L,
     brute_is_hereditary,
     brute_is_saturated,
@@ -143,6 +144,17 @@ def test_sh_sets_match_brute_force(corpus):
         for A in fast:
             for B in fast:
                 assert A & B in set(fast)
+
+
+def test_saturated_hereditary_closure_is_least_sh_superset(corpus):
+    rng = random.Random(41)
+    makers = (random_graph, random_omega_graph, random_looped_graph)
+    graphs = list(corpus.values()) + [makers[i % 3](rng, max_n=6) for i in range(150)]
+    for g in graphs:
+        sh = sorted(brute_sh_sets(g), key=len)
+        for S in all_subsets(g.vertices):
+            least = next(H for H in sh if S <= H)
+            assert saturation(g, hereditary_closure(g, S)) == least
 
 
 def test_sh_sets_strongly_connected():

@@ -21,6 +21,7 @@ from graphck import (
 )
 
 from util import (
+    all_subsets,
     brute_maximal_tails,
     meet_of_primes_above,
     random_graph,
@@ -56,12 +57,15 @@ def test_maximal_tails_match_brute_force(corpus):
     makers = (random_graph, random_omega_graph, random_looped_graph)
     graphs = list(corpus.values()) + [makers[i % 3](rng, max_n=6) for i in range(240)]
     for g in graphs:
+        brute = brute_maximal_tails(g)
         tails = maximal_tails(g)
-        assert tails == sorted(brute_maximal_tails(g), key=lambda M: (-len(M), g.mask(M)))
+        assert tails == sorted(brute, key=lambda M: (-len(M), g.mask(M)))
         for M in tails:
-            assert is_maximal_tail(g, M)
             H = frozenset(g.vertices) - M
             assert is_hereditary(g, H) and is_saturated(g, H)
+        # every subset, so the sets that are not maximal tails are checked too
+        for M in all_subsets(g.vertices):
+            assert is_maximal_tail(g, M) == (M in brute)
 
 
 def test_breaking_vertices_examples(corpus):
