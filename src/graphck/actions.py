@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import DEFAULT_LIMIT, LimitExceededError, decode_json
-from .poset import Poset, bits, check_antisymmetric, closure, union
+from .poset import Poset, bits, check_antisymmetric, clip, closure, union
 
 Letter = tuple[str, int]  # (generator name, +1 or -1)
 Word = Union[str, int, Sequence[Letter]]
@@ -34,6 +34,13 @@ Word = Union[str, int, Sequence[Letter]]
 
 class ActionFormatError(ValueError):
     """Raised when action or witness input violates the format."""
+
+
+def _check_known(index: dict, message: str, *groups: Iterable[str]) -> None:
+    """Raise naming the least unknown point of the groups in sorted order: the
+    order in which a set iterates depends on the hash seed."""
+    if unknown := set().union(*groups) - index.keys():
+        raise ActionFormatError(f"{message} {clip(min(unknown))}")
 
 
 @dataclass(frozen=True)
@@ -47,13 +54,11 @@ class FiniteT0Space:
         index = {}
         for i, p in enumerate(self.points):
             if p in index:
-                raise ActionFormatError(f"point {p!r}: duplicate id")
+                raise ActionFormatError(f"point {clip(p)}: duplicate id")
             index[p] = i
+        _check_known(index, "specialization pair names unknown point", *self.closure_pairs)
         succ = [0] * len(self.points)
         for p, q in self.closure_pairs:
-            for x in (p, q):
-                if x not in index:
-                    raise ActionFormatError(f"specialization pair names unknown point {x!r}")
             succ[index[p]] |= 1 << index[q]
         # reflexive-transitive closure, then antisymmetry = T0
         up = closure(succ)
@@ -142,7 +147,7 @@ class PartialHomeo:
         index, pts = sp.index, sp.points
         for x in [x for x, _ in self.pairs] + [y for _, y in self.pairs]:
             if x not in index:
-                raise ActionFormatError(f"map names unknown point {x!r}")
+                raise ActionFormatError(f"map names unknown point {clip(x)}")
         fwd, inv, order = [-1] * len(pts), [-1] * len(pts), []
         repeat = clash = False
         dom = img = 0
@@ -158,9 +163,9 @@ class PartialHomeo:
         if clash:
             raise ActionFormatError("map is not injective")
         if sp._interior(dom) != dom:
-            raise ActionFormatError(f"map domain is not open: {sorted(sp.unmask(dom))}")
+            raise ActionFormatError(f"map domain is not open: {clip(sorted(sp.unmask(dom)))}")
         if sp._interior(img) != img:
-            raise ActionFormatError(f"map image is not open: {sorted(sp.unmask(img))}")
+            raise ActionFormatError(f"map image is not open: {clip(sorted(sp.unmask(img)))}")
         # theta preserves and reflects specialization at x exactly when the
         # points above x in the domain are the pull-back of those above theta(x)
         up = sp._up
@@ -172,7 +177,7 @@ class PartialHomeo:
             if bad:  # name the first offending pair in input order
                 y = min(bits(bad), key=order.index)
                 raise ActionFormatError(
-                    f"map is not an order isomorphism at {pts[i]!r}, {pts[y]!r}"
+                    f"map is not an order isomorphism at {clip(pts[i])}, {clip(pts[y])}"
                 )
         pairs = tuple((pts[i], pts[j]) for i, j in enumerate(fwd) if j >= 0)
         object.__setattr__(self, "pairs", pairs)
@@ -226,7 +231,7 @@ class FinitePartialAction:
             m = _GROUP_RE.match(self.group)
             if not m:
                 raise ActionFormatError(
-                    f"unsupported group {self.group!r}: use \"Z\" or \"F<k>\" "
+                    f"unsupported group {clip(self.group)}: use \"Z\" or \"F<k>\" "
                     f"(higher-rank integer lattices admit no canonical generated action)"
                 )
             rank = int(m.group(1))
@@ -238,7 +243,7 @@ class FinitePartialAction:
             raise ActionFormatError("generator names repeat")
         for name in self.generator_names:
             if not name or name == "e" or any(c.isspace() for c in name):
-                raise ActionFormatError(f"bad generator name {name!r}")
+                raise ActionFormatError(f"bad generator name {clip(name)}")
         for gen in self.generators:
             if gen.space != self.space:
                 raise ActionFormatError("generator lives on a different space")
@@ -271,31 +276,27 @@ class FinitePartialAction:
                 elif re.fullmatch(r"-?\d+", tok):
                     if self.group != "Z":
                         raise ActionFormatError(
-                            f"bare integer token {tok!r} is only defined over Z"
+                            f"bare integer token {clip(tok)} is only defined over Z"
                         )
                     name, exp = self.generator_names[0], int(tok)
                 else:
                     name, exp = tok, 1
                 if name not in self._by_name:
-                    raise ActionFormatError(f"unknown generator {name!r} in word")
+                    raise ActionFormatError(f"unknown generator {clip(name)} in word")
                 sign = 1 if exp > 0 else -1
                 letters.extend((name, sign) for _ in range(abs(exp)))
             return tuple(letters)
         letters = []
         for name, exp in word:
             if name not in self._by_name:
-                raise ActionFormatError(f"unknown generator {name!r} in word")
+                raise ActionFormatError(f"unknown generator {clip(name)} in word")
             if exp not in (1, -1):
                 raise ActionFormatError("explicit letters need exponent +1 or -1")
             letters.append((name, exp))
         return tuple(letters)
 
     def reduce_word(self, letters: Sequence[Letter]) -> tuple[Letter, ...]:
-        if self.group == "Z":
-            total = sum(exp for _, exp in letters)
-            name = self.generator_names[0] if self.generator_names else None
-            sign = 1 if total > 0 else -1
-            return tuple((name, sign) for _ in range(abs(total)))
+        """Free reduction; over Z's one generator it leaves |exponent sum| letters."""
         out: list[Letter] = []
         for letter in letters:
             if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
@@ -341,7 +342,7 @@ class FinitePartialAction:
 
     def _point(self, x: str) -> int:
         if x not in self.space.index:
-            raise ActionFormatError(f"unknown point {x!r}")
+            raise ActionFormatError(f"unknown point {clip(x)}")
         return self.space.index[x]
 
     def orbit(self, x: str) -> frozenset[str]:
@@ -544,10 +545,7 @@ def _check_common(
 ) -> tuple[Optional[Violation], list[frozenset[str]]]:
     """Clauses shared by both notions; returns images when all of them hold."""
     sp = a.space
-    for S in [d.v] + [part for part, _ in d.parts]:
-        for p in S:
-            if p not in sp.index:
-                raise ActionFormatError(f"decomposition names unknown point {p!r}")
+    _check_known(sp.index, "decomposition names unknown point", d.v, *(p for p, _ in d.parts))
     if not sp.is_open(d.v):
         return Violation("v_not_open", f"V={sorted(d.v)} is not open"), []
     images = []
@@ -670,13 +668,11 @@ def check_infinite_witness(a: FinitePartialAction, d: Decomposition) -> WitnessC
 def decide_G_infinite(a: FinitePartialAction, V: Iterable[str]) -> GInfiniteDecision:
     """On a finite carrier no nonempty open set is ever G-infinite."""
     V = frozenset(V)
-    for p in V:
-        if p not in a.space.index:
-            raise ActionFormatError(f"unknown point {p!r}")
+    _check_known(a.space.index, "unknown point", V)
     if not V:
         raise ValueError("V must be nonempty")
     if not a.space.is_open(V):
-        raise ValueError(f"V={sorted(V)} is not open")
+        raise ValueError(f"V={clip(sorted(V))} is not open")
     n = len(V)
     detail = (
         f"any cover of V by parts V_i satisfies sum |V_i| >= |V| = {n}; "
@@ -704,7 +700,7 @@ def action_from_json_obj(raw: dict) -> FinitePartialAction:
     for p in points:
         reserved = [c for c in ",;" if c in p]  # set separators in outputs and --set
         if reserved:
-            raise ActionFormatError(f"point {p!r}: reserved character {reserved[0]!r} in id")
+            raise ActionFormatError(f"point {clip(p)}: reserved character {reserved[0]!r} in id")
     spec = raw.get("specialization", [])
     if not isinstance(spec, list):
         raise ActionFormatError('"specialization": expected a list of pairs')

@@ -18,8 +18,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .conditions import _sh_closure, condition_K, condition_L
-from .graphs import Graph, OMEGA, Path
+from .conditions import ConditionL, CycleWitness, _sh_closure, condition_K, condition_L
+from .graphs import Graph, Path
 from .ideals import AdmissiblePair, _breaking
 from .poset import bits
 from .spectrum import maximal_tails
@@ -258,7 +258,7 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
             y = g.vertices[next(bits(fed_by))]
             witnesses.append(TailWitness(M, v, _find_cycle_at(g, y), _connect(g, y, v)))
     gap_sets = []
-    for i, omega_src in enumerate(g._in_src[1]):
+    for i, omega_src in enumerate(g._in.omega):
         if omega_src:
             h = _sh_closure(g, omega_src)
             if _breaking(g, h) >> i & 1:
@@ -271,28 +271,32 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
 
 
 def classify(g: Graph) -> ClassificationReport:
-    L = condition_L(g)
-    K = condition_K(g)
-
-    finite_graph = all(e.mult != OMEGA for e in g.edges)
-    if finite_graph:
-        dual_tf = "yes" if L.holds else "no"
+    # (K) is decided once, by is_purely_infinite: fails_K exactly when it fails.
+    # (L) is read off is_simple, unless a nontrivial lattice decided that first.
+    simple, purely_infinite = is_simple(g), is_purely_infinite(g)
+    if simple.reason_kind == "nontrivial_lattice":
+        L = condition_L(g)
+    elif simple.reason_kind == "condition_L_fails":
+        L = ConditionL(False, CycleWitness.for_cycle(g, simple.cycle))
     else:
-        dual_tf = "unknown"  # the equivalence is only available for finite graphs
+        L = ConditionL(True)
+    K_fails = purely_infinite.reason_kind == "fails_K"
+    # the equivalence is only available for finite graphs
+    dual_tf = "unknown" if any(g._in.omega) else "yes" if L.holds else "no"
 
     return ClassificationReport(
         graph=g,
         aperiodic=L.holds,
-        residually_aperiodic=K.holds,
+        residually_aperiodic=not K_fails,
         intersection_property=L.holds,
-        residual_intersection=K.holds,
+        residual_intersection=not K_fails,
         exact=True,  # integer grading; amenable groups give exact bundles
-        ideal_property_of_crossproduct="yes" if K.holds else "unknown",
+        ideal_property_of_crossproduct="unknown" if K_fails else "yes",
         dual_system_topologically_free=dual_tf,
-        simple=is_simple(g),
-        purely_infinite=is_purely_infinite(g),
+        simple=simple,
+        purely_infinite=purely_infinite,
         condition_L_witness=L.witness,
-        condition_K_witness=K.witness,
+        condition_K_witness=purely_infinite.vertex if K_fails else None,
     )
 
 

@@ -27,6 +27,7 @@ from .graphs import (
     parse_graph,
     serialize_graph,
 )
+from .poset import clip
 
 
 class _CliError(Exception):
@@ -63,14 +64,14 @@ def _parse_pair_selector(g: Graph, text: str) -> idl.AdmissiblePair:
     """Selector grammar: "H=a,b;B=c" with empty parts allowed ("H=;B=")."""
     parts = text.split(";")
     if len(parts) != 2 or not parts[0].startswith("H=") or not parts[1].startswith("B="):
-        raise _CliError(f'bad pair selector {text!r}: expected "H=...;B=..."')
+        raise _CliError(f'bad pair selector {clip(text)}: expected "H=...;B=..."')
     sets = []
     for chunk in parts:
         body = chunk[2:]
         names = [x for x in body.split(",") if x] if body else []
         for x in names:
             if x not in g.vertices:
-                raise _CliError(f"pair selector names unknown vertex {x!r}")
+                raise _CliError(f"pair selector names unknown vertex {clip(x)}")
         sets.append(frozenset(names))
     try:
         return idl.AdmissiblePair(g, sets[0], sets[1])
@@ -82,7 +83,7 @@ def _parse_point_set(a: act.FinitePartialAction, text: str) -> frozenset[str]:
     names = [x for x in text.split(",") if x] if text else []
     for x in names:
         if x not in a.space.index:
-            raise _CliError(f"unknown point {x!r}")
+            raise _CliError(f"unknown point {clip(x)}")
     return frozenset(names)
 
 
@@ -136,8 +137,6 @@ def _sorted_list(a: act.FinitePartialAction, S) -> list[str]:
 def _point_set(a: act.FinitePartialAction, args) -> dict:
     if args.point is None:
         raise _CliError(f"{args.query} needs --point")
-    if args.point not in a.space.index:
-        raise _CliError(f"unknown point {args.point!r}")
     S = getattr(a, args.query)(args.point)  # a.orbit or a.quasi_orbit
     return {"query": args.query, "point": args.point, "set": _sorted_list(a, S)}
 
@@ -285,7 +284,7 @@ def _cmd_paction(args, out) -> None:
 
 def _limit(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {clip(text)}")
     return int(text)
 
 

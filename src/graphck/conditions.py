@@ -5,10 +5,10 @@ a cycle vertex r(mu_k).  Condition (K): every vertex has zero or at least two
 first-return paths.  Both tests return explicit witnesses on failure.
 
 Both fail only on a strongly connected component that is a bare simple
-cycle, so both are one pass over the components.  (K) fails on a component
-whose internal edge multiplicities (OMEGA counting as at least two) sum to
-its size.  (L) fails on such a component that also has no entrance: one
-whose vertices all have total in-degree one, so it holds all its ancestors.
+cycle, read off the graph's in-edge table.  (K) fails on the first component
+each of whose members has exactly one source inside it, not repeated (so
+the component is cyclic).  (L) fails on such a component with no entrance:
+its vertices all have in-degree one (one source, not repeated).
 
 Vertex sets are frozensets of names at the public API and int masks in
 canonical order inside; ``_sh_closure`` is the one saturated hereditary closure.
@@ -19,16 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import (
-    DEFAULT_LIMIT,
-    Edge,
-    Graph,
-    LimitExceededError,
-    Path,
-    is_finite,
-    mult_sum,
-)
-from .poset import bits, union
+from .graphs import DEFAULT_LIMIT, Edge, Graph, LimitExceededError, Path
+from .poset import bits, clip, union
 
 
 def is_hereditary(g: Graph, S: Iterable[str]) -> bool:
@@ -38,10 +30,10 @@ def is_hereditary(g: Graph, S: Iterable[str]) -> bool:
 
 def _forced(g: Graph, m: int) -> int:
     """Mask of the vertices with finite nonzero in-degree whose in-edges all
-    start in m: no OMEGA source, some source, every source in m."""
+    start in m: no omega source, some source, every source in m."""
     out = 0
-    for i, (src, omega_src) in enumerate(zip(*g._in_src)):
-        if src and not omega_src and not src & ~m:
+    for i, (src, omega) in enumerate(zip(g._in.src, g._in.omega)):
+        if src and not omega and not src & ~m:
             out |= 1 << i
     return out
 
@@ -73,7 +65,7 @@ def saturation(g: Graph, H: Iterable[str]) -> frozenset[str]:
     """Least saturated superset of a hereditary H; stays hereditary."""
     H = frozenset(H)
     if not is_hereditary(g, H):
-        raise ValueError(f"saturation input is not hereditary: {sorted(H)}")
+        raise ValueError(f"saturation input is not hereditary: {clip(sorted(H))}")
     return g.unmask(_sh_closure(g, g.mask(H)))
 
 
@@ -116,16 +108,10 @@ def cycle_entrances(g: Graph, cycle: Path) -> tuple[Edge, ...]:
 
     A multiplicity >= 2 cycle edge counts: its parallel copy is an entrance.
     """
-    used = set(cycle.edge_ids)
-    heads = {v for v in cycle.walk_vertices()}
-    out = []
-    for e in g.edges:  # canonical edge order keeps the output deterministic
-        if e.rng in heads:
-            if e.id not in used:
-                out.append(e)
-            elif not is_finite(e.mult) or e.mult >= 2:
-                out.append(e)  # a parallel copy of a cycle edge
-    return tuple(out)
+    used, heads = set(cycle.edge_ids), set(cycle.walk_vertices())
+    # canonical edge order keeps the output deterministic; a cycle edge of
+    # multiplicity other than one counts for its parallel copy
+    return tuple(e for e in g.edges if e.rng in heads and (e.id not in used or e.mult != 1))
 
 
 @dataclass(frozen=True)
@@ -139,7 +125,8 @@ def condition_L(g: Graph) -> ConditionL:
     one among the ancestors of the first vertex whose ancestors all have
     in-degree one, read backwards along unique in-edges from its smallest
     vertex."""
-    deg1 = g.mask(v for v in g.vertices if g.in_degree(v) == 1)
+    src, repeated = g._in.src, g._in.repeated
+    deg1 = sum(1 << i for i, s in enumerate(src) if s.bit_count() == 1 and not repeated[i])
     for back in g._back:
         if back & ~deg1:
             continue
@@ -161,15 +148,10 @@ class ConditionK:
 
 def condition_K(g: Graph) -> ConditionK:
     """Decide Condition (K); a failure carries the smallest vertex of the
-    first component that is a bare cycle: its internal edge multiplicities
-    sum to its size, each member has one first-return path."""
+    first component that is a bare cycle (see the module docstring): each
+    member has one first-return path."""
+    src, repeated = g._in.src, g._in.repeated
     for c in g._comps:
-        inner = mult_sum(
-            e.mult
-            for i in bits(c)
-            for e in g.out_edges_by_vertex[g.vertices[i]]
-            if c >> g._index[e.rng] & 1
-        )
-        if inner == c.bit_count():
+        if all((src[i] & c).bit_count() == 1 and not repeated[i] & c for i in bits(c)):
             return ConditionK(False, g.vertices[next(bits(c))])
     return ConditionK(True)

@@ -18,12 +18,17 @@ multiplicity m or as m parallel edges.
 Vertex sets are frozensets of names at the public API.  Inside the graph
 layer they are int masks in canonical order (bit i is vertex i), and the
 graph caches one mask per vertex for its out-neighbours (``_succ``), the
-vertices it reaches (``_reach``), its ancestors (``_back``) and the sources
-of its in-edges and of its infinite in-bundles (``_in_src``).  It also
+vertices it reaches (``_reach``) and its ancestors (``_back``).  It also
 caches the mask of all vertices (``_full``) and the condensation: the
 component masks (``_comps``) and the mask of the vertices on a cycle
 (``_cyclic``).  Every reachability question goes through ``poset.closure``,
 the one closure routine.
+
+Every multiplicity question reads the in-edge table ``_in``, built in one
+pass over the edges, by field name.  Per vertex it holds the masks of its
+in-edge sources (``src``), of its OMEGA sources (``omega``) and of its
+*repeated* sources (``repeated``), which send it more than one edge: by
+multiplicity two or more, OMEGA, or parallel records.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from typing import Iterable, Union
 
-from .poset import Poset, bits, closure, union
+from .poset import Poset, bits, clip, closure, union
 
 DEFAULT_LIMIT = 16
 
@@ -118,10 +123,10 @@ def _parse_mult(token, where: str) -> Mult:
         return OMEGA
     if isinstance(token, bool) or not isinstance(token, int):
         raise GraphFormatError(
-            f"{where}: multiplicity must be a positive integer or \"omega\", got {token!r}"
+            f"{where}: multiplicity must be a positive integer or \"omega\", got {clip(token)}"
         )
     if token <= 0:
-        raise GraphFormatError(f"{where}: multiplicity must be positive, got {token}")
+        raise GraphFormatError(f"{where}: multiplicity must be positive, got {clip(token)}")
     return token
 
 
@@ -131,6 +136,15 @@ class Edge:
     src: str
     rng: str
     mult: Mult = 1
+
+
+@dataclass(frozen=True, slots=True)
+class InTable:
+    """Per-vertex in-edge source masks; see the module docstring."""
+
+    src: tuple[int, ...]
+    omega: tuple[int, ...]
+    repeated: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -144,22 +158,24 @@ class Graph:
         seen = set()
         for v in self.vertices:
             if v in seen:
-                raise GraphFormatError(f"vertex {v!r}: duplicate id")
+                raise GraphFormatError(f"vertex {clip(v)}: duplicate id")
             reserved = [c for c in ",;" if c in v]  # set separators in labels and selectors
             if reserved:
-                raise GraphFormatError(f"vertex {v!r}: reserved character {reserved[0]!r} in id")
+                raise GraphFormatError(
+                    f"vertex {clip(v)}: reserved character {reserved[0]!r} in id"
+                )
             seen.add(v)
         eids = set()
         for e in self.edges:
             if e.id in eids:
-                raise GraphFormatError(f"edge {e.id!r}: duplicate id")
+                raise GraphFormatError(f"edge {clip(e.id)}: duplicate id")
             eids.add(e.id)
             for endpoint in (e.src, e.rng):
                 if endpoint not in seen:
                     raise GraphFormatError(
-                        f"edge {e.id!r}: dangling endpoint {endpoint!r}"
+                        f"edge {clip(e.id)}: dangling endpoint {clip(endpoint)}"
                     )
-            _parse_mult(e.mult, f"edge {e.id!r}")
+            _parse_mult(e.mult, f"edge {clip(e.id)}")
 
     # -- canonical order helpers -------------------------------------------
 
@@ -171,7 +187,7 @@ class Graph:
         try:
             return self._index[v]
         except KeyError:
-            raise KeyError(f"unknown vertex {v!r}") from None
+            raise KeyError(f"unknown vertex {clip(v)}") from None
 
     def sort_set(self, vs: Iterable[str]) -> tuple[str, ...]:
         """Vertices of vs in canonical order."""
@@ -240,17 +256,18 @@ class Graph:
         return Poset(self._reach).down
 
     @cached_property
-    def _in_src(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per vertex, the mask of its in-edge sources, and the mask of the
-        sources of its OMEGA in-edges."""
-        src = [0] * len(self.vertices)
-        omega_src = [0] * len(self.vertices)
+    def _in(self) -> InTable:
+        """The in-edge table (see the module docstring), in one pass."""
+        n = len(self.vertices)
+        src, omega, repeated = [0] * n, [0] * n, [0] * n
         for e in self.edges:
-            bit = 1 << self._index[e.src]
-            src[self._index[e.rng]] |= bit
+            bit, r = 1 << self._index[e.src], self._index[e.rng]
+            if e.mult != 1 or src[r] & bit:
+                repeated[r] |= bit
             if isinstance(e.mult, Omega):
-                omega_src[self._index[e.rng]] |= bit
-        return tuple(src), tuple(omega_src)
+                omega[r] |= bit
+            src[r] |= bit
+        return InTable(tuple(src), tuple(omega), tuple(repeated))
 
     @cached_property
     def _full(self) -> int:
@@ -317,7 +334,7 @@ def first_return_count(g: Graph, v: str, cap: int = 2) -> int:
     succ = [s & ~bit for s in g._succ]
     reach = closure(succ)  # walks that never enter v
     # the region: vertices on some v -> ... -> v walk avoiding v internally
-    into_v = g._in_src[0][i] & ~bit
+    into_v = g._in.src[i] & ~bit
     region = 0
     for u in bits(union(reach, succ[i])):
         if reach[u] & into_v:
@@ -485,7 +502,7 @@ def _parse_edgelist(text: str) -> Graph:
             if len(tokens) != 2:
                 raise GraphFormatError(f"{where}: expected 'vertex <id>'")
             if tokens[1] in declared:
-                raise GraphFormatError(f"{where}: vertex {tokens[1]!r}: duplicate id")
+                raise GraphFormatError(f"{where}: vertex {clip(tokens[1])}: duplicate id")
             declared.add(tokens[1])
             vertices.append(tokens[1])
             continue
@@ -494,19 +511,12 @@ def _parse_edgelist(text: str) -> Graph:
         src, rng, mtok = tokens
         for endpoint in (src, rng):
             if endpoint not in declared:
-                raise GraphFormatError(f"{where}: dangling endpoint {endpoint!r}")
-        if mtok == "omega":
-            mult: Mult = OMEGA
-        else:
-            try:
-                mult = int(mtok)
-            except ValueError:
-                raise GraphFormatError(
-                    f"{where}: multiplicity must be a positive integer or \"omega\", "
-                    f"got {mtok!r}"
-                ) from None
-            mult = _parse_mult(mult, where)
-        edges.append(Edge(id=f"e{k}", src=src, rng=rng, mult=mult))
+                raise GraphFormatError(f"{where}: dangling endpoint {clip(endpoint)}")
+        try:
+            token = int(mtok)
+        except ValueError:
+            token = mtok  # "omega", or a bad token that _parse_mult names
+        edges.append(Edge(id=f"e{k}", src=src, rng=rng, mult=_parse_mult(token, where)))
         k += 1
     return Graph(vertices=tuple(vertices), edges=tuple(edges))
 

@@ -28,15 +28,15 @@ from typing import Iterable, Sequence
 
 from .conditions import _is_sh, _sh_closure, saturated_hereditary_sets
 from .graphs import DEFAULT_LIMIT, Edge, Graph
-from .poset import Poset, bits, to_dot
+from .poset import Poset, bits, clip, to_dot
 
 
 def _breaking(g: Graph, h: int) -> int:
     """Mask of the infinite receivers outside the hereditary mask h fed
     finitely (but not zero) from outside h."""
     out = 0
-    for i, (src, omega_src) in enumerate(zip(*g._in_src)):
-        if omega_src and not omega_src & ~h and src & ~h:
+    for i, (src, omega) in enumerate(zip(g._in.src, g._in.omega)):
+        if omega and not omega & ~h and src & ~h:
             out |= 1 << i
     return out
 
@@ -49,7 +49,7 @@ def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
     H = frozenset(H)
     h = g.mask(H)
     if not _is_sh(g, h):
-        raise ValueError(f"not a saturated hereditary set: {sorted(H)}")
+        raise ValueError(f"not a saturated hereditary set: {clip(sorted(H))}")
     return g.unmask(_breaking(g, h))
 
 
@@ -72,7 +72,7 @@ class AdmissiblePair:
         if extra:
             raise ValueError(
                 f"B contains vertices outside the admissible range for H: "
-                f"{sorted(extra)}"
+                f"{clip(sorted(extra))}"
             )
 
     @property

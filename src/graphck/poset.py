@@ -46,12 +46,20 @@ def closure(succ: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def clip(value) -> str:
+    """repr(value) cut to 80 characters: diagnostics echo input of any size."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def check_antisymmetric(up: Sequence[int], names: Sequence[str]) -> None:
     """Raise ValueError naming the first i < j with i <= j and j <= i."""
     for i, m in enumerate(up):
         for j in bits(m >> (i + 1)):
             if up[i + 1 + j] >> i & 1:
-                raise ValueError(f"not antisymmetric: {names[i]!r} and {names[i + 1 + j]!r}")
+                raise ValueError(
+                    f"not antisymmetric: {clip(names[i])} and {clip(names[i + 1 + j])}"
+                )
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ def maximal_tails(g: Graph) -> list[frozenset[str]]:
 def breaking_vertices(g: Graph) -> list[str]:
     """Vertices with infinite in-degree that break over their own omega set."""
     out = []
-    for i, (v, omega_src) in enumerate(zip(g.vertices, g._in_src[1])):
+    for i, (v, omega_src) in enumerate(zip(g.vertices, g._in.omega)):
         # omega(v) is the complement of what v reaches, hence hereditary, and
         # saturated because an infinite receiver is never forced into it
         if omega_src and _breaking(g, g._full & ~g._reach[i]) >> i & 1:

@@ -218,6 +218,13 @@ def test_element_map_integer_words():
     assert a.element_map(-1).mapping == gen.inverse().mapping
     assert a.element_map("3").mapping == a.element_map(0).mapping != {}
     assert a.element_map("t^-2").mapping == a.element_map(-2).mapping
+    # free reduction over the one generator leaves the exponent sum
+    rng = random.Random(9)
+    for _ in range(300):
+        letters = tuple(("t", rng.choice((1, -1))) for _ in range(rng.randint(0, 12)))
+        total = sum(exp for _, exp in letters)
+        assert a.reduce_word(letters) == (("t", 1 if total > 0 else -1),) * abs(total)
+        assert a.element_map(letters).mapping == a.element_map(total).mapping
 
 
 def test_free_reduction():

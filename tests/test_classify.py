@@ -2,6 +2,9 @@
 
 import json
 import random
+import sys
+from collections import Counter
+from dataclasses import replace
 
 import jsonschema
 from graphck import (
@@ -10,6 +13,7 @@ from graphck import (
     breaking_vertices_of,
     classify,
     condition_K,
+    condition_L,
     first_return_count,
     is_purely_infinite,
     is_simple,
@@ -245,3 +249,60 @@ def test_report_text_renders(corpus):
     assert "purely infinite" in text and "not fed by a cycle" in text
     text2 = report_to_text(classify(corpus["e2"]))
     assert "entrance-less cycle" in text2
+
+
+def split_records(g: Graph) -> Graph:
+    """g with every finite multiplicity-m edge split into m parallel records."""
+    edges = []
+    for e in g.edges:
+        if isinstance(e.mult, int) and e.mult > 1:
+            edges += [replace(e, id=f"{e.id}.{k}", mult=1) for k in range(e.mult)]
+        else:
+            edges.append(e)
+    return Graph(g.vertices, tuple(edges))
+
+
+def graphs_and_splits(seed, n):
+    """n seeded random_graph and random_omega_graph graphs, each followed by
+    its split_records copy."""
+    rng = random.Random(seed)
+    for kind in (random_graph, random_omega_graph):
+        for _ in range(n // 2):
+            g = kind(rng)
+            yield g
+            yield split_records(g)
+
+
+def test_classify_decides_L_and_K_once(monkeypatch, corpus):
+    module = sys.modules["graphck.classify"]
+    calls = Counter()
+    for name in ("condition_L", "condition_K"):
+        def counted(g, _decide=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _decide(g)
+
+        monkeypatch.setattr(module, name, counted)
+    for g in list(corpus.values()) + list(graphs_and_splits(59, 300)):
+        calls.clear()
+        classify(g)
+        assert calls["condition_K"] == 1 and calls["condition_L"] <= 1, calls
+
+
+def test_classify_fields_match_direct_conditions():
+    for g in graphs_and_splits(61, 2000):
+        r, L, K = classify(g), condition_L(g), condition_K(g)
+        assert (r.aperiodic, r.intersection_property) == (L.holds, L.holds)
+        assert r.condition_L_witness == L.witness
+        assert (r.residually_aperiodic, r.residual_intersection) == (K.holds, K.holds)
+        assert r.condition_K_witness == K.witness
+
+
+def test_conditions_ignore_how_multiplicities_are_recorded():
+    # m parallel records and one record of multiplicity m are the same graph
+    rng = random.Random(67)
+    for kind in (random_graph, random_omega_graph, random_looped_graph):
+        for _ in range(500):
+            g = kind(rng)
+            split = split_records(g)
+            assert condition_K(split) == condition_K(g)
+            assert condition_L(split).holds == condition_L(g).holds

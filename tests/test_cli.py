@@ -3,6 +3,7 @@
 import ast
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -236,6 +237,32 @@ def test_deeply_nested_json_exits_1(tmp_path):
         assert "Traceback" not in err
 
 
+def test_long_input_values_are_clipped_in_errors(tmp_path):
+    # a diagnostic echoes a bounded prefix of the offending value
+    cases = {
+        "long.json": '{"vertices": ["v"], "edges": [{"src": "v", "rng": "v", "mult": "%s"}]}'
+        % ("x" * 1_000_000),
+        "deep.json": '{"vertices": ["v"], "edges": [{"src": "v", "rng": "v", "mult": %s}]}'
+        % ("[" * 900 + "]" * 900),
+        "long.edges": "vertex v\nv v " + "7x" * 500_000 + "\n",
+    }
+    for name, text in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = invoke("analyze", str(path))
+        assert (code, out) == (1, ""), name
+        assert "multiplicity must be a positive integer" in err
+        assert len(err.encode()) < 300, (name, len(err))
+    # short values are echoed whole, as before
+    short = tmp_path / "short.json"
+    short.write_text('{"vertices": ["v"], "edges": [{"src": "v", "rng": "v", "mult": "x"}]}')
+    assert invoke("analyze", str(short)) == (
+        1,
+        "",
+        f'error: {short}: edge #0: multiplicity must be a positive integer or "omega", got \'x\'\n',
+    )
+
+
 def test_analyze_and_spectrum_enumerate_no_subsets(tmp_path, monkeypatch, corpus):
     def refuse(*args, **kwargs):
         raise AssertionError("subset enumeration")
@@ -335,6 +362,11 @@ def test_paction_queries(tmp_path):
 
     code, out, _ = invoke("paction", path, "invariant_subsets", "--format", "json")
     jsonschema.validate(json.loads(out), sch)
+
+    for query in ("orbit", "quasi_orbit"):
+        assert invoke("paction", path, query, "--point", "zz") == (
+            1, "", "error: unknown point 'zz'\n"
+        )
 
 
 def test_paction_witness_check(tmp_path):
@@ -467,6 +499,58 @@ def test_subprocess_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["aperiodic"] is True
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # set iteration order follows PYTHONHASHSEED: the three malformed inputs
+    # name one of several unknown points, and must name the same one each run
+    bad_action = tmp_path / "bad_action.json"
+    bad_action.write_text(json.dumps({
+        "points": ["a", "b"],
+        "specialization": [["a", "zz"], ["yy", "b"], ["xx", "qq"]],
+        "group": "F1",
+        "generators": [{"name": "g", "map": []}],
+    }))
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps({
+        "points": ["a", "b"],
+        "specialization": [],
+        "group": "F1",
+        "generators": [{"name": "g", "map": [["a", "a"]]}],
+    }))
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({
+        "V": ["a", "zz", "yy"], "parts": [{"set": ["xx", "qq"], "word": "g"}], "split": None,
+    }))
+    decide = (
+        "import sys, graphck as G\n"
+        "a = G.parse_action(open(sys.argv[1]).read())\n"
+        "try: G.decide_G_infinite(a, ['x', 'y', 'z', 'w'])\n"
+        "except G.ActionFormatError as exc: print(exc)\n"
+    )
+    matrix = [  # (exit code, a line of the output, argv)
+        (0, '  "aperiodic": true,', ["-m", "graphck", "analyze", E4, "--format", "json"]),
+        (0, '  "pairs": [', ["-m", "graphck", "lattice", E4, "--format", "json"]),
+        (1, "unknown point", ["-m", "graphck", "paction", str(bad_action), "is_minimal"]),
+        (1, "unknown point", ["-m", "graphck", "paction", str(action), "check_infinite_witness",
+                              "--witness", str(witness)]),
+        (0, "unknown point", ["-c", decide, str(action)]),
+    ]
+    path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+    for code, line, argv in matrix:
+        runs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, *argv],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                cwd=str(REPO),
+                timeout=120,
+            )
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert runs[0] == runs[1], argv
+        assert runs[0][0] == code and line in runs[0][1] + runs[0][2], runs[0]
 
 
 def is_assertion_error(node) -> bool:
