@@ -241,7 +241,7 @@ def _witness_check(a: act.FinitePartialAction, args) -> dict:
         d = act.parse_decomposition(_read(args.witness))
         check = getattr(act, args.query)(a, d)  # one of the two witness checkers
     except act.ActionFormatError as exc:
-        raise _CliError(f"malformed decomposition: {exc}") from None
+        raise _CliError(f"{args.witness}: malformed decomposition: {exc}") from None
     violation = check.violation.to_json_obj() if check.violation is not None else None
     return {"query": args.query, "valid": check.valid, "violation": violation}
 

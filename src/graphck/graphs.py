@@ -34,6 +34,8 @@ multiplicity two or more, OMEGA, or parallel records.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from typing import Iterable, Union
@@ -450,6 +452,8 @@ def decode_json(text: str, error: type[ValueError]):
         raise error(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise error("invalid JSON: nested too deeply") from None
+    except ValueError:  # int() refuses literals over sys.get_int_max_str_digits()
+        raise error(f"integer literal too long: over {sys.get_int_max_str_digits()} digits") from None
 
 
 def _parse_json(text: str) -> Graph:
@@ -515,6 +519,10 @@ def _parse_edgelist(text: str) -> Graph:
         try:
             token = int(mtok)
         except ValueError:
+            if re.fullmatch(r"[+-]?\d+", mtok):  # int() refuses these only for their length
+                raise GraphFormatError(
+                    f"{where}: integer literal too long: over {sys.get_int_max_str_digits()} digits"
+                ) from None
             token = mtok  # "omega", or a bad token that _parse_mult names
         edges.append(Edge(id=f"e{k}", src=src, rng=rng, mult=_parse_mult(token, where)))
         k += 1

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .conditions import _is_sh, _sh_closure, saturated_hereditary_sets
 from .graphs import DEFAULT_LIMIT, Edge, Graph
-from .poset import Poset, bits, clip, to_dot
+from .poset import Poset, bits, clip, to_dot, transpose, union
 
 
 def _breaking(g: Graph, h: int) -> int:
@@ -106,15 +106,21 @@ def pair_order(pairs: Sequence[AdmissiblePair]) -> Poset:
     """The pairs ordered by pair_leq, as one bitmask up-set per pair.
 
     With masks h = H and hb = H | B, pair_leq(p, q) reads h_p <= h_q and
-    hb_p <= hb_q.
+    hb_p <= hb_q.  Sliced by vertex: out_h[v] and out_hb[v] mask the pairs
+    whose h and hb miss v, so the pairs not above p are the OR of out_h over
+    h_p and of out_hb over hb_p.
     """
+    if not pairs:
+        return Poset(())
+    g = pairs[0].graph
     for p in pairs:
         _same_graph(pairs[0], p)
-    masks = [(p.graph.mask(p.h), p.graph.mask(p.h | p.b)) for p in pairs]
-    return Poset(tuple(
-        sum(1 << j for j, (h2, hb2) in enumerate(masks) if not h & ~h2 and not hb & ~hb2)
-        for h, hb in masks
-    ))
+    hs = [g.mask(p.h) for p in pairs]
+    hbs = [g.mask(p.h | p.b) for p in pairs]
+    out_h = transpose([g._full & ~h for h in hs], len(g.vertices))
+    out_hb = transpose([g._full & ~hb for hb in hbs], len(g.vertices))
+    full = (1 << len(pairs)) - 1
+    return Poset(tuple(full & ~(union(out_h, h) | union(out_hb, hb)) for h, hb in zip(hs, hbs)))
 
 
 def pair_meet(p: AdmissiblePair, q: AdmissiblePair) -> AdmissiblePair:
@@ -256,20 +262,35 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
 # -- exports -------------------------------------------------------------------
 
 
-def lattice_to_json_obj(lat: IdealLattice) -> dict:
-    return {
-        "vertices": list(lat.graph.vertices),
-        "pairs": [p.to_json_obj() for p in lat.pairs],
-        "labels": [p.label for p in lat.pairs],
-        "leq": [[bool(x) for x in row] for row in lat.leq],
-        "covers": [list(c) for c in lat.covers],
-        "meet": [list(row) for row in lat.meet_table],
-        "join": [list(row) for row in lat.join_table],
-    }
+def _nested(value) -> str:
+    """json.dumps(value, indent=2) as the value of a top-level key."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")  # no raw newline in JSON strings
+
+
+def _table(rows: Iterable[Iterable[str]]) -> str:
+    """_nested for a list of non-empty rows of JSON scalars already rendered
+    as text: every table row has one cell per pair, every cover two."""
+    body = "\n    ],\n    [\n      ".join(",\n      ".join(row) for row in rows)
+    return "[\n    [\n      " + body + "\n    ]\n  ]" if body else "[]"
+
+
+_JSON_BOOL = {False: "false", True: "true"}
 
 
 def lattice_to_json(lat: IdealLattice) -> str:
-    return json.dumps(lattice_to_json_obj(lat), indent=2) + "\n"
+    """The lattice as json.dumps(obj, indent=2) would print it, with the
+    tables written row by row."""
+    index = [str(i) for i in range(len(lat))]  # every table cell is a pair index
+    fields = (
+        ("vertices", _nested(list(lat.graph.vertices))),
+        ("pairs", _nested([p.to_json_obj() for p in lat.pairs])),
+        ("labels", _nested([p.label for p in lat.pairs])),
+        ("leq", _table(map(_JSON_BOOL.__getitem__, row) for row in lat.leq)),
+        ("covers", _table(map(index.__getitem__, c) for c in lat.covers)),
+        ("meet", _table(map(index.__getitem__, row) for row in lat.meet_table)),
+        ("join", _table(map(index.__getitem__, row) for row in lat.join_table)),
+    )
+    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}\n"
 
 
 def lattice_to_dot(lat: IdealLattice) -> str:

@@ -29,6 +29,15 @@ def union(table: Sequence[int], m: int) -> int:
     return out
 
 
+def transpose(rows: Sequence[int], width: int) -> list[int]:
+    """out[j] has bit i set exactly when rows[i] has bit j, for j < width."""
+    out = [0] * width
+    for i, m in enumerate(rows):
+        for j in bits(m):
+            out[j] |= 1 << i
+    return out
+
+
 def closure(succ: Sequence[int]) -> tuple[int, ...]:
     """Reflexive-transitive closure: out[i] = everything reachable from i, i included."""
     out = []
@@ -62,22 +71,21 @@ def check_antisymmetric(up: Sequence[int], names: Sequence[str]) -> None:
                 )
 
 
+_BIT = {"0": False, "1": True}
+
+
 @dataclass(frozen=True)
 class Poset:
     up: tuple[int, ...]
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        out = [0] * len(self.up)
-        for i, m in enumerate(self.up):
-            for j in bits(m):
-                out[j] |= 1 << i
-        return tuple(out)
+        return tuple(transpose(self.up, len(self.up)))
 
     @cached_property
     def leq(self) -> tuple[tuple[bool, ...], ...]:
         n = len(self.up)
-        return tuple(tuple(bool(m >> j & 1) for j in range(n)) for m in self.up)
+        return tuple(tuple(map(_BIT.__getitem__, format(m, f"0{n}b")[::-1])) for m in self.up)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -100,13 +108,16 @@ class Poset:
 
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
         self._check_linear_extension()
-        return tuple(tuple((a & b).bit_length() - 1 for b in self.down) for a in self.down)
+        down = self.down
+        return tuple(tuple([(a & b).bit_length() - 1 for b in down]) for a in down)
 
     def join_table(self) -> tuple[tuple[int, ...], ...]:
+        """With the up-sets bit-reversed (bit j moved to bit n - 1 - j), the
+        lowest common upper bound j is the highest set bit of the AND."""
         self._check_linear_extension()
-        return tuple(
-            tuple((a & b & -(a & b)).bit_length() - 1 for b in self.up) for a in self.up
-        )
+        n = len(self.up)
+        rev = [int(format(m, f"0{n}b")[::-1], 2) for m in self.up]
+        return tuple(tuple([n - (a & b).bit_length() for b in rev]) for a in rev)
 
 
 def to_dot(name: str, labels: Iterable[str], covers: Iterable[tuple[int, int]]) -> str:

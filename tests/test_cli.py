@@ -263,6 +263,41 @@ def test_long_input_values_are_clipped_in_errors(tmp_path):
     )
 
 
+def test_oversized_integer_literals_exit_1(tmp_path):
+    # over Python's int-conversion digit limit: a located format error, no API hint
+    digits = "7" * 5000
+    graphs = {
+        "big.json": '{"vertices": ["v"], "edges": [{"src": "v", "rng": "v", "mult": %s}]}'
+        % digits,
+        "big.edges": f"vertex v\nv v {digits}\n",
+        "signed.edges": f"vertex v\nv v +{digits}\n",
+    }
+    cases = []
+    for name, text in graphs.items():
+        (tmp_path / name).write_text(text)
+        cases.append((str(tmp_path / name), ["analyze", str(tmp_path / name)]))
+    big_action = tmp_path / "big_action.json"
+    big_action.write_text('{"points": ["a"], "specialization": [], "group": %s}' % digits)
+    cases.append((str(big_action), ["paction", str(big_action), "is_minimal"]))
+    witness = tmp_path / "witness.json"
+    witness.write_text('{"pieces": [%s]}' % digits)
+    cases.append(
+        (str(witness), ["paction", make_action(tmp_path), "check_infinite_witness",
+                        "--witness", str(witness)])
+    )
+    for path, argv in cases:
+        code, out, err = invoke(*argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"error: {path}: ") and "integer literal too long" in err, err
+        assert "set_int_max_str_digits" not in err and len(err.encode()) < 300
+    code, _, err = invoke("analyze", str(tmp_path / "big.edges"))
+    assert "line 2: integer literal too long" in err
+    # a malformed token keeps its old diagnostic
+    (tmp_path / "bad.edges").write_text("vertex v\nv v 7x\n")
+    code, _, err = invoke("analyze", str(tmp_path / "bad.edges"))
+    assert code == 1 and 'must be a positive integer or "omega", got \'7x\'' in err
+
+
 def test_analyze_and_spectrum_enumerate_no_subsets(tmp_path, monkeypatch, corpus):
     def refuse(*args, **kwargs):
         raise AssertionError("subset enumeration")

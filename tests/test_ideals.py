@@ -1,11 +1,15 @@
 """Admissible pairs, the ideal lattice, and quotient graphs."""
 
+import json
 import random
 
 import pytest
 
 from graphck import (
+    OMEGA,
     AdmissiblePair,
+    Edge,
+    Graph,
     IdealLattice,
     admissible_pairs,
     breaking_vertices_of,
@@ -14,15 +18,18 @@ from graphck import (
     pair_join,
     pair_leq,
     pair_meet,
+    prim_space,
     quotient_graph,
     saturated_hereditary_sets,
 )
+from graphck.ideals import pair_order
 
 from util import (
     brute_breaking_vertices_of,
     brute_covers,
     brute_glb,
     brute_lub,
+    lattice_to_json_obj,
     poset_isomorphic,
     random_graph,
     random_looped_graph,
@@ -151,6 +158,23 @@ def test_lattice_laws_and_oracles(corpus):
                     assert lat.join(lat.join(i, j), k) == lat.join(i, lat.join(j, k))
 
 
+def test_pair_order_matches_pair_leq():
+    rng = random.Random(53)
+    makers = (random_graph, random_omega_graph, random_looped_graph)
+    sizes = []
+    for k in range(150):
+        g = makers[k % 3](rng, 7)
+        for pairs in (admissible_pairs(g).pairs, [pt.pair for pt in prim_space(g).points]):
+            up = pair_order(pairs).up
+            n = len(pairs)
+            assert [[bool(m >> j & 1) for j in range(n)] for m in up] == [
+                [pair_leq(p, q) for q in pairs] for p in pairs
+            ], g
+            sizes.append(n)
+    assert pair_order([]).up == ()
+    assert max(sizes) > 40
+
+
 # -- quotient graphs -----------------------------------------------------------------
 
 
@@ -273,8 +297,34 @@ def test_dot_export_shapes(corpus):
 
 
 def test_json_export_is_self_consistent(corpus):
-    import json
-
     obj = json.loads(lattice_to_json(admissible_pairs(corpus["e4"])))
     assert [p["H"] for p in obj["pairs"]] == [[], ["w"], ["w"], ["v", "w"]]
     assert obj["meet"][2][1] == 1 and obj["join"][1][2] == 2
+
+
+def edgeless(n):
+    return Graph(tuple(f"v{i}" for i in range(n)), ())
+
+
+def omega_fan(k):
+    """Hub w, sources u_i, receivers v_i; u_i -> v_i (omega), w -> v_i (1)."""
+    edges = [Edge(f"a{i}", f"u{i}", f"v{i}", OMEGA) for i in range(k)]
+    edges += [Edge(f"b{i}", "w", f"v{i}", 1) for i in range(k)]
+    return Graph(("w",) + tuple(f"u{i}" for i in range(k)) + tuple(f"v{i}" for i in range(k)),
+                 tuple(edges))
+
+
+def test_json_writer_matches_the_encoder():
+    rng = random.Random(59)
+    graphs = [Graph((), ())]  # one pair: covers is []
+    graphs += [edgeless(n) for n in range(1, 9)] + [omega_fan(k) for k in range(1, 4)]
+    graphs += [random_graph(rng, max_n=8) for _ in range(40)]
+    graphs += [random_omega_graph(rng, max_n=8) for _ in range(20)]
+    graphs += [random_looped_graph(rng, max_n=6) for _ in range(10)]
+    # names the encoder escapes: quote, backslash, control and non-ASCII characters
+    odd = ('q"uote', "back\\slash", "t\tab", "caf\u00e9", "\u65e5\u672c", "\U0001f600")
+    graphs.append(Graph(odd, tuple(Edge(f"e{i}", odd[i], odd[i + 1], OMEGA) for i in range(5))))
+    for g in graphs:
+        lat = admissible_pairs(g)
+        assert lattice_to_json(lat) == json.dumps(lattice_to_json_obj(lat), indent=2) + "\n", g
+    assert len(admissible_pairs(graphs[-1])) > 4

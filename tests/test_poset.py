@@ -69,6 +69,50 @@ def test_meet_and_join_of_random_lattices():
     assert checked > 100
 
 
+def relabel_along_linear_extension(rng, leq):
+    """The order leq (a list of rows) relabelled along a random linear extension."""
+    n = len(leq)
+    left, order = set(range(n)), []
+    while left:
+        x = rng.choice(sorted(i for i in left if not any(leq[k][i] for k in left - {i})))
+        order.append(x)
+        left.remove(x)
+    return [[leq[a][b] for b in order] for a in order]
+
+
+def grid_lattice(a, b):
+    cells = [(x, y) for x in range(a) for y in range(b)]
+    return [[p[0] <= q[0] and p[1] <= q[1] for q in cells] for p in cells]
+
+
+def tree_lattice(rng, n):
+    """A random rooted tree on n - 1 nodes (meet = nearest common ancestor)
+    with a top adjoined."""
+    parent = [None] + [rng.randrange(i) for i in range(1, n - 1)]
+    anc = []
+    for i in range(n - 1):
+        anc.append({i} | (anc[parent[i]] if i else set()))
+    return [[j == n - 1 or (i < n - 1 and i in anc[j]) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
+def test_meet_and_join_tables_across_word_boundaries(n):
+    rng = random.Random(83 + n)
+    shapes = {1: (1, 1), 7: (1, 7), 8: (2, 4), 9: (3, 3), 63: (7, 9), 64: (8, 8), 65: (5, 13)}
+    tree = tree_lattice(rng, n) if n > 1 else [[True]]
+    dual_tree = [list(col) for col in zip(*tree)]
+    for leq in (grid_lattice(*shapes[n]), tree, dual_tree):
+        leq = relabel_along_linear_extension(rng, leq)
+        order = Poset(tuple(sum(1 << j for j in range(n) if row[j]) for row in leq))
+        assert [list(r) for r in order.leq] == leq
+        assert [list(r) for r in order.meet_table()] == [
+            [brute_glb(leq, i, j) for j in range(n)] for i in range(n)
+        ]
+        assert [list(r) for r in order.join_table()] == [
+            [brute_lub(leq, i, j) for j in range(n)] for i in range(n)
+        ]
+
+
 def test_meet_needs_a_linear_extension():
     chain = Poset((0b11, 0b10))  # 0 <= 1
     assert chain.meet_table() == ((0, 0), (0, 1))

@@ -329,6 +329,20 @@ def poset_isomorphic(leq1, leq2) -> bool:
     return backtrack(0)
 
 
+def lattice_to_json_obj(lat) -> dict:
+    """The lattice JSON document as a plain object: the reference that
+    lattice_to_json must print as json.dumps(obj, indent=2)."""
+    return {
+        "vertices": list(lat.graph.vertices),
+        "pairs": [p.to_json_obj() for p in lat.pairs],
+        "labels": [p.label for p in lat.pairs],
+        "leq": [[bool(x) for x in row] for row in lat.leq],
+        "covers": [list(c) for c in lat.covers],
+        "meet": [list(row) for row in lat.meet_table],
+        "join": [list(row) for row in lat.join_table],
+    }
+
+
 # -- random graphs ---------------------------------------------------------------
 
 
