@@ -16,7 +16,6 @@ from .graphs import (
     OMEGA,
     Omega,
     Path,
-    cycle_vertices,
     detect_format,
     first_return_count,
     graph_to_edgelist,

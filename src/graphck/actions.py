@@ -21,19 +21,31 @@ action for them.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import DEFAULT_LIMIT, LimitExceededError, decode_json
-from .poset import Poset, bits, check_antisymmetric, clip, closure, union
+from .poset import Poset, bits, cached_property, check_antisymmetric, clip, closure, union
 
-Letter = tuple[str, int]  # (generator name, +1 or -1)
+Letter = tuple[str, int]  # (generator name, +1 or -1), or a run (name, exponent)
 Word = Union[str, int, Sequence[Letter]]
 
 
 class ActionFormatError(ValueError):
     """Raised when action or witness input violates the format."""
+
+
+def _reduce(runs: Iterable[Letter]) -> tuple[Letter, ...]:
+    """Free reduction on (generator, exponent) runs: merge neighbours that
+    name the same generator and drop the runs whose exponents cancel."""
+    out: list[Letter] = []
+    for name, exp in runs:
+        if out and out[-1][0] == name:
+            exp += out.pop()[1]
+        if exp:
+            out.append((name, exp))
+    return tuple(out)
 
 
 def _check_known(index: dict, message: str, *groups: Iterable[str]) -> None:
@@ -255,54 +267,51 @@ class FinitePartialAction:
     # -- words ---------------------------------------------------------------
 
     def parse_word(self, word: Word) -> tuple[Letter, ...]:
-        """Parse into letters; accepts token strings and, for Z, integers."""
+        """Parse into freely reduced (generator, exponent) runs, expanding no
+        exponent; accepts token strings and, for Z, integers."""
         if isinstance(word, int):
             if self.group != "Z" and word != 0:
                 raise ActionFormatError("integer words are only defined over Z")
-            if word == 0:
-                return ()
-            name = self.generator_names[0]
-            sign = 1 if word > 0 else -1
-            return tuple((name, sign) for _ in range(abs(word)))
+            return _reduce([(self.generator_names[0], word)])
+        runs: list[Letter] = []
         if isinstance(word, str):
-            letters: list[Letter] = []
-            tokens = word.replace("·", " ").replace("*", " ").split()
-            for tok in tokens:
+            for tok in word.replace("·", " ").replace("*", " ").split():
                 if tok == "e":
                     continue
                 m = re.fullmatch(r"(.+?)\^(-?\d+)", tok)
                 if m:
-                    name, exp = m.group(1), int(m.group(2))
+                    name, exp = m.group(1), m.group(2)
                 elif re.fullmatch(r"-?\d+", tok):
                     if self.group != "Z":
                         raise ActionFormatError(
                             f"bare integer token {clip(tok)} is only defined over Z"
                         )
-                    name, exp = self.generator_names[0], int(tok)
+                    name, exp = self.generator_names[0], tok
                 else:
-                    name, exp = tok, 1
+                    name, exp = tok, "1"
+                try:
+                    runs.append((name, int(exp)))
+                except ValueError:  # int() refuses literals over sys.get_int_max_str_digits()
+                    raise ActionFormatError(
+                        f"word {clip(word)}: integer literal too long: "
+                        f"over {sys.get_int_max_str_digits()} digits"
+                    ) from None
                 if name not in self._by_name:
                     raise ActionFormatError(f"unknown generator {clip(name)} in word")
-                sign = 1 if exp > 0 else -1
-                letters.extend((name, sign) for _ in range(abs(exp)))
-            return tuple(letters)
-        letters = []
+            return _reduce(runs)
         for name, exp in word:
             if name not in self._by_name:
                 raise ActionFormatError(f"unknown generator {clip(name)} in word")
             if exp not in (1, -1):
                 raise ActionFormatError("explicit letters need exponent +1 or -1")
-            letters.append((name, exp))
-        return tuple(letters)
+            runs.append((name, exp))
+        return _reduce(runs)
 
     def reduce_word(self, letters: Sequence[Letter]) -> tuple[Letter, ...]:
         """Free reduction; over Z's one generator it leaves |exponent sum| letters."""
         out: list[Letter] = []
-        for letter in letters:
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                out.pop()
-            else:
-                out.append(letter)
+        for name, exp in _reduce(letters):
+            out += [(name, 1 if exp > 0 else -1)] * abs(exp)
         return tuple(out)
 
     @cached_property
@@ -312,14 +321,17 @@ class FinitePartialAction:
 
     def element_map(self, word: Word) -> PartialHomeo:
         """The partial homeomorphism of the reduced word; e acts as identity."""
-        letters = self.reduce_word(self.parse_word(word))
         pts, maps = self.space.points, self._index_maps
         slot = {name: 2 * k for k, name in enumerate(self.generator_names)}
         current = tuple(range(len(pts)))
-        # the rightmost letter acts first: theta_{l1 ... ln} = l1 o ... o ln
-        for name, sign in reversed(letters):
-            f = maps[slot[name] + (sign < 0)]
-            current = tuple(f[v] if v >= 0 else -1 for v in current)
+        # the rightmost run acts first: theta_{l1 ... ln} = l1 o ... o ln; a run
+        # f^k is applied by repeated squaring, since the powers of f commute
+        for name, exp in reversed(self.parse_word(word)):
+            f, k = maps[slot[name] + (exp < 0)], abs(exp)
+            while k:
+                if k & 1:
+                    current = tuple(f[v] if v >= 0 else -1 for v in current)
+                f, k = tuple(f[v] if v >= 0 else -1 for v in f), k >> 1
         pairs = tuple((pts[i], pts[j]) for i, j in enumerate(current) if j >= 0)
         return PartialHomeo(self.space, pairs)
 

@@ -197,29 +197,20 @@ def _find_cycle_at(g: Graph, v: str) -> Path:
     raise RuntimeError(f"no cycle at {v!r}: caller promised one")
 
 
-def _connect(g: Graph, src: str, dst: str) -> tuple[str, ...]:
-    """Edge ids of a shortest path src -> dst, in traversal order."""
-    if src == dst:
-        return ()
-    prev: dict[str, object] = {src: None}
+def _paths_from(g: Graph, src: str) -> dict[str, tuple[str, ...]]:
+    """Edge ids of a shortest path from src to each vertex it reaches, in
+    traversal order: the BFS tree keeping the first edge found into each."""
+    paths = {src: ()}
     frontier = [src]
     while frontier:
         nxt = []
         for u in frontier:
-            for e in g.out_edges(u):
-                if e.rng not in prev:
-                    prev[e.rng] = e
-                    if e.rng == dst:
-                        ids = []
-                        cur = dst
-                        while prev[cur] is not None:
-                            edge = prev[cur]
-                            ids.append(edge.id)
-                            cur = edge.src
-                        return tuple(reversed(ids))
+            for e in g.out_edges_by_vertex[u]:
+                if e.rng not in paths:
+                    paths[e.rng] = paths[u] + (e.id,)
                     nxt.append(e.rng)
         frontier = nxt
-    raise RuntimeError(f"no path {src!r} -> {dst!r}: caller promised one")
+    return paths
 
 
 def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
@@ -243,10 +234,9 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     K = condition_K(g)
     if not K.holds:
         return PurelyInfiniteVerdict("no", "fails_K", vertex=K.witness)
-    witnesses = []
-    for M in maximal_tails(g):
-        # a tail is forward-closed, so its cycles and their DFS stay inside it
-        m = g.mask(M)
+    witnesses, cycles, trees = [], {}, {}
+    for M, m in zip(maximal_tails(g), g._tails):
+        # a tail is forward-closed, so its cycles and their searches stay inside it
         on_cycle = g._cyclic & m
         for i in bits(m):
             v = g.vertices[i]
@@ -256,7 +246,9 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
                     "no", "tail_vertex_not_fed_by_cycle", vertex=v, tail=M
                 )
             y = g.vertices[next(bits(fed_by))]
-            witnesses.append(TailWitness(M, v, _find_cycle_at(g, y), _connect(g, y, v)))
+            if y not in trees:
+                cycles[y], trees[y] = _find_cycle_at(g, y), _paths_from(g, y)
+            witnesses.append(TailWitness(M, v, cycles[y], trees[y][v]))
     gap_sets = []
     for i, omega_src in enumerate(g._in.omega):
         if omega_src:

@@ -10,6 +10,14 @@ each of whose members has exactly one source inside it, not repeated (so
 the component is cyclic).  (L) fails on such a component with no entrance:
 its vertices all have in-degree one (one source, not repeated).
 
+Saturation is read off the maximal tails (``Graph._tails``): the complement
+of a saturated hereditary set H is a union of them (walk back from a vertex
+outside H along sources outside H to a vertex on a cycle, with no in-edge or
+an OMEGA one: what it reaches is a tail).  So the least saturated hereditary
+superset of m is everything outside the tails that miss m (Birkhoff, *Rings
+of sets*, Duke Math. J. 1937; Bates-Hong-Raeburn-Szymanski, Illinois J. Math.
+2002).
+
 Vertex sets are frozensets of names at the public API and int masks in
 canonical order inside; ``_sh_closure`` is the one saturated hereditary closure.
 """
@@ -19,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import DEFAULT_LIMIT, Edge, Graph, LimitExceededError, Path
+from .graphs import DEFAULT_LIMIT, Edge, Graph, Path
 from .poset import bits, clip, union
 
 
@@ -28,32 +36,23 @@ def is_hereditary(g: Graph, S: Iterable[str]) -> bool:
     return union(g._back, m) == m
 
 
-def _forced(g: Graph, m: int) -> int:
-    """Mask of the vertices with finite nonzero in-degree whose in-edges all
-    start in m: no omega source, some source, every source in m."""
-    out = 0
-    for i, (src, omega) in enumerate(zip(g._in.src, g._in.omega)):
-        if src and not omega and not src & ~m:
-            out |= 1 << i
-    return out
-
-
 def is_saturated(g: Graph, S: Iterable[str]) -> bool:
+    """No vertex outside S has finite nonzero in-degree with every source in S."""
     m = g.mask(S)
-    return not _forced(g, m) & ~m
+    return not any(
+        src and not omega and not src & ~m and not m >> i & 1
+        for i, (src, omega) in enumerate(zip(g._in.src, g._in.omega))
+    )
 
 
 def _sh_closure(g: Graph, m: int) -> int:
-    """Least saturated hereditary superset of m: its ancestors, then every
-    forced vertex until none is left (saturating keeps a set hereditary)."""
-    m = union(g._back, m)
-    while forced := _forced(g, m) & ~m:
-        m |= forced
-    return m
-
-
-def _is_sh(g: Graph, m: int) -> bool:
-    return union(g._back, m) == m and not _forced(g, m) & ~m
+    """Least saturated hereditary superset of m: everything outside the
+    maximal tails that miss m (see the module docstring)."""
+    out = g._full
+    for t in g._tails:
+        if not t & m:
+            out &= ~t
+    return out
 
 
 def hereditary_closure(g: Graph, S: Iterable[str]) -> frozenset[str]:
@@ -72,21 +71,11 @@ def saturation(g: Graph, H: Iterable[str]) -> frozenset[str]:
 def saturated_hereditary_sets(
     g: Graph, limit: int = DEFAULT_LIMIT
 ) -> list[frozenset[str]]:
-    """All simultaneously hereditary and saturated vertex sets.
+    """All simultaneously hereditary and saturated vertex sets, ordered by
+    (size, canonical bitmask): the H parts of the admissible pairs with B empty."""
+    from .ideals import admissible_pairs  # ideals builds on this module
 
-    Ordered by (size, canonical bitmask); always contains the empty set and
-    the full vertex set.  Hereditary sets are enumerated as predecessor-closed
-    unions of strongly connected components, then filtered by saturation.
-    """
-    if len(g.vertices) > limit:
-        raise LimitExceededError(len(g.vertices), limit)
-    out = []
-    for m in range(1 << len(g._comps)):
-        H = union(g._comps, m)
-        if _is_sh(g, H):
-            out.append(H)
-    out.sort(key=lambda H: (H.bit_count(), H))
-    return [g.unmask(H) for H in out]
+    return [p.h for p in admissible_pairs(g, limit).pairs if not p.b]
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,10 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import total_ordering
 from typing import Iterable, Union
 
-from .poset import Poset, bits, clip, closure, union
+from .poset import Poset, bits, cached_property, clip, closure, union
 
 DEFAULT_LIMIT = 16
 
@@ -110,10 +110,6 @@ def mult_sum(values: Iterable[Mult]) -> Mult:
     for v in values:
         total = total + v
     return total
-
-
-def is_finite(m: Mult) -> bool:
-    return isinstance(m, int)
 
 
 def mult_to_json(m: Mult):
@@ -225,6 +221,10 @@ class Graph:
             by[e.rng].append(e)
         return {v: tuple(es) for v, es in by.items()}
 
+    @cached_property
+    def _edge_by_id(self) -> dict[str, Edge]:
+        return {e.id: e for e in self.edges}
+
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         self.index(v)
         return self.out_edges_by_vertex[v]
@@ -290,6 +290,22 @@ class Graph:
         """Mask of the vertices on a cycle: some successor reaches back."""
         return sum(1 << i for i, (s, b) in enumerate(zip(self._succ, self._back)) if s & b)
 
+    @cached_property
+    def _tails(self) -> tuple[int, ...]:
+        """The maximal tails, by (-size, mask): the distinct ``_reach`` rows of
+        the vertices on a cycle, with no in-edge or with an OMEGA in-edge (every
+        other member of such a row has a source inside it).  They cover V."""
+        src, omega, cyclic = self._in.src, self._in.omega, self._cyclic
+        rows = {r for i, r in enumerate(self._reach) if cyclic >> i & 1 or not src[i] or omega[i]}
+        return tuple(sorted(rows, key=lambda m: (-m.bit_count(), m)))
+
+    @cached_property
+    def _breakers(self) -> tuple[int, ...]:
+        """The breaking vertices: fed by OMEGA only from vertices they do not
+        reach, and by some vertex they reach (so they lie on a cycle)."""
+        s, o = self._in.src, self._in.omega
+        return tuple(i for i, r in enumerate(self._reach) if o[i] and not o[i] & r and s[i] & r)
+
     def geq(self, v: str, w: str) -> bool:
         """Decide v >= w: w = v, or some path runs from w to v."""
         return bool(self._reach[self.index(w)] >> self.index(v) & 1)
@@ -314,11 +330,6 @@ def scc_decomposition(g: Graph) -> tuple[Component, ...]:
     return tuple(
         Component(tuple(g.vertices[j] for j in bits(c)), bool(c & g._cyclic)) for c in g._comps
     )
-
-
-def cycle_vertices(g: Graph) -> frozenset[str]:
-    """Vertices lying on at least one cycle."""
-    return g.unmask(g._cyclic)
 
 
 def first_return_count(g: Graph, v: str, cap: int = 2) -> int:
@@ -396,7 +407,7 @@ class Path:
 
     @cached_property
     def _edges(self) -> tuple[Edge, ...]:
-        by_id = {e.id: e for e in self.graph.edges}
+        by_id = self.graph._edge_by_id
         for eid in self.edge_ids:
             if eid not in by_id:
                 raise ValueError(f"unknown edge {eid!r}")

@@ -15,6 +15,11 @@ which `pair_meet` implements.  The lattice tables read meets and joins off
 the canonical pair order instead, a linear extension of the pair order: the
 meet is the last common lower bound, the join the first common upper bound.
 
+The lattice is distributive and its meet-irreducibles are the prime points
+of `spectrum` (Bates-Hong-Raeburn-Szymanski, Illinois J. Math. 2002), so by
+Birkhoff's theorem (*Rings of sets*, Duke Math. J. 1937) the pairs are the
+meets (AND of H, AND of H | B) over the up-sets of prime points, one each.
+
 Vertex sets are frozensets of names at the public API, including the fields
 of `AdmissiblePair`, and int masks in canonical order inside.
 """
@@ -23,12 +28,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
-from .conditions import _is_sh, _sh_closure, saturated_hereditary_sets
-from .graphs import DEFAULT_LIMIT, Edge, Graph
-from .poset import Poset, bits, clip, to_dot, transpose, union
+from .conditions import _sh_closure
+from .graphs import DEFAULT_LIMIT, Edge, Graph, LimitExceededError
+from .poset import Poset, bits, cached_property, clip, subset_order, to_dot
 
 
 def _breaking(g: Graph, h: int) -> int:
@@ -41,6 +45,16 @@ def _breaking(g: Graph, h: int) -> int:
     return out
 
 
+def _prime_masks(g: Graph) -> list[tuple[int, int]]:
+    """(H, B) of the prime points: per maximal tail, H outside it and B the
+    whole range; then per breaking vertex v, H outside its reach, B minus v."""
+    out = [(h, _breaking(g, h)) for h in (g._full & ~t for t in g._tails)]
+    for i in g._breakers:
+        h = g._full & ~g._reach[i]
+        out.append((h, _breaking(g, h) & ~(1 << i)))
+    return out
+
+
 def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
     """Infinite receivers outside H fed finitely (but not zero) from outside H.
 
@@ -48,7 +62,7 @@ def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
     """
     H = frozenset(H)
     h = g.mask(H)
-    if not _is_sh(g, h):
+    if _sh_closure(g, h) != h:
         raise ValueError(f"not a saturated hereditary set: {clip(sorted(H))}")
     return g.unmask(_breaking(g, h))
 
@@ -103,24 +117,15 @@ def pair_leq(p: AdmissiblePair, q: AdmissiblePair) -> bool:
 
 
 def pair_order(pairs: Sequence[AdmissiblePair]) -> Poset:
-    """The pairs ordered by pair_leq, as one bitmask up-set per pair.
-
-    With masks h = H and hb = H | B, pair_leq(p, q) reads h_p <= h_q and
-    hb_p <= hb_q.  Sliced by vertex: out_h[v] and out_hb[v] mask the pairs
-    whose h and hb miss v, so the pairs not above p are the OR of out_h over
-    h_p and of out_hb over hb_p.
-    """
+    """The pairs ordered by pair_leq, as one bitmask up-set per pair:
+    pair_leq(p, q) is inclusion of the masks H and H | B side by side."""
     if not pairs:
         return Poset(())
     g = pairs[0].graph
     for p in pairs:
         _same_graph(pairs[0], p)
-    hs = [g.mask(p.h) for p in pairs]
-    hbs = [g.mask(p.h | p.b) for p in pairs]
-    out_h = transpose([g._full & ~h for h in hs], len(g.vertices))
-    out_hb = transpose([g._full & ~hb for hb in hbs], len(g.vertices))
-    full = (1 << len(pairs)) - 1
-    return Poset(tuple(full & ~(union(out_h, h) | union(out_hb, hb)) for h, hb in zip(hs, hbs)))
+    n = len(g.vertices)
+    return subset_order([g.mask(p.h) | g.mask(p.h | p.b) << n for p in pairs], 2 * n)
 
 
 def pair_meet(p: AdmissiblePair, q: AdmissiblePair) -> AdmissiblePair:
@@ -213,13 +218,15 @@ class IdealLattice:
 
 
 def admissible_pairs(g: Graph, limit: int = DEFAULT_LIMIT) -> IdealLattice:
-    """All admissible pairs of g, in canonical order, as a lattice."""
-    pairs = []
-    for H in saturated_hereditary_sets(g, limit):
-        candidates = [g.vertices[i] for i in bits(_breaking(g, g.mask(H)))]
-        for m in range(1 << len(candidates)):
-            B = frozenset(candidates[i] for i in range(len(candidates)) if m >> i & 1)
-            pairs.append(AdmissiblePair(g, H, B))
+    """All admissible pairs of g, in canonical order, as a lattice: the meets
+    over the up-sets of prime points (see the module docstring)."""
+    n = len(g.vertices)
+    if n > limit:
+        raise LimitExceededError(n, limit)
+    # a pair is the mask H | (H | B) << n: meets are ANDs, the order inclusion
+    rows = [h | (h | b) << n for h, b in _prime_masks(g)]
+    meets = subset_order(rows, 2 * n).upset_meets(rows, g._full | g._full << n)
+    pairs = [AdmissiblePair(g, g.unmask(m & g._full), g.unmask(m >> n & ~m)) for m in meets]
     pairs.sort(key=lambda p: p.key())
     return IdealLattice(g, tuple(pairs))
 

@@ -9,8 +9,22 @@ meets, joins and the DOT drawing are all read off them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
+
+
+class cached_property:
+    """functools.cached_property without the lock Python 3.11 takes on every
+    first access: the values are pure, so a race only computes one twice.
+    ``func`` is read at access time, so a wrapper may replace it."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def bits(m: int) -> Iterator[int]:
@@ -36,6 +50,13 @@ def transpose(rows: Sequence[int], width: int) -> list[int]:
         for j in bits(m):
             out[j] |= 1 << i
     return out
+
+
+def subset_order(rows: Sequence[int], width: int) -> "Poset":
+    """The rows ordered by inclusion: out[v] masks the rows missing bit v <
+    width, so the rows not above i are the OR of out over the bits of rows[i]."""
+    out = transpose([((1 << width) - 1) & ~r for r in rows], width)
+    return Poset(tuple(((1 << len(rows)) - 1) & ~union(out, r) for r in rows))
 
 
 def closure(succ: Sequence[int]) -> tuple[int, ...]:
@@ -96,6 +117,24 @@ class Poset:
             above = m & ~(1 << i)
             out.extend((i, j) for j in bits(above) if down[j] & above == 1 << j)
         return tuple(out)
+
+    def upset_meets(self, values: Sequence[int], top: int) -> list[int]:
+        """The AND of values (growing with the order) over each up-set, top
+        for the empty one.  Branches on the elements in index order: including
+        one adds its up-set, excluding one its down-set; neither contradicts an
+        earlier choice, so every branch ends in an up-set (polynomial delay)."""
+        n, up, down, out = len(self.up), self.up, self.down, []
+        stack = [(0, 0, top)]  # (next index, decided mask, AND so far)
+        while stack:
+            i, decided, acc = stack.pop()
+            while i < n and decided >> i & 1:
+                i += 1
+            if i == n:
+                out.append(acc)
+            else:
+                stack.append((i + 1, decided | down[i], acc))
+                stack.append((i + 1, decided | up[i], acc & values[i]))
+        return out
 
     # Meets and joins need a lattice whose indices follow a linear extension
     # (i <= j implies i <= j as integers).  Every lower bound of i and j then

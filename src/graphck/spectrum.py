@@ -18,21 +18,23 @@ Omega(v); counting sources inside Omega(v) instead is a different (and here
 rejected) reading.
 
 Vertex sets are frozensets of names at the public API and int masks in
-canonical order inside; a maximal tail is a row of the ``_reach`` table.
+canonical order inside.  The points are read off one kernel, ``Graph._tails``
+and ``Graph._breakers``.  By Birkhoff (*Rings of sets*, Duke Math. J. 1937)
+and Bates-Hong-Raeburn-Szymanski (Illinois J. Math. 2002) they also fix every
+saturated hereditary set and admissible pair (see `conditions`, `ideals`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .actions import FiniteT0Space
-from .conditions import _is_sh, condition_K
+from .conditions import condition_K
 from .graphs import Graph
-from .ideals import AdmissiblePair, _breaking, pair_order
-from .poset import Poset, bits, check_antisymmetric, to_dot, union
+from .ideals import AdmissiblePair, _prime_masks, pair_order
+from .poset import Poset, bits, cached_property, check_antisymmetric, to_dot, union
 
 
 def omega(g: Graph, xs: Iterable[str]) -> frozenset[str]:
@@ -47,10 +49,8 @@ def omega(g: Graph, xs: Iterable[str]) -> frozenset[str]:
 
 
 def is_maximal_tail(g: Graph, M: Iterable[str]) -> bool:
-    """M is the set reachable from one vertex and its complement is saturated
-    hereditary (see maximal_tails)."""
-    m = g.mask(M)
-    return m in g._reach and _is_sh(g, g._full & ~m)
+    """M is a row of the prime-point kernel (see maximal_tails)."""
+    return g.mask(M) in g._tails
 
 
 def maximal_tails(g: Graph) -> list[frozenset[str]]:
@@ -60,21 +60,14 @@ def maximal_tails(g: Graph) -> list[frozenset[str]]:
     below all of its members, and being upward closed it is then exactly the
     set reachable from y.  Conversely, a set reachable from one vertex is
     upward closed and downward directed, and its complement is hereditary;
-    it is a maximal tail iff that complement is saturated.
+    it is a maximal tail iff that complement is saturated (``Graph._tails``).
     """
-    tails = {M for M in g._reach if _is_sh(g, g._full & ~M)}
-    return [g.unmask(M) for M in sorted(tails, key=lambda M: (-M.bit_count(), M))]
+    return [g.unmask(M) for M in g._tails]
 
 
 def breaking_vertices(g: Graph) -> list[str]:
     """Vertices with infinite in-degree that break over their own omega set."""
-    out = []
-    for i, (v, omega_src) in enumerate(zip(g.vertices, g._in.omega)):
-        # omega(v) is the complement of what v reaches, hence hereditary, and
-        # saturated because an infinite receiver is never forced into it
-        if omega_src and _breaking(g, g._full & ~g._reach[i]) >> i & 1:
-            out.append(v)
-    return out
+    return [g.vertices[i] for i in g._breakers]
 
 
 @dataclass(frozen=True)
@@ -103,17 +96,12 @@ class PrimPoint:
 
 def prime_points(g: Graph) -> list[PrimPoint]:
     """One point per maximal tail, then one per breaking vertex."""
-    points = []
-    for M in maximal_tails(g):
-        h = g._full & ~g.mask(M)
-        pair = AdmissiblePair(g, g.unmask(h), g.unmask(_breaking(g, h)))
-        points.append(PrimPoint("tail", M, None, pair))
-    for v in breaking_vertices(g):
-        i = g.index(v)
-        h = g._full & ~g._reach[i]
-        pair = AdmissiblePair(g, g.unmask(h), g.unmask(_breaking(g, h) & ~(1 << i)))
-        points.append(PrimPoint("breaking", None, v, pair))
-    return points
+    kinds = [("tail", M, None) for M in maximal_tails(g)]
+    kinds += [("breaking", None, v) for v in breaking_vertices(g)]
+    return [
+        PrimPoint(kind, tail, v, AdmissiblePair(g, g.unmask(h), g.unmask(b)))
+        for (kind, tail, v), (h, b) in zip(kinds, _prime_masks(g))
+    ]
 
 
 @dataclass(frozen=True)

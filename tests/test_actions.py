@@ -23,6 +23,7 @@ from graphck import (
 
 from util import (
     all_subsets,
+    letter_element_map,
     brute_fixed_union,
     brute_homeo_error,
     brute_invariant_subsets,
@@ -225,6 +226,40 @@ def test_element_map_integer_words():
         total = sum(exp for _, exp in letters)
         assert a.reduce_word(letters) == (("t", 1 if total > 0 else -1),) * abs(total)
         assert a.element_map(letters).mapping == a.element_map(total).mapping
+
+
+def test_element_map_runs_match_letter_by_letter_reference():
+    # exponents are reduced as runs and applied by repeated squaring; the
+    # reference expands every name^k into k letters
+    rng = random.Random(23)
+    words = 0
+    for _ in range(400):
+        a = random_action(rng, max_points=6, max_gens=2)
+        for _ in range(5):
+            tokens = []
+            for _ in range(rng.randint(0, 6)):
+                name, exp = rng.choice(a.generator_names), rng.randint(-40, 40)
+                r = rng.random()
+                if r < 0.1:
+                    tokens.append("e")
+                elif r < 0.2 and a.group == "Z":
+                    tokens.append(str(exp))
+                else:
+                    tokens.append(name if r < 0.4 else f"{name}^{exp}")
+            word = rng.choice((" ", "*", "·")).join(tokens)
+            assert a.element_map(word).pairs == letter_element_map(a, word), word
+            words += 1
+        if a.group == "Z":
+            for k in (-17, -1, 0, 5, 64):
+                assert a.element_map(k).pairs == letter_element_map(a, k)
+    assert words == 2000
+    # a huge exponent costs its bit length, not its value
+    sp = FiniteT0Space.discrete(("1", "2", "3"))
+    gen = PartialHomeo.from_dict(sp, {"1": "2", "2": "3", "3": "1"})
+    a = FinitePartialAction(sp, "Z", ("t",), (gen,))
+    assert a.element_map(10**30).mapping == a.element_map(10**30 % 3).mapping
+    assert a.element_map(f"t^{10**40} t^-{10**40 - 2}").mapping == a.element_map(2).mapping
+    assert a.parse_word("t t^-1 t^5 e t^3") == (("t", 8),)
 
 
 def test_free_reduction():

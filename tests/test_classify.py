@@ -27,6 +27,7 @@ from graphck import (
 
 from util import (
     DOCS_DIR,
+    bfs_connect,
     induced_subgraph,
     random_graph,
     random_looped_graph,
@@ -100,6 +101,20 @@ def test_pi_witnesses_are_auditable(corpus):
                 assert e.src == cur
                 cur = e.rng
             assert cur == w.vertex
+
+
+def test_pi_witness_paths_match_a_search_per_vertex():
+    # one BFS tree per feeding cycle vertex gives the path that a separate
+    # search stopping at each tail vertex finds
+    rng = random.Random(72)
+    checked = 0
+    for k in range(900):
+        g = (random_looped_graph if k % 2 else random_graph)(rng)
+        r = is_purely_infinite(g)
+        for w in r.witnesses:
+            assert w.connect == bfs_connect(g, w.cycle.src, w.vertex)
+            checked += bool(w.connect)
+    assert checked > 400
 
 
 def test_pi_breaking_gap_clause():

@@ -7,11 +7,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
 
 from graphck.cli import run
+from graphck.poset import Poset
 
 from util import CORPUS_DIR, DOCS_DIR, REPO
 
@@ -302,9 +304,9 @@ def test_analyze_and_spectrum_enumerate_no_subsets(tmp_path, monkeypatch, corpus
     def refuse(*args, **kwargs):
         raise AssertionError("subset enumeration")
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "graphck" and hasattr(module, "saturated_hereditary_sets"):
-            monkeypatch.setattr(module, "saturated_hereditary_sets", refuse)
+    # lattice enumerates pairs (and saturated hereditary sets) through the
+    # up-set enumerator of the prime order; analyze and spectrum never reach it
+    monkeypatch.setattr(Poset, "upset_meets", refuse)
     with pytest.raises(AssertionError, match="subset enumeration"):
         invoke("lattice", E4)
     # 40 vertices: far beyond what an enumeration of 2^40 sets could finish
@@ -334,6 +336,31 @@ def test_analyze_and_spectrum_enumerate_no_subsets(tmp_path, monkeypatch, corpus
     assert len(json.loads(outputs["spectrum", "json", str(chain)])["points"]) == 1
 
 
+def test_analyze_scales_to_a_thousand_vertex_chain(tmp_path):
+    # every saturation question is read off the one maximal tail: no closure
+    # rescans the chain round by round (minutes before the prime-point kernel)
+    n = 1000
+    chain = tmp_path / "chain.edges"
+    chain.write_text(
+        "".join(f"vertex v{i}\n" for i in range(n))
+        + "".join(f"v{i} v{i + 1} 1\n" for i in range(n - 1))
+    )
+    start = time.perf_counter()
+    code, out, err = invoke("analyze", str(chain), "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    # a chain gives a full matrix algebra: simple, and its one maximal tail
+    # (everything) has no cycle, so it is not purely infinite
+    assert report["simple"] == {"verdict": "yes", "reason": None}
+    assert report["purely_infinite"]["reason"] == {
+        "kind": "tail_vertex_not_fed_by_cycle",
+        "tail": [f"v{i}" for i in range(n)],
+        "vertex": "v0",
+    }
+    assert elapsed < 60, elapsed
+
+
 def test_analyze_and_spectrum_count_no_first_returns(monkeypatch, corpus):
     # Conditions (L) and (K) are read off the components, not per-vertex closures
     def refuse(*args, **kwargs):
@@ -348,6 +375,21 @@ def test_analyze_and_spectrum_count_no_first_returns(monkeypatch, corpus):
                          ("spectrum", "text"), ("spectrum", "dot")):
             code, out, err = invoke(cmd, path, "--format", fmt)
             assert code == 0 and err == "" and out
+
+
+def test_word_exponents_are_not_expanded(tmp_path):
+    action = make_action(tmp_path)  # F1 on 1 -> 2 -> 3: g^k is empty for k >= 3
+    word = "g^1000000000000 g^-999999999999"
+    code, out, err = invoke("paction", action, "element_map", "--word", word)
+    assert (code, err, out) == (0, "", f"word {word!r} acts as: 1->2 2->3\n")
+    code, out, err = invoke("paction", action, "element_map", "--word", "g^1000000000000")
+    assert (code, err) == (0, "") and out.endswith("acts as: (empty map)\n")
+    # an exponent past the int-conversion digit limit names the word
+    word = "g^" + "9" * 5000
+    code, out, err = invoke("paction", action, "element_map", "--word", word)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: word 'g^999") and "integer literal too long" in err, err
+    assert "set_int_max_str_digits" not in err and len(err.encode()) < 300
 
 
 def make_action(tmp_path):

@@ -1,10 +1,13 @@
 """The bitmask poset kernel against brute-force order oracles."""
 
+import functools
+import importlib
 import random
 
 import pytest
 
-from graphck.poset import Poset, bits, check_antisymmetric, closure, to_dot
+from graphck import Edge, Graph
+from graphck.poset import Poset, bits, cached_property, check_antisymmetric, closure, to_dot
 
 from util import brute_closure, brute_covers, brute_glb, brute_lub
 
@@ -130,3 +133,36 @@ def test_dot_escapes_labels():
     assert dot == (
         'digraph g {\n  rankdir=BT;\n  "a\\"x";\n  "b\\\\y";\n  "a\\"x" -> "b\\\\y";\n}\n'
     )
+
+
+def test_cached_property_computes_once_and_reads_func_at_access():
+    calls = []
+
+    class Box:
+        @cached_property
+        def value(self):
+            """The doc."""
+            calls.append(self)
+            return len(calls)
+
+    box = Box()
+    assert (box.value, box.value, len(calls)) == (1, 1, 1)
+    assert Box.value.__doc__ == "The doc."
+    # a replaced func (a tracer wraps it this way) serves the next first access
+    Box.__dict__["value"].func = lambda self: 42
+    assert (Box().value, box.value) == (42, 1)
+    # frozen dataclasses cache through the instance dict, as before
+    g = Graph(("a", "b"), (Edge("e", "a", "b"),))
+    assert g._reach == (0b11, 0b10) and vars(g)["_reach"] is g._reach
+
+
+def test_every_cached_member_uses_the_lock_free_descriptor():
+    found = 0
+    for name in ("graphs", "poset", "conditions", "ideals", "spectrum", "classify", "actions"):
+        module = importlib.import_module(f"graphck.{name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                for member in vars(cls).values():
+                    assert not isinstance(member, functools.cached_property), (name, cls)
+                    found += isinstance(member, cached_property)
+    assert found >= 20

@@ -29,7 +29,7 @@ from graphck import (
     pair_meet,
     parse_graph,
 )
-from graphck.graphs import is_finite, mult_sum
+from graphck.graphs import mult_sum
 
 REPO = FsPath(__file__).resolve().parent.parent
 CORPUS_DIR = REPO / "corpus"
@@ -108,9 +108,66 @@ def brute_breaking_vertices_of(g: Graph, H) -> frozenset[str]:
         if v in H or g.in_degree(v) != OMEGA:
             continue
         outside = mult_sum(e.mult for e in g.in_edges(v) if e.src not in H)
-        if is_finite(outside) and outside > 0:
+        if isinstance(outside, int) and outside > 0:
             out.append(v)
     return frozenset(out)
+
+
+def round_closure(g: Graph, m: int) -> int:
+    """Least saturated hereditary superset of the vertex mask m, round by
+    round: its ancestors, then every forced vertex (finite nonzero in-degree,
+    every source in the set) until a round forces none.  Each round rescans
+    every vertex; the package reads the closure off the maximal tails."""
+
+    def forced(m: int) -> int:
+        out = 0
+        for i, (src, omega) in enumerate(zip(g._in.src, g._in.omega)):
+            if src and not omega and not src & ~m:
+                out |= 1 << i
+        return out
+
+    for i in range(len(g.vertices)):
+        if m >> i & 1:
+            m |= g._back[i]
+    while new := forced(m) & ~m:
+        m |= new
+    return m
+
+
+def brute_pairs(g: Graph) -> list[tuple[frozenset, frozenset]]:
+    """Every (H, B) with H saturated hereditary and B a subset of its breaking
+    range, by scanning all subsets, in canonical (set_key H, set_key B) order."""
+    pairs = [
+        (H, B)
+        for H in brute_sh_sets(g)
+        for B in all_subsets(brute_breaking_vertices_of(g, H))
+    ]
+    return sorted(pairs, key=lambda p: (g.set_key(p[0]), g.set_key(p[1])))
+
+
+def bfs_connect(g: Graph, src: str, dst: str) -> tuple[str, ...]:
+    """Edge ids of a shortest path src -> dst, in traversal order, by a BFS
+    that stops at dst and keeps the first edge found into each vertex."""
+    if src == dst:
+        return ()
+    prev: dict[str, object] = {src: None}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for e in g.out_edges(u):
+                if e.rng not in prev:
+                    prev[e.rng] = e
+                    if e.rng == dst:
+                        ids = []
+                        cur = dst
+                        while prev[cur] is not None:
+                            ids.append(prev[cur].id)
+                            cur = prev[cur].src
+                        return tuple(reversed(ids))
+                    nxt.append(e.rng)
+        frontier = nxt
+    raise ValueError(f"no path {src!r} -> {dst!r}")
 
 
 def enumerate_simple_cycles(g: Graph):
@@ -567,6 +624,37 @@ def random_cycle_transposition_action(rng: random.Random, n: int) -> FiniteParti
 
 
 # -- action oracles ------------------------------------------------------------------
+
+
+def letter_element_map(a: FinitePartialAction, word) -> tuple:
+    """The pairs of a word's map, letter by letter: every name^k expanded
+    into k letters, freely reduced, then one letter's map after another."""
+    if isinstance(word, int):
+        tokens = [f"{a.generator_names[0]}^{word}"]
+    else:
+        tokens = word.replace("·", " ").replace("*", " ").split()
+    letters = []
+    for tok in tokens:
+        if tok == "e":
+            continue
+        if tok.lstrip("-").isdigit():  # a bare integer over Z
+            name, exp = a.generator_names[0], tok
+        elif "^" in tok:
+            name, _, exp = tok.rpartition("^")
+        else:
+            name, exp = tok, "1"
+        letters.extend([(name, 1 if int(exp) > 0 else -1)] * abs(int(exp)))
+    reduced = []
+    for letter in letters:
+        if reduced and reduced[-1] == (letter[0], -letter[1]):
+            reduced.pop()
+        else:
+            reduced.append(letter)
+    current = {x: x for x in a.space.points}
+    for letter in reversed(reduced):
+        f = letter_map(a, letter).mapping
+        current = {x: f[y] for x, y in current.items() if y in f}
+    return tuple(sorted(current.items(), key=lambda xy: a.space.index[xy[0]]))
 
 
 def is_down_set(space: FiniteT0Space, S) -> bool:
