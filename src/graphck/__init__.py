@@ -7,6 +7,8 @@ models partial dynamical systems of free groups or the integers on finite T0
 spaces.
 """
 
+from types import ModuleType as _ModuleType
+
 from .graphs import (
     DEFAULT_LIMIT,
     Edge,
@@ -20,7 +22,6 @@ from .graphs import (
     first_return_count,
     graph_to_edgelist,
     graph_to_json,
-    mult_sum,
     parse_graph,
     scc_decomposition,
     serialize_graph,
@@ -32,7 +33,6 @@ from .conditions import (
     condition_K,
     condition_L,
     cycle_entrances,
-    hereditary_closure,
     is_hereditary,
     is_saturated,
     saturated_hereditary_sets,
@@ -45,9 +45,7 @@ from .ideals import (
     breaking_vertices_of,
     lattice_to_dot,
     lattice_to_json,
-    pair_join,
     pair_leq,
-    pair_meet,
     quotient_graph,
 )
 from .spectrum import (
@@ -56,11 +54,9 @@ from .spectrum import (
     breaking_vertices,
     is_maximal_tail,
     maximal_tails,
-    omega,
     prim_space,
     prim_space_to_dot,
     prim_space_to_json,
-    prim_space_to_t0,
     prime_points,
 )
 from .classify import (
@@ -85,7 +81,7 @@ from .actions import (
     decide_G_infinite,
     parse_action,
     parse_decomposition,
-    trivial_action,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType))

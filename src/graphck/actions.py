@@ -493,11 +493,6 @@ class QuasiOrbitSpace:
     class_of: dict[str, str]
 
 
-def trivial_action(space: FiniteT0Space) -> FinitePartialAction:
-    """The action of the trivial group: only the identity acts."""
-    return FinitePartialAction(space, "F0", (), ())
-
-
 # -- decompositions ------------------------------------------------------------
 
 
@@ -710,6 +705,8 @@ def action_from_json_obj(raw: dict) -> FinitePartialAction:
     if not _names(points):
         raise ActionFormatError('"points": expected a list of strings')
     for p in points:
+        if not p:  # an empty member would print like the empty set
+            raise ActionFormatError(f"point {clip(p)}: empty id")
         reserved = [c for c in ",;" if c in p]  # set separators in outputs and --set
         if reserved:
             raise ActionFormatError(f"point {clip(p)}: reserved character {reserved[0]!r} in id")

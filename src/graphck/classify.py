@@ -18,9 +18,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .conditions import ConditionL, CycleWitness, _sh_closure, condition_K, condition_L
+from .conditions import ConditionL, CycleWitness, condition_K, condition_L
 from .graphs import Graph, Path
-from .ideals import AdmissiblePair, _breaking
+from .ideals import AdmissiblePair
 from .poset import bits
 from .spectrum import maximal_tails
 
@@ -167,7 +167,7 @@ def is_simple(g: Graph):
     H, is nonempty and is not everything, so it is H.
     """
     # the members of a component share their ancestors
-    generated = {_sh_closure(g, c & -c) for c in g._comps} - {g._full}
+    generated = {g._sh_closure(c & -c) for c in g._comps} - {g._full}
     if generated:
         h = min(generated, key=lambda m: (m.bit_count(), m))
         pair = AdmissiblePair(g, g.unmask(h), frozenset())
@@ -189,7 +189,7 @@ def _find_cycle_at(g: Graph, v: str) -> Path:
         if u in seen:
             continue
         seen.add(u)
-        for e in reversed(g.out_edges(u)):
+        for e in reversed(g.out_edges_by_vertex[u]):
             if e.rng == v:
                 return Path.from_walk(g, walk + [e])
             if e.rng not in seen:
@@ -252,12 +252,12 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     gap_sets = []
     for i, omega_src in enumerate(g._in.omega):
         if omega_src:
-            h = _sh_closure(g, omega_src)
-            if _breaking(g, h) >> i & 1:
+            h = g._sh_closure(omega_src)
+            if g._breaking(h) >> i & 1:
                 gap_sets.append(h)
     if gap_sets:
         h = min(gap_sets, key=lambda m: (m.bit_count(), m))
-        gap = g.vertices[next(bits(_breaking(g, h)))]
+        gap = g.vertices[next(bits(g._breaking(h)))]
         return PurelyInfiniteVerdict("no", "breaking_vertex_gap", vertex=gap, h_set=g.unmask(h))
     return PurelyInfiniteVerdict("yes", witnesses=tuple(witnesses))
 

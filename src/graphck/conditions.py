@@ -10,16 +10,10 @@ each of whose members has exactly one source inside it, not repeated (so
 the component is cyclic).  (L) fails on such a component with no entrance:
 its vertices all have in-degree one (one source, not repeated).
 
-Saturation is read off the maximal tails (``Graph._tails``): the complement
-of a saturated hereditary set H is a union of them (walk back from a vertex
-outside H along sources outside H to a vertex on a cycle, with no in-edge or
-an OMEGA one: what it reaches is a tail).  So the least saturated hereditary
-superset of m is everything outside the tails that miss m (Birkhoff, *Rings
-of sets*, Duke Math. J. 1937; Bates-Hong-Raeburn-Szymanski, Illinois J. Math.
-2002).
-
-Vertex sets are frozensets of names at the public API and int masks in
-canonical order inside; ``_sh_closure`` is the one saturated hereditary closure.
+Saturation is read off the prime-point kernel, whose one home is `Graph`
+(see `graphs`): ``Graph._sh_closure`` is the one saturated hereditary
+closure.  Vertex sets are frozensets of names at the public API and int
+masks in canonical order inside.
 """
 
 from __future__ import annotations
@@ -28,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import DEFAULT_LIMIT, Edge, Graph, Path
+from .ideals import admissible_pairs
 from .poset import bits, clip, union
 
 
@@ -45,27 +40,12 @@ def is_saturated(g: Graph, S: Iterable[str]) -> bool:
     )
 
 
-def _sh_closure(g: Graph, m: int) -> int:
-    """Least saturated hereditary superset of m: everything outside the
-    maximal tails that miss m (see the module docstring)."""
-    out = g._full
-    for t in g._tails:
-        if not t & m:
-            out &= ~t
-    return out
-
-
-def hereditary_closure(g: Graph, S: Iterable[str]) -> frozenset[str]:
-    """Smallest hereditary superset of S: everything that reaches S."""
-    return g.unmask(union(g._back, g.mask(S)))
-
-
 def saturation(g: Graph, H: Iterable[str]) -> frozenset[str]:
     """Least saturated superset of a hereditary H; stays hereditary."""
     H = frozenset(H)
     if not is_hereditary(g, H):
         raise ValueError(f"saturation input is not hereditary: {clip(sorted(H))}")
-    return g.unmask(_sh_closure(g, g.mask(H)))
+    return g.unmask(g._sh_closure(g.mask(H)))
 
 
 def saturated_hereditary_sets(
@@ -73,8 +53,6 @@ def saturated_hereditary_sets(
 ) -> list[frozenset[str]]:
     """All simultaneously hereditary and saturated vertex sets, ordered by
     (size, canonical bitmask): the H parts of the admissible pairs with B empty."""
-    from .ideals import admissible_pairs  # ideals builds on this module
-
     return [p.h for p in admissible_pairs(g, limit).pairs if not p.b]
 
 
@@ -120,9 +98,10 @@ def condition_L(g: Graph) -> ConditionL:
         if back & ~deg1:
             continue
         first = next(j for j in bits(back) if not g._back[j] & ~g._reach[j])
+        into = {e.rng: e for e in g.edges}  # a cycle vertex has one in-edge
         ids, v = [], g.vertices[first]
         for _ in range(g._back[first].bit_count()):  # the cycle is its own ancestry
-            (e,) = g.in_edges(v)
+            e = into[v]
             ids.append(e.id)
             v = e.src
         return ConditionL(False, CycleWitness.for_cycle(g, Path(g, tuple(ids))))

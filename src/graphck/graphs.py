@@ -29,6 +29,18 @@ pass over the edges, by field name.  Per vertex it holds the masks of its
 in-edge sources (``src``), of its OMEGA sources (``omega``) and of its
 *repeated* sources (``repeated``), which send it more than one edge: by
 multiplicity two or more, OMEGA, or parallel records.
+
+``Graph`` is the one home of the prime-point kernel, and `conditions`,
+`ideals`, `spectrum` and `classify` ask it every saturation, pair and
+spectrum question.  The prime points are the maximal tails (``_tails``) and
+the breaking vertices (``_breakers``); ``_primes`` holds their (H, B) masks
+and ``_breaking(h)`` the admissible range of B over h.  The complement of a
+saturated hereditary set H is a union of maximal tails (walk back from a
+vertex outside H along sources outside H to a vertex on a cycle, with no
+in-edge or an OMEGA one: what it reaches is a tail).  So ``_sh_closure(m)``,
+the least saturated hereditary superset of m, is everything outside the
+tails that miss m (Birkhoff, *Rings of sets*, Duke Math. J. 1937;
+Bates-Hong-Raeburn-Szymanski, Illinois J. Math. 2002).
 """
 
 from __future__ import annotations
@@ -66,7 +78,7 @@ class LimitExceededError(RuntimeError):
 
 @total_ordering
 class Omega:
-    """Infinite multiplicity: absorbing under + and above every integer."""
+    """Infinite multiplicity: above every integer."""
 
     _instance = None
 
@@ -74,13 +86,6 @@ class Omega:
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
-
-    def __add__(self, other):
-        if isinstance(other, (int, Omega)):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
 
     def __eq__(self, other):
         return isinstance(other, Omega)
@@ -103,13 +108,6 @@ class Omega:
 OMEGA = Omega()
 
 Mult = Union[int, Omega]
-
-
-def mult_sum(values: Iterable[Mult]) -> Mult:
-    total: Mult = 0
-    for v in values:
-        total = total + v
-    return total
 
 
 def mult_to_json(m: Mult):
@@ -157,6 +155,8 @@ class Graph:
         for v in self.vertices:
             if v in seen:
                 raise GraphFormatError(f"vertex {clip(v)}: duplicate id")
+            if not v:  # an empty member would print like the empty set
+                raise GraphFormatError(f"vertex {clip(v)}: empty id")
             reserved = [c for c in ",;" if c in v]  # set separators in labels and selectors
             if reserved:
                 raise GraphFormatError(
@@ -215,27 +215,8 @@ class Graph:
         return {v: tuple(es) for v, es in by.items()}
 
     @cached_property
-    def in_edges_by_vertex(self) -> dict[str, tuple[Edge, ...]]:
-        by: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            by[e.rng].append(e)
-        return {v: tuple(es) for v, es in by.items()}
-
-    @cached_property
     def _edge_by_id(self) -> dict[str, Edge]:
         return {e.id: e for e in self.edges}
-
-    def out_edges(self, v: str) -> tuple[Edge, ...]:
-        self.index(v)
-        return self.out_edges_by_vertex[v]
-
-    def in_edges(self, v: str) -> tuple[Edge, ...]:
-        self.index(v)
-        return self.in_edges_by_vertex[v]
-
-    def in_degree(self, v: str) -> Mult:
-        """Total multiplicity of edges ending at v."""
-        return mult_sum(e.mult for e in self.in_edges(v))
 
     # -- per-vertex masks ------------------------------------------------------
 
@@ -306,13 +287,34 @@ class Graph:
         s, o = self._in.src, self._in.omega
         return tuple(i for i, r in enumerate(self._reach) if o[i] and not o[i] & r and s[i] & r)
 
-    def geq(self, v: str, w: str) -> bool:
-        """Decide v >= w: w = v, or some path runs from w to v."""
-        return bool(self._reach[self.index(w)] >> self.index(v) & 1)
+    def _sh_closure(self, m: int) -> int:
+        """Least saturated hereditary superset of the mask m: everything
+        outside the maximal tails that miss m (see the module docstring)."""
+        out = self._full
+        for t in self._tails:
+            if not t & m:
+                out &= ~t
+        return out
 
-    def reachable_from(self, vs: Iterable[str]) -> frozenset[str]:
-        """All vertices reachable from vs (vs included)."""
-        return self.unmask(union(self._reach, self.mask(vs)))
+    def _breaking(self, h: int) -> int:
+        """Mask of the infinite receivers outside the hereditary mask h fed
+        finitely (but not zero) from outside h: the admissible range of B."""
+        out = 0
+        for i, (src, omega) in enumerate(zip(self._in.src, self._in.omega)):
+            if omega and not omega & ~h and src & ~h:
+                out |= 1 << i
+        return out
+
+    @cached_property
+    def _primes(self) -> tuple[tuple[int, int], ...]:
+        """(H, B) of the prime points: per maximal tail, H outside it and B
+        the whole range; then per breaking vertex v, H outside its reach and
+        B the range minus v."""
+        out = [(h, self._breaking(h)) for h in (self._full & ~t for t in self._tails)]
+        for i in self._breakers:
+            h = self._full & ~self._reach[i]
+            out.append((h, self._breaking(h) & ~(1 << i)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)

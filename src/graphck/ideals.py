@@ -7,18 +7,16 @@ in-edges from outside H.  The pairs, ordered by
     (H, B) <= (H', B')   iff   H is contained in H' and B in H' | B',
 
 form a lattice naming the gauge-invariant (equivalently graded) ideals
-I_{H,B} of the graph algebra.  Meets follow the closed formula
-
-    (H & H', (H & B') | (B & H') | (B & B'))
-
-which `pair_meet` implements.  The lattice tables read meets and joins off
-the canonical pair order instead, a linear extension of the pair order: the
-meet is the last common lower bound, the join the first common upper bound.
+I_{H,B} of the graph algebra.  The lattice tables read meets and joins off
+the canonical pair order, a linear extension of the pair order: the meet is
+the last common lower bound, the join the first common upper bound.
 
 The lattice is distributive and its meet-irreducibles are the prime points
-of `spectrum` (Bates-Hong-Raeburn-Szymanski, Illinois J. Math. 2002), so by
-Birkhoff's theorem (*Rings of sets*, Duke Math. J. 1937) the pairs are the
-meets (AND of H, AND of H | B) over the up-sets of prime points, one each.
+(Bates-Hong-Raeburn-Szymanski, Illinois J. Math. 2002), so by Birkhoff's
+theorem (*Rings of sets*, Duke Math. J. 1937) the pairs are the meets (AND
+of H, AND of H | B) over the up-sets of prime points, one each.  The prime
+points and the breaking ranges come from the kernel whose one home is
+`Graph` (``Graph._primes``, ``Graph._breaking``, ``Graph._sh_closure``).
 
 Vertex sets are frozensets of names at the public API, including the fields
 of `AdmissiblePair`, and int masks in canonical order inside.
@@ -30,29 +28,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .conditions import _sh_closure
 from .graphs import DEFAULT_LIMIT, Edge, Graph, LimitExceededError
 from .poset import Poset, bits, cached_property, clip, subset_order, to_dot
-
-
-def _breaking(g: Graph, h: int) -> int:
-    """Mask of the infinite receivers outside the hereditary mask h fed
-    finitely (but not zero) from outside h."""
-    out = 0
-    for i, (src, omega) in enumerate(zip(g._in.src, g._in.omega)):
-        if omega and not omega & ~h and src & ~h:
-            out |= 1 << i
-    return out
-
-
-def _prime_masks(g: Graph) -> list[tuple[int, int]]:
-    """(H, B) of the prime points: per maximal tail, H outside it and B the
-    whole range; then per breaking vertex v, H outside its reach, B minus v."""
-    out = [(h, _breaking(g, h)) for h in (g._full & ~t for t in g._tails)]
-    for i in g._breakers:
-        h = g._full & ~g._reach[i]
-        out.append((h, _breaking(g, h) & ~(1 << i)))
-    return out
 
 
 def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
@@ -62,9 +39,9 @@ def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
     """
     H = frozenset(H)
     h = g.mask(H)
-    if _sh_closure(g, h) != h:
+    if g._sh_closure(h) != h:
         raise ValueError(f"not a saturated hereditary set: {clip(sorted(H))}")
-    return g.unmask(_breaking(g, h))
+    return g.unmask(g._breaking(h))
 
 
 @dataclass(frozen=True)
@@ -126,29 +103,6 @@ def pair_order(pairs: Sequence[AdmissiblePair]) -> Poset:
         _same_graph(pairs[0], p)
     n = len(g.vertices)
     return subset_order([g.mask(p.h) | g.mask(p.h | p.b) << n for p in pairs], 2 * n)
-
-
-def pair_meet(p: AdmissiblePair, q: AdmissiblePair) -> AdmissiblePair:
-    _same_graph(p, q)
-    h = p.h & q.h
-    b = (p.h & q.b) | (p.b & q.h) | (p.b & q.b)
-    return AdmissiblePair(p.graph, h, b)  # constructor re-checks admissibility
-
-
-def pair_join(p: AdmissiblePair, q: AdmissiblePair) -> AdmissiblePair:
-    """The least pair above p and q.
-
-    Its H holds p.h | q.h.  A vertex of p.b | q.b outside H that does not
-    break over H receives no edge from outside H, nor from outside any larger
-    H, so it cannot sit in any B above and must join H.
-    """
-    _same_graph(p, q)
-    g = p.graph
-    b = g.mask(p.b | q.b)
-    h = _sh_closure(g, g.mask(p.h | q.h))
-    while stray := b & ~h & ~_breaking(g, h):
-        h = _sh_closure(g, h | stray)
-    return AdmissiblePair(g, g.unmask(h), g.unmask(b & ~h))
 
 
 @dataclass(frozen=True)
@@ -224,7 +178,7 @@ def admissible_pairs(g: Graph, limit: int = DEFAULT_LIMIT) -> IdealLattice:
     if n > limit:
         raise LimitExceededError(n, limit)
     # a pair is the mask H | (H | B) << n: meets are ANDs, the order inclusion
-    rows = [h | (h | b) << n for h, b in _prime_masks(g)]
+    rows = [h | (h | b) << n for h, b in g._primes]
     meets = subset_order(rows, 2 * n).upset_meets(rows, g._full | g._full << n)
     pairs = [AdmissiblePair(g, g.unmask(m & g._full), g.unmask(m >> n & ~m)) for m in meets]
     pairs.sort(key=lambda p: p.key())
@@ -243,7 +197,7 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
     if p.graph != g:
         raise ValueError("pair does not belong to this graph")
     keep = [v for v in g.vertices if v not in p.h]
-    gap_vertices = [g.vertices[i] for i in bits(_breaking(g, g.mask(p.h)) & ~g.mask(p.b))]
+    gap_vertices = [g.vertices[i] for i in bits(g._breaking(g.mask(p.h)) & ~g.mask(p.b))]
     taken = set(keep)
     bar_of: dict[str, str] = {}
     for v in gap_vertices:

@@ -18,8 +18,9 @@ Omega(v); counting sources inside Omega(v) instead is a different (and here
 rejected) reading.
 
 Vertex sets are frozensets of names at the public API and int masks in
-canonical order inside.  The points are read off one kernel, ``Graph._tails``
-and ``Graph._breakers``.  By Birkhoff (*Rings of sets*, Duke Math. J. 1937)
+canonical order inside.  The points are read off the prime-point kernel,
+whose one home is `Graph` (``Graph._tails``, ``Graph._breakers`` and their
+masks ``Graph._primes``).  By Birkhoff (*Rings of sets*, Duke Math. J. 1937)
 and Bates-Hong-Raeburn-Szymanski (Illinois J. Math. 2002) they also fix every
 saturated hereditary set and admissible pair (see `conditions`, `ideals`).
 """
@@ -30,22 +31,10 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .actions import FiniteT0Space
 from .conditions import condition_K
 from .graphs import Graph
-from .ideals import AdmissiblePair, _prime_masks, pair_order
-from .poset import Poset, bits, cached_property, check_antisymmetric, to_dot, union
-
-
-def omega(g: Graph, xs: Iterable[str]) -> frozenset[str]:
-    """Vertices outside xs dominating no member of xs.
-
-    Equivalently: the complement of the set of vertices reachable from xs.
-    """
-    m = g.mask(xs)
-    if not m:
-        raise ValueError("omega needs a nonempty vertex set")
-    return g.unmask(g._full & ~union(g._reach, m))
+from .ideals import AdmissiblePair, pair_order
+from .poset import Poset, bits, cached_property, check_antisymmetric, to_dot
 
 
 def is_maximal_tail(g: Graph, M: Iterable[str]) -> bool:
@@ -100,7 +89,7 @@ def prime_points(g: Graph) -> list[PrimPoint]:
     kinds += [("breaking", None, v) for v in breaking_vertices(g)]
     return [
         PrimPoint(kind, tail, v, AdmissiblePair(g, g.unmask(h), g.unmask(b)))
-        for (kind, tail, v), (h, b) in zip(kinds, _prime_masks(g))
+        for (kind, tail, v), (h, b) in zip(kinds, g._primes)
     ]
 
 
@@ -137,12 +126,6 @@ def prim_space(g: Graph) -> PrimSpace:
     # raises on a repeated prime pair: distinct pairs make specialization antisymmetric
     check_antisymmetric(space._order.up, [pt.label for pt in points])
     return space
-
-
-def prim_space_to_t0(ps: PrimSpace):
-    """The prime-point poset as a finite T0 space (labels are point labels)."""
-    labels = [pt.label for pt in ps.points]
-    return FiniteT0Space.from_pairs(labels, ((labels[i], labels[j]) for i, j in ps.covers))
 
 
 # -- exports -------------------------------------------------------------------

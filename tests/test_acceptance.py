@@ -16,7 +16,6 @@ from graphck import (
     admissible_pairs,
     condition_K,
     condition_L,
-    hereditary_closure,
     is_purely_infinite,
     is_simple,
     pair_leq,
@@ -32,6 +31,7 @@ from util import (
     CORPUS_DIR,
     REPO,
     brute_is_hereditary,
+    hereditary_closure,
     letter_map,
     meet_of_primes_above,
     open_sets,

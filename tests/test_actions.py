@@ -17,8 +17,6 @@ from graphck import (
     decide_G_infinite,
     parse_action,
     prim_space,
-    prim_space_to_t0,
-    trivial_action,
 )
 
 from util import (
@@ -29,11 +27,13 @@ from util import (
     brute_invariant_subsets,
     compose,
     open_sets,
+    prim_space_t0,
     random_action,
     random_cycle_transposition_action,
     random_open_set,
     random_word,
     restrict,
+    trivial_action,
 )
 
 
@@ -341,7 +341,7 @@ def test_trivial_action_on_sierpinski():
 
 def test_quasi_orbit_space_matches_prim_space(corpus):
     for g in corpus.values():
-        sp = prim_space_to_t0(prim_space(g))
+        sp = prim_space_t0(prim_space(g))
         assert trivial_action(sp).quasi_orbit_space().space == sp
 
 

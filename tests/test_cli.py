@@ -140,6 +140,28 @@ def test_reserved_characters_in_point_names_exit_1(tmp_path):
             assert f"point {name!r}: reserved character {char!r}" in err
 
 
+def test_empty_vertex_id_exit_1(tmp_path):
+    # an empty id prints like the empty set: the lattice of {"", "a"} drew
+    # the label "H={};B={}" twice, with a self-loop between them
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": ["", "a"], "edges": []}))
+    for cmd in ("analyze", "lattice", "spectrum"):
+        for fmt in ("text", "json") + (("dot",) if cmd != "analyze" else ()):
+            code, out, err = invoke(cmd, str(path), "--format", fmt)
+            assert code == 1 and out == ""
+            assert "vertex '': empty id" in err
+
+
+def test_empty_point_id_exit_1(tmp_path):
+    # invariant_subsets printed {} for both the empty set and {""}
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps({"points": ["", "x"], "group": "F0", "generators": []}))
+    for fmt in ("text", "json"):
+        code, out, err = invoke("paction", str(path), "invariant_subsets", "--format", fmt)
+        assert code == 1 and out == ""
+        assert "point '': empty id" in err
+
+
 def invoke_action(tmp_path, **changes):
     obj = {"points": ["a", "b"], "specialization": [], "group": "F1"}
     obj["generators"] = [{"name": "g", "map": [["a", "a"]]}]

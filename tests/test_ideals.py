@@ -15,9 +15,7 @@ from graphck import (
     breaking_vertices_of,
     lattice_to_dot,
     lattice_to_json,
-    pair_join,
     pair_leq,
-    pair_meet,
     prim_space,
     quotient_graph,
     saturated_hereditary_sets,
@@ -30,6 +28,8 @@ from util import (
     brute_glb,
     brute_lub,
     lattice_to_json_obj,
+    pair_join,
+    pair_meet,
     poset_isomorphic,
     random_graph,
     random_looped_graph,

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from graphck import (
     admissible_pairs,
     breaking_vertices,
@@ -11,7 +9,6 @@ from graphck import (
     is_maximal_tail,
     is_saturated,
     maximal_tails,
-    omega,
     pair_leq,
     parse_graph,
     prim_space,
@@ -27,21 +24,7 @@ from util import (
     random_graph,
     random_looped_graph,
     random_omega_graph,
-    random_strongly_connected_graph,
 )
-
-
-def test_omega_examples(corpus):
-    e3, e4 = corpus["e3"], corpus["e4"]
-    assert omega(e3, {"w"}) == {"v"}
-    assert omega(e4, {"v"}) == {"w"}
-    rng = random.Random(3)
-    for _ in range(15):
-        g = random_strongly_connected_graph(rng)
-        for v in g.vertices:
-            assert omega(g, {v}) == frozenset()
-    with pytest.raises(ValueError, match="nonempty"):
-        omega(e3, set())
 
 
 def test_maximal_tails_examples(corpus):

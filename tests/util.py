@@ -26,10 +26,8 @@ from graphck import (
     PartialHomeo,
     Path,
     pair_leq,
-    pair_meet,
     parse_graph,
 )
-from graphck.graphs import mult_sum
 
 REPO = FsPath(__file__).resolve().parent.parent
 CORPUS_DIR = REPO / "corpus"
@@ -46,21 +44,70 @@ def load_corpus() -> dict[str, Graph]:
 
 
 # -- graph oracles ---------------------------------------------------------------
+#
+# Every oracle reads only g.vertices and g.edges, through `edges_by` and
+# `reach`.
+
+
+def reach(g: Graph) -> dict[str, frozenset[str]]:
+    """The vertices reachable from each vertex, itself included, by a search
+    along g.edges: v >= w exactly when v is in reach(g)[w]."""
+    succ, out = edges_by(g, "src"), {}
+    for v in g.vertices:
+        seen, stack = {v}, [v]
+        while stack:
+            for e in succ[stack.pop()]:
+                if e.rng not in seen:
+                    seen.add(e.rng)
+                    stack.append(e.rng)
+        out[v] = frozenset(seen)
+    return out
+
+
+def edges_by(g: Graph, end: str) -> dict[str, list[Edge]]:
+    """The edges at each vertex, in edge order: out-edges for end "src",
+    in-edges for end "rng"."""
+    out = {v: [] for v in g.vertices}
+    for e in g.edges:
+        out[getattr(e, end)].append(e)
+    return out
+
+
+def finitely_fed(edges) -> bool:
+    """The edges carry finite nonzero total multiplicity."""
+    return bool(edges) and all(e.mult != OMEGA for e in edges)
 
 
 def brute_is_hereditary(g: Graph, S) -> bool:
-    S = frozenset(S)
-    return all(w in S for v in S for w in g.vertices if g.geq(v, w))
+    """Every vertex that reaches a member of S lies in S."""
+    return hereditary_closure(g, S) == frozenset(S)
+
+
+def forced(g: Graph, S) -> set[str]:
+    """The vertices outside S of finite nonzero in-degree with every source in S."""
+    ins = edges_by(g, "rng").items()
+    return {v for v, es in ins if v not in S and finitely_fed(es) and all(e.src in S for e in es)}
 
 
 def brute_is_saturated(g: Graph, S) -> bool:
-    S = frozenset(S)
-    for v in g.vertices:
-        deg = g.in_degree(v)
-        if isinstance(deg, int) and 0 < deg:
-            if all(e.src in S for e in g.in_edges(v)) and v not in S:
-                return False
-    return True
+    return not forced(g, frozenset(S))
+
+
+def hereditary_closure(g: Graph, S) -> frozenset[str]:
+    """Smallest hereditary superset of S: every vertex that reaches S."""
+    S, r = frozenset(S), reach(g)
+    return frozenset(w for w in g.vertices if r[w] & S)
+
+
+def round_closure(g: Graph, S) -> frozenset[str]:
+    """Least saturated hereditary superset of S, round by round: its
+    ancestors, then every forced vertex until a round forces none (a forced
+    vertex keeps the set hereditary: its sources are inside).  The package
+    reads it off the maximal tails instead."""
+    S = hereditary_closure(g, S)
+    while new := forced(g, S):
+        S |= new
+    return S
 
 
 def induced_subgraph(g: Graph, vs) -> Graph:
@@ -72,6 +119,27 @@ def induced_subgraph(g: Graph, vs) -> Graph:
         vertices=tuple(v for v in g.vertices if v in keep),
         edges=tuple(e for e in g.edges if e.src in keep and e.rng in keep),
     )
+
+
+def pair_meet(p: AdmissiblePair, q: AdmissiblePair) -> AdmissiblePair:
+    """The meet by its closed formula (H & H', (H & B') | (B & H') | (B & B'))."""
+    h = p.h & q.h
+    b = (p.h & q.b) | (p.b & q.h) | (p.b & q.b)
+    return AdmissiblePair(p.graph, h, b)
+
+
+def pair_join(p: AdmissiblePair, q: AdmissiblePair) -> AdmissiblePair:
+    """The least pair above p and q.
+
+    Its H holds p.h | q.h.  A vertex of p.b | q.b outside H that does not
+    break over H receives no edge from outside H, nor from outside any larger
+    H, so it cannot sit in any B above and must join H.
+    """
+    g, b = p.graph, p.b | q.b
+    h = round_closure(g, p.h | q.h)
+    while stray := b - h - brute_breaking_vertices_of(g, h):
+        h = round_closure(g, h | stray)
+    return AdmissiblePair(g, h, b - h)
 
 
 def meet_of_primes_above(g: Graph, p: AdmissiblePair, points) -> AdmissiblePair:
@@ -90,48 +158,23 @@ def all_subsets(items):
 
 
 def brute_sh_sets(g: Graph) -> set[frozenset]:
-    return {
-        S
-        for S in all_subsets(g.vertices)
-        if brute_is_hereditary(g, S) and brute_is_saturated(g, S)
-    }
+    r = reach(g)
+    hereditary = (S for S in all_subsets(g.vertices) if all(w in S for w in g.vertices if r[w] & S))
+    return {S for S in hereditary if brute_is_saturated(g, S)}
 
 
 def brute_breaking_vertices_of(g: Graph, H) -> frozenset[str]:
     """Infinite receivers outside H fed finitely (but not zero) from outside H,
-    by summing in-edge multiplicities."""
+    read off the in-edge multiplicities."""
     H = frozenset(H)
     if not (brute_is_hereditary(g, H) and brute_is_saturated(g, H)):
         raise ValueError(f"not a saturated hereditary set: {sorted(H)}")
     out = []
-    for v in g.vertices:
-        if v in H or g.in_degree(v) != OMEGA:
-            continue
-        outside = mult_sum(e.mult for e in g.in_edges(v) if e.src not in H)
-        if isinstance(outside, int) and outside > 0:
+    for v, ins in edges_by(g, "rng").items():
+        outside = [e for e in ins if e.src not in H]
+        if v not in H and any(e.mult == OMEGA for e in ins) and finitely_fed(outside):
             out.append(v)
     return frozenset(out)
-
-
-def round_closure(g: Graph, m: int) -> int:
-    """Least saturated hereditary superset of the vertex mask m, round by
-    round: its ancestors, then every forced vertex (finite nonzero in-degree,
-    every source in the set) until a round forces none.  Each round rescans
-    every vertex; the package reads the closure off the maximal tails."""
-
-    def forced(m: int) -> int:
-        out = 0
-        for i, (src, omega) in enumerate(zip(g._in.src, g._in.omega)):
-            if src and not omega and not src & ~m:
-                out |= 1 << i
-        return out
-
-    for i in range(len(g.vertices)):
-        if m >> i & 1:
-            m |= g._back[i]
-    while new := forced(m) & ~m:
-        m |= new
-    return m
 
 
 def brute_pairs(g: Graph) -> list[tuple[frozenset, frozenset]]:
@@ -145,29 +188,32 @@ def brute_pairs(g: Graph) -> list[tuple[frozenset, frozenset]]:
     return sorted(pairs, key=lambda p: (g.set_key(p[0]), g.set_key(p[1])))
 
 
+def prim_space_t0(ps) -> FiniteT0Space:
+    """The prime-point poset as a finite T0 space, labelled by point labels."""
+    labels = [pt.label for pt in ps.points]
+    return FiniteT0Space.from_pairs(labels, ((labels[i], labels[j]) for i, j in ps.covers))
+
+
+def trivial_action(space: FiniteT0Space) -> FinitePartialAction:
+    """The action of the trivial group: only the identity acts."""
+    return FinitePartialAction(space, "F0", (), ())
+
+
 def bfs_connect(g: Graph, src: str, dst: str) -> tuple[str, ...]:
     """Edge ids of a shortest path src -> dst, in traversal order, by a BFS
     that stops at dst and keeps the first edge found into each vertex."""
-    if src == dst:
-        return ()
-    prev: dict[str, object] = {src: None}
-    frontier = [src]
-    while frontier:
+    succ, paths, frontier = edges_by(g, "src"), {src: ()}, [src]
+    while frontier and dst not in paths:
         nxt = []
         for u in frontier:
-            for e in g.out_edges(u):
-                if e.rng not in prev:
-                    prev[e.rng] = e
-                    if e.rng == dst:
-                        ids = []
-                        cur = dst
-                        while prev[cur] is not None:
-                            ids.append(prev[cur].id)
-                            cur = prev[cur].src
-                        return tuple(reversed(ids))
+            for e in succ[u]:
+                if e.rng not in paths:
+                    paths[e.rng] = paths[u] + (e.id,)
                     nxt.append(e.rng)
         frontier = nxt
-    raise ValueError(f"no path {src!r} -> {dst!r}")
+    if dst not in paths:
+        raise ValueError(f"no path {src!r} -> {dst!r}")
+    return paths[dst]
 
 
 def enumerate_simple_cycles(g: Graph):
@@ -176,11 +222,11 @@ def enumerate_simple_cycles(g: Graph):
     Each cycle is rooted at its canonically smallest vertex, so every cycle
     appears exactly once up to rotation.
     """
-    cycles = []
+    cycles, succ = [], edges_by(g, "src")
 
     def extend(start, smaller, walk, seen):
         u = walk[-1].rng if walk else start
-        for e in g.out_edges(u):
+        for e in succ[u]:
             if e.rng in smaller:
                 continue
             if e.rng == start:
@@ -194,15 +240,10 @@ def enumerate_simple_cycles(g: Graph):
 
 
 def cycle_has_entrance(g: Graph, cycle_edges) -> bool:
-    heads = {e.rng for e in cycle_edges}
-    used = {e.id for e in cycle_edges}
-    for e in g.edges:
-        if e.rng in heads:
-            if e.id not in used:
-                return True
-            if e.mult == OMEGA or (isinstance(e.mult, int) and e.mult >= 2):
-                return True
-    return False
+    """Some edge other than a cycle edge ends on the cycle; a cycle edge of
+    multiplicity two or more (or OMEGA) has such a parallel copy."""
+    heads, used = {e.rng for e in cycle_edges}, {e.id for e in cycle_edges}
+    return any(e.rng in heads and (e.id not in used or e.mult != 1) for e in g.edges)
 
 
 def brute_condition_L(g: Graph) -> bool:
@@ -213,7 +254,8 @@ def walk_condition_L(g: Graph) -> ConditionL:
     """Reference Condition (L): walk unique in-edges backwards inside the
     in-degree-one vertices from each start in canonical order, and rotate the
     first cycle met to start at its canonically smallest vertex."""
-    candidates = {v for v in g.vertices if g.in_degree(v) == 1}
+    ins = edges_by(g, "rng")
+    candidates = {v for v in g.vertices if [e.mult for e in ins[v]] == [1]}
     state: dict[str, int] = {}  # 0 = in progress, 1 = cleared
     for start in g.vertices:
         if start not in candidates or start in state:
@@ -228,16 +270,16 @@ def walk_condition_L(g: Graph) -> ConditionL:
                 cycle_vs = trail[pos[v]:]
                 walk = []  # traversal order along the cycle
                 for u in reversed(cycle_vs):
-                    (e,) = g.in_edges(u)
+                    (e,) = ins[u]
                     walk.append(e)
                 # rotate so the walk starts at the canonically smallest vertex
-                base = min(range(len(walk)), key=lambda i: g.index(walk[i].src))
+                base = min(range(len(walk)), key=lambda i: g.vertices.index(walk[i].src))
                 walk = walk[base:] + walk[:base]
                 path = Path.from_walk(g, walk)
                 return ConditionL(False, CycleWitness.for_cycle(g, path))
             pos[v] = len(trail)
             trail.append(v)
-            (e,) = g.in_edges(v)
+            (e,) = ins[v]
             v = e.src
         for u in trail:
             state[u] = 1
@@ -267,13 +309,13 @@ def brute_first_return_count(g: Graph, v: str, cap: int = 2) -> int:
     def step(m) -> int:
         return cap if m == OMEGA else min(m, cap)
 
-    total = 0
+    total, succ = 0, edges_by(g, "src")
     work = [(v, 0, 1)]  # (current vertex, steps taken, choice weight so far)
     while work:
         u, depth, weight = work.pop()
         if depth >= bound:
             continue
-        for e in g.out_edges(u):
+        for e in succ[u]:
             w = min(weight * step(e.mult), cap)
             if e.rng == v:
                 total += w
@@ -285,22 +327,15 @@ def brute_first_return_count(g: Graph, v: str, cap: int = 2) -> int:
 
 
 def brute_maximal_tails(g: Graph) -> set[frozenset]:
-    out = set()
+    """Nonempty vertex sets that are upward closed, co-saturated (a member of
+    finite nonzero in-degree has a source inside) and downward directed (two
+    members reach a common member), by scanning all subsets."""
+    out, r, ins = set(), reach(g), edges_by(g, "rng")
     for M in all_subsets(g.vertices):
-        if not M:
-            continue
-        a = all(v in M for v in g.vertices for w in M if g.geq(v, w))
-        b = True
-        for v in M:
-            deg = g.in_degree(v)
-            if isinstance(deg, int) and deg > 0:
-                if not any(e.src in M for e in g.in_edges(v)):
-                    b = False
-                    break
-        c = all(
-            any(g.geq(v, y) and g.geq(w, y) for y in M) for v in M for w in M
-        )
-        if a and b and c:
+        upward = all(r[w] <= M for w in M)
+        cosaturated = all(any(e.src in M for e in ins[v]) for v in M if finitely_fed(ins[v]))
+        directed = all(any(v in r[y] and w in r[y] for y in M) for v in M for w in M)
+        if M and upward and cosaturated and directed:
             out.add(M)
     return out
 
