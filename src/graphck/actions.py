@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import combinations
+from operator import or_
 from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import DEFAULT_LIMIT, LimitExceededError, decode_json
@@ -217,9 +220,6 @@ class PartialHomeo:
     def image(self) -> frozenset[str]:
         return frozenset(y for _, y in self.pairs)
 
-    def apply_set(self, S: Iterable[str]) -> frozenset[str]:
-        return frozenset(self.mapping[x] for x in S if x in self.mapping)
-
     def inverse(self) -> "PartialHomeo":
         return PartialHomeo(self.space, tuple((y, x) for x, y in self.pairs))
 
@@ -254,7 +254,13 @@ class FinitePartialAction:
         if len(set(self.generator_names)) != len(self.generator_names):
             raise ActionFormatError("generator names repeat")
         for name in self.generator_names:
-            if not name or name == "e" or any(c.isspace() for c in name):
+            # a word could not name it: e, separators, powers and integer tokens
+            if (
+                not name
+                or name == "e"
+                or any(c.isspace() or c in "^*·" for c in name)
+                or re.fullmatch(r"-?\d+", name)
+            ):
                 raise ActionFormatError(f"bad generator name {clip(name)}")
         for gen in self.generators:
             if gen.space != self.space:
@@ -319,11 +325,11 @@ class FinitePartialAction:
         """Each generator's index tuple, then its inverse's."""
         return tuple(f for gen in self.generators for f in (gen._fwd, gen._inv))
 
-    def element_map(self, word: Word) -> PartialHomeo:
-        """The partial homeomorphism of the reduced word; e acts as identity."""
-        pts, maps = self.space.points, self._index_maps
+    def _word_map(self, word: Word) -> tuple[int, ...]:
+        """The index tuple of the reduced word's map; e acts as identity."""
+        maps = self._index_maps
         slot = {name: 2 * k for k, name in enumerate(self.generator_names)}
-        current = tuple(range(len(pts)))
+        current = tuple(range(len(self.space.points)))
         # the rightmost run acts first: theta_{l1 ... ln} = l1 o ... o ln; a run
         # f^k is applied by repeated squaring, since the powers of f commute
         for name, exp in reversed(self.parse_word(word)):
@@ -332,7 +338,12 @@ class FinitePartialAction:
                 if k & 1:
                     current = tuple(f[v] if v >= 0 else -1 for v in current)
                 f, k = tuple(f[v] if v >= 0 else -1 for v in f), k >> 1
-        pairs = tuple((pts[i], pts[j]) for i, j in enumerate(current) if j >= 0)
+        return current
+
+    def element_map(self, word: Word) -> PartialHomeo:
+        """The partial homeomorphism of the reduced word; e acts as identity."""
+        pts = self.space.points
+        pairs = tuple((pts[i], pts[j]) for i, j in enumerate(self._word_map(word)) if j >= 0)
         return PartialHomeo(self.space, pairs)
 
     # -- orbits ----------------------------------------------------------------
@@ -548,45 +559,43 @@ class GInfiniteDecision:
 
 
 def _check_common(
-    a: FinitePartialAction, d: Decomposition
-) -> tuple[Optional[Violation], list[frozenset[str]]]:
-    """Clauses shared by both notions; returns images when all of them hold."""
+    a: FinitePartialAction, d: Decomposition, covers: Sequence[tuple[slice, str]]
+) -> tuple[Optional[Violation], int, list[int]]:
+    """The clauses both notions share, in definition order: V open; every part
+    open and inside its word's domain (words are read up to the first part
+    that fails); each cover (a slice of the parts, with its message) exactly
+    V; the images inside V and pairwise disjoint.  Returns the first
+    violation, V's mask and the image masks."""
     sp = a.space
     _check_known(sp.index, "decomposition names unknown point", d.v, *(p for p, _ in d.parts))
-    if not sp.is_open(d.v):
-        return Violation("v_not_open", f"V={sorted(d.v)} is not open"), []
-    images = []
-    for i, (part, word) in enumerate(d.parts):
-        if not sp.is_open(part):
-            return Violation("part_not_open", f"V_{i} is not open", i=i), []
-        theta = a.element_map(word)
-        if not part <= theta.domain:
-            return (
-                Violation(
-                    "part_outside_domain",
-                    f"V_{i} is not contained in the domain of the word {word!r}",
-                    i=i,
-                ),
-                [],
-            )
-        images.append(theta.apply_set(part))
-    for i, img in enumerate(images):
-        if not img <= d.v:
-            return Violation("image_escapes", f"image of V_{i} leaves V", i=i), []
-    return None, images
-
-
-def _disjointness(images: list[frozenset[str]]) -> Optional[Violation]:
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if images[i] & images[j]:
-                return Violation(
-                    "images_overlap",
-                    f"images of V_{i} and V_{j} meet",
-                    i=i,
-                    j=j,
-                )
-    return None
+    v, parts = sp.mask(d.v), [sp.mask(part) for part, _ in d.parts]
+    if sp._interior(v) != v:
+        return Violation("v_not_open", f"V={sorted(d.v)} is not open"), v, []
+    bad, images = None, []
+    for i, (part, (_, word)) in enumerate(zip(parts, d.parts)):
+        if sp._interior(part) != part:
+            bad = Violation("part_not_open", f"V_{i} is not open", i=i)
+            break
+        f = a._word_map(word)
+        if any(f[x] < 0 for x in bits(part)):
+            detail = f"V_{i} is not contained in the domain of the word {word!r}"
+            bad = Violation("part_outside_domain", detail, i=i)
+            break
+        images.append(sum(1 << f[x] for x in bits(part)))  # f is injective
+    else:
+        i = next((i for i, img in enumerate(images) if img & ~v), None)
+        if i is not None:
+            bad = Violation("image_escapes", f"image of V_{i} leaves V", i=i)
+    for family, message in covers:
+        if reduce(or_, parts[family], 0) != v:
+            return Violation("bad_cover", message), v, images
+    if bad is not None:
+        return bad, v, images
+    for i, j in combinations(range(len(images)), 2):
+        if images[i] & images[j]:
+            detail = f"images of V_{i} and V_{j} meet"
+            return Violation("images_overlap", detail, i=i, j=j), v, images
+    return None, v, images
 
 
 def check_paradoxical_witness(
@@ -599,40 +608,17 @@ def check_paradoxical_witness(
         raise ActionFormatError("split index out of range")
     if not d.v:
         return WitnessCheck(False, Violation("v_empty", "a nonempty open V is required"))
-    bad, images = _check_common(a, d)
-    if bad is not None and bad.clause == "v_not_open":
-        return WitnessCheck(False, bad)
-    first = [part for part, _ in d.parts[: d.split]]
-    second = [part for part, _ in d.parts[d.split :]]
-    union_first = frozenset().union(*first) if first else frozenset()
-    union_second = frozenset().union(*second) if second else frozenset()
-    if union_first != d.v:
-        return WitnessCheck(
-            False, Violation("bad_cover", "the first family does not cover V exactly")
-        )
-    if union_second != d.v:
-        return WitnessCheck(
-            False, Violation("bad_cover", "the second family does not cover V exactly")
-        )
-    if bad is not None:
-        return WitnessCheck(False, bad)
-    overlap = _disjointness(images)
-    if overlap is not None:
+    covers = [
+        (slice(None, d.split), "the first family does not cover V exactly"),
+        (slice(d.split, None), "the second family does not cover V exactly"),
+    ]
+    bad, _, _ = _check_common(a, d, covers)
+    if bad is not None and bad.clause == "images_overlap":
         # with both covers intact this clause must fail on a finite space:
         # the two families alone already supply 2|V| image points inside V
-        return WitnessCheck(
-            False,
-            Violation(
-                overlap.clause,
-                overlap.detail
-                + f"; on a finite space the double cover of |V|={len(d.v)} points "
-                f"forces an overlap",
-                i=overlap.i,
-                j=overlap.j,
-                counting=True,
-            ),
-        )
-    return WitnessCheck(True)
+        detail = f"; on a finite space the double cover of |V|={len(d.v)} points forces an overlap"
+        bad = replace(bad, detail=bad.detail + detail, counting=True)
+    return WitnessCheck(bad is None, bad)
 
 
 def check_infinite_witness(a: FinitePartialAction, d: Decomposition) -> WitnessCheck:
@@ -643,33 +629,18 @@ def check_infinite_witness(a: FinitePartialAction, d: Decomposition) -> WitnessC
         return WitnessCheck(
             False, Violation("no_parts", "at least one part is required")
         )
-    bad, images = _check_common(a, d)
-    if bad is not None and bad.clause == "v_not_open":
-        return WitnessCheck(False, bad)
-    union_parts = frozenset().union(*(part for part, _ in d.parts))
-    if union_parts != d.v:
-        return WitnessCheck(
-            False, Violation("bad_cover", "the parts do not cover V exactly")
-        )
-    if bad is not None:
-        return WitnessCheck(False, bad)
-    overlap = _disjointness(images)
-    if overlap is not None:
-        return WitnessCheck(False, overlap)
-    image_union = frozenset().union(*images) if images else frozenset()
-    closed = a.space.closure(image_union)
-    if not (closed <= d.v and closed != d.v):
-        return WitnessCheck(
-            False,
-            Violation(
+    bad, v, images = _check_common(a, d, [(slice(None), "the parts do not cover V exactly")])
+    if bad is None:
+        closed = union(a.space._up, reduce(or_, images, 0))
+        if closed & ~v or closed == v:
+            bad = Violation(
                 "closure_not_proper",
                 f"the closure of the image union is not a proper subset of V; "
                 f"injectivity forces the {len(d.v)} covered points to map onto "
                 f"all of V",
                 counting=True,
-            ),
-        )
-    return WitnessCheck(True)
+            )
+    return WitnessCheck(bad is None, bad)
 
 
 def decide_G_infinite(a: FinitePartialAction, V: Iterable[str]) -> GInfiniteDecision:

@@ -167,6 +167,10 @@ class Graph:
         for e in self.edges:
             if e.id in eids:
                 raise GraphFormatError(f"edge {clip(e.id)}: duplicate id")
+            if not e.id:
+                raise GraphFormatError(f"edge {clip(e.id)}: empty id")
+            if "," in e.id:  # cycle witnesses list edge ids with ","
+                raise GraphFormatError(f"edge {clip(e.id)}: reserved character ',' in id")
             eids.add(e.id)
             for endpoint in (e.src, e.rng):
                 if endpoint not in seen:
@@ -197,13 +201,12 @@ class Graph:
             m |= 1 << self.index(v)
         return m
 
-    def unmask(self, m: int) -> frozenset[str]:
-        return frozenset(v for i, v in enumerate(self.vertices) if m >> i & 1)
+    def names(self, m: int) -> tuple[str, ...]:
+        """Vertices of the mask m in canonical order."""
+        return tuple(self.vertices[i] for i in bits(m))
 
-    def set_key(self, vs: Iterable[str]):
-        """Canonical sort key for vertex sets: by size, then by bitmask."""
-        m = self.mask(vs)
-        return (bin(m).count("1"), m)
+    def unmask(self, m: int) -> frozenset[str]:
+        return frozenset(self.vertices[i] for i in bits(m))
 
     # -- adjacency ----------------------------------------------------------
 

@@ -19,7 +19,8 @@ points and the breaking ranges come from the kernel whose one home is
 `Graph` (``Graph._primes``, ``Graph._breaking``, ``Graph._sh_closure``).
 
 Vertex sets are frozensets of names at the public API, including the fields
-of `AdmissiblePair`, and int masks in canonical order inside.
+of `AdmissiblePair`, and int masks in canonical order inside: a pair masks
+its H and B once, when it is built and checked.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import DEFAULT_LIMIT, Edge, Graph, LimitExceededError
-from .poset import Poset, bits, cached_property, clip, subset_order, to_dot
+from .poset import Poset, cached_property, clip, subset_order, to_dot
 
 
 def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
@@ -49,7 +50,9 @@ class AdmissiblePair:
     """A saturated hereditary set with a choice of breaking vertices.
 
     Stands for the ideal I_{H,B}; the pair is the ideal's name, operator
-    data is never materialized.
+    data is never materialized.  Construction checks the pair and keeps H
+    and B as masks too (``_h``, ``_b``): the labels, the pair order, the
+    lattice and `quotient_graph` read those.
     """
 
     graph: Graph
@@ -57,30 +60,30 @@ class AdmissiblePair:
     b: frozenset[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "h", frozenset(self.h))
-        object.__setattr__(self, "b", frozenset(self.b))
-        extra = self.b - breaking_vertices_of(self.graph, self.h)
+        g, H, B = self.graph, frozenset(self.h), frozenset(self.b)
+        h = g.mask(H)
+        if g._sh_closure(h) != h:
+            raise ValueError(f"not a saturated hereditary set: {clip(sorted(H))}")
+        allowed, index = g._breaking(h), g._index
+        extra = [v for v in B if v not in index or not allowed >> index[v] & 1]
         if extra:
             raise ValueError(
                 f"B contains vertices outside the admissible range for H: "
                 f"{clip(sorted(extra))}"
             )
+        object.__setattr__(self, "h", H)
+        object.__setattr__(self, "b", B)
+        object.__setattr__(self, "_h", h)
+        object.__setattr__(self, "_b", g.mask(B))
 
     @property
     def label(self) -> str:
         g = self.graph
-        return (
-            "H={" + ",".join(g.sort_set(self.h)) + "};"
-            "B={" + ",".join(g.sort_set(self.b)) + "}"
-        )
-
-    def key(self):
-        g = self.graph
-        return (g.set_key(self.h), g.set_key(self.b))
+        return "H={" + ",".join(g.names(self._h)) + "};B={" + ",".join(g.names(self._b)) + "}"
 
     def to_json_obj(self) -> dict:
         g = self.graph
-        return {"H": list(g.sort_set(self.h)), "B": list(g.sort_set(self.b))}
+        return {"H": list(g.names(self._h)), "B": list(g.names(self._b))}
 
 
 def _same_graph(p: AdmissiblePair, q: AdmissiblePair) -> None:
@@ -90,7 +93,7 @@ def _same_graph(p: AdmissiblePair, q: AdmissiblePair) -> None:
 
 def pair_leq(p: AdmissiblePair, q: AdmissiblePair) -> bool:
     _same_graph(p, q)
-    return p.h <= q.h and p.b <= (q.h | q.b)
+    return not p._h & ~q._h and not p._b & ~(q._h | q._b)
 
 
 def pair_order(pairs: Sequence[AdmissiblePair]) -> Poset:
@@ -98,11 +101,10 @@ def pair_order(pairs: Sequence[AdmissiblePair]) -> Poset:
     pair_leq(p, q) is inclusion of the masks H and H | B side by side."""
     if not pairs:
         return Poset(())
-    g = pairs[0].graph
     for p in pairs:
         _same_graph(pairs[0], p)
-    n = len(g.vertices)
-    return subset_order([g.mask(p.h) | g.mask(p.h | p.b) << n for p in pairs], 2 * n)
+    n = len(pairs[0].graph.vertices)
+    return subset_order([p._h | (p._h | p._b) << n for p in pairs], 2 * n)
 
 
 @dataclass(frozen=True)
@@ -113,9 +115,9 @@ class IdealLattice:
     def __post_init__(self):
         bottom = self.pairs[0]
         top = self.pairs[-1]
-        if bottom.h or bottom.b:
+        if bottom._h or bottom._b:
             raise ValueError(f"first pair {bottom.label} is not the bottom (H={{}}, B={{}})")
-        if top.h != frozenset(self.graph.vertices) or top.b:
+        if top._h != self.graph._full or top._b:
             raise ValueError(f"last pair {top.label} is not the top (H=V, B={{}})")
 
     def __len__(self) -> int:
@@ -123,13 +125,13 @@ class IdealLattice:
 
     @cached_property
     def _index(self) -> dict:
-        return {(p.h, p.b): i for i, p in enumerate(self.pairs)}
+        return {(p._h, p._b): i for i, p in enumerate(self.pairs)}
 
     def index_of(self, p: AdmissiblePair) -> int:
-        try:
-            return self._index[(p.h, p.b)]
-        except KeyError:
-            raise ValueError(f"pair {p.label} is not in the lattice") from None
+        i = self._index.get((p._h, p._b)) if p.graph == self.graph else None
+        if i is None:
+            raise ValueError(f"pair {p.label} is not in the lattice")
+        return i
 
     @cached_property
     def _order(self) -> Poset:
@@ -180,9 +182,11 @@ def admissible_pairs(g: Graph, limit: int = DEFAULT_LIMIT) -> IdealLattice:
     # a pair is the mask H | (H | B) << n: meets are ANDs, the order inclusion
     rows = [h | (h | b) << n for h, b in g._primes]
     meets = subset_order(rows, 2 * n).upset_meets(rows, g._full | g._full << n)
-    pairs = [AdmissiblePair(g, g.unmask(m & g._full), g.unmask(m >> n & ~m)) for m in meets]
-    pairs.sort(key=lambda p: p.key())
-    return IdealLattice(g, tuple(pairs))
+    hbs = sorted(
+        ((m & g._full, m >> n & ~m) for m in meets),
+        key=lambda hb: (hb[0].bit_count(), hb[0], hb[1].bit_count(), hb[1]),
+    )
+    return IdealLattice(g, tuple(AdmissiblePair(g, g.unmask(h), g.unmask(b)) for h, b in hbs))
 
 
 def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
@@ -196,8 +200,8 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
     """
     if p.graph != g:
         raise ValueError("pair does not belong to this graph")
-    keep = [v for v in g.vertices if v not in p.h]
-    gap_vertices = [g.vertices[i] for i in bits(g._breaking(g.mask(p.h)) & ~g.mask(p.b))]
+    keep = g.names(g._full & ~p._h)
+    gap_vertices = g.names(g._breaking(p._h) & ~p._b)
     taken = set(keep)
     bar_of: dict[str, str] = {}
     for v in gap_vertices:
@@ -206,7 +210,7 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
             name += "~"
         taken.add(name)
         bar_of[v] = name
-    edges = [e for e in g.edges if e.src not in p.h]
+    edges = [e for e in g.edges if not p._h >> g._index[e.src] & 1]
     edge_ids = {e.id for e in edges}
     for v in gap_vertices:
         eid = "e~" + v
@@ -215,7 +219,7 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
         edge_ids.add(eid)
         edges.append(Edge(id=eid, src=bar_of[v], rng=v, mult=1))
     return Graph(
-        vertices=tuple(keep) + tuple(bar_of[v] for v in gap_vertices),
+        vertices=keep + tuple(bar_of[v] for v in gap_vertices),
         edges=tuple(edges),
     )
 

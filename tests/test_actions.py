@@ -18,6 +18,7 @@ from graphck import (
     parse_action,
     prim_space,
 )
+from graphck.actions import Violation, WitnessCheck
 
 from util import (
     all_subsets,
@@ -32,6 +33,8 @@ from util import (
     random_cycle_transposition_action,
     random_open_set,
     random_word,
+    ref_check_infinite_witness,
+    ref_check_paradoxical_witness,
     restrict,
     trivial_action,
 )
@@ -569,6 +572,79 @@ def test_random_witnesses_always_rejected():
         inf = Decomposition(V, parts)
         res2 = check_infinite_witness(a, inf)
         assert not res2.valid and res2.violation is not None
+
+
+def outcome(check, a, d):
+    """A check's WitnessCheck, or the type and message of what it raised."""
+    try:
+        return check(a, d)
+    except ActionFormatError as exc:
+        return type(exc), str(exc)
+
+
+def random_decompositions(rng, a):
+    """(V, parts) that reach every clause: V empty, open or not; parts open
+    or not, inside their words' domains or not, covering V or not; words that
+    escape V, name no generator or do not parse; now and then an unknown point."""
+    sp, pts = a.space, list(a.space.points)
+    words = [random_word(rng, a) for _ in range(3)] + ["", "e", "zz", "g1^", "3"]
+
+    def anyset():
+        return frozenset(rng.sample(pts, rng.randint(0, len(pts))))
+
+    for _ in range(8):
+        V = random_open_set(rng, sp) if rng.random() < 0.75 else anyset()
+        parts = []
+        for _ in range(rng.randint(0, 4)):
+            r = rng.random()
+            S = V if r < 0.3 else random_open_set(rng, sp) & V if r < 0.6 else anyset()
+            parts.append((S, rng.choice(words) if rng.random() < 0.7 else ""))
+        if rng.random() < 0.05:
+            parts.append((frozenset(["zz"]), ""))
+        yield V, parts
+        # V twice covers V in both families, so the image clauses decide
+        yield V, [(V, rng.choice(words[:3] + [""])), (V, "")]
+        yield V, [(V, rng.choice(words[:3] + [""]))]
+        # an unknown generator after a non-open part is never read
+        yield V, [(frozenset(pts) - random_open_set(rng, sp), ""), (V, "zz")]
+
+
+def test_mask_witness_checks_match_the_frozenset_reference():
+    rng = random.Random(149)
+    seen = Counter()
+    for _ in range(150):
+        a = random_action(rng, max_points=6)
+        for V, parts in random_decompositions(rng, a):
+            n = len(parts)
+            split = rng.choice([None, -1, n + 1] + list(range(n + 1)) * 3)
+            cases = (
+                (check_paradoxical_witness, ref_check_paradoxical_witness, split),
+                (check_infinite_witness, ref_check_infinite_witness, rng.choice([None] * 9 + [0])),
+            )
+            for check, ref, split in cases:
+                d = Decomposition(V, tuple(parts), split)
+                got = outcome(check, a, d)
+                assert got == outcome(ref, a, d), (a, d)
+                seen[got.violation.clause if isinstance(got, WitnessCheck) else got[1][:20]] += 1
+    clauses = ["v_empty", "v_not_open", "part_not_open", "part_outside_domain", "image_escapes",
+               "bad_cover", "images_overlap", "closure_not_proper", "no_parts"]
+    errors = ["split index out of r", "paradoxical witness ", "infiniteness witness",
+              "decomposition names ", "unknown generator 'z", "unknown generator 'g",
+              "bare integer token '"]  # the first 20 characters of each message
+    assert all(seen[k] >= 10 for k in clauses + errors), seen
+
+
+def test_unknown_generator_after_a_non_open_part_is_not_read():
+    # "2" lies in the closure of "1", so {"2"} is not open
+    sp = FiniteT0Space.from_pairs(("1", "2"), [("1", "2")])
+    a = FinitePartialAction(sp, "F1", ("g",), (PartialHomeo.identity(sp, ["1"]),))
+    V, parts = frozenset(("1", "2")), ((frozenset(("2",)), ""), (frozenset(("1", "2")), "zz"))
+    res = check_infinite_witness(a, Decomposition(V, parts))
+    assert res.violation == Violation("part_not_open", "V_0 is not open", i=0)
+    res = check_paradoxical_witness(a, Decomposition(V, parts, split=1))
+    assert res.violation.clause == "bad_cover"  # the first family, {"2"}, misses "1"
+    res = check_paradoxical_witness(a, Decomposition(V, ((V, ""),) + parts, split=2))
+    assert res.violation == Violation("part_not_open", "V_1 is not open", i=1)
 
 
 def test_decide_G_infinite():

@@ -152,6 +152,26 @@ def test_empty_vertex_id_exit_1(tmp_path):
             assert "vertex '': empty id" in err
 
 
+def test_empty_or_comma_edge_id_exit_1(tmp_path):
+    # the text report joins a cycle's edge ids with ",": these two edges
+    # printed as the three-edge cycle "[,x,y]"
+    edges = [
+        {"id": "", "src": "v", "rng": "w", "mult": 1},
+        {"id": "x,y", "src": "w", "rng": "v", "mult": 1},
+    ]
+    path = tmp_path / "edges.json"
+    cases = (([0, 1], "edge '': empty id"), ([1], "edge 'x,y': reserved character ',' in id"))
+    for kept, message in cases:
+        path.write_text(json.dumps({"vertices": ["v", "w"], "edges": [edges[k] for k in kept]}))
+        for cmd in ("analyze", "lattice", "spectrum"):
+            for fmt in ("text", "json") + (("dot",) if cmd != "analyze" else ()):
+                code, out, err = invoke(cmd, str(path), "--format", fmt)
+                assert (code, out) == (1, ""), (cmd, fmt)
+                assert message in err
+        code, out, err = invoke("quotient", str(path), "--pair", "H=;B=")
+        assert (code, out) == (1, "") and message in err
+
+
 def test_empty_point_id_exit_1(tmp_path):
     # invariant_subsets printed {} for both the empty set and {""}
     path = tmp_path / "action.json"
@@ -178,6 +198,17 @@ def test_mistyped_specialization_exit_1(tmp_path):
 def test_mistyped_generator_name_exit_1(tmp_path):
     code, out, err = invoke_action(tmp_path, generators=[{"name": 7, "map": []}])
     assert code == 1 and out == "" and "generator #0: name must be a string" in err
+
+
+@pytest.mark.parametrize("name", ["g^2", "g^", "a*b", "g·h", "3", "-1", "007"])
+def test_generator_names_a_word_cannot_reach_exit_1(tmp_path, name):
+    # element_map --word "g^2" answered "unknown generator 'g'", and over Z
+    # the word "3" is the third power, not a generator named 3
+    for group in ("F1", "Z"):
+        code, out, err = invoke_action(
+            tmp_path, group=group, generators=[{"name": name, "map": [["a", "a"]]}]
+        )
+        assert (code, out) == (1, "") and f"bad generator name {name!r}" in err
 
 
 def test_mistyped_witness_json_exit_1(tmp_path):

@@ -59,7 +59,7 @@ def graph_text(draw, fault):
         return draw(st.text(max_size=20))
     vs = draw(ids(6, fault))
     ends, mult = st.sampled_from(vs), st.sampled_from([1, 1, 2, 3, "omega"])
-    edgelist = draw(st.booleans())
+    edgelist = fault != "edge_id" and draw(st.booleans())  # edgelist ids are generated
     if edgelist:
         line = st.builds("{} {} {}".format, ends, ends, mult) | st.just("# note")
         bad_mult = st.sampled_from(["0", "-3", "x", "+1", "9" * 5000])
@@ -80,6 +80,9 @@ def graph_text(draw, fault):
                 st.fixed_dictionaries({"src": ends, "rng": ends, "mult": mult, "id": ID | JSON}),
                 st.fixed_dictionaries({"src": st.lists(ends), "rng": ends, "mult": mult}),
                 st.fixed_dictionaries({"src": ends, "rng": ends}),
+            ),
+            "edge_id": st.fixed_dictionaries(
+                {"src": ends, "rng": ends, "mult": mult, "id": st.sampled_from(["", ",", "x,y"])}
             ),
         }
         if fault == "json":
@@ -119,7 +122,8 @@ def action_text(draw, fault):
     if fault == "spec":  # unknown points, cycles, malformed pairs
         obj["specialization"] = draw(bad_pairs)
     elif fault in ("map", "name"):  # one more generator, malformed or misnamed
-        bad = {"name": draw(st.sampled_from(["g", "", "e", "a b", 7, None])), "map": []}
+        names = ["g", "", "e", "a b", "g^2", "a*b", "g·h", "3", "-1", 7, None]
+        bad = {"name": draw(st.sampled_from(names)), "map": []}
         if fault == "map":
             bad = {"name": "f", "map": draw(bad_pairs | JSON)}
         obj["generators"].insert(0, bad)
@@ -141,10 +145,10 @@ def witness_text(points):
     return (obj | JSON).map(json.dumps)
 
 
-def check(argv):
+def check(argv, must_fail=False):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out=out, err=err)  # an exception fails the test
-    assert code in (0, 1, 2), (argv, code)
+    assert code in ((1,) if must_fail else (0, 1, 2)), (argv, code)
     if code:
         assert out.getvalue() == "", argv
         assert err.getvalue() != "", argv
@@ -156,17 +160,18 @@ def write(tmp_path_factory, name, text):
     return str(path)
 
 
-@pytest.mark.parametrize("fault", [None, "id", "mult", "end", "edge", "json", "text"])
+@pytest.mark.parametrize("fault", [None, "id", "mult", "end", "edge", "edge_id", "json", "text"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), pair=SELECTOR, limit=LIMIT)
 def test_graph_subcommands_hold_the_contract(tmp_path_factory, fault, data, pair, limit):
     path = write(tmp_path_factory, "fuzz-graph", data.draw(graph_text(fault)))
+    bad_id = fault == "edge_id"  # an empty or comma-holding edge id: every command fails
     for fmt in ("text", "json"):
-        check(["analyze", path, "--format", fmt])
-        check(["quotient", path, "--pair", pair, "--format", fmt])
+        check(["analyze", path, "--format", fmt], bad_id)
+        check(["quotient", path, "--pair", pair, "--format", fmt], bad_id)
     for fmt in ("text", "json", "dot"):
-        check(["lattice", path, "--format", fmt, *limit])
-        check(["spectrum", path, "--format", fmt])
+        check(["lattice", path, "--format", fmt, *limit], bad_id)
+        check(["spectrum", path, "--format", fmt], bad_id)
 
 
 @pytest.mark.parametrize("fault", [None, "id", "spec", "map", "name", "group", "json", "text"])

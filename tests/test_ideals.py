@@ -21,12 +21,17 @@ from graphck import (
     saturated_hereditary_sets,
 )
 from graphck.ideals import pair_order
+from graphck.poset import clip
 
 from util import (
+    KINDS,
     brute_breaking_vertices_of,
     brute_covers,
     brute_glb,
+    brute_is_hereditary,
+    brute_is_saturated,
     brute_lub,
+    brute_sh_sets,
     lattice_to_json_obj,
     pair_join,
     pair_meet,
@@ -34,6 +39,7 @@ from util import (
     random_graph,
     random_looped_graph,
     random_omega_graph,
+    set_key,
 )
 
 
@@ -74,6 +80,66 @@ def test_admissible_pair_validation(corpus):
         AdmissiblePair(e4, frozenset(), frozenset("v"))
     p = AdmissiblePair(e4, frozenset("w"), frozenset("v"))
     assert p.label == "H={w};B={v}"
+
+
+def parent_pair_verdict(g, H, B):
+    """What constructing the pair (H, B) must do, from the oracles: None to
+    accept, else the exception type and message.  An unknown name in H is a
+    KeyError; one in B lies outside the admissible range."""
+    unknown = [v for v in H if v not in g.vertices]
+    if unknown:
+        return KeyError, f"unknown vertex {clip(unknown[0])}"
+    if not (brute_is_hereditary(g, H) and brute_is_saturated(g, H)):
+        return ValueError, f"not a saturated hereditary set: {clip(sorted(H))}"
+    extra = sorted(B - brute_breaking_vertices_of(g, H))
+    if extra:
+        return ValueError, f"B contains vertices outside the admissible range for H: {clip(extra)}"
+    return None
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+def test_pair_validation_matches_the_oracles(kind):
+    rng = random.Random(131 + KINDS.index(kind))
+    seen = dict.fromkeys(["accepted", "unknown in H", "not closed", "range", "unknown in B"], 0)
+    for _ in range(100):
+        g = kind(rng)
+        vs = list(g.vertices)
+        sh = sorted(brute_sh_sets(g), key=lambda S: set_key(g, S))
+        for _ in range(12):
+            # H: a saturated hereditary set, or any subset; B: any subset, or
+            # the admissible range; either may hold the unknown name "zz"
+            if rng.random() < 0.6:
+                H = rng.choice(sh)
+            else:
+                H = frozenset(rng.sample(vs, rng.randint(0, len(vs))))
+            if rng.random() < 0.5 and H in sh:
+                allowed = sorted(brute_breaking_vertices_of(g, H))
+                B = frozenset(rng.sample(allowed, rng.randint(0, len(allowed))))
+            else:
+                B = frozenset(rng.sample(vs, rng.randint(0, min(2, len(vs)))))
+            if rng.random() < 0.1:
+                H |= {"zz"}
+            if rng.random() < 0.1:
+                B |= {"zz"}
+            expected = parent_pair_verdict(g, H, B)
+            if expected is None:
+                p = AdmissiblePair(g, H, B)
+                assert (p.h, p.b) == (H, B)
+                h, b = g.sort_set(H), g.sort_set(B)
+                assert p.label == "H={" + ",".join(h) + "};B={" + ",".join(b) + "}"
+                assert p.to_json_obj() == {"H": list(h), "B": list(b)}
+                seen["accepted"] += 1
+                continue
+            error, message = expected
+            with pytest.raises(error) as info:
+                AdmissiblePair(g, H, B)
+            assert type(info.value) is error and info.value.args == (message,)
+            if error is KeyError:
+                seen["unknown in H"] += 1
+            else:
+                seen["not closed" if "set:" in message else "range"] += 1
+                seen["unknown in B"] += "'zz'" in message
+    assert min(seen.values()) >= 20, seen  # every verdict is exercised
 
 
 # -- lattice enumeration -----------------------------------------------------------
@@ -284,6 +350,15 @@ def test_quotient_rejects_foreign_pair(corpus):
     p = AdmissiblePair(corpus["e1"], frozenset(), frozenset())
     with pytest.raises(ValueError, match="does not belong"):
         quotient_graph(corpus["e4"], p)
+
+
+def test_lattice_index_rejects_foreign_pair():
+    # the pairs share their masks, not their graph
+    g, h = Graph(("a", "b"), ()), Graph(("x", "y"), ())
+    lat, p = admissible_pairs(g), AdmissiblePair(h, frozenset("x"), frozenset())
+    assert lat.index_of(AdmissiblePair(g, frozenset("a"), frozenset())) == 1
+    with pytest.raises(ValueError, match="not in the lattice"):
+        lat.index_of(p)
 
 
 # -- exports --------------------------------------------------------------------------

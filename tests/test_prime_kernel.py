@@ -22,18 +22,13 @@ from graphck import (
 from graphck.poset import Poset, bits, union
 
 from util import (
+    KINDS,
     brute_breaking_vertices_of,
     brute_maximal_tails,
     brute_pairs,
     edges_by,
-    random_graph,
-    random_looped_graph,
-    random_omega_graph,
-    random_strongly_connected_graph,
     round_closure,
 )
-
-KINDS = (random_graph, random_omega_graph, random_looped_graph, random_strongly_connected_graph)
 
 
 def seeded(kind, count, max_n=None):

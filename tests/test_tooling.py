@@ -1,10 +1,14 @@
 """Tooling checks: the traced benchmark's span table names only attributes
-that exist, the modules keep their layering, and the public surface is the
-committed list."""
+that exist, the modules keep their layering, the public surface is the
+committed list, and the scripts run."""
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
+
+import pytest
 
 import graphck
 
@@ -112,3 +116,25 @@ def test_layering_check_catches_each_fault(tmp_path):
 
 def test_public_surface_is_the_committed_list():
     assert graphck.__all__ == PUBLIC
+
+
+# -- scripts ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["run_corpus.py"], "graph    |V|   L   K  simple      PI pairs primes    status"),
+        (["random_survey.py", "--samples", "5", "--max-n", "4"], "|V|     L%     K%  simple%"),
+    ],
+)
+def test_scripts_run(argv, header):
+    """The scripts import the library and the test helpers by name, so a
+    pruning that breaks them shows here."""
+    script, *args = argv
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), *args],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[0].startswith(header)

@@ -15,9 +15,11 @@ from pathlib import Path as FsPath
 from hypothesis import strategies as st
 
 from graphck import (
+    ActionFormatError,
     AdmissiblePair,
     ConditionL,
     CycleWitness,
+    Decomposition,
     Edge,
     FinitePartialAction,
     FiniteT0Space,
@@ -28,6 +30,8 @@ from graphck import (
     pair_leq,
     parse_graph,
 )
+from graphck.actions import Violation, WitnessCheck
+from graphck.poset import clip
 
 REPO = FsPath(__file__).resolve().parent.parent
 CORPUS_DIR = REPO / "corpus"
@@ -177,6 +181,12 @@ def brute_breaking_vertices_of(g: Graph, H) -> frozenset[str]:
     return frozenset(out)
 
 
+def set_key(g: Graph, S) -> tuple[int, int]:
+    """Canonical sort key for vertex sets: by size, then by the bitmask whose
+    bit i is g.vertices[i]."""
+    return len(S), sum(1 << g.vertices.index(v) for v in S)
+
+
 def brute_pairs(g: Graph) -> list[tuple[frozenset, frozenset]]:
     """Every (H, B) with H saturated hereditary and B a subset of its breaking
     range, by scanning all subsets, in canonical (set_key H, set_key B) order."""
@@ -185,7 +195,7 @@ def brute_pairs(g: Graph) -> list[tuple[frozenset, frozenset]]:
         for H in brute_sh_sets(g)
         for B in all_subsets(brute_breaking_vertices_of(g, H))
     ]
-    return sorted(pairs, key=lambda p: (g.set_key(p[0]), g.set_key(p[1])))
+    return sorted(pairs, key=lambda p: (set_key(g, p[0]), set_key(g, p[1])))
 
 
 def prim_space_t0(ps) -> FiniteT0Space:
@@ -524,6 +534,10 @@ def random_strongly_connected_graph(rng: random.Random, max_n: int = 6) -> Graph
 # -- random T0 spaces and actions --------------------------------------------------
 
 
+# every seeded graph generator, the omega-heavy one included
+KINDS = (random_graph, random_omega_graph, random_looped_graph, random_strongly_connected_graph)
+
+
 def random_t0_space(rng: random.Random, max_n: int = 6) -> FiniteT0Space:
     n = rng.randint(1, max_n)
     points = tuple(f"p{i}" for i in range(n))
@@ -833,3 +847,94 @@ def brute_fixed_union(a: FinitePartialAction) -> frozenset:
                 nxt.append((composed, letter))
         frontier = nxt
     return frozenset(fixed)
+
+
+# -- witness-check references ----------------------------------------------------------
+#
+# The decomposition checks as they ran on frozensets of point names, one
+# PartialHomeo per part: the reference for the mask checkers in `actions`.
+
+
+def ref_check_common(a: FinitePartialAction, d: Decomposition):
+    """Clauses shared by both notions; returns images when all of them hold."""
+    sp = a.space
+    unknown = set().union(d.v, *(p for p, _ in d.parts)) - set(sp.points)
+    if unknown:
+        raise ActionFormatError(f"decomposition names unknown point {clip(min(unknown))}")
+    if not sp.is_open(d.v):
+        return Violation("v_not_open", f"V={sorted(d.v)} is not open"), []
+    images = []
+    for i, (part, word) in enumerate(d.parts):
+        if not sp.is_open(part):
+            return Violation("part_not_open", f"V_{i} is not open", i=i), []
+        theta = a.element_map(word)
+        if not part <= theta.domain:
+            detail = f"V_{i} is not contained in the domain of the word {word!r}"
+            return Violation("part_outside_domain", detail, i=i), []
+        images.append(frozenset(theta.mapping[x] for x in part))
+    for i, img in enumerate(images):
+        if not img <= d.v:
+            return Violation("image_escapes", f"image of V_{i} leaves V", i=i), []
+    return None, images
+
+
+def ref_disjointness(images):
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            if images[i] & images[j]:
+                return Violation("images_overlap", f"images of V_{i} and V_{j} meet", i=i, j=j)
+    return None
+
+
+def ref_check_paradoxical_witness(a: FinitePartialAction, d: Decomposition) -> WitnessCheck:
+    if d.split is None:
+        raise ActionFormatError("paradoxical witness needs a split index")
+    if not 0 <= d.split <= len(d.parts):
+        raise ActionFormatError("split index out of range")
+    if not d.v:
+        return WitnessCheck(False, Violation("v_empty", "a nonempty open V is required"))
+    bad, images = ref_check_common(a, d)
+    if bad is not None and bad.clause == "v_not_open":
+        return WitnessCheck(False, bad)
+    first = frozenset().union(*(part for part, _ in d.parts[: d.split]))
+    second = frozenset().union(*(part for part, _ in d.parts[d.split :]))
+    for family, which in ((first, "first"), (second, "second")):
+        if family != d.v:
+            detail = f"the {which} family does not cover V exactly"
+            return WitnessCheck(False, Violation("bad_cover", detail))
+    if bad is not None:
+        return WitnessCheck(False, bad)
+    overlap = ref_disjointness(images)
+    if overlap is not None:
+        detail = overlap.detail + (
+            f"; on a finite space the double cover of |V|={len(d.v)} points forces an overlap"
+        )
+        return WitnessCheck(
+            False, Violation(overlap.clause, detail, overlap.i, overlap.j, counting=True)
+        )
+    return WitnessCheck(True)
+
+
+def ref_check_infinite_witness(a: FinitePartialAction, d: Decomposition) -> WitnessCheck:
+    if d.split is not None:
+        raise ActionFormatError("infiniteness witness takes no split index")
+    if not d.parts:
+        return WitnessCheck(False, Violation("no_parts", "at least one part is required"))
+    bad, images = ref_check_common(a, d)
+    if bad is not None and bad.clause == "v_not_open":
+        return WitnessCheck(False, bad)
+    if frozenset().union(*(part for part, _ in d.parts)) != d.v:
+        return WitnessCheck(False, Violation("bad_cover", "the parts do not cover V exactly"))
+    if bad is not None:
+        return WitnessCheck(False, bad)
+    overlap = ref_disjointness(images)
+    if overlap is not None:
+        return WitnessCheck(False, overlap)
+    closed = a.space.closure(frozenset().union(*images))
+    if not (closed <= d.v and closed != d.v):
+        detail = (
+            f"the closure of the image union is not a proper subset of V; injectivity "
+            f"forces the {len(d.v)} covered points to map onto all of V"
+        )
+        return WitnessCheck(False, Violation("closure_not_proper", detail, counting=True))
+    return WitnessCheck(True)
