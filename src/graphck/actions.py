@@ -26,13 +26,12 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .graphs import DEFAULT_LIMIT, LimitExceededError, decode_json
 from .poset import Poset, bits, cached_property, check_antisymmetric, clip, closure, union
 
-Letter = tuple[str, int]  # (generator name, +1 or -1), or a run (name, exponent)
-Word = Union[str, int, Sequence[Letter]]
+Letter = tuple[str, int]  # a run: (generator name, exponent)
 
 
 class ActionFormatError(ValueError):
@@ -98,10 +97,6 @@ class FiniteT0Space:
     ) -> "FiniteT0Space":
         return cls(tuple(points), frozenset((p, q) for p, q in pairs))
 
-    @classmethod
-    def discrete(cls, points: Iterable[str]) -> "FiniteT0Space":
-        return cls.from_pairs(points)
-
     def sort_set(self, ps: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(ps, key=self.index.__getitem__))
 
@@ -119,31 +114,13 @@ class FiniteT0Space:
         """Per point, the mask of the smallest open set containing it."""
         return Poset(self._up).down
 
-    def above(self, p: str) -> frozenset[str]:
-        """closure{p}: every point specializing to p."""
-        return self.unmask(self._up[self.index[p]])
-
-    def below(self, p: str) -> frozenset[str]:
-        """The smallest open set containing p."""
-        return self.unmask(self._down[self.index[p]])
-
     def _interior(self, m: int) -> int:
         """Mask of the interior of m: everything outside the closure of its complement."""
         return m & ~union(self._up, ((1 << len(self.points)) - 1) & ~m)
 
-    def closure(self, S: Iterable[str]) -> frozenset[str]:
-        return self.unmask(union(self._up, self.mask(S)))
-
-    def interior(self, S: Iterable[str]) -> frozenset[str]:
-        return self.unmask(self._interior(self.mask(S)))
-
     def is_open(self, S: Iterable[str]) -> bool:
         m = self.mask(S)
         return self._interior(m) == m
-
-    def is_closed(self, S: Iterable[str]) -> bool:
-        m = self.mask(S)
-        return union(self._up, m) == m
 
 
 @dataclass(frozen=True)
@@ -199,19 +176,6 @@ class PartialHomeo:
         object.__setattr__(self, "_fwd", tuple(fwd))
         object.__setattr__(self, "_inv", tuple(inv))
 
-    @classmethod
-    def from_dict(cls, space: FiniteT0Space, mapping: dict) -> "PartialHomeo":
-        return cls(space, tuple(mapping.items()))
-
-    @classmethod
-    def identity(cls, space: FiniteT0Space, domain: Optional[Iterable[str]] = None):
-        dom = space.points if domain is None else space.sort_set(domain)
-        return cls(space, tuple((x, x) for x in dom))
-
-    @cached_property
-    def mapping(self) -> dict[str, str]:
-        return dict(self.pairs)
-
     @property
     def domain(self) -> frozenset[str]:
         return frozenset(x for x, _ in self.pairs)
@@ -219,9 +183,6 @@ class PartialHomeo:
     @property
     def image(self) -> frozenset[str]:
         return frozenset(y for _, y in self.pairs)
-
-    def inverse(self) -> "PartialHomeo":
-        return PartialHomeo(self.space, tuple((y, x) for x, y in self.pairs))
 
 
 _GROUP_RE = re.compile(r"^F(\d+)$")
@@ -272,60 +233,41 @@ class FinitePartialAction:
 
     # -- words ---------------------------------------------------------------
 
-    def parse_word(self, word: Word) -> tuple[Letter, ...]:
-        """Parse into freely reduced (generator, exponent) runs, expanding no
-        exponent; accepts token strings and, for Z, integers."""
-        if isinstance(word, int):
-            if self.group != "Z" and word != 0:
-                raise ActionFormatError("integer words are only defined over Z")
-            return _reduce([(self.generator_names[0], word)])
+    def parse_word(self, word: str) -> tuple[Letter, ...]:
+        """Parse a word of the text grammar (docs/FORMATS.md) into freely
+        reduced (generator, exponent) runs, expanding no exponent."""
         runs: list[Letter] = []
-        if isinstance(word, str):
-            for tok in word.replace("·", " ").replace("*", " ").split():
-                if tok == "e":
-                    continue
-                m = re.fullmatch(r"(.+?)\^(-?\d+)", tok)
-                if m:
-                    name, exp = m.group(1), m.group(2)
-                elif re.fullmatch(r"-?\d+", tok):
-                    if self.group != "Z":
-                        raise ActionFormatError(
-                            f"bare integer token {clip(tok)} is only defined over Z"
-                        )
-                    name, exp = self.generator_names[0], tok
-                else:
-                    name, exp = tok, "1"
-                try:
-                    runs.append((name, int(exp)))
-                except ValueError:  # int() refuses literals over sys.get_int_max_str_digits()
+        for tok in word.replace("·", " ").replace("*", " ").split():
+            if tok == "e":
+                continue
+            m = re.fullmatch(r"(.+?)\^(-?\d+)", tok)
+            if m:
+                name, exp = m.group(1), m.group(2)
+            elif re.fullmatch(r"-?\d+", tok):
+                if self.group != "Z":
                     raise ActionFormatError(
-                        f"word {clip(word)}: integer literal too long: "
-                        f"over {sys.get_int_max_str_digits()} digits"
-                    ) from None
-                if name not in self._by_name:
-                    raise ActionFormatError(f"unknown generator {clip(name)} in word")
-            return _reduce(runs)
-        for name, exp in word:
+                        f"bare integer token {clip(tok)} is only defined over Z"
+                    )
+                name, exp = self.generator_names[0], tok
+            else:
+                name, exp = tok, "1"
+            try:
+                runs.append((name, int(exp)))
+            except ValueError:  # int() refuses literals over sys.get_int_max_str_digits()
+                raise ActionFormatError(
+                    f"word {clip(word)}: integer literal too long: "
+                    f"over {sys.get_int_max_str_digits()} digits"
+                ) from None
             if name not in self._by_name:
                 raise ActionFormatError(f"unknown generator {clip(name)} in word")
-            if exp not in (1, -1):
-                raise ActionFormatError("explicit letters need exponent +1 or -1")
-            runs.append((name, exp))
         return _reduce(runs)
-
-    def reduce_word(self, letters: Sequence[Letter]) -> tuple[Letter, ...]:
-        """Free reduction; over Z's one generator it leaves |exponent sum| letters."""
-        out: list[Letter] = []
-        for name, exp in _reduce(letters):
-            out += [(name, 1 if exp > 0 else -1)] * abs(exp)
-        return tuple(out)
 
     @cached_property
     def _index_maps(self) -> tuple[tuple[int, ...], ...]:
         """Each generator's index tuple, then its inverse's."""
         return tuple(f for gen in self.generators for f in (gen._fwd, gen._inv))
 
-    def _word_map(self, word: Word) -> tuple[int, ...]:
+    def _word_map(self, word: str) -> tuple[int, ...]:
         """The index tuple of the reduced word's map; e acts as identity."""
         maps = self._index_maps
         slot = {name: 2 * k for k, name in enumerate(self.generator_names)}
@@ -340,7 +282,7 @@ class FinitePartialAction:
                 f, k = tuple(f[v] if v >= 0 else -1 for v in f), k >> 1
         return current
 
-    def element_map(self, word: Word) -> PartialHomeo:
+    def element_map(self, word: str) -> PartialHomeo:
         """The partial homeomorphism of the reduced word; e acts as identity."""
         pts = self.space.points
         pairs = tuple((pts[i], pts[j]) for i, j in enumerate(self._word_map(word)) if j >= 0)
@@ -405,7 +347,6 @@ class FinitePartialAction:
         return QuasiOrbitSpace(
             space=quotient,
             classes=tuple(sp.unmask(c) for c in classes),
-            class_of={p: labels[key_of[i]] for i, p in enumerate(sp.points)},
         )
 
     # -- invariance ------------------------------------------------------------
@@ -440,9 +381,6 @@ class FinitePartialAction:
         """Per point, the mask of the smallest closed invariant set containing it:
         everything reachable by specialization and by generator steps."""
         return closure([s | up for s, up in zip(self._step_succ, self.space._up)])
-
-    def minimal_closed_invariant_containing(self, x: str) -> frozenset[str]:
-        return self.space.unmask(self._closed_invariant_masks[self._point(x)])
 
     def is_minimal(self) -> bool:
         """No closed invariant subsets besides the empty set and everything."""
@@ -501,7 +439,6 @@ class FinitePartialAction:
 class QuasiOrbitSpace:
     space: FiniteT0Space
     classes: tuple[frozenset[str], ...]
-    class_of: dict[str, str]
 
 
 # -- decompositions ------------------------------------------------------------

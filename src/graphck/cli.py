@@ -65,12 +65,12 @@ def _parse_pair_selector(g: Graph, text: str) -> idl.AdmissiblePair:
     parts = text.split(";")
     if len(parts) != 2 or not parts[0].startswith("H=") or not parts[1].startswith("B="):
         raise _CliError(f'bad pair selector {clip(text)}: expected "H=...;B=..."')
-    sets = []
+    sets, vertices = [], set(g.vertices)
     for chunk in parts:
         body = chunk[2:]
         names = [x for x in body.split(",") if x] if body else []
         for x in names:
-            if x not in g.vertices:
+            if x not in vertices:
                 raise _CliError(f"pair selector names unknown vertex {clip(x)}")
         sets.append(frozenset(names))
     try:

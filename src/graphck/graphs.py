@@ -28,7 +28,9 @@ Every multiplicity question reads the in-edge table ``_in``, built in one
 pass over the edges, by field name.  Per vertex it holds the masks of its
 in-edge sources (``src``), of its OMEGA sources (``omega``) and of its
 *repeated* sources (``repeated``), which send it more than one edge: by
-multiplicity two or more, OMEGA, or parallel records.
+multiplicity two or more, OMEGA, or parallel records.  It also holds the
+mask of the infinite receivers, the vertices with an OMEGA in-edge
+(``infinite``).
 
 ``Graph`` is the one home of the prime-point kernel, and `conditions`,
 `ideals`, `spectrum` and `classify` ask it every saturation, pair and
@@ -49,7 +51,6 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Iterable, Union
 
 from .poset import Poset, bits, cached_property, clip, closure, union
@@ -76,9 +77,8 @@ class LimitExceededError(RuntimeError):
         )
 
 
-@total_ordering
 class Omega:
-    """Infinite multiplicity: above every integer."""
+    """Infinite multiplicity."""
 
     _instance = None
 
@@ -92,11 +92,6 @@ class Omega:
 
     def __hash__(self):
         return hash("omega-multiplicity")
-
-    def __lt__(self, other):
-        if isinstance(other, (int, Omega)):
-            return False
-        return NotImplemented
 
     def __repr__(self):
         return "OMEGA"
@@ -141,6 +136,7 @@ class InTable:
     src: tuple[int, ...]
     omega: tuple[int, ...]
     repeated: tuple[int, ...]
+    infinite: int
 
 
 @dataclass(frozen=True)
@@ -245,15 +241,16 @@ class Graph:
     def _in(self) -> InTable:
         """The in-edge table (see the module docstring), in one pass."""
         n = len(self.vertices)
-        src, omega, repeated = [0] * n, [0] * n, [0] * n
+        src, omega, repeated, infinite = [0] * n, [0] * n, [0] * n, 0
         for e in self.edges:
             bit, r = 1 << self._index[e.src], self._index[e.rng]
             if e.mult != 1 or src[r] & bit:
                 repeated[r] |= bit
             if isinstance(e.mult, Omega):
                 omega[r] |= bit
+                infinite |= 1 << r
             src[r] |= bit
-        return InTable(tuple(src), tuple(omega), tuple(repeated))
+        return InTable(tuple(src), tuple(omega), tuple(repeated), infinite)
 
     @cached_property
     def _full(self) -> int:
@@ -302,9 +299,9 @@ class Graph:
     def _breaking(self, h: int) -> int:
         """Mask of the infinite receivers outside the hereditary mask h fed
         finitely (but not zero) from outside h: the admissible range of B."""
-        out = 0
-        for i, (src, omega) in enumerate(zip(self._in.src, self._in.omega)):
-            if omega and not omega & ~h and src & ~h:
+        src, omega, out = self._in.src, self._in.omega, 0
+        for i in bits(self._in.infinite):
+            if not omega[i] & ~h and src[i] & ~h:
                 out |= 1 << i
         return out
 
@@ -417,10 +414,6 @@ class Path:
             if eid not in by_id:
                 raise ValueError(f"unknown edge {eid!r}")
         return tuple(by_id[eid] for eid in self.edge_ids)
-
-    @property
-    def length(self) -> int:
-        return len(self.edge_ids)
 
     @property
     def src(self) -> str:
@@ -557,6 +550,14 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_to_edgelist(g: Graph) -> str:
+    """The edgelist text of g; raises ValueError for a graph that text cannot
+    carry: a vertex name holding whitespace or '#', or an edge from 'vertex'
+    (the line would read as a declaration).  Edge ids are not kept."""
+    for v in g.vertices:
+        if "#" in v or any(c.isspace() for c in v):
+            raise ValueError(f"vertex {clip(v)}: edgelist names hold no whitespace or '#'")
+    if any(e.src == "vertex" for e in g.edges):
+        raise ValueError("vertex 'vertex': an edgelist edge line cannot start at it")
     lines = [f"vertex {v}" for v in g.vertices]
     lines += [f"{e.src} {e.rng} {mult_to_json(e.mult)}" for e in g.edges]
     return "\n".join(lines) + "\n"

@@ -124,16 +124,6 @@ class IdealLattice:
         return len(self.pairs)
 
     @cached_property
-    def _index(self) -> dict:
-        return {(p._h, p._b): i for i, p in enumerate(self.pairs)}
-
-    def index_of(self, p: AdmissiblePair) -> int:
-        i = self._index.get((p._h, p._b)) if p.graph == self.graph else None
-        if i is None:
-            raise ValueError(f"pair {p.label} is not in the lattice")
-        return i
-
-    @cached_property
     def _order(self) -> Poset:
         return pair_order(self.pairs)
 
@@ -157,20 +147,6 @@ class IdealLattice:
     @cached_property
     def join_table(self) -> tuple[tuple[int, ...], ...]:
         return self._order.join_table()
-
-    def meet(self, i: int, j: int) -> int:
-        return self.meet_table[i][j]
-
-    def join(self, i: int, j: int) -> int:
-        return self.join_table[i][j]
-
-    @property
-    def bottom(self) -> AdmissiblePair:
-        return self.pairs[0]
-
-    @property
-    def top(self) -> AdmissiblePair:
-        return self.pairs[-1]
 
 
 def admissible_pairs(g: Graph, limit: int = DEFAULT_LIMIT) -> IdealLattice:

@@ -106,12 +106,8 @@ class PrimSpace:
     def _order(self) -> Poset:
         return pair_order([pt.pair for pt in self.points])
 
-    @cached_property
-    def leq(self) -> tuple[tuple[bool, ...], ...]:
-        """leq[i][j]: point j lies in the closure of point i."""
-        return self._order.leq
-
     def closure_of(self, i: int) -> tuple[int, ...]:
+        """The points in the closure of point i, i included."""
         return tuple(bits(self._order.up[i]))
 
     @cached_property

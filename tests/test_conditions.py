@@ -178,7 +178,7 @@ def test_condition_L_examples(corpus):
     assert not res.holds
     w = res.witness
     assert w.missing_entrance and w.entrance_edges == ()
-    assert w.cycle.is_cycle and w.cycle.length == 3
+    assert w.cycle.is_cycle and len(w.cycle.edge_ids) == 3
     empty = Graph(("a", "b"), ())
     assert condition_L(empty).holds
 

@@ -1,12 +1,14 @@
 """Tooling checks: the traced benchmark's span table names only attributes
 that exist, the modules keep their layering, the public surface is the
-committed list, and the scripts run."""
+committed list, every public member has a caller, and the scripts run."""
 
 import ast
 import importlib
 import importlib.util
+import re
 import subprocess
 import sys
+from collections import defaultdict
 
 import pytest
 
@@ -116,6 +118,99 @@ def test_layering_check_catches_each_fault(tmp_path):
 
 def test_public_surface_is_the_committed_list():
     assert graphck.__all__ == PUBLIC
+
+
+# -- callers of the public members ---------------------------------------------------
+
+CALLERS = sorted(SRC.glob("*.py")) + sorted((REPO / "scripts").glob("*.py")) + sorted(
+    (REPO / "perfbench").glob("*.py")
+)
+DOCS = [REPO / "README.md", REPO / "docs" / "FORMATS.md"]
+
+
+def public_members(path):
+    """(name, qualified name, first line, last line) of each public
+    module-level function and each public method or property of a class."""
+    tree = ast.parse(path.read_text(), str(path))
+    for node in tree.body:
+        defs = [(node, "")]
+        if isinstance(node, ast.ClassDef):
+            defs = [(item, node.name + ".") for item in node.body]
+        for d, owner in defs:
+            if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"):
+                yield d.name, owner + d.name, d.lineno, d.end_lineno
+
+
+def references(path):
+    """(name, line) of every identifier a Python file uses, attribute names
+    and identifier-like strings included; `__init__`'s imports only re-export."""
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def doc_names(path) -> set[str]:
+    """The identifiers inside a Markdown file's code blocks and `code` spans."""
+    chunks = path.read_text().split("```")
+    code = chunks[1::2] + [span for text in chunks[::2] for span in re.findall(r"`([^`]*)`", text)]
+    return {name for text in code for name in re.findall(r"[A-Za-z_]\w*", text)}
+
+
+def callerless_members(sources, callers, docs) -> list[str]:
+    """The public members of the source modules that no caller file names
+    outside the member's own definition, and no document names."""
+    documented = set().union(*map(doc_names, docs))
+    where = defaultdict(list)  # name -> (file, line) of each reference
+    for path in callers:
+        for name, line in references(path):
+            where[name].append((path, line))
+    out = []
+    for path in sources:
+        for name, qual, first, last in public_members(path):
+            outside = (p != path or not first <= line <= last for p, line in where[name])
+            if name not in documented and not any(outside):
+                out.append(f"{path.name}: {qual}")
+    return out
+
+
+def test_no_callerless_members():
+    """Every public function, method and property of graphck has a caller in
+    `src/`, the scripts or perfbench, or is named in README or FORMATS.md."""
+    assert callerless_members(sorted(SRC.glob("*.py")), CALLERS, DOCS) == []
+
+
+def test_callerless_check_catches_each_fault(tmp_path):
+    lib, caller, doc = tmp_path / "lib.py", tmp_path / "caller.py", tmp_path / "doc.md"
+    init = tmp_path / "__init__.py"
+    lib.write_text(
+        "def orphan():\n"
+        "    return orphan()\n"
+        "def called():\n"
+        "    pass\n"
+        "def exported():\n"
+        "    pass\n"
+        "class C:\n"
+        "    def unused(self):\n"
+        "        pass\n"
+        "    def by_string(self):\n"
+        "        pass\n"
+        "    def documented(self):\n"
+        "        pass\n"
+        "    def _private(self):\n"
+        "        pass\n"
+    )
+    caller.write_text("from lib import called\ncalled()\ngetattr(C(), 'by_string')()\n")
+    init.write_text("from .lib import exported\n")
+    doc.write_text("Call `C().documented()`; unused is not in code.\n")
+    found = callerless_members([lib], [lib, caller, init], [doc])
+    assert found == ["lib.py: orphan", "lib.py: exported", "lib.py: C.unused"]
 
 
 # -- scripts ---------------------------------------------------------------------------

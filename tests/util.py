@@ -552,6 +552,23 @@ def random_t0_space(rng: random.Random, max_n: int = 6) -> FiniteT0Space:
     return FiniteT0Space.from_pairs(points, pairs)
 
 
+def specializes(space: FiniteT0Space, p, q) -> bool:
+    """q lies in the closure of {p}."""
+    return p == q or (p, q) in space.closure_pairs
+
+
+def closure(space: FiniteT0Space, S) -> frozenset:
+    """The smallest closed set holding S: S and every point specializing to one of its points."""
+    S = frozenset(S)
+    return S | {q for p, q in space.closure_pairs if p in S}
+
+
+def interior(space: FiniteT0Space, S) -> frozenset:
+    """The largest open set inside S: the points of S whose smallest open set lies in S."""
+    S = frozenset(S)
+    return frozenset(q for q in S if all(p in S for p, r in space.closure_pairs if r == q))
+
+
 def order_automorphisms(space: FiniteT0Space):
     pts = space.points
     n = len(pts)
@@ -560,8 +577,8 @@ def order_automorphisms(space: FiniteT0Space):
         ok = True
         for i in range(n):
             for j in range(n):
-                if (pts[j] in space.above(pts[i])) != (
-                    pts[perm[j]] in space.above(pts[perm[i]])
+                if specializes(space, pts[i], pts[j]) != specializes(
+                    space, pts[perm[i]], pts[perm[j]]
                 ):
                     ok = False
                     break
@@ -585,9 +602,9 @@ def find_order_iso(space: FiniteT0Space, dom, img, rng: random.Random):
 
     def ok(x, y) -> bool:
         for a, b in assignment.items():
-            if (x in space.above(a)) != (y in space.above(b)):
+            if specializes(space, a, x) != specializes(space, b, y):
                 return False
-            if (a in space.above(x)) != (b in space.above(y)):
+            if specializes(space, x, a) != specializes(space, y, b):
                 return False
         return True
 
@@ -625,7 +642,7 @@ def random_partial_homeo(rng: random.Random, space: FiniteT0Space) -> PartialHom
         iso = find_order_iso(space, dom, img, rng)
         if iso is not None:
             return PartialHomeo(space, tuple(iso.items()))
-    return PartialHomeo.identity(space)
+    return PartialHomeo(space, tuple((x, x) for x in space.points))
 
 
 def random_action(
@@ -645,7 +662,7 @@ def random_action(
 def random_open_set(rng: random.Random, space: FiniteT0Space) -> frozenset:
     mask = rng.randrange(1 << len(space.points))
     S = frozenset(p for i, p in enumerate(space.points) if mask >> i & 1)
-    return space.interior(S)
+    return interior(space, S)
 
 
 def random_word(rng: random.Random, a: FinitePartialAction, max_len: int = 3) -> str:
@@ -662,7 +679,7 @@ def random_cycle_transposition_action(rng: random.Random, n: int) -> FiniteParti
     The transposition swaps two points and fixes a random set of others, so
     the free-group word search meets up to thousands of distinct partial maps.
     """
-    space = FiniteT0Space.discrete(tuple(f"p{i}" for i in range(n)))
+    space = FiniteT0Space.from_pairs(tuple(f"p{i}" for i in range(n)))
     pts = list(space.points)
     rng.shuffle(pts)
     cycle = PartialHomeo(space, tuple((pts[k], pts[(k + 1) % n]) for k in range(n)))
@@ -675,15 +692,27 @@ def random_cycle_transposition_action(rng: random.Random, n: int) -> FiniteParti
 # -- action oracles ------------------------------------------------------------------
 
 
-def letter_element_map(a: FinitePartialAction, word) -> tuple:
+def reduce_letters(letters) -> tuple:
+    """Free reduction of a sequence of (generator, +1 or -1) letters."""
+    out = []
+    for letter in letters:
+        if out and out[-1] == (letter[0], -letter[1]):
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def word_text(letters) -> str:
+    """A sequence of (generator, +1 or -1) letters as a word of the text grammar."""
+    return " ".join(name if exp == 1 else f"{name}^-1" for name, exp in letters)
+
+
+def letter_element_map(a: FinitePartialAction, word: str) -> tuple:
     """The pairs of a word's map, letter by letter: every name^k expanded
     into k letters, freely reduced, then one letter's map after another."""
-    if isinstance(word, int):
-        tokens = [f"{a.generator_names[0]}^{word}"]
-    else:
-        tokens = word.replace("·", " ").replace("*", " ").split()
     letters = []
-    for tok in tokens:
+    for tok in word.replace("·", " ").replace("*", " ").split():
         if tok == "e":
             continue
         if tok.lstrip("-").isdigit():  # a bare integer over Z
@@ -693,22 +722,16 @@ def letter_element_map(a: FinitePartialAction, word) -> tuple:
         else:
             name, exp = tok, "1"
         letters.extend([(name, 1 if int(exp) > 0 else -1)] * abs(int(exp)))
-    reduced = []
-    for letter in letters:
-        if reduced and reduced[-1] == (letter[0], -letter[1]):
-            reduced.pop()
-        else:
-            reduced.append(letter)
     current = {x: x for x in a.space.points}
-    for letter in reversed(reduced):
-        f = letter_map(a, letter).mapping
+    for letter in reversed(reduce_letters(letters)):
+        f = dict(letter_map(a, letter).pairs)
         current = {x: f[y] for x, y in current.items() if y in f}
     return tuple(sorted(current.items(), key=lambda xy: a.space.index[xy[0]]))
 
 
 def is_down_set(space: FiniteT0Space, S) -> bool:
     """S is open: it holds every point whose closure meets it."""
-    return all(q in S for p in S for q in space.points if p in space.above(q))
+    return all(q in S for p in S for q in space.points if specializes(space, q, p))
 
 
 def open_sets(space: FiniteT0Space) -> list[frozenset]:
@@ -720,7 +743,8 @@ def open_sets(space: FiniteT0Space) -> list[frozenset]:
 
 def compose(f: PartialHomeo, g: PartialHomeo) -> PartialHomeo:
     """f after g, on the maximal natural domain."""
-    return PartialHomeo(f.space, tuple((x, f.mapping[y]) for x, y in g.pairs if y in f.mapping))
+    m = dict(f.pairs)
+    return PartialHomeo(f.space, tuple((x, m[y]) for x, y in g.pairs if y in m))
 
 
 def fixed_points(f: PartialHomeo) -> frozenset:
@@ -730,7 +754,7 @@ def fixed_points(f: PartialHomeo) -> frozenset:
 def letter_map(a: FinitePartialAction, letter) -> PartialHomeo:
     """The generator of a (name, +1 or -1) letter, or its inverse."""
     gen = a.generators[a.generator_names.index(letter[0])]
-    return gen if letter[1] == 1 else gen.inverse()
+    return gen if letter[1] == 1 else PartialHomeo(gen.space, tuple((y, x) for x, y in gen.pairs))
 
 
 def subspace(space: FiniteT0Space, S) -> FiniteT0Space:
@@ -771,7 +795,7 @@ def brute_homeo_error(space: FiniteT0Space, pairs):
     m = dict(pairs)
     for x in dom:
         for y in dom:
-            if (m[y] in space.above(m[x])) != (y in space.above(x)):
+            if specializes(space, m[x], m[y]) != specializes(space, x, y):
                 return f"map is not an order isomorphism at {x!r}, {y!r}"
     return None
 
@@ -803,7 +827,7 @@ def brute_fixed_union(a: FinitePartialAction) -> frozenset:
     if not a.generators:
         return frozenset()
     if a.group == "Z":
-        theta = a.generators[0].mapping
+        theta = dict(a.generators[0].pairs)
         fixed: set[str] = set()
         for x in a.space.points:
             cur = x
@@ -871,7 +895,7 @@ def ref_check_common(a: FinitePartialAction, d: Decomposition):
         if not part <= theta.domain:
             detail = f"V_{i} is not contained in the domain of the word {word!r}"
             return Violation("part_outside_domain", detail, i=i), []
-        images.append(frozenset(theta.mapping[x] for x in part))
+        images.append(frozenset(dict(theta.pairs)[x] for x in part))
     for i, img in enumerate(images):
         if not img <= d.v:
             return Violation("image_escapes", f"image of V_{i} leaves V", i=i), []
@@ -930,7 +954,7 @@ def ref_check_infinite_witness(a: FinitePartialAction, d: Decomposition) -> Witn
     overlap = ref_disjointness(images)
     if overlap is not None:
         return WitnessCheck(False, overlap)
-    closed = a.space.closure(frozenset().union(*images))
+    closed = closure(a.space, frozenset().union(*images))
     if not (closed <= d.v and closed != d.v):
         detail = (
             f"the closure of the image union is not a proper subset of V; injectivity "
