@@ -98,12 +98,17 @@ class FiniteT0Space:
         return cls(tuple(points), frozenset((p, q) for p, q in pairs))
 
     def sort_set(self, ps: Iterable[str]) -> tuple[str, ...]:
+        ps = tuple(ps)
+        _check_known(self.index, "unknown point", ps)
         return tuple(sorted(ps, key=self.index.__getitem__))
 
     def mask(self, ps: Iterable[str]) -> int:
-        m = 0
-        for p in ps:
-            m |= 1 << self.index[p]
+        m, ps = 0, iter(ps)
+        try:
+            for p in ps:
+                m |= 1 << self.index[p]
+        except KeyError:  # the points before p are known: the rest hold the least unknown
+            _check_known(self.index, "unknown point", (p,), ps)
         return m
 
     def unmask(self, m: int) -> frozenset[str]:

@@ -21,7 +21,7 @@ from typing import Optional
 from .conditions import ConditionL, CycleWitness, condition_K, condition_L
 from .graphs import Graph, Path
 from .ideals import AdmissiblePair
-from .poset import bits
+from .poset import bits, union
 from .spectrum import maximal_tails
 
 # No(L) reasons for non-simplicity lean on standard graph-algebra theory
@@ -170,7 +170,7 @@ def is_simple(g: Graph):
     generated = {g._sh_closure(c & -c) for c in g._comps} - {g._full}
     if generated:
         h = min(generated, key=lambda m: (m.bit_count(), m))
-        pair = AdmissiblePair(g, g.unmask(h), frozenset())
+        pair = AdmissiblePair._of(g, h, 0)
         return SimpleVerdict("no", "nontrivial_lattice", pair=pair)
     L = condition_L(g)
     if not L.holds:
@@ -230,36 +230,46 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     hereditary closure Hmin(v) of those sources; and v then already breaks
     over Hmin(v), which is no larger.  So the canonically first H with a
     breaking vertex is some Hmin(v).
+
+    The clauses are decided on masks, in this order; the witnesses, one per
+    (maximal tail, member), are built only for a "yes", which reports them.
     """
     K = condition_K(g)
     if not K.holds:
         return PurelyInfiniteVerdict("no", "fails_K", vertex=K.witness)
-    witnesses, cycles, trees = [], {}, {}
-    for M, m in zip(maximal_tails(g), g._tails):
-        # a tail is forward-closed, so its cycles and their searches stay inside it
-        on_cycle = g._cyclic & m
-        for i in bits(m):
-            v = g.vertices[i]
-            fed_by = g._back[i] & on_cycle
-            if not fed_by:
-                return PurelyInfiniteVerdict(
-                    "no", "tail_vertex_not_fed_by_cycle", vertex=v, tail=M
-                )
-            y = g.vertices[next(bits(fed_by))]
-            if y not in trees:
-                cycles[y], trees[y] = _find_cycle_at(g, y), _paths_from(g, y)
-            witnesses.append(TailWitness(M, v, cycles[y], trees[y][v]))
+    for m in g._tails:
+        # a tail is forward-closed: what its cycle vertices reach is what they feed
+        unfed = m & ~union(g._reach, g._cyclic & m)
+        if unfed:
+            v = g.vertices[next(bits(unfed))]
+            return PurelyInfiniteVerdict(
+                "no", "tail_vertex_not_fed_by_cycle", vertex=v, tail=g.unmask(m)
+            )
     gap_sets = []
-    for i, omega_src in enumerate(g._in.omega):
-        if omega_src:
-            h = g._sh_closure(omega_src)
-            if g._breaking(h) >> i & 1:
-                gap_sets.append(h)
+    for i in bits(g._in.infinite):
+        h = g._sh_closure(g._in.omega[i])
+        if g._breaking(h) >> i & 1:
+            gap_sets.append(h)
     if gap_sets:
         h = min(gap_sets, key=lambda m: (m.bit_count(), m))
         gap = g.vertices[next(bits(g._breaking(h)))]
         return PurelyInfiniteVerdict("no", "breaking_vertex_gap", vertex=gap, h_set=g.unmask(h))
-    return PurelyInfiniteVerdict("yes", witnesses=tuple(witnesses))
+    return PurelyInfiniteVerdict("yes", witnesses=_tail_witnesses(g))
+
+
+def _tail_witnesses(g: Graph) -> tuple[TailWitness, ...]:
+    """Per maximal tail and member v, a cycle at the first cycle vertex y of
+    the tail that reaches v, and the BFS-tree path from y to v; one cycle and
+    one tree per y.  The searches stay inside the tail, which is forward-closed."""
+    witnesses, cycles, trees = [], {}, {}
+    for M, m in zip(maximal_tails(g), g._tails):
+        on_cycle = g._cyclic & m
+        for i in bits(m):
+            v, y = g.vertices[i], g.vertices[next(bits(g._back[i] & on_cycle))]
+            if y not in trees:
+                cycles[y], trees[y] = _find_cycle_at(g, y), _paths_from(g, y)
+            witnesses.append(TailWitness(M, v, cycles[y], trees[y][v]))
+    return tuple(witnesses)
 
 
 def classify(g: Graph) -> ClassificationReport:

@@ -153,11 +153,10 @@ class Graph:
                 raise GraphFormatError(f"vertex {clip(v)}: duplicate id")
             if not v:  # an empty member would print like the empty set
                 raise GraphFormatError(f"vertex {clip(v)}: empty id")
-            reserved = [c for c in ",;" if c in v]  # set separators in labels and selectors
-            if reserved:
-                raise GraphFormatError(
-                    f"vertex {clip(v)}: reserved character {reserved[0]!r} in id"
-                )
+            if "," in v:  # set separators in labels and selectors
+                raise GraphFormatError(f"vertex {clip(v)}: reserved character ',' in id")
+            if ";" in v:
+                raise GraphFormatError(f"vertex {clip(v)}: reserved character ';' in id")
             seen.add(v)
         eids = set()
         for e in self.edges:
@@ -173,7 +172,14 @@ class Graph:
                     raise GraphFormatError(
                         f"edge {clip(e.id)}: dangling endpoint {clip(endpoint)}"
                     )
-            _parse_mult(e.mult, f"edge {clip(e.id)}")
+            m = e.mult
+            if not (m is OMEGA or type(m) is int and m > 0):
+                if m == "omega":  # the text stands for OMEGA only in parsed input
+                    raise GraphFormatError(
+                        f"edge {clip(e.id)}: multiplicity must be a positive integer or OMEGA,"
+                        " got the text 'omega'"
+                    )
+                _parse_mult(m, f"edge {clip(e.id)}")
 
     # -- canonical order helpers -------------------------------------------
 

@@ -18,9 +18,10 @@ of H, AND of H | B) over the up-sets of prime points, one each.  The prime
 points and the breaking ranges come from the kernel whose one home is
 `Graph` (``Graph._primes``, ``Graph._breaking``, ``Graph._sh_closure``).
 
-Vertex sets are frozensets of names at the public API, including the fields
-of `AdmissiblePair`, and int masks in canonical order inside: a pair masks
-its H and B once, when it is built and checked.
+Vertex sets are frozensets of names at the public API, including the
+members ``h`` and ``b`` of `AdmissiblePair`, and int masks in canonical order
+inside: a pair is its masks, checked when it is built, and the library builds
+its pairs from masks.
 """
 
 from __future__ import annotations
@@ -45,36 +46,55 @@ def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
     return g.unmask(g._breaking(h))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AdmissiblePair:
     """A saturated hereditary set with a choice of breaking vertices.
 
     Stands for the ideal I_{H,B}; the pair is the ideal's name, operator
-    data is never materialized.  Construction checks the pair and keeps H
-    and B as masks too (``_h``, ``_b``): the labels, the pair order, the
-    lattice and `quotient_graph` read those.
+    data is never materialized.  The pair is H and B as masks (``_h``,
+    ``_b``), checked on every construction: from names, which it masks, or
+    from masks (``_of``).  The labels, the pair order, the lattice and
+    `quotient_graph` read the masks; the name sets ``h`` and ``b`` are
+    built when first read.
     """
 
     graph: Graph
-    h: frozenset[str]
-    b: frozenset[str]
+    _h: int
+    _b: int
 
-    def __post_init__(self):
-        g, H, B = self.graph, frozenset(self.h), frozenset(self.b)
-        h = g.mask(H)
+    def __init__(self, graph: Graph, h: Iterable[str], b: Iterable[str]):
+        H, B = frozenset(h), frozenset(b)
+        unknown = [v for v in B if v not in graph._index]  # outside every range
+        self._check(graph, graph.mask(H), graph.mask(B.difference(unknown)), unknown)
+        self.__dict__.update(h=H, b=B)
+
+    @classmethod
+    def _of(cls, graph: Graph, h: int, b: int) -> "AdmissiblePair":
+        """The pair of the masks h and b, checked as one built from names."""
+        pair = cls.__new__(cls)
+        pair._check(graph, h, b, ())
+        return pair
+
+    def _check(self, g: Graph, h: int, b: int, unknown: Sequence[str]) -> None:
+        """Check h and b as the masks of a pair of g, unknown holding the
+        names of B that g lacks, and keep them."""
         if g._sh_closure(h) != h:
-            raise ValueError(f"not a saturated hereditary set: {clip(sorted(H))}")
-        allowed, index = g._breaking(h), g._index
-        extra = [v for v in B if v not in index or not allowed >> index[v] & 1]
-        if extra:
+            raise ValueError(f"not a saturated hereditary set: {clip(sorted(g.unmask(h)))}")
+        extra = b & ~g._breaking(h)
+        if extra or unknown:
             raise ValueError(
                 f"B contains vertices outside the admissible range for H: "
-                f"{clip(sorted(extra))}"
+                f"{clip(sorted([*g.unmask(extra), *unknown]))}"
             )
-        object.__setattr__(self, "h", H)
-        object.__setattr__(self, "b", B)
-        object.__setattr__(self, "_h", h)
-        object.__setattr__(self, "_b", g.mask(B))
+        self.__dict__.update(graph=g, _h=h, _b=b)
+
+    @cached_property
+    def h(self) -> frozenset[str]:
+        return self.graph.unmask(self._h)
+
+    @cached_property
+    def b(self) -> frozenset[str]:
+        return self.graph.unmask(self._b)
 
     @property
     def label(self) -> str:
@@ -162,7 +182,7 @@ def admissible_pairs(g: Graph, limit: int = DEFAULT_LIMIT) -> IdealLattice:
         ((m & g._full, m >> n & ~m) for m in meets),
         key=lambda hb: (hb[0].bit_count(), hb[0], hb[1].bit_count(), hb[1]),
     )
-    return IdealLattice(g, tuple(AdmissiblePair(g, g.unmask(h), g.unmask(b)) for h, b in hbs))
+    return IdealLattice(g, tuple(AdmissiblePair._of(g, h, b) for h, b in hbs))
 
 
 def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
@@ -179,6 +199,8 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
     keep = g.names(g._full & ~p._h)
     gap_vertices = g.names(g._breaking(p._h) & ~p._b)
     taken = set(keep)
+    # filter before the gap names join: one may equal the name of a vertex in H
+    edges = [e for e in g.edges if e.src in taken]
     bar_of: dict[str, str] = {}
     for v in gap_vertices:
         name = v + "~"
@@ -186,7 +208,6 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
             name += "~"
         taken.add(name)
         bar_of[v] = name
-    edges = [e for e in g.edges if not p._h >> g._index[e.src] & 1]
     edge_ids = {e.id for e in edges}
     for v in gap_vertices:
         eid = "e~" + v

@@ -88,7 +88,7 @@ def prime_points(g: Graph) -> list[PrimPoint]:
     kinds = [("tail", M, None) for M in maximal_tails(g)]
     kinds += [("breaking", None, v) for v in breaking_vertices(g)]
     return [
-        PrimPoint(kind, tail, v, AdmissiblePair(g, g.unmask(h), g.unmask(b)))
+        PrimPoint(kind, tail, v, AdmissiblePair._of(g, h, b))
         for (kind, tail, v), (h, b) in zip(kinds, g._primes)
     ]
 

@@ -330,6 +330,17 @@ def test_invariance_queries_reject_unknown_points():
         a.is_invariant({"zz"})
 
 
+def test_space_queries_reject_unknown_points():
+    # the least unknown name is reported, whatever order the set iterates in
+    sp = FiniteT0Space.from_pairs(("o", "c"), (("o", "c"),))
+    for query in (sp.mask, sp.sort_set, sp.is_open):
+        for points in ({"o", "zz", "zy"}, iter(["zz", "o", "zy"])):
+            with pytest.raises(ActionFormatError) as info:
+                query(points)
+            assert info.value.args == ("unknown point 'zy'",)
+    assert sp.mask(iter(["c"])) == 2 and sp.sort_set(p for p in "co") == ("o", "c")
+
+
 def test_two_component_orbits():
     sp = FiniteT0Space.from_pairs(("1", "2", "3"))
     gen = PartialHomeo(sp, (("1", "2"),))

@@ -27,12 +27,14 @@ from graphck import (
 
 from util import (
     DOCS_DIR,
+    KINDS,
     bfs_connect,
     induced_subgraph,
     random_graph,
     random_looped_graph,
     random_omega_graph,
     reach,
+    reference_is_purely_infinite,
 )
 
 
@@ -116,6 +118,27 @@ def test_pi_witness_paths_match_a_search_per_vertex():
             assert w.connect == bfs_connect(g, w.cycle.src, w.vertex)
             checked += bool(w.connect)
     assert checked > 400
+
+
+def test_pi_matches_the_interleaved_reference():
+    """The mask-first verdict, witnesses included, equals the loop that builds
+    witnesses while it decides, on seeded graphs of every kind (omega-heavy
+    ones included) and on every quotient of each."""
+    rng = random.Random(2015)
+    seen = Counter()
+    for kind in KINDS:
+        for _ in range(120):
+            g = kind(rng)
+            # the bottom pair's quotient is g itself
+            for p in admissible_pairs(g).pairs:
+                q = quotient_graph(g, p)
+                r = is_purely_infinite(q)
+                assert r == reference_is_purely_infinite(q), (kind.__name__, q)
+                seen[kind.__name__, r.reason_kind] += 1
+                seen[r.reason_kind] += 1
+    reasons = [None, "fails_K", "tail_vertex_not_fed_by_cycle", "breaking_vertex_gap"]
+    assert min(seen[k] for k in reasons) >= 50, seen
+    assert all(seen[kind.__name__, None] for kind in KINDS), seen  # witnesses compared
 
 
 def test_pi_breaking_gap_clause():

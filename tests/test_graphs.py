@@ -2,20 +2,27 @@
 
 import json
 import random
+import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from graphck import (
+    Edge,
+    Graph,
     GraphFormatError,
     OMEGA,
     Omega,
     Path,
+    admissible_pairs,
+    classify,
     first_return_count,
     graph_to_edgelist,
     graph_to_json,
     parse_graph,
+    prime_points,
     scc_decomposition,
 )
 from graphck.graphs import detect_format, mult_to_json
@@ -28,6 +35,7 @@ from util import (
     random_looped_graph,
     random_omega_graph,
     reach,
+    reference_graph_fault,
 )
 
 
@@ -287,6 +295,88 @@ def test_first_return_matches_scc_cycles():
         }
         for v in g.vertices:
             assert (first_return_count(g, v) >= 1) == (v in on_cycle)
+
+
+# -- validation ----------------------------------------------------------------------
+
+
+def test_omega_text_multiplicity_is_refused():
+    # the text reads as a finite multiplicity to every question that asks
+    # isinstance(mult, Omega), so a graph holding it would count wrong
+    edges = [Edge("e0", "a", "b", "omega"), Edge("e1", "b", "b", 1)]
+    with pytest.raises(GraphFormatError) as info:
+        Graph(("a", "b"), tuple(edges))
+    assert str(info.value) == (
+        "edge 'e0': multiplicity must be a positive integer or OMEGA, got the text 'omega'"
+    )
+    g = Graph(("a", "b"), (replace(edges[0], mult=OMEGA), edges[1]))
+    assert len(prime_points(g)) == 3 and len(admissible_pairs(g)) == 4
+    assert classify(g).dual_system_topologically_free == "unknown"
+    assert parse_graph(graph_to_json(g)) == g
+
+
+class _Two(int):
+    """An int subclass: a valid multiplicity that is not of type int."""
+
+
+def _plant_vertex_fault(rng, vs):
+    i = rng.randrange(len(vs))
+    rng.choice([
+        lambda: vs.insert(rng.randint(i + 1, len(vs)), vs[i]),  # duplicate
+        lambda: vs.insert(i, ""),
+        lambda: vs.insert(i, f"{vs[i]},x"),
+        lambda: vs.insert(i, f"x;{vs[i]}"),
+        lambda: vs.insert(i, ";,"),  # the first reserved character in ",;" is named
+        lambda: vs.insert(i, 0),  # falsy: an empty id
+        lambda: vs.insert(i, 7),  # no characters to search: TypeError
+    ])()
+
+
+def _plant_edge_fault(rng, es):
+    i = rng.randrange(len(es))
+    e, fault = es[i], rng.randrange(8)  # 4-7: the multiplicity
+    if fault == 0 and i:
+        es[i] = replace(e, id=es[rng.randrange(i)].id)
+    elif fault == 1:
+        es[i] = replace(e, id=rng.choice(["", "a,b", ","]))
+    elif fault == 2:
+        es[i] = replace(e, src="zz")
+    elif fault == 3:
+        es[i] = replace(e, rng=rng.choice(["zz", ""]))
+    elif fault == 4:
+        es[i] = replace(e, mult="omega")
+    else:  # the last three are valid
+        bad = [0, -2, 2.5, True, False, "2", None, _Two(2), 10**40, OMEGA]
+        es[i] = replace(e, mult=rng.choice(bad))
+
+
+def test_validation_matches_the_reference():
+    """Every vertex and edge fault, several at once, raises the exception
+    the reference raises first, with its message; a graph without one is built."""
+    rng = random.Random(77)
+    seen = Counter()
+    for k in range(1500):
+        g = KINDS[k % len(KINDS)](rng)
+        vs, es = list(g.vertices), list(g.edges)
+        for _ in range(rng.randint(1, 3)):
+            if es and rng.random() < 0.6:
+                _plant_edge_fault(rng, es)
+            else:
+                _plant_vertex_fault(rng, vs)
+        try:
+            expected = reference_graph_fault(tuple(vs), tuple(es))
+        except TypeError as exc:
+            expected = exc
+        if expected is None:
+            Graph(tuple(vs), tuple(es))
+            seen["built"] += 1
+            continue
+        with pytest.raises(Exception) as info:
+            Graph(tuple(vs), tuple(es))
+        assert type(info.value) is type(expected) and info.value.args == expected.args
+        # the fault kind: the message without its location and the value it names
+        seen[re.sub(r"(got|endpoint) .*", r"\1", str(expected).split(": ", 1)[-1])] += 1
+    assert len(seen) == 10 and min(seen.values()) >= 20, seen
 
 
 # -- paths ---------------------------------------------------------------------------

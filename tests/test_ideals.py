@@ -100,7 +100,7 @@ def parent_pair_verdict(g, H, B):
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
 def test_pair_validation_matches_the_oracles(kind):
     rng = random.Random(131 + KINDS.index(kind))
-    seen = dict.fromkeys(["accepted", "unknown in H", "not closed", "range", "unknown in B"], 0)
+    seen = dict.fromkeys(["accepted", "unknown in H", "not closed", "range", "unknown in B", "masks"], 0)
     for _ in range(100):
         g = kind(rng)
         vs = list(g.vertices)
@@ -122,24 +122,41 @@ def test_pair_validation_matches_the_oracles(kind):
             if rng.random() < 0.1:
                 B |= {"zz"}
             expected = parent_pair_verdict(g, H, B)
+            # the masks of the library's own pairs take the same check
+            masked = "zz" not in H | B
+            seen["masks"] += masked
             if expected is None:
                 p = AdmissiblePair(g, H, B)
                 assert (p.h, p.b) == (H, B)
                 h, b = g.sort_set(H), g.sort_set(B)
                 assert p.label == "H={" + ",".join(h) + "};B={" + ",".join(b) + "}"
                 assert p.to_json_obj() == {"H": list(h), "B": list(b)}
+                if masked:
+                    q = AdmissiblePair._of(g, g.mask(H), g.mask(B))
+                    assert q == p and hash(q) == hash(p) and (q.h, q.b) == (H, B)
                 seen["accepted"] += 1
                 continue
             error, message = expected
             with pytest.raises(error) as info:
                 AdmissiblePair(g, H, B)
             assert type(info.value) is error and info.value.args == (message,)
+            if masked:
+                with pytest.raises(error) as info:
+                    AdmissiblePair._of(g, g.mask(H), g.mask(B))
+                assert type(info.value) is error and info.value.args == (message,)
             if error is KeyError:
                 seen["unknown in H"] += 1
             else:
                 seen["not closed" if "set:" in message else "range"] += 1
                 seen["unknown in B"] += "'zz'" in message
     assert min(seen.values()) >= 20, seen  # every verdict is exercised
+
+
+def test_pair_is_immutable(corpus):
+    p = AdmissiblePair(corpus["e4"], frozenset("w"), frozenset("v"))
+    with pytest.raises(AttributeError):
+        p.h = frozenset()
+    assert p.h == frozenset("w") and p != AdmissiblePair(corpus["e4"], frozenset("w"), frozenset())
 
 
 # -- lattice enumeration -----------------------------------------------------------
@@ -272,6 +289,16 @@ def test_quotient_e4_empty_B_keeps_gap(corpus):
     gap = [e for e in q.edges if e.src == "v~"]
     assert len(loops) == 2 and len(gap) == 1
     assert gap[0].rng == "v" and gap[0].mult == 1
+
+
+def test_quotient_gap_name_may_match_a_name_in_h():
+    # a~ lies in H and the gap vertex of a takes the free name a~ too: the
+    # edges kept are those with a source outside H, not those whose source
+    # carries a name of the quotient
+    g = Graph(("a~", "a", "x"), (Edge("e0", "a~", "a", OMEGA), Edge("e1", "x", "a", 1)))
+    q = quotient_graph(g, AdmissiblePair(g, frozenset(["a~"]), frozenset()))
+    assert q.vertices == ("a", "x", "a~")
+    assert q.edges == (Edge("e1", "x", "a", 1), Edge("e~a", "a~", "a", 1))
 
 
 def test_quotient_interval_isomorphism(corpus):

@@ -27,11 +27,16 @@ from graphck import (
     OMEGA,
     PartialHomeo,
     Path,
+    PurelyInfiniteVerdict,
+    condition_K,
+    maximal_tails,
     pair_leq,
     parse_graph,
 )
 from graphck.actions import Violation, WitnessCheck
-from graphck.poset import clip
+from graphck.classify import TailWitness, _find_cycle_at, _paths_from
+from graphck.graphs import GraphFormatError, Omega
+from graphck.poset import bits, clip
 
 REPO = FsPath(__file__).resolve().parent.parent
 CORPUS_DIR = REPO / "corpus"
@@ -196,6 +201,84 @@ def brute_pairs(g: Graph) -> list[tuple[frozenset, frozenset]]:
         for B in all_subsets(brute_breaking_vertices_of(g, H))
     ]
     return sorted(pairs, key=lambda p: (set_key(g, p[0]), set_key(g, p[1])))
+
+
+def reference_graph_fault(vertices, edges) -> BaseException | None:
+    """The exception Graph(vertices, edges) raises, or None: its checks in
+    their order, each diagnostic formatted up front.  One rule is new: an
+    edge's multiplicity may not be the text "omega", only OMEGA."""
+    seen = set()
+    for v in vertices:
+        if v in seen:
+            return GraphFormatError(f"vertex {clip(v)}: duplicate id")
+        if not v:
+            return GraphFormatError(f"vertex {clip(v)}: empty id")
+        reserved = [c for c in ",;" if c in v]
+        if reserved:
+            return GraphFormatError(f"vertex {clip(v)}: reserved character {reserved[0]!r} in id")
+        seen.add(v)
+    eids = set()
+    for e in edges:
+        where = f"edge {clip(e.id)}"
+        if e.id in eids:
+            return GraphFormatError(f"{where}: duplicate id")
+        if not e.id:
+            return GraphFormatError(f"{where}: empty id")
+        if "," in e.id:
+            return GraphFormatError(f"{where}: reserved character ',' in id")
+        eids.add(e.id)
+        for endpoint in (e.src, e.rng):
+            if endpoint not in seen:
+                return GraphFormatError(f"{where}: dangling endpoint {clip(endpoint)}")
+        m = e.mult
+        if m == "omega":
+            return GraphFormatError(
+                f"{where}: multiplicity must be a positive integer or OMEGA, got the text 'omega'"
+            )
+        if isinstance(m, Omega):
+            continue
+        if isinstance(m, bool) or not isinstance(m, int):
+            return GraphFormatError(
+                f"{where}: multiplicity must be a positive integer or \"omega\", got {clip(m)}"
+            )
+        if m <= 0:
+            return GraphFormatError(f"{where}: multiplicity must be positive, got {clip(m)}")
+    return None
+
+
+def reference_is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
+    """Pure infiniteness by the loop that decides the verdict while it builds
+    the witnesses: per maximal tail and member v, in order, a cycle at the
+    first cycle vertex of the tail feeding v and its BFS-tree path to v, one
+    cycle and tree per feeding vertex; then the gap clause."""
+    K = condition_K(g)
+    if not K.holds:
+        return PurelyInfiniteVerdict("no", "fails_K", vertex=K.witness)
+    witnesses, cycles, trees = [], {}, {}
+    for M, m in zip(maximal_tails(g), g._tails):
+        on_cycle = g._cyclic & m
+        for i in bits(m):
+            v = g.vertices[i]
+            fed_by = g._back[i] & on_cycle
+            if not fed_by:
+                return PurelyInfiniteVerdict(
+                    "no", "tail_vertex_not_fed_by_cycle", vertex=v, tail=M
+                )
+            y = g.vertices[next(bits(fed_by))]
+            if y not in trees:
+                cycles[y], trees[y] = _find_cycle_at(g, y), _paths_from(g, y)
+            witnesses.append(TailWitness(M, v, cycles[y], trees[y][v]))
+    gap_sets = []
+    for i, omega_src in enumerate(g._in.omega):
+        if omega_src:
+            h = g._sh_closure(omega_src)
+            if g._breaking(h) >> i & 1:
+                gap_sets.append(h)
+    if gap_sets:
+        h = min(gap_sets, key=lambda m: (m.bit_count(), m))
+        gap = g.vertices[next(bits(g._breaking(h)))]
+        return PurelyInfiniteVerdict("no", "breaking_vertex_gap", vertex=gap, h_set=g.unmask(h))
+    return PurelyInfiniteVerdict("yes", witnesses=tuple(witnesses))
 
 
 def prim_space_t0(ps) -> FiniteT0Space:
