@@ -52,7 +52,6 @@ from .spectrum import (
     PrimPoint,
     PrimSpace,
     breaking_vertices,
-    is_maximal_tail,
     maximal_tails,
     prim_space,
     prim_space_to_dot,

@@ -358,9 +358,7 @@ class FinitePartialAction:
 
     def is_invariant(self, S: Iterable[str]) -> bool:
         """Every generator and its inverse map S into S: S is a union of orbits."""
-        m = 0
-        for x in S:
-            m |= 1 << self._point(x)
+        m = self.space.mask(S)  # names the least unknown point, whatever the hash seed
         return union(self._orbits, m) == m
 
     def invariant_subsets(self, limit: int = DEFAULT_LIMIT) -> list[frozenset[str]]:

@@ -180,23 +180,6 @@ def is_simple(g: Graph):
     return SimpleVerdict("yes")
 
 
-def _find_cycle_at(g: Graph, v: str) -> Path:
-    """A first-return cycle at v, by DFS in canonical edge order."""
-    stack: list[tuple[str, list]] = [(v, [])]
-    seen: set[str] = set()
-    while stack:
-        u, walk = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        for e in reversed(g.out_edges_by_vertex[u]):
-            if e.rng == v:
-                return Path.from_walk(g, walk + [e])
-            if e.rng not in seen:
-                stack.append((e.rng, walk + [e]))
-    raise RuntimeError(f"no cycle at {v!r}: caller promised one")
-
-
 def _paths_from(g: Graph, src: str) -> dict[str, tuple[str, ...]]:
     """Edge ids of a shortest path from src to each vertex it reaches, in
     traversal order: the BFS tree keeping the first edge found into each."""
@@ -267,7 +250,7 @@ def _tail_witnesses(g: Graph) -> tuple[TailWitness, ...]:
         for i in bits(m):
             v, y = g.vertices[i], g.vertices[next(bits(g._back[i] & on_cycle))]
             if y not in trees:
-                cycles[y], trees[y] = _find_cycle_at(g, y), _paths_from(g, y)
+                cycles[y], trees[y] = g._cycle_at(y), _paths_from(g, y)
             witnesses.append(TailWitness(M, v, cycles[y], trees[y][v]))
     return tuple(witnesses)
 

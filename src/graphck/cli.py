@@ -90,35 +90,31 @@ def _parse_point_set(a: act.FinitePartialAction, text: str) -> frozenset[str]:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_analyze(args, out) -> None:
+def _graph_table(args) -> dict:
+    """command -> (compute, {format: renderer}), as in _PACTION.  Built per
+    call, so a wrapper rebinding a library function (the traced benchmark's
+    spans) is the one called."""
+    return {
+        "analyze": (classify, {"text": report_to_text, "json": report_to_json}),
+        "lattice": (
+            lambda g: idl.admissible_pairs(g, args.limit),
+            {"text": idl.lattice_to_text, "json": idl.lattice_to_json, "dot": idl.lattice_to_dot},
+        ),
+        "spectrum": (
+            spc.prim_space,
+            {
+                "text": spc.prim_space_to_text,
+                "json": spc.prim_space_to_json,
+                "dot": spc.prim_space_to_dot,
+            },
+        ),
+    }
+
+
+def _cmd_graph(args, out) -> None:
+    compute, render = _graph_table(args)[args.command]
     g, _ = _load_graph(args.graph)
-    report = classify(g)
-    if args.format == "json":
-        out.write(report_to_json(report))
-    else:
-        out.write(report_to_text(report))
-
-
-def _cmd_lattice(args, out) -> None:
-    g, _ = _load_graph(args.graph)
-    lat = idl.admissible_pairs(g, args.limit)
-    if args.format == "json":
-        out.write(idl.lattice_to_json(lat))
-    elif args.format == "dot":
-        out.write(idl.lattice_to_dot(lat))
-    else:
-        out.write(idl.lattice_to_text(lat))
-
-
-def _cmd_spectrum(args, out) -> None:
-    g, _ = _load_graph(args.graph)
-    ps = spc.prim_space(g)
-    if args.format == "json":
-        out.write(spc.prim_space_to_json(ps))
-    elif args.format == "dot":
-        out.write(spc.prim_space_to_dot(ps))
-    else:
-        out.write(spc.prim_space_to_text(ps))
+    out.write(render[args.format](compute(g)))
 
 
 def _cmd_quotient(args, out) -> None:
@@ -310,21 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
         doc = f"input size guard of {what} (default: {DEFAULT_LIMIT})"
         p.add_argument("--limit", type=_limit, default=DEFAULT_LIMIT, help=doc)
 
-    p = sub.add_parser("analyze", help="classification report for a graph")
-    p.set_defaults(handler=_cmd_analyze)
-    p.add_argument("graph")
-    common(p)
-
-    p = sub.add_parser("lattice", help="admissible-pair ideal lattice")
-    p.set_defaults(handler=_cmd_lattice)
-    p.add_argument("graph")
-    common(p, ("text", "json", "dot"))
-    limit(p, "the lattice enumeration")
-
-    p = sub.add_parser("spectrum", help="prime/primitive pair poset")
-    p.set_defaults(handler=_cmd_spectrum)
-    p.add_argument("graph")
-    common(p, ("text", "json", "dot"))
+    for command, doc in (
+        ("analyze", "classification report for a graph"),
+        ("lattice", "admissible-pair ideal lattice"),
+        ("spectrum", "prime/primitive pair poset"),
+    ):
+        p = sub.add_parser(command, help=doc)
+        p.set_defaults(handler=_cmd_graph)
+        p.add_argument("graph")
+        common(p, tuple(_graph_table(None)[command][1]))
+        if command == "lattice":
+            limit(p, "the lattice enumeration")
 
     p = sub.add_parser("quotient", help="quotient graph by an admissible pair")
     p.set_defaults(handler=_cmd_quotient)

@@ -5,10 +5,12 @@ a cycle vertex r(mu_k).  Condition (K): every vertex has zero or at least two
 first-return paths.  Both tests return explicit witnesses on failure.
 
 Both fail only on a strongly connected component that is a bare simple
-cycle, read off the graph's in-edge table.  (K) fails on the first component
-each of whose members has exactly one source inside it, not repeated (so
-the component is cyclic).  (L) fails on such a component with no entrance:
-its vertices all have in-degree one (one source, not repeated).
+cycle, read off the graph's in-edge table.  (K) is read off the components:
+it fails on the first one each of whose members has exactly one source
+inside it, not repeated (so the component is cyclic).  (L) fails on such a
+component with no entrance, and is read off the ancestry of the first vertex
+whose ancestors all have in-degree one (one source, not repeated): they hold
+that cycle, which ``Graph._cycle_at`` finds from its lowest vertex.
 
 Saturation is read off the prime-point kernel, whose one home is `Graph`
 (see `graphs`): ``Graph._sh_closure`` is the one saturated hereditary
@@ -90,21 +92,14 @@ class ConditionL:
 def condition_L(g: Graph) -> ConditionL:
     """Decide Condition (L); a failure carries an entrance-less cycle: the
     one among the ancestors of the first vertex whose ancestors all have
-    in-degree one, read backwards along unique in-edges from its smallest
-    vertex."""
+    in-degree one, found from its smallest vertex (the only first-return
+    walk there, as each of its vertices has one in-edge)."""
     src, repeated = g._in.src, g._in.repeated
     deg1 = sum(1 << i for i, s in enumerate(src) if s.bit_count() == 1 and not repeated[i])
     for back in g._back:
-        if back & ~deg1:
-            continue
-        first = next(j for j in bits(back) if not g._back[j] & ~g._reach[j])
-        into = {e.rng: e for e in g.edges}  # a cycle vertex has one in-edge
-        ids, v = [], g.vertices[first]
-        for _ in range(g._back[first].bit_count()):  # the cycle is its own ancestry
-            e = into[v]
-            ids.append(e.id)
-            v = e.src
-        return ConditionL(False, CycleWitness.for_cycle(g, Path(g, tuple(ids))))
+        if not back & ~deg1:
+            cycle = g._cycle_at(g.vertices[next(bits(back & g._cyclic))])
+            return ConditionL(False, CycleWitness.for_cycle(g, cycle))
     return ConditionL(True)
 
 

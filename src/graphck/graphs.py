@@ -18,11 +18,12 @@ multiplicity m or as m parallel edges.
 Vertex sets are frozensets of names at the public API.  Inside the graph
 layer they are int masks in canonical order (bit i is vertex i), and the
 graph caches one mask per vertex for its out-neighbours (``_succ``), the
-vertices it reaches (``_reach``) and its ancestors (``_back``).  It also
-caches the mask of all vertices (``_full``) and the condensation: the
-component masks (``_comps``) and the mask of the vertices on a cycle
-(``_cyclic``).  Every reachability question goes through ``poset.closure``,
-the one closure routine.
+vertices it reaches (``_reach``) and its ancestors (``_back``, the closure
+over the in-edge sources).  It also caches the mask of all vertices
+(``_full``) and the condensation: the component masks (``_comps``) and the
+mask of the vertices on a cycle (``_cyclic``).  Every reachability question
+goes through ``poset.closure``, the one closure routine, and every cycle
+witness through ``_cycle_at``, the one cycle search.
 
 Every multiplicity question reads the in-edge table ``_in``, built in one
 pass over the edges, by field name.  Per vertex it holds the masks of its
@@ -53,7 +54,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .poset import Poset, bits, cached_property, clip, closure, union
+from .poset import bits, cached_property, clip, closure, union
 
 DEFAULT_LIMIT = 16
 
@@ -149,6 +150,8 @@ class Graph:
     def __post_init__(self):
         seen = set()
         for v in self.vertices:
+            if not isinstance(v, str):  # checked first: a non-string may not hash
+                raise GraphFormatError(f"vertex {clip(v)}: id must be a string")
             if v in seen:
                 raise GraphFormatError(f"vertex {clip(v)}: duplicate id")
             if not v:  # an empty member would print like the empty set
@@ -160,6 +163,9 @@ class Graph:
             seen.add(v)
         eids = set()
         for e in self.edges:
+            for key in ("id", "src", "rng"):
+                if not isinstance(getattr(e, key), str):
+                    raise GraphFormatError(f"edge {clip(e.id)}: {key} must be a string")
             if e.id in eids:
                 raise GraphFormatError(f"edge {clip(e.id)}: duplicate id")
             if not e.id:
@@ -241,7 +247,7 @@ class Graph:
     @cached_property
     def _back(self) -> tuple[int, ...]:
         """back[i] = mask of the vertices that reach vertex i (incl. i)."""
-        return Poset(self._reach).down
+        return closure(self._in.src)
 
     @cached_property
     def _in(self) -> InTable:
@@ -321,6 +327,22 @@ class Graph:
             h = self._full & ~self._reach[i]
             out.append((h, self._breaking(h) & ~(1 << i)))
         return tuple(out)
+
+    def _cycle_at(self, v: str) -> "Path":
+        """A first-return cycle at v, by DFS in canonical edge order."""
+        stack: list[tuple[str, list]] = [(v, [])]
+        seen: set[str] = set()
+        while stack:
+            u, walk = stack.pop()
+            if u in seen:
+                continue
+            seen.add(u)
+            for e in reversed(self.out_edges_by_vertex[u]):
+                if e.rng == v:
+                    return Path.from_walk(self, walk + [e])
+                if e.rng not in seen:
+                    stack.append((e.rng, walk + [e]))
+        raise RuntimeError(f"no cycle at {v!r}: caller promised one")
 
 
 @dataclass(frozen=True)

@@ -29,17 +29,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 from .conditions import condition_K
 from .graphs import Graph
 from .ideals import AdmissiblePair, pair_order
 from .poset import Poset, bits, cached_property, check_antisymmetric, to_dot
-
-
-def is_maximal_tail(g: Graph, M: Iterable[str]) -> bool:
-    """M is a row of the prime-point kernel (see maximal_tails)."""
-    return g.mask(M) in g._tails
 
 
 def maximal_tails(g: Graph) -> list[frozenset[str]]:

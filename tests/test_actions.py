@@ -1,7 +1,10 @@
 """Finite T0 spaces and generated partial actions."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -40,6 +43,7 @@ from util import (
     ref_check_paradoxical_witness,
     restrict,
     specializes,
+    REPO,
     trivial_action,
     word_text,
 )
@@ -328,6 +332,25 @@ def test_invariance_queries_reject_unknown_points():
     a = three_chain_action()
     with pytest.raises(ActionFormatError, match="unknown point 'zz'"):
         a.is_invariant({"zz"})
+
+
+def test_is_invariant_names_the_least_unknown_point_under_any_hash_seed():
+    # the set's iteration order follows the hash seed: under seed 0 it yields
+    # 'zz' before 'aa', under seed 1 'aa' first
+    code = (
+        "from graphck import ActionFormatError, FinitePartialAction, FiniteT0Space\n"
+        "a = FinitePartialAction(FiniteT0Space(('b', 'c'), frozenset()), 'F0', (), ())\n"
+        "try:\n"
+        "    a.is_invariant({'zz', 'aa', 'mm'})\n"
+        "except ActionFormatError as exc:\n"
+        "    print(exc)\n"
+    )
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (proc.stdout, proc.stderr) == ("unknown point 'aa'\n", ""), seed
 
 
 def test_space_queries_reject_unknown_points():

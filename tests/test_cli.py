@@ -228,6 +228,79 @@ def test_argparse_writes_to_the_given_streams(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+# argparse's help at 80 columns, for the top level and each graph subcommand
+HELP = {
+    (): """\
+usage: graphck [-h] {analyze,lattice,spectrum,quotient,paction} ...
+
+Invariants of directed multigraphs and their graph C*-algebras, and finite
+models of partial dynamical systems.
+
+positional arguments:
+  {analyze,lattice,spectrum,quotient,paction}
+    analyze             classification report for a graph
+    lattice             admissible-pair ideal lattice
+    spectrum            prime/primitive pair poset
+    quotient            quotient graph by an admissible pair
+    paction             partial-action queries on a finite T0 space
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("analyze",): """\
+usage: graphck analyze [-h] [--format {text,json}] graph
+
+positional arguments:
+  graph
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format (default: text)
+""",
+    ("lattice",): """\
+usage: graphck lattice [-h] [--format {text,json,dot}] [--limit LIMIT] graph
+
+positional arguments:
+  graph
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,dot}
+                        output format (default: text)
+  --limit LIMIT         input size guard of the lattice enumeration (default:
+                        16)
+""",
+    ("spectrum",): """\
+usage: graphck spectrum [-h] [--format {text,json,dot}] graph
+
+positional arguments:
+  graph
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,dot}
+                        output format (default: text)
+""",
+    ("quotient",): """\
+usage: graphck quotient [-h] --pair PAIR [--format {text,json}] graph
+
+positional arguments:
+  graph
+
+options:
+  -h, --help            show this help message and exit
+  --pair PAIR           selector "H=a,b;B=c"; empty: "H=;B="
+  --format {text,json}  output format (default: text)
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP, ids=lambda c: " ".join(c) or "graphck")
+def test_help_texts_are_pinned(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke(*command, "--help") == (0, HELP[command], "")
+
+
 def test_limit_exit_2(tmp_path):
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"vertices": [f"v{i}" for i in range(17)], "edges": []}))

@@ -315,6 +315,22 @@ def test_omega_text_multiplicity_is_refused():
     assert parse_graph(graph_to_json(g)) == g
 
 
+def test_ids_and_endpoints_that_are_not_strings_are_refused():
+    # checked before anything hashes them, so an unhashable id is located too
+    cases = [
+        ((7,), (), "vertex 7: id must be a string"),
+        ((["a"],), (), "vertex ['a']: id must be a string"),
+        (("a",), (Edge(5, "a", "a"),), "edge 5: id must be a string"),
+        (("a",), (Edge(["e"], "a", "a"),), "edge ['e']: id must be a string"),
+        (("a",), (Edge("e", 0, "a"),), "edge 'e': src must be a string"),
+        (("a",), (Edge("e", "a", {"a"}),), "edge 'e': rng must be a string"),
+    ]
+    for vertices, edges, message in cases:
+        with pytest.raises(GraphFormatError) as info:
+            Graph(vertices, edges)
+        assert str(info.value) == message
+
+
 class _Two(int):
     """An int subclass: a valid multiplicity that is not of type int."""
 
@@ -327,8 +343,9 @@ def _plant_vertex_fault(rng, vs):
         lambda: vs.insert(i, f"{vs[i]},x"),
         lambda: vs.insert(i, f"x;{vs[i]}"),
         lambda: vs.insert(i, ";,"),  # the first reserved character in ",;" is named
-        lambda: vs.insert(i, 0),  # falsy: an empty id
-        lambda: vs.insert(i, 7),  # no characters to search: TypeError
+        lambda: vs.insert(i, 0),  # falsy, yet refused as no string, not as an empty id
+        lambda: vs.insert(i, 7),  # not a string
+        lambda: vs.insert(i, ["x"]),  # not a string, and unhashable
     ])()
 
 
@@ -338,11 +355,11 @@ def _plant_edge_fault(rng, es):
     if fault == 0 and i:
         es[i] = replace(e, id=es[rng.randrange(i)].id)
     elif fault == 1:
-        es[i] = replace(e, id=rng.choice(["", "a,b", ","]))
+        es[i] = replace(e, id=rng.choice(["", "a,b", ",", 5, ("x",)]))  # 5 and ("x",): no strings
     elif fault == 2:
-        es[i] = replace(e, src="zz")
+        es[i] = replace(e, src=rng.choice(["zz", ["a"]]))  # a list: no string, unhashable
     elif fault == 3:
-        es[i] = replace(e, rng=rng.choice(["zz", ""]))
+        es[i] = replace(e, rng=rng.choice(["zz", "", None]))
     elif fault == 4:
         es[i] = replace(e, mult="omega")
     else:  # the last three are valid
@@ -363,10 +380,7 @@ def test_validation_matches_the_reference():
                 _plant_edge_fault(rng, es)
             else:
                 _plant_vertex_fault(rng, vs)
-        try:
-            expected = reference_graph_fault(tuple(vs), tuple(es))
-        except TypeError as exc:
-            expected = exc
+        expected = reference_graph_fault(tuple(vs), tuple(es))
         if expected is None:
             Graph(tuple(vs), tuple(es))
             seen["built"] += 1
@@ -376,7 +390,7 @@ def test_validation_matches_the_reference():
         assert type(info.value) is type(expected) and info.value.args == expected.args
         # the fault kind: the message without its location and the value it names
         seen[re.sub(r"(got|endpoint) .*", r"\1", str(expected).split(": ", 1)[-1])] += 1
-    assert len(seen) == 10 and min(seen.values()) >= 20, seen
+    assert len(seen) == 12 and min(seen.values()) >= 20, seen
 
 
 # -- paths ---------------------------------------------------------------------------

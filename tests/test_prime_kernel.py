@@ -1,13 +1,15 @@
-"""The prime-point kernel against the oracles: closures, pairs and tails.
+"""The kernel against the oracles: reachability, closures, pairs and tails.
 
-The kernel lives on `Graph`: `_tails` holds the maximal tails, `_breakers`
-the breaking vertices, and `_sh_closure` reads the saturated hereditary
-closure off them.  Every saturation question is read off this kernel, so
-each optimized answer is checked here against a definition on every seeded
-generator.
+The kernel lives on `Graph`: `_reach`, `_back`, `_comps` and `_cyclic` hold
+the reachability rows and the condensation, `_tails` the maximal tails,
+`_breakers` the breaking vertices, and `_sh_closure` reads the saturated
+hereditary closure off them.  Every saturation question is read off this
+kernel, so each optimized answer is checked here against a definition on
+every seeded generator.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +17,7 @@ from graphck import (
     OMEGA,
     admissible_pairs,
     breaking_vertices,
+    condition_L,
     maximal_tails,
     prim_space,
     saturated_hereditary_sets,
@@ -27,13 +30,41 @@ from util import (
     brute_maximal_tails,
     brute_pairs,
     edges_by,
+    reach,
     round_closure,
+    walk_condition_L,
 )
 
 
 def seeded(kind, count, max_n=None):
     rng = random.Random(KINDS.index(kind) + 110)
     return [kind(rng) if max_n is None else kind(rng, max_n=max_n) for _ in range(count)]
+
+
+def test_reachability_kernel_matches_a_search_over_edge_records():
+    """On 20 to 60 vertices, past the subset-scanning oracles: the rows of
+    `Graph` against `util.reach`, and (L) against the reference walk."""
+    rng, seen = random.Random(210), Counter()
+    for k in range(400):
+        g = KINDS[k % len(KINDS)](rng, max_n=60, min_n=20)
+        r = reach(g)
+        below = {v: {w for w in g.vertices if v in r[w]} for v in g.vertices}
+        comps = []  # the mutual-reach classes, each at its smallest member
+        for v in g.vertices:
+            c = g.mask(below[v] & r[v])
+            if c not in comps:
+                comps.append(c)
+        assert g._reach == tuple(g.mask(r[v]) for v in g.vertices)
+        assert g._back == tuple(g.mask(below[v]) for v in g.vertices)
+        assert g._comps == tuple(comps)
+        assert g._cyclic == g.mask(e.src for e in g.edges if e.src in r[e.rng])
+        L = condition_L(g)
+        assert L == walk_condition_L(g)
+        seen["self-loop"] += any(e.src == e.rng for e in g.edges)
+        seen["parallel"] += len({(e.src, e.rng) for e in g.edges}) < len(g.edges)
+        seen["omega"] += any(e.mult == OMEGA for e in g.edges)
+        seen["L fails" if not L.holds else "L holds"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)

@@ -6,7 +6,6 @@ from graphck import (
     admissible_pairs,
     breaking_vertices,
     is_hereditary,
-    is_maximal_tail,
     is_saturated,
     maximal_tails,
     pair_leq,
@@ -20,6 +19,7 @@ from graphck import (
 from util import (
     all_subsets,
     brute_maximal_tails,
+    is_maximal_tail,
     meet_of_primes_above,
     random_graph,
     random_looped_graph,

@@ -50,7 +50,7 @@ PUBLIC = [
     "breaking_vertices_of", "check_infinite_witness", "check_paradoxical_witness", "classify",
     "condition_K", "condition_L", "cycle_entrances", "decide_G_infinite", "detect_format",
     "first_return_count", "graph_to_edgelist", "graph_to_json", "is_hereditary",
-    "is_maximal_tail", "is_purely_infinite", "is_saturated", "is_simple", "lattice_to_dot",
+    "is_purely_infinite", "is_saturated", "is_simple", "lattice_to_dot",
     "lattice_to_json", "maximal_tails", "pair_leq", "parse_action", "parse_decomposition",
     "parse_graph", "prim_space", "prim_space_to_dot", "prim_space_to_json", "prime_points",
     "quotient_graph", "report_to_json", "report_to_text", "saturated_hereditary_sets",

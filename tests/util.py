@@ -34,7 +34,7 @@ from graphck import (
     parse_graph,
 )
 from graphck.actions import Violation, WitnessCheck
-from graphck.classify import TailWitness, _find_cycle_at, _paths_from
+from graphck.classify import TailWitness, _paths_from
 from graphck.graphs import GraphFormatError, Omega
 from graphck.poset import bits, clip
 
@@ -205,10 +205,13 @@ def brute_pairs(g: Graph) -> list[tuple[frozenset, frozenset]]:
 
 def reference_graph_fault(vertices, edges) -> BaseException | None:
     """The exception Graph(vertices, edges) raises, or None: its checks in
-    their order, each diagnostic formatted up front.  One rule is new: an
-    edge's multiplicity may not be the text "omega", only OMEGA."""
+    their order, each diagnostic formatted up front.  Two rules are new: an
+    edge's multiplicity may not be the text "omega", only OMEGA; and every
+    id and endpoint must be a string, checked before anything hashes it."""
     seen = set()
     for v in vertices:
+        if not isinstance(v, str):
+            return GraphFormatError(f"vertex {clip(v)}: id must be a string")
         if v in seen:
             return GraphFormatError(f"vertex {clip(v)}: duplicate id")
         if not v:
@@ -220,6 +223,9 @@ def reference_graph_fault(vertices, edges) -> BaseException | None:
     eids = set()
     for e in edges:
         where = f"edge {clip(e.id)}"
+        for key, value in (("id", e.id), ("src", e.src), ("rng", e.rng)):
+            if not isinstance(value, str):
+                return GraphFormatError(f"{where}: {key} must be a string")
         if e.id in eids:
             return GraphFormatError(f"{where}: duplicate id")
         if not e.id:
@@ -266,7 +272,7 @@ def reference_is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
                 )
             y = g.vertices[next(bits(fed_by))]
             if y not in trees:
-                cycles[y], trees[y] = _find_cycle_at(g, y), _paths_from(g, y)
+                cycles[y], trees[y] = g._cycle_at(y), _paths_from(g, y)
             witnesses.append(TailWitness(M, v, cycles[y], trees[y][v]))
     gap_sets = []
     for i, omega_src in enumerate(g._in.omega):
@@ -419,6 +425,11 @@ def brute_first_return_count(g: Graph, v: str, cap: int = 2) -> int:
     return min(total, cap)
 
 
+def is_maximal_tail(g: Graph, M) -> bool:
+    """M is a maximal tail: a row of the prime-point kernel (see `maximal_tails`)."""
+    return g.mask(M) in g._tails
+
+
 def brute_maximal_tails(g: Graph) -> set[frozenset]:
     """Nonempty vertex sets that are upward closed, co-saturated (a member of
     finite nonzero in-degree has a source inside) and downward directed (two
@@ -555,8 +566,9 @@ def random_graph(
     max_n: int = 8,
     max_edges: int | None = None,
     omega_ok: bool = True,
+    min_n: int = 1,
 ) -> Graph:
-    n = rng.randint(1, max_n)
+    n = rng.randint(min_n, max_n)
     vertices = tuple(f"v{i}" for i in range(n))
     m = rng.randint(0, max_edges if max_edges is not None else 2 * n)
     mult_pool: list = [1, 1, 1, 2, 3]
@@ -574,20 +586,20 @@ def random_graph(
     return Graph(vertices, edges)
 
 
-def random_omega_graph(rng: random.Random, max_n: int = 7) -> Graph:
+def random_omega_graph(rng: random.Random, max_n: int = 7, min_n: int = 1) -> Graph:
     """A random_graph with about half of its edge bundles made infinite."""
-    g = random_graph(rng, max_n)
+    g = random_graph(rng, max_n, min_n=min_n)
     edges = tuple(replace(e, mult=OMEGA) if rng.random() < 0.5 else e for e in g.edges)
     return Graph(g.vertices, edges)
 
 
-def random_looped_graph(rng: random.Random, max_n: int = 7) -> Graph:
+def random_looped_graph(rng: random.Random, max_n: int = 7, min_n: int = 1) -> Graph:
     """A random_omega_graph with a double or infinite loop at every vertex.
 
     The loops make Condition (K) hold and feed every tail vertex by a cycle,
     so pure infiniteness comes down to the breaking-vertex gap clause.
     """
-    g = random_omega_graph(rng, max_n)
+    g = random_omega_graph(rng, max_n, min_n)
     loops = tuple(
         Edge(id=f"l{i}", src=v, rng=v, mult=rng.choice([2, 2, OMEGA]))
         for i, v in enumerate(g.vertices)
@@ -595,8 +607,8 @@ def random_looped_graph(rng: random.Random, max_n: int = 7) -> Graph:
     return Graph(g.vertices, loops + g.edges)
 
 
-def random_strongly_connected_graph(rng: random.Random, max_n: int = 6) -> Graph:
-    n = rng.randint(1, max_n)
+def random_strongly_connected_graph(rng: random.Random, max_n: int = 6, min_n: int = 1) -> Graph:
+    n = rng.randint(min_n, max_n)
     vertices = tuple(f"v{i}" for i in range(n))
     edges = [
         Edge(id=f"c{i}", src=vertices[i], rng=vertices[(i + 1) % n], mult=1)
@@ -617,7 +629,8 @@ def random_strongly_connected_graph(rng: random.Random, max_n: int = 6) -> Graph
 # -- random T0 spaces and actions --------------------------------------------------
 
 
-# every seeded graph generator, the omega-heavy one included
+# every seeded graph generator, the omega-heavy one included; each takes
+# max_n and min_n, the bounds of its vertex count
 KINDS = (random_graph, random_omega_graph, random_looped_graph, random_strongly_connected_graph)
 
 
