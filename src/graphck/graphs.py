@@ -329,19 +329,24 @@ class Graph:
         return tuple(out)
 
     def _cycle_at(self, v: str) -> "Path":
-        """A first-return cycle at v, by DFS in canonical edge order."""
-        stack: list[tuple[str, list]] = [(v, [])]
-        seen: set[str] = set()
+        """A first-return cycle at v, by DFS in canonical edge order.  Each
+        vertex keeps the edge it was first reached along, so the walk is
+        built once, back from the edge that returns to v."""
+        stack: list[tuple[str, Edge | None]] = [(v, None)]
+        into: dict[str, Edge | None] = {}
         while stack:
-            u, walk = stack.pop()
-            if u in seen:
+            u, last = stack.pop()
+            if u in into:
                 continue
-            seen.add(u)
+            into[u] = last
             for e in reversed(self.out_edges_by_vertex[u]):
                 if e.rng == v:
-                    return Path.from_walk(self, walk + [e])
-                if e.rng not in seen:
-                    stack.append((e.rng, walk + [e]))
+                    walk = [e]
+                    while walk[-1].src != v:
+                        walk.append(into[walk[-1].src])
+                    return Path.from_walk(self, walk[::-1])
+                if e.rng not in into:
+                    stack.append((e.rng, e))
         raise RuntimeError(f"no cycle at {v!r}: caller promised one")
 
 

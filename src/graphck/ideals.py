@@ -7,16 +7,18 @@ in-edges from outside H.  The pairs, ordered by
     (H, B) <= (H', B')   iff   H is contained in H' and B in H' | B',
 
 form a lattice naming the gauge-invariant (equivalently graded) ideals
-I_{H,B} of the graph algebra.  The lattice tables read meets and joins off
-the canonical pair order, a linear extension of the pair order: the meet is
-the last common lower bound, the join the first common upper bound.
+I_{H,B} of the graph algebra.
 
 The lattice is distributive and its meet-irreducibles are the prime points
 (Bates-Hong-Raeburn-Szymanski, Illinois J. Math. 2002), so by Birkhoff's
 theorem (*Rings of sets*, Duke Math. J. 1937) the pairs are the meets (AND
-of H, AND of H | B) over the up-sets of prime points, one each.  The prime
-points and the breaking ranges come from the kernel whose one home is
-`Graph` (``Graph._primes``, ``Graph._breaking``, ``Graph._sh_closure``).
+of H, AND of H | B) over the up-sets of prime points, one each.  A pair's
+label is the up-set of prime points above it, and the lattice tables are read
+off the labels: the meet of two pairs is the pair labelled by the union of
+their labels, the join by the intersection, and j covers i when j's label is
+i's less one prime.  The prime points and the breaking ranges come from the
+kernel whose one home is `Graph` (``Graph._primes``, ``Graph._breaking``,
+``Graph._sh_closure``).
 
 Vertex sets are frozensets of names at the public API, including the
 members ``h`` and ``b`` of `AdmissiblePair`, and int masks in canonical order
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graphs import DEFAULT_LIMIT, Edge, Graph, LimitExceededError
-from .poset import Poset, cached_property, clip, subset_order, to_dot
+from .poset import Poset, bits, cached_property, clip, subset_order, to_dot
 
 
 def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
@@ -116,23 +118,38 @@ def pair_leq(p: AdmissiblePair, q: AdmissiblePair) -> bool:
     return not p._h & ~q._h and not p._b & ~(q._h | q._b)
 
 
+def _rows(g: Graph, hbs: Iterable[tuple[int, int]]) -> list[int]:
+    """Each pair (H, B) of g as the mask H | (H | B) << n: pair_leq is
+    inclusion of these masks, and the meet of pairs is their AND."""
+    n = len(g.vertices)
+    return [h | (h | b) << n for h, b in hbs]
+
+
 def pair_order(pairs: Sequence[AdmissiblePair]) -> Poset:
-    """The pairs ordered by pair_leq, as one bitmask up-set per pair:
-    pair_leq(p, q) is inclusion of the masks H and H | B side by side."""
+    """The pairs ordered by pair_leq, as one bitmask up-set per pair."""
     if not pairs:
         return Poset(())
     for p in pairs:
         _same_graph(pairs[0], p)
-    n = len(pairs[0].graph.vertices)
-    return subset_order([p._h | (p._h | p._b) << n for p in pairs], 2 * n)
+    g = pairs[0].graph
+    return subset_order(_rows(g, [(p._h, p._b) for p in pairs]), 2 * len(g.vertices))
 
 
 @dataclass(frozen=True)
 class IdealLattice:
+    """The pairs of a graph from bottom to top, in any order between.
+
+    The tables need the whole lattice: the first read of `leq`, `covers`,
+    `meet_table` or `join_table` raises ValueError on a pair of another
+    graph, a pair listed twice, or a list missing some pair.
+    """
+
     graph: Graph
     pairs: tuple[AdmissiblePair, ...]
 
     def __post_init__(self):
+        if not self.pairs:
+            raise ValueError("no pairs: a lattice holds at least the bottom")
         bottom = self.pairs[0]
         top = self.pairs[-1]
         if bottom._h or bottom._b:
@@ -144,29 +161,72 @@ class IdealLattice:
         return len(self.pairs)
 
     @cached_property
-    def _order(self) -> Poset:
-        return pair_order(self.pairs)
+    def _labels(self) -> tuple[int, ...]:
+        """Per pair, bit k set when the pair lies below the prime point
+        ``graph._primes[k]``."""
+        g = self.graph
+        if any(p.graph != g for p in self.pairs):
+            raise ValueError("pairs belong to different graphs")
+        primes = _rows(g, g._primes)
+        return tuple(
+            sum([1 << k for k, q in enumerate(primes) if not r & ~q])
+            for r in _rows(g, [(p._h, p._b) for p in self.pairs])
+        )
+
+    @cached_property
+    def _hasse(self) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
+        """The pair index of each label, and per pair the pairs covering it,
+        ascending: a cover takes one minimal prime off the label.
+
+        Raises ValueError unless the pairs are the whole lattice.  Every label
+        is an up-set of prime points and the bottom's holds them all, so the
+        labels are every up-set once when none repeats and every label less
+        one of its minimal primes is a label too."""
+        labels = self._labels
+        index = {u: i for i, u in enumerate(labels)}
+        if len(index) < len(labels):
+            twice = next(i for i, u in enumerate(labels) if index[u] != i)
+            raise ValueError(f"pair {self.pairs[twice].label} is listed twice")
+        g = self.graph
+        below = subset_order(_rows(g, g._primes), 2 * len(g.vertices)).down
+        upper = []
+        for i, u in enumerate(labels):
+            try:
+                js = [index[u ^ 1 << k] for k in bits(u) if below[k] & u == 1 << k]
+            except KeyError:
+                missing = f"a pair covering {self.pairs[i].label} is missing"
+                raise ValueError(f"not the whole lattice: {missing}") from None
+            upper.append(tuple(sorted(js)))
+        return index, tuple(upper)
 
     @cached_property
     def leq(self) -> tuple[tuple[bool, ...], ...]:
-        return self._order.leq
+        """Up-sets built along the covers, from the top (no prime above) down."""
+        labels, upper = self._labels, self._hasse[1]
+        up = [0] * len(labels)
+        for i in sorted(range(len(labels)), key=lambda i: labels[i].bit_count()):
+            m = 1 << i
+            for j in upper[i]:
+                m |= up[j]
+            up[i] = m
+        return Poset(tuple(up)).leq
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j) where j covers i: i < j with nothing strictly between."""
-        return self._order.covers
-
-    # The canonical (|H|, mask H, |B|, mask B) order of the pairs is a linear
-    # extension of the pair order: H < H' grows |H|, and H = H' forces B in B'
-    # because B is disjoint from H.  So the kernel's tables apply.
+        """Pairs (i, j) in ascending order where j covers i: i < j with nothing between."""
+        return tuple((i, j) for i, js in enumerate(self._hasse[1]) for j in js)
 
     @cached_property
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        return self._order.meet_table()
+        """The meet of two pairs is labelled by the union of their labels."""
+        index, labels = self._hasse[0], self._labels
+        return tuple(tuple([index[a | b] for b in labels]) for a in labels)
 
     @cached_property
     def join_table(self) -> tuple[tuple[int, ...], ...]:
-        return self._order.join_table()
+        """The join of two pairs is labelled by the intersection of their labels."""
+        index, labels = self._hasse[0], self._labels
+        return tuple(tuple([index[a & b] for b in labels]) for a in labels)
 
 
 def admissible_pairs(g: Graph, limit: int = DEFAULT_LIMIT) -> IdealLattice:
@@ -175,8 +235,7 @@ def admissible_pairs(g: Graph, limit: int = DEFAULT_LIMIT) -> IdealLattice:
     n = len(g.vertices)
     if n > limit:
         raise LimitExceededError(n, limit)
-    # a pair is the mask H | (H | B) << n: meets are ANDs, the order inclusion
-    rows = [h | (h | b) << n for h, b in g._primes]
+    rows = _rows(g, g._primes)
     meets = subset_order(rows, 2 * n).upset_meets(rows, g._full | g._full << n)
     hbs = sorted(
         ((m & g._full, m >> n & ~m) for m in meets),

@@ -2,8 +2,8 @@
 
 Elements are the indices 0..n-1.  ``up[i]`` has bit j set exactly when
 i <= j (so bit i itself is always set), and ``down[j]`` is its transpose.
-One closure routine turns any successor relation into such masks; covers,
-meets, joins and the DOT drawing are all read off them.
+One closure routine turns any successor relation into such masks; covers
+and the DOT drawing are read off them.
 """
 
 from __future__ import annotations
@@ -135,28 +135,6 @@ class Poset:
                 stack.append((i + 1, decided | down[i], acc))
                 stack.append((i + 1, decided | up[i], acc & values[i]))
         return out
-
-    # Meets and joins need a lattice whose indices follow a linear extension
-    # (i <= j implies i <= j as integers).  Every lower bound of i and j then
-    # lies below their meet, so the meet is the highest-indexed common lower
-    # bound; dually the join is the lowest-indexed common upper bound.
-
-    def _check_linear_extension(self) -> None:
-        if any(m & ((1 << i) - 1) for i, m in enumerate(self.up)):
-            raise ValueError("element indices do not follow a linear extension")
-
-    def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        self._check_linear_extension()
-        down = self.down
-        return tuple(tuple([(a & b).bit_length() - 1 for b in down]) for a in down)
-
-    def join_table(self) -> tuple[tuple[int, ...], ...]:
-        """With the up-sets bit-reversed (bit j moved to bit n - 1 - j), the
-        lowest common upper bound j is the highest set bit of the AND."""
-        self._check_linear_extension()
-        n = len(self.up)
-        rev = [int(format(m, f"0{n}b")[::-1], 2) for m in self.up]
-        return tuple(tuple([n - (a & b).bit_length() for b in rev]) for a in rev)
 
 
 def to_dot(name: str, labels: Iterable[str], covers: Iterable[tuple[int, int]]) -> str:

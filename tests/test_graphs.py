@@ -31,6 +31,7 @@ from graphck.poset import clip
 from util import (
     KINDS,
     brute_first_return_count,
+    copying_cycle_at,
     random_graph,
     random_looped_graph,
     random_omega_graph,
@@ -409,6 +410,23 @@ def test_path_validation(corpus):
         Path(e2, ())
     with pytest.raises(ValueError, match="unknown edge"):
         Path(e2, ("nope",))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+def test_cycle_search_matches_the_copying_search(kind):
+    rng = random.Random(173 + KINDS.index(kind))
+    searched = 0
+    for _ in range(150):
+        g = kind(rng, 8)
+        for v in g.names(g._cyclic):
+            assert g._cycle_at(v) == copying_cycle_at(g, v), (g, v)
+            searched += 1
+    # a 300-cycle: the walk is 300 edges deep when it closes
+    n = 300
+    ring_edges = tuple(Edge(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n))
+    ring = Graph(tuple(f"v{i}" for i in range(n)), ring_edges)
+    assert ring._cycle_at("v5") == copying_cycle_at(ring, "v5")
+    assert searched > 200
 
 
 def test_graph_is_immutable(corpus):

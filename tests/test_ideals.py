@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -39,6 +40,8 @@ from util import (
     random_graph,
     random_looped_graph,
     random_omega_graph,
+    ref_join_table,
+    ref_meet_table,
     set_key,
 )
 
@@ -189,6 +192,72 @@ def test_lattice_must_run_bottom_to_top(corpus):
         IdealLattice(corpus["e4"], pairs[::-1])
     with pytest.raises(ValueError, match="not the top"):
         IdealLattice(corpus["e4"], pairs[:-1])
+    with pytest.raises(ValueError, match="no pairs"):
+        IdealLattice(corpus["e4"], ())
+
+
+@pytest.mark.parametrize("table", ["leq", "covers", "meet_table", "join_table"])
+def test_tables_need_the_whole_lattice(corpus, table):
+    """The lattice accepts any list from bottom to top; its first table read
+    refuses a list that is not every pair of its graph exactly once."""
+    e1, e4 = corpus["e1"], corpus["e4"]
+    bottom, p_w, p_wv, top = admissible_pairs(e4).pairs
+    refused = [
+        ((bottom, top), "a pair covering H={};B={} is missing"),
+        ((bottom, p_w, top), "a pair covering H={w};B={} is missing"),
+        ((bottom, p_w, p_w, p_wv, top), "pair H={w};B={} is listed twice"),
+        ((bottom, admissible_pairs(e1).pairs[0], p_wv, top), "different graphs"),
+    ]
+    for pairs, message in refused:
+        lat = IdealLattice(e4, pairs)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            getattr(lat, table)
+    # one prime point: the bottom and the top are the whole lattice
+    e1_bottom, e1_top = admissible_pairs(e1).pairs
+    assert getattr(IdealLattice(e1, (e1_bottom, e1_top)), table)
+
+
+def reference_tables(pairs):
+    """leq and covers of pair_order(pairs), and the reference meet and join
+    tables.  Those need a linear extension, which sorting by (|H|, |B|) gives:
+    they are taken in that order and mapped back."""
+    n = len(pairs)
+    ext = sorted(range(n), key=lambda i: (len(pairs[i].h), len(pairs[i].b)))
+    at = {i: k for k, i in enumerate(ext)}
+    sub = pair_order([pairs[i] for i in ext])
+    tables = [
+        [[ext[t[at[i]][at[j]]] for j in range(n)] for i in range(n)]
+        for t in (ref_meet_table(sub), ref_join_table(sub))
+    ]
+    order = pair_order(pairs)
+    return [list(r) for r in order.leq], list(order.covers), *tables
+
+
+def reorder(rng, pairs, linear):
+    """The pairs between the bottom and the top shuffled; with linear, along
+    a random linear extension of the pair order."""
+    middle = list(pairs[1:-1])
+    rng.shuffle(middle)
+    if linear:
+        rank = {p: (len(p.h), len(p.b)) for p in middle}
+        middle.sort(key=rank.__getitem__)  # ties are incomparable
+    return (pairs[0], *middle, pairs[-1])
+
+
+def test_lattice_tables_match_the_references():
+    rng = random.Random(61)
+    makers = (random_graph, random_omega_graph, random_looped_graph)
+    graphs = [edgeless(6), omega_fan(3)] + [makers[k % 3](rng, 7) for k in range(90)]
+    shuffled = 0
+    for g in graphs:
+        canonical = admissible_pairs(g).pairs
+        for pairs in (canonical, reorder(rng, canonical, True), reorder(rng, canonical, False)):
+            lat = IdealLattice(g, pairs)
+            got = [[list(r) for r in lat.leq], list(lat.covers)]
+            got += [[list(r) for r in t] for t in (lat.meet_table, lat.join_table)]
+            assert got == list(reference_tables(pairs)), g
+            shuffled += pairs != canonical
+    assert shuffled > 100
 
 
 def test_pair_ops_examples(corpus):

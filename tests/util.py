@@ -298,6 +298,25 @@ def trivial_action(space: FiniteT0Space) -> FinitePartialAction:
     return FinitePartialAction(space, "F0", (), ())
 
 
+def copying_cycle_at(g: Graph, v: str) -> Path:
+    """The first-return cycle search of `Graph._cycle_at` with each stack
+    entry carrying its own copy of the walk so far: the same DFS order, the
+    same cycle."""
+    stack = [(v, [])]
+    seen = set()
+    while stack:
+        u, walk = stack.pop()
+        if u in seen:
+            continue
+        seen.add(u)
+        for e in reversed(g.out_edges_by_vertex[u]):
+            if e.rng == v:
+                return Path.from_walk(g, walk + [e])
+            if e.rng not in seen:
+                stack.append((e.rng, walk + [e]))
+    raise RuntimeError(f"no cycle at {v!r}")
+
+
 def bfs_connect(g: Graph, src: str, dst: str) -> tuple[str, ...]:
     """Edge ids of a shortest path src -> dst, in traversal order, by a BFS
     that stops at dst and keeps the first edge found into each vertex."""
@@ -469,6 +488,33 @@ def brute_covers(leq):
         and leq[i][j]
         and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))
     ]
+
+
+# Meets and joins of a lattice whose indices follow a linear extension (i <= j
+# implies i <= j as integers), read off the bitmask up-sets of a `Poset`.  Every
+# lower bound of i and j lies below their meet, so the meet is the
+# highest-indexed common lower bound; dually the join is the lowest-indexed
+# common upper bound.
+
+
+def ref_check_linear_extension(order) -> None:
+    if any(m & ((1 << i) - 1) for i, m in enumerate(order.up)):
+        raise ValueError("element indices do not follow a linear extension")
+
+
+def ref_meet_table(order) -> tuple[tuple[int, ...], ...]:
+    ref_check_linear_extension(order)
+    down = order.down
+    return tuple(tuple([(a & b).bit_length() - 1 for b in down]) for a in down)
+
+
+def ref_join_table(order) -> tuple[tuple[int, ...], ...]:
+    """With the up-sets bit-reversed (bit j moved to bit n - 1 - j), the
+    lowest common upper bound j is the highest set bit of the AND."""
+    ref_check_linear_extension(order)
+    n = len(order.up)
+    rev = [int(format(m, f"0{n}b")[::-1], 2) for m in order.up]
+    return tuple(tuple([n - (a & b).bit_length() for b in rev]) for a in rev)
 
 
 def brute_closure(n: int, pairs):
