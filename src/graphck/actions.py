@@ -77,7 +77,7 @@ class FiniteT0Space:
         # reflexive-transitive closure, then antisymmetry = T0
         up = closure(succ)
         try:
-            check_antisymmetric(up, self.points)
+            check_antisymmetric(up, self.points.__getitem__)
         except ValueError as exc:
             raise ActionFormatError(f"specialization is {exc}") from None
         # normalize to the full transitive relation so that equality of spaces

@@ -16,9 +16,10 @@ of H, AND of H | B) over the up-sets of prime points, one each.  A pair's
 label is the up-set of prime points above it, and the lattice tables are read
 off the labels: the meet of two pairs is the pair labelled by the union of
 their labels, the join by the intersection, and j covers i when j's label is
-i's less one prime.  The prime points and the breaking ranges come from the
-kernel whose one home is `Graph` (``Graph._primes``, ``Graph._breaking``,
-``Graph._sh_closure``).
+i's less one prime.  The JSON export renders its tables straight from the
+labels and the up-sets of pairs, building no tuple table.  The prime points
+and the breaking ranges come from the kernel whose one home is `Graph`
+(``Graph._primes``, ``Graph._breaking``, ``Graph._sh_closure``).
 
 Vertex sets are frozensets of names at the public API, including the
 members ``h`` and ``b`` of `AdmissiblePair`, and int masks in canonical order
@@ -30,10 +31,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .graphs import DEFAULT_LIMIT, Edge, Graph, LimitExceededError
 from .poset import Poset, bits, cached_property, clip, subset_order, to_dot
+
+T = TypeVar("T")
 
 
 def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
@@ -200,8 +203,9 @@ class IdealLattice:
         return index, tuple(upper)
 
     @cached_property
-    def leq(self) -> tuple[tuple[bool, ...], ...]:
-        """Up-sets built along the covers, from the top (no prime above) down."""
+    def _up(self) -> tuple[int, ...]:
+        """Per pair, the mask of the pairs above it, built along the covers
+        from the top (no prime above) down."""
         labels, upper = self._labels, self._hasse[1]
         up = [0] * len(labels)
         for i in sorted(range(len(labels)), key=lambda i: labels[i].bit_count()):
@@ -209,24 +213,36 @@ class IdealLattice:
             for j in upper[i]:
                 m |= up[j]
             up[i] = m
-        return Poset(tuple(up)).leq
+        return tuple(up)
+
+    @cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        return Poset(self._up).leq
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j) in ascending order where j covers i: i < j with nothing between."""
         return tuple((i, j) for i, js in enumerate(self._hasse[1]) for j in js)
 
+    def _meet_rows(self, value: Mapping[int, T]) -> Iterator[list[T]]:
+        """Per pair, value at the label of its meet with each pair: the meet
+        of two pairs is labelled by the union of their labels."""
+        labels = self._labels
+        return ([value[a | b] for b in labels] for a in labels)
+
+    def _join_rows(self, value: Mapping[int, T]) -> Iterator[list[T]]:
+        """Per pair, value at the label of its join with each pair: the join
+        of two pairs is labelled by the intersection of their labels."""
+        labels = self._labels
+        return ([value[a & b] for b in labels] for a in labels)
+
     @cached_property
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        """The meet of two pairs is labelled by the union of their labels."""
-        index, labels = self._hasse[0], self._labels
-        return tuple(tuple([index[a | b] for b in labels]) for a in labels)
+        return tuple(map(tuple, self._meet_rows(self._hasse[0])))
 
     @cached_property
     def join_table(self) -> tuple[tuple[int, ...], ...]:
-        """The join of two pairs is labelled by the intersection of their labels."""
-        index, labels = self._hasse[0], self._labels
-        return tuple(tuple([index[a & b] for b in labels]) for a in labels)
+        return tuple(map(tuple, self._join_rows(self._hasse[0])))
 
 
 def admissible_pairs(g: Graph, limit: int = DEFAULT_LIMIT) -> IdealLattice:
@@ -283,33 +299,37 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
 # -- exports -------------------------------------------------------------------
 
 
-def _nested(value) -> str:
-    """json.dumps(value, indent=2) as the value of a top-level key."""
-    return json.dumps(value, indent=2).replace("\n", "\n  ")  # no raw newline in JSON strings
-
-
-def _table(rows: Iterable[Iterable[str]]) -> str:
-    """_nested for a list of non-empty rows of JSON scalars already rendered
-    as text: every table row has one cell per pair, every cover two."""
-    body = "\n    ],\n    [\n      ".join(",\n      ".join(row) for row in rows)
-    return "[\n    [\n      " + body + "\n    ]\n  ]" if body else "[]"
-
-
-_JSON_BOOL = {False: "false", True: "true"}
+def _array(items: Iterable[str], depth: int) -> str:
+    """A JSON array laid out as json.dumps(obj, indent=2) lays it out, its
+    items already rendered (none empty) and indented by depth * 2 spaces."""
+    pad = "\n" + "  " * depth
+    body = ("," + pad).join(items)
+    return f"[{pad}{body}{pad[:-2]}]" if body else "[]"
 
 
 def lattice_to_json(lat: IdealLattice) -> str:
-    """The lattice as json.dumps(obj, indent=2) would print it, with the
-    tables written row by row."""
-    index = [str(i) for i in range(len(lat))]  # every table cell is a pair index
+    """The lattice as json.dumps(obj, indent=2) would print it, rendered
+    from the masks, the labels and the up-sets: no table is built."""
+    index = {u: str(i) for u, i in lat._hasse[0].items()}  # every table cell is a pair index
+    quoted = [json.dumps(v) for v in lat.graph.vertices]  # each name quoted once
+    width = f"0{len(lat)}b"
+
+    def names(m: int) -> str:
+        return _array([quoted[i] for i in bits(m)], 4)
+
+    pairs = (f'{{\n      "H": {names(p._h)},\n      "B": {names(p._b)}\n    }}' for p in lat.pairs)
+    leq = (
+        _array(format(m, width)[::-1], 3).replace("0", "false").replace("1", "true")
+        for m in lat._up
+    )
     fields = (
-        ("vertices", _nested(list(lat.graph.vertices))),
-        ("pairs", _nested([p.to_json_obj() for p in lat.pairs])),
-        ("labels", _nested([p.label for p in lat.pairs])),
-        ("leq", _table(map(_JSON_BOOL.__getitem__, row) for row in lat.leq)),
-        ("covers", _table(map(index.__getitem__, c) for c in lat.covers)),
-        ("meet", _table(map(index.__getitem__, row) for row in lat.meet_table)),
-        ("join", _table(map(index.__getitem__, row) for row in lat.join_table)),
+        ("vertices", _array(quoted, 2)),
+        ("pairs", _array(pairs, 2)),
+        ("labels", _array((json.dumps(p.label) for p in lat.pairs), 2)),
+        ("leq", _array(leq, 2)),
+        ("covers", _array((_array((str(i), str(j)), 3) for i, j in lat.covers), 2)),
+        ("meet", _array((_array(row, 3) for row in lat._meet_rows(index)), 2)),
+        ("join", _array((_array(row, 3) for row in lat._join_rows(index)), 2)),
     )
     return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}\n"
 

@@ -9,7 +9,7 @@ and the DOT drawing are read off them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class cached_property:
@@ -82,14 +82,13 @@ def clip(value) -> str:
     return text if len(text) <= 80 else text[:77] + "..."
 
 
-def check_antisymmetric(up: Sequence[int], names: Sequence[str]) -> None:
-    """Raise ValueError naming the first i < j with i <= j and j <= i."""
+def check_antisymmetric(up: Sequence[int], name: Callable[[int], str]) -> None:
+    """Raise ValueError naming, by name(i), the first i < j with i <= j and
+    j <= i: only a failure builds names."""
     for i, m in enumerate(up):
         for j in bits(m >> (i + 1)):
             if up[i + 1 + j] >> i & 1:
-                raise ValueError(
-                    f"not antisymmetric: {clip(names[i])} and {clip(names[i + 1 + j])}"
-                )
+                raise ValueError(f"not antisymmetric: {clip(name(i))} and {clip(name(i + 1 + j))}")
 
 
 _BIT = {"0": False, "1": True}

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 from .conditions import condition_K
 from .graphs import Graph
@@ -62,17 +63,19 @@ class PrimPoint:
 
     @property
     def label(self) -> str:
-        if self.kind == "tail":
-            vs = self.pair.graph.sort_set(self.tail)
-            return "Tail{" + ",".join(vs) + "}"
-        return f"Breaking({self.vertex})"
+        return self._label(self.pair.graph.sort_set(self.tail) if self.tail else ())
+
+    def _label(self, tail: Sequence[str]) -> str:
+        """The label, given the tail in canonical order."""
+        return "Tail{" + ",".join(tail) + "}" if self.kind == "tail" else f"Breaking({self.vertex})"
 
     def to_json_obj(self) -> dict:
+        tail = self.pair.graph.sort_set(self.tail) if self.tail else ()  # sorted once
         return {
             "kind": self.kind,
-            "tail": list(self.pair.graph.sort_set(self.tail)) if self.tail else None,
+            "tail": list(tail) if self.tail else None,
             "vertex": self.vertex,
-            "label": self.label,
+            "label": self._label(tail),
             "pair": self.pair.to_json_obj(),
         }
 
@@ -114,7 +117,7 @@ def prim_space(g: Graph) -> PrimSpace:
     status = "Primitive" if condition_K(g).holds else "PrimeOnly"
     space = PrimSpace(g, points, status)
     # raises on a repeated prime pair: distinct pairs make specialization antisymmetric
-    check_antisymmetric(space._order.up, [pt.label for pt in points])
+    check_antisymmetric(space._order.up, lambda i: points[i].label)
     return space
 
 

@@ -46,6 +46,20 @@ ACTIONS = {
     },
 }
 
+# lattices past the corpus, as `lattice --format json` prints them: edgeless-9
+# (512 pairs, one size past the writer test's edgeless-8) and the omega fan
+# of test_ideals with k = 4 (162 pairs, with breaking vertices); their digests
+# were recorded before the writer rendered its tables from the pair labels
+FAN_4 = [{"id": f"a{i}", "src": f"u{i}", "rng": f"v{i}", "mult": "omega"} for i in range(4)]
+FAN_4 += [{"id": f"b{i}", "src": "w", "rng": f"v{i}", "mult": 1} for i in range(4)]
+GRAPHS = {
+    "edgeless-9": {"vertices": [f"v{i}" for i in range(9)], "edges": []},
+    "omega-fan-4": {
+        "vertices": ["w"] + [f"u{i}" for i in range(4)] + [f"v{i}" for i in range(4)],
+        "edges": FAN_4,
+    },
+}
+
 PACTION_QUERIES = (
     "invariant_subsets",
     "is_minimal",
@@ -53,10 +67,12 @@ PACTION_QUERIES = (
     "is_residually_topologically_free",
 )
 
-# a paction case's arg is "<query>" on the test_criterion_9 action, or
+# a graph case's arg names a corpus graph or an entry of GRAPHS; a paction
+# case's arg is "<query>" on the test_criterion_9 action, or
 # "<query>:<action>" on another entry of ACTIONS
 CASES = (
     [(cmd, name, fmt) for name in CORPUS_NAMES for cmd, fmts in FORMATS.items() for fmt in fmts]
+    + [("lattice", name, "json") for name in GRAPHS]
     + [("paction", "quasi_orbit_space", fmt) for fmt in ("text", "json")]
     + [
         ("paction", f"{query}:{which}" if which else query, fmt)
@@ -123,6 +139,8 @@ GOLDEN = {
     "spectrum e7 text": "94d031a23528315684db3d9af794c5f77169ce97bd466d32423153006b8ebd55",
     "spectrum e7 json": "ad1884376013f18b71ebca6521bc317f374d0c1dc76a4e5e7d128ed9edb31fec",
     "spectrum e7 dot": "a63878c3a93753f228283b3661507982b0b655ce8a11797c2f2f3e292163aacd",
+    "lattice edgeless-9 json": "8f6cdbecbf2cd5b3b35be63c68465eb8fd5c271f35129e85afc83706797f0d7a",
+    "lattice omega-fan-4 json": "5d1ace7e57956ac38908ae2a168725fa88cb70c8c350cd6054939f659839defc",
     "paction quasi_orbit_space text": "32619e774199baa17340c2edfe54d2213a9b828cda7461836d44f156a61b0cd8",
     "paction quasi_orbit_space json": "667a02e03ae7ff0d02ad61409ed9b4352bdaf4a38aa57844ee99b74396551db8",
     "paction invariant_subsets text": "5d5ce23517b7fe1a4183167315e9636a66875a13561b93fa1bb86d18edf6939b",
@@ -150,6 +168,10 @@ def stdout_digest(cmd, arg, fmt, tmp_dir):
         path = tmp_dir / "action.json"
         path.write_text(json.dumps(ACTIONS[which]))
         argv = [cmd, str(path), query, "--format", fmt]
+    elif arg in GRAPHS:
+        path = tmp_dir / "graph.json"
+        path.write_text(json.dumps(GRAPHS[arg]))
+        argv = [cmd, str(path), "--format", fmt]
     else:
         argv = [cmd, str(CORPUS_DIR / f"{arg}.json"), "--format", fmt]
     out, err = io.StringIO(), io.StringIO()

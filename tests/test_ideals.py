@@ -1,6 +1,7 @@
 """Admissible pairs, the ideal lattice, and quotient graphs."""
 
 import json
+import operator
 import random
 import re
 
@@ -196,10 +197,12 @@ def test_lattice_must_run_bottom_to_top(corpus):
         IdealLattice(corpus["e4"], ())
 
 
-@pytest.mark.parametrize("table", ["leq", "covers", "meet_table", "join_table"])
+@pytest.mark.parametrize("table", ["leq", "covers", "meet_table", "join_table", "lattice_to_json"])
 def test_tables_need_the_whole_lattice(corpus, table):
     """The lattice accepts any list from bottom to top; its first table read
-    refuses a list that is not every pair of its graph exactly once."""
+    refuses a list that is not every pair of its graph exactly once, and so
+    does the JSON writer when it reads the lattice first."""
+    read = lattice_to_json if table == "lattice_to_json" else operator.attrgetter(table)
     e1, e4 = corpus["e1"], corpus["e4"]
     bottom, p_w, p_wv, top = admissible_pairs(e4).pairs
     refused = [
@@ -211,10 +214,10 @@ def test_tables_need_the_whole_lattice(corpus, table):
     for pairs, message in refused:
         lat = IdealLattice(e4, pairs)
         with pytest.raises(ValueError, match=re.escape(message)):
-            getattr(lat, table)
+            read(lat)
     # one prime point: the bottom and the top are the whole lattice
     e1_bottom, e1_top = admissible_pairs(e1).pairs
-    assert getattr(IdealLattice(e1, (e1_bottom, e1_top)), table)
+    assert read(IdealLattice(e1, (e1_bottom, e1_top)))
 
 
 def reference_tables(pairs):
@@ -490,3 +493,27 @@ def test_json_writer_matches_the_encoder():
         lat = admissible_pairs(g)
         assert lattice_to_json(lat) == json.dumps(lattice_to_json_obj(lat), indent=2) + "\n", g
     assert len(admissible_pairs(graphs[-1])) > 4
+
+
+def test_lattice_json_builds_no_tables():
+    """The writer renders the tables from the labels and the up-sets: it
+    caches none of them, and reading them before or after it changes
+    neither its text nor the tables."""
+    rng = random.Random(67)
+    # of 20 seeded omega graphs, the one with the most pairs that break a vertex
+    heavy = max(
+        (random_omega_graph(rng, max_n=7, min_n=6) for _ in range(20)),
+        key=lambda g: sum(1 for p in admissible_pairs(g).pairs if p.b),
+    )
+    assert sum(1 for p in admissible_pairs(heavy).pairs if p.b) > 4
+    for g in (edgeless(6), heavy):
+        lat = admissible_pairs(g)
+        text = lattice_to_json(lat)
+        assert not {"leq", "meet_table", "join_table"} & lat.__dict__.keys(), g
+        got = [[list(r) for r in lat.leq], list(lat.covers)]
+        got += [[list(r) for r in t] for t in (lat.meet_table, lat.join_table)]
+        assert got == list(reference_tables(lat.pairs)), g
+        assert lattice_to_json(lat) == text
+        read_first = admissible_pairs(g)
+        read_first.leq, read_first.meet_table, read_first.join_table
+        assert lattice_to_json(read_first) == text

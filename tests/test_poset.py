@@ -53,7 +53,7 @@ def test_covers_and_leq_match_brute_force():
     for _ in range(300):
         n = rng.randint(0, 9)
         order = random_order(rng, n)
-        check_antisymmetric(order.up, [str(i) for i in range(n)])
+        check_antisymmetric(order.up, str)
         assert list(order.covers) == brute_covers(order.leq)
         for i in range(n):
             for j in range(n):
@@ -133,7 +133,7 @@ def test_meet_needs_a_linear_extension():
 
 def test_antisymmetry_violation_names_elements():
     with pytest.raises(ValueError, match="not antisymmetric: 'a' and 'c'"):
-        check_antisymmetric(closure([0b100, 0, 0b001]), ["a", "b", "c"])
+        check_antisymmetric(closure([0b100, 0, 0b001]), "abc".__getitem__)
 
 
 def test_dot_escapes_labels():
