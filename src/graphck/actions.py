@@ -191,6 +191,8 @@ class PartialHomeo:
 
 
 _GROUP_RE = re.compile(r"^F(\d+)$")
+_INT_RE = re.compile(r"-?\d+")  # an integer token of the word grammar
+_POWER_RE = re.compile(r"(.+?)\^(-?\d+)")  # a generator to an integer power
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,7 @@ class FinitePartialAction:
                 not name
                 or name == "e"
                 or any(c.isspace() or c in "^*·" for c in name)
-                or re.fullmatch(r"-?\d+", name)
+                or _INT_RE.fullmatch(name)
             ):
                 raise ActionFormatError(f"bad generator name {clip(name)}")
         for gen in self.generators:
@@ -245,10 +247,10 @@ class FinitePartialAction:
         for tok in word.replace("·", " ").replace("*", " ").split():
             if tok == "e":
                 continue
-            m = re.fullmatch(r"(.+?)\^(-?\d+)", tok)
+            m = _POWER_RE.fullmatch(tok)
             if m:
                 name, exp = m.group(1), m.group(2)
-            elif re.fullmatch(r"-?\d+", tok):
+            elif _INT_RE.fullmatch(tok):
                 if self.group != "Z":
                     raise ActionFormatError(
                         f"bare integer token {clip(tok)} is only defined over Z"
@@ -392,6 +394,7 @@ class FinitePartialAction:
 
     # -- topological freeness ---------------------------------------------------
 
+    @cached_property
     def _fixed_union(self) -> int:
         """Mask of the union of fixed points of theta_w over nontrivial reduced words w.
 
@@ -418,7 +421,7 @@ class FinitePartialAction:
         return fixed
 
     def is_topologically_free(self) -> bool:
-        return not self.space._interior(self._fixed_union())
+        return not self.space._interior(self._fixed_union)
 
     def is_residually_topologically_free(self) -> bool:
         """Topological freeness of the restriction to every closed invariant set.
@@ -430,7 +433,7 @@ class FinitePartialAction:
         union is the whole action's fixed union inside Y, and it is free
         when no point of that set has its smallest open set within Y inside it.
         """
-        fixed, down = self._fixed_union(), self.space._down
+        fixed, down = self._fixed_union, self.space._down
         for Y in set(self._closed_invariant_masks):
             inside = fixed & Y
             if any(not down[p] & Y & ~inside for p in bits(inside)):

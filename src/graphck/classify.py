@@ -161,17 +161,24 @@ class ClassificationReport:
 def is_simple(g: Graph):
     """Simplicity verdict: Condition (L) plus a trivial ideal lattice.
 
-    The witness is the canonically first nontrivial saturated hereditary set.
-    It has the least size, and a nontrivial set H of least size is generated
-    by any of its vertices v: the saturated hereditary closure of {v} lies in
-    H, is nonempty and is not everything, so it is H.
+    The saturated hereditary closure of a vertex v is everything outside the
+    maximal tails that miss v (see `graphs`): it holds v, and it is not
+    everything exactly when some tail misses v.  Of two distinct tails one
+    misses a vertex, so the lattice is trivial, and (L) decides, exactly when
+    there is at most one tail.  Otherwise the witness is the canonically
+    first nontrivial saturated hereditary set: it has the least size, so it
+    is the closure of any of its vertices, which lies in it and is nontrivial.
     """
-    # the members of a component share their ancestors
-    generated = {g._sh_closure(c & -c) for c in g._comps} - {g._full}
-    if generated:
-        h = min(generated, key=lambda m: (m.bit_count(), m))
-        pair = AdmissiblePair._of(g, h, 0)
-        return SimpleVerdict("no", "nontrivial_lattice", pair=pair)
+    if len(g._tails) > 1:
+        h = g._full
+        for c in g._comps:  # a tail holding one member of c holds all of c
+            m = g._full
+            for t in g._tails:
+                if not t & c:
+                    m &= ~t
+            if (m.bit_count(), m) < (h.bit_count(), h):
+                h = m
+        return SimpleVerdict("no", "nontrivial_lattice", pair=AdmissiblePair._of(g, h, 0))
     L = condition_L(g)
     if not L.holds:
         return SimpleVerdict(
@@ -267,7 +274,7 @@ def classify(g: Graph) -> ClassificationReport:
         L = ConditionL(True)
     K_fails = purely_infinite.reason_kind == "fails_K"
     # the equivalence is only available for finite graphs
-    dual_tf = "unknown" if any(g._in.omega) else "yes" if L.holds else "no"
+    dual_tf = "unknown" if g._in.infinite else "yes" if L.holds else "no"
 
     return ClassificationReport(
         graph=g,

@@ -113,8 +113,8 @@ def condition_K(g: Graph) -> ConditionK:
     """Decide Condition (K); a failure carries the smallest vertex of the
     first component that is a bare cycle (see the module docstring): each
     member has one first-return path."""
-    src, repeated = g._in.src, g._in.repeated
-    for c in g._comps:
-        if all((src[i] & c).bit_count() == 1 and not repeated[i] & c for i in bits(c)):
+    src, repeated, cyclic = g._in.src, g._in.repeated, g._cyclic
+    for c in g._comps:  # an acyclic component is one vertex with no source in it
+        if c & cyclic and all((src[i] & c).bit_count() == 1 and not repeated[i] & c for i in bits(c)):
             return ConditionK(False, g.vertices[next(bits(c))])
     return ConditionK(True)

@@ -25,13 +25,18 @@ mask of the vertices on a cycle (``_cyclic``).  Every reachability question
 goes through ``poset.closure``, the one closure routine, and every cycle
 witness through ``_cycle_at``, the one cycle search.
 
-Every multiplicity question reads the in-edge table ``_in``, built in one
-pass over the edges, by field name.  Per vertex it holds the masks of its
-in-edge sources (``src``), of its OMEGA sources (``omega``) and of its
-*repeated* sources (``repeated``), which send it more than one edge: by
-multiplicity two or more, OMEGA, or parallel records.  It also holds the
-mask of the infinite receivers, the vertices with an OMEGA in-edge
-(``infinite``).
+Every multiplicity question reads the in-edge table ``_in`` by field name.
+Per vertex it holds the masks of its in-edge sources (``src``), of its
+OMEGA sources (``omega``) and of its *repeated* sources (``repeated``),
+which send it more than one edge: by multiplicity two or more, OMEGA, or
+parallel records.  It also holds the mask of the infinite receivers, the
+vertices with an OMEGA in-edge (``infinite``).
+
+The kernel has two producers.  One pass over the edges (``_edge_pass``)
+builds ``_succ`` and ``_in``; after the two closures, one pass over the
+vertices (``_vertex_pass``) builds ``_comps``, ``_cyclic`` and ``_tails``.
+Each producer stores its attributes together on the first read of any of
+them, so a graph pays for each pass once.
 
 ``Graph`` is the one home of the prime-point kernel, and `conditions`,
 `ideals`, `spectrum` and `classify` ask it every saturation, pair and
@@ -52,7 +57,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .poset import bits, cached_property, clip, closure, union
 
@@ -130,8 +135,7 @@ class Edge:
     mult: Mult = 1
 
 
-@dataclass(frozen=True, slots=True)
-class InTable:
+class InTable(NamedTuple):
     """Per-vertex in-edge source masks; see the module docstring."""
 
     src: tuple[int, ...]
@@ -163,9 +167,9 @@ class Graph:
             seen.add(v)
         eids = set()
         for e in self.edges:
-            for key in ("id", "src", "rng"):
-                if not isinstance(getattr(e, key), str):
-                    raise GraphFormatError(f"edge {clip(e.id)}: {key} must be a string")
+            if not (isinstance(e.id, str) and isinstance(e.src, str) and isinstance(e.rng, str)):
+                key = next(k for k in ("id", "src", "rng") if not isinstance(getattr(e, k), str))
+                raise GraphFormatError(f"edge {clip(e.id)}: {key} must be a string")
             if e.id in eids:
                 raise GraphFormatError(f"edge {clip(e.id)}: duplicate id")
             if not e.id:
@@ -173,11 +177,9 @@ class Graph:
             if "," in e.id:  # cycle witnesses list edge ids with ","
                 raise GraphFormatError(f"edge {clip(e.id)}: reserved character ',' in id")
             eids.add(e.id)
-            for endpoint in (e.src, e.rng):
-                if endpoint not in seen:
-                    raise GraphFormatError(
-                        f"edge {clip(e.id)}: dangling endpoint {clip(endpoint)}"
-                    )
+            if e.src not in seen or e.rng not in seen:
+                endpoint = e.src if e.src not in seen else e.rng
+                raise GraphFormatError(f"edge {clip(e.id)}: dangling endpoint {clip(endpoint)}")
             m = e.mult
             if not (m is OMEGA or type(m) is int and m > 0):
                 if m == "omega":  # the text stands for OMEGA only in parsed input
@@ -231,13 +233,34 @@ class Graph:
 
     # -- per-vertex masks ------------------------------------------------------
 
+    def _edge_pass(self) -> dict:
+        """Store ``_succ`` and ``_in`` from one pass over the edges; returns
+        the instance dict that holds them."""
+        index, n = self._index, len(self.vertices)
+        succ, src, omega, repeated, infinite = [0] * n, [0] * n, [0] * n, [0] * n, 0
+        for e in self.edges:
+            s, r = index[e.src], index[e.rng]
+            bit = 1 << s
+            succ[s] |= 1 << r
+            if e.mult != 1 or src[r] & bit:
+                repeated[r] |= bit
+                if e.mult is OMEGA:
+                    omega[r] |= bit
+                    infinite |= 1 << r
+            src[r] |= bit
+        into = InTable(tuple(src), tuple(omega), tuple(repeated), infinite)
+        self.__dict__.update(_succ=tuple(succ), _in=into)
+        return self.__dict__
+
     @cached_property
     def _succ(self) -> tuple[int, ...]:
         """succ[i] = mask of the ranges of vertex i's out-edges."""
-        succ = [0] * len(self.vertices)
-        for e in self.edges:
-            succ[self._index[e.src]] |= 1 << self._index[e.rng]
-        return tuple(succ)
+        return self._edge_pass()["_succ"]
+
+    @cached_property
+    def _in(self) -> InTable:
+        """The in-edge table (see the module docstring)."""
+        return self._edge_pass()["_in"]
 
     @cached_property
     def _reach(self) -> tuple[int, ...]:
@@ -250,47 +273,43 @@ class Graph:
         return closure(self._in.src)
 
     @cached_property
-    def _in(self) -> InTable:
-        """The in-edge table (see the module docstring), in one pass."""
-        n = len(self.vertices)
-        src, omega, repeated, infinite = [0] * n, [0] * n, [0] * n, 0
-        for e in self.edges:
-            bit, r = 1 << self._index[e.src], self._index[e.rng]
-            if e.mult != 1 or src[r] & bit:
-                repeated[r] |= bit
-            if isinstance(e.mult, Omega):
-                omega[r] |= bit
-                infinite |= 1 << r
-            src[r] |= bit
-        return InTable(tuple(src), tuple(omega), tuple(repeated), infinite)
-
-    @cached_property
     def _full(self) -> int:
         return (1 << len(self.vertices)) - 1
+
+    def _vertex_pass(self) -> dict:
+        """Store ``_comps``, ``_cyclic`` and ``_tails`` from one pass over the
+        vertices; returns the instance dict that holds them."""
+        succ, src, omega = self._succ, self._in.src, self._in.omega
+        comps, seen, cyclic, rows = [], 0, 0, set()
+        for i, (r, b) in enumerate(zip(self._reach, self._back)):
+            if not seen >> i & 1:
+                seen |= r & b
+                comps.append(r & b)
+            if succ[i] & b:
+                cyclic |= 1 << i
+                rows.add(r)
+            elif not src[i] or omega[i]:
+                rows.add(r)
+        tails = tuple(sorted(rows, key=lambda m: (-m.bit_count(), m)))
+        self.__dict__.update(_comps=tuple(comps), _cyclic=cyclic, _tails=tails)
+        return self.__dict__
 
     @cached_property
     def _comps(self) -> tuple[int, ...]:
         """Strongly connected component masks, ordered by smallest member."""
-        out, seen = [], 0
-        for i, (r, b) in enumerate(zip(self._reach, self._back)):
-            if not seen >> i & 1:
-                seen |= r & b
-                out.append(r & b)
-        return tuple(out)
+        return self._vertex_pass()["_comps"]
 
     @cached_property
     def _cyclic(self) -> int:
         """Mask of the vertices on a cycle: some successor reaches back."""
-        return sum(1 << i for i, (s, b) in enumerate(zip(self._succ, self._back)) if s & b)
+        return self._vertex_pass()["_cyclic"]
 
     @cached_property
     def _tails(self) -> tuple[int, ...]:
         """The maximal tails, by (-size, mask): the distinct ``_reach`` rows of
         the vertices on a cycle, with no in-edge or with an OMEGA in-edge (every
         other member of such a row has a source inside it).  They cover V."""
-        src, omega, cyclic = self._in.src, self._in.omega, self._cyclic
-        rows = {r for i, r in enumerate(self._reach) if cyclic >> i & 1 or not src[i] or omega[i]}
-        return tuple(sorted(rows, key=lambda m: (-m.bit_count(), m)))
+        return self._vertex_pass()["_tails"]
 
     @cached_property
     def _breakers(self) -> tuple[int, ...]:

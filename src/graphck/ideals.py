@@ -271,29 +271,25 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
     """
     if p.graph != g:
         raise ValueError("pair does not belong to this graph")
-    keep = g.names(g._full & ~p._h)
-    gap_vertices = g.names(g._breaking(p._h) & ~p._b)
-    taken = set(keep)
-    # filter before the gap names join: one may equal the name of a vertex in H
-    edges = [e for e in g.edges if e.src in taken]
-    bar_of: dict[str, str] = {}
-    for v in gap_vertices:
-        name = v + "~"
-        while name in taken:
-            name += "~"
-        taken.add(name)
-        bar_of[v] = name
-    edge_ids = {e.id for e in edges}
-    for v in gap_vertices:
-        eid = "e~" + v
-        while eid in edge_ids:
-            eid += "~"
-        edge_ids.add(eid)
-        edges.append(Edge(id=eid, src=bar_of[v], rng=v, mult=1))
-    return Graph(
-        vertices=keep + tuple(bar_of[v] for v in gap_vertices),
-        edges=tuple(edges),
-    )
+    h, index = p._h, g._index
+    keep = g.names(g._full & ~h)
+    edges = [e for e in g.edges if not h >> index[e.src] & 1]
+    gaps = g._breaking(h) & ~p._b
+    if gaps:
+        # a gap name may equal the name of a vertex in H, which is gone
+        taken, edge_ids, bars = set(keep), {e.id for e in edges}, []
+        for v in g.names(gaps):
+            name, eid = v + "~", "e~" + v
+            while name in taken:
+                name += "~"
+            while eid in edge_ids:
+                eid += "~"
+            taken.add(name)
+            edge_ids.add(eid)
+            bars.append(name)
+            edges.append(Edge(id=eid, src=name, rng=v, mult=1))
+        keep += tuple(bars)
+    return Graph(vertices=keep, edges=tuple(edges))
 
 
 # -- exports -------------------------------------------------------------------

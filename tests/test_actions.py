@@ -21,6 +21,7 @@ from graphck import (
     parse_action,
     prim_space,
 )
+import graphck.actions as actions
 from graphck.actions import Violation, WitnessCheck
 
 from util import (
@@ -474,7 +475,7 @@ def test_invariant_subsets_match_brute_force():
 
 def test_fixed_union_matches_brute_force():
     for a in differential_actions():
-        assert a.space.unmask(a._fixed_union()) == brute_fixed_union(a)
+        assert a.space.unmask(a._fixed_union) == brute_fixed_union(a)
 
 
 def test_is_minimal_matches_brute_force():
@@ -505,7 +506,7 @@ def test_freeness_examples():
     # a 12-cycle and a partial transposition realize far too many partial
     # maps to list word by word; the 12th power of the cycle fixes every point
     big = random_cycle_transposition_action(random.Random(0), 12)
-    assert big.space.unmask(big._fixed_union()) == frozenset(big.space.points)
+    assert big.space.unmask(big._fixed_union) == frozenset(big.space.points)
     assert not big.is_topologically_free()
 
 
@@ -540,6 +541,24 @@ def test_residual_freeness_implies_freeness():
         a = random_action(rng, max_points=5)
         if a.is_residually_topologically_free():
             assert a.is_topologically_free()
+
+
+def test_both_freeness_queries_share_one_state_closure(monkeypatch):
+    """The (point, last letter) closure behind the fixed-point union runs
+    once per action, however many freeness queries read it."""
+    rng = random.Random(137)
+    for _ in range(20):
+        a = random_action(rng, max_points=5)
+        states = len(a.space.points) * 2 * len(a.generators)  # never n, as n > 0
+        if not states:
+            continue
+        sizes = []
+        real = actions.closure
+        monkeypatch.setattr(actions, "closure", lambda succ: sizes.append(len(succ)) or real(succ))
+        a.is_topologically_free()
+        a.is_residually_topologically_free()
+        monkeypatch.undo()
+        assert sizes.count(states) == 1, (states, sizes)
 
 
 def test_minimal_implies_single_quasi_orbit():

@@ -277,6 +277,45 @@ def test_report_invariants():
         assert r.to_json_obj()["limit_exceeded"] is False
 
 
+def test_degenerate_graph_verdicts_are_pinned():
+    """The empty graph (the quotient by H = V) and one bare vertex: no tail
+    or one, so the lattice is trivial and (L) decides simplicity.  The empty
+    graph's algebra is zero, which no simple or purely infinite algebra is;
+    these pins record today's reports so that a change to them is seen."""
+    flags = dict.fromkeys(
+        ("aperiodic", "residually_aperiodic", "intersection_property", "residual_intersection"),
+        True,
+    )
+    common = {
+        **flags,
+        "exact": True,
+        "ideal_property_of_crossproduct": "yes",
+        "dual_system_topologically_free": "yes",
+        "simple": {"verdict": "yes", "reason": None},
+        "limit_exceeded": False,
+    }
+    empty, point = classify(Graph((), ())), classify(Graph(("v",), ()))
+    assert json.loads(report_to_json(empty)) == {
+        **common,
+        "purely_infinite": {"verdict": "yes", "reason": None},
+        "witnesses": {"condition_L": None, "condition_K": None, "purely_infinite": []},
+    }
+    unfed = {"kind": "tail_vertex_not_fed_by_cycle", "tail": ["v"], "vertex": "v"}
+    assert json.loads(report_to_json(point)) == {
+        **common,
+        "purely_infinite": {"verdict": "no", "reason": unfed},
+        "witnesses": {"condition_L": None, "condition_K": None, "purely_infinite": None},
+    }
+    assert report_to_text(empty).splitlines()[-2:] == [
+        "simple:                              yes",
+        "purely infinite:                     yes",
+    ]
+    assert report_to_text(point).splitlines()[-2:] == [
+        "simple:                              yes",
+        "purely infinite:                     no: vertex v in tail {v} is not fed by a cycle",
+    ]
+
+
 def test_report_json_schema(corpus):
     schema = json.loads((DOCS_DIR / "report.schema.json").read_text())
     for g in corpus.values():

@@ -1,11 +1,12 @@
 """The kernel against the oracles: reachability, closures, pairs and tails.
 
-The kernel lives on `Graph`: `_reach`, `_back`, `_comps` and `_cyclic` hold
-the reachability rows and the condensation, `_tails` the maximal tails,
-`_breakers` the breaking vertices, and `_sh_closure` reads the saturated
-hereditary closure off them.  Every saturation question is read off this
-kernel, so each optimized answer is checked here against a definition on
-every seeded generator.
+The kernel lives on `Graph`: `_succ` and `_in` hold the edge tables,
+`_reach`, `_back`, `_comps` and `_cyclic` the reachability rows and the
+condensation, `_tails` the maximal tails, `_breakers` the breaking
+vertices, and `_sh_closure` reads the saturated hereditary closure off
+them.  Every saturation question is read off this kernel, so each
+optimized answer is checked here against a definition on every seeded
+generator.
 """
 
 import random
@@ -41,13 +42,32 @@ def seeded(kind, count, max_n=None):
     return [kind(rng) if max_n is None else kind(rng, max_n=max_n) for _ in range(count)]
 
 
+def in_table(g):
+    """The in-edge table of g from its edge records: per vertex the mask of
+    its sources, of its OMEGA sources and of its repeated sources (a parallel
+    record, or one of multiplicity two or more), and the infinite receivers."""
+    src, omega, repeated, infinite = [], [], [], 0
+    for i, (v, ins) in enumerate(edges_by(g, "rng").items()):
+        per = Counter(e.src for e in ins)
+        src.append(g.mask(per))
+        omega.append(g.mask(e.src for e in ins if e.mult == OMEGA))
+        repeated.append(g.mask(e.src for e in ins if e.mult != 1 or per[e.src] > 1))
+        infinite |= bool(omega[-1]) << i
+    return tuple(src), tuple(omega), tuple(repeated), infinite
+
+
 def test_reachability_kernel_matches_a_search_over_edge_records():
     """On 20 to 60 vertices, past the subset-scanning oracles: the rows of
-    `Graph` against `util.reach`, and (L) against the reference walk."""
+    `Graph` against `util.reach`, the edge tables against the edge records,
+    the tails against their definition, and (L) against the reference walk."""
     rng, seen = random.Random(210), Counter()
     for k in range(400):
         g = KINDS[k % len(KINDS)](rng, max_n=60, min_n=20)
         r = reach(g)
+        outs = edges_by(g, "src")
+        assert g._succ == tuple(g.mask(e.rng for e in outs[v]) for v in g.vertices)
+        ins = edges_by(g, "rng")
+        assert (g._in.src, g._in.omega, g._in.repeated, g._in.infinite) == in_table(g)
         below = {v: {w for w in g.vertices if v in r[w]} for v in g.vertices}
         comps = []  # the mutual-reach classes, each at its smallest member
         for v in g.vertices:
@@ -58,11 +78,24 @@ def test_reachability_kernel_matches_a_search_over_edge_records():
         assert g._back == tuple(g.mask(below[v]) for v in g.vertices)
         assert g._comps == tuple(comps)
         assert g._cyclic == g.mask(e.src for e in g.edges if e.src in r[e.rng])
+        # a tail is the reach of a vertex on a cycle, with no in-edge or an OMEGA one
+        rows = {
+            g.mask(r[v])
+            for v in g.vertices
+            if any(v in r[e.rng] for e in outs[v])
+            or not ins[v]
+            or any(e.mult == OMEGA for e in ins[v])
+        }
+        assert g._tails == tuple(sorted(rows, key=lambda m: (-m.bit_count(), m)))
         L = condition_L(g)
         assert L == walk_condition_L(g)
         seen["self-loop"] += any(e.src == e.rng for e in g.edges)
         seen["parallel"] += len({(e.src, e.rng) for e in g.edges}) < len(g.edges)
         seen["omega"] += any(e.mult == OMEGA for e in g.edges)
+        seen["lone self-loop"] += any(
+            below[e.src] & r[e.src] == {e.src} for e in g.edges if e.src == e.rng
+        )
+        seen["several tails"] += len(rows) > 1
         seen["L fails" if not L.holds else "L holds"] += 1
     assert min(seen.values()) >= 10, seen
 
