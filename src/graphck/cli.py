@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse or validation failure, 2 enumeration limit
-exceeded.  Only `lattice` and `paction` (for `invariant_subsets`), whose
-outputs can be exponential, take `--limit`; `analyze` and `spectrum` run in
-polynomial time.  Results go to stdout, diagnostics to stderr.  Identical
+exceeded; a reader closing stdout early also gives 1, with no traceback.
+Only `lattice` and `paction` (for `invariant_subsets`), whose outputs can be
+exponential, take `--limit`; `analyze` and `spectrum` run in polynomial
+time.  Results go to stdout, diagnostics to stderr.  Identical
 invocations produce byte-identical output.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import actions as act
@@ -90,31 +92,40 @@ def _parse_point_set(a: act.FinitePartialAction, text: str) -> frozenset[str]:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _text(render):
+    """A renderer returning text, as a writer to out."""
+    return lambda obj, out: out.write(render(obj))
+
+
 def _graph_table(args) -> dict:
-    """command -> (compute, {format: renderer}), as in _PACTION.  Built per
-    call, so a wrapper rebinding a library function (the traced benchmark's
-    spans) is the one called."""
+    """command -> (compute, {format: writer(result, out)}).  Built per call,
+    so a wrapper rebinding a library function (the traced benchmark's spans)
+    is the one called.  The lattice JSON writer streams its rows to out."""
     return {
-        "analyze": (classify, {"text": report_to_text, "json": report_to_json}),
+        "analyze": (classify, {"text": _text(report_to_text), "json": _text(report_to_json)}),
         "lattice": (
             lambda g: idl.admissible_pairs(g, args.limit),
-            {"text": idl.lattice_to_text, "json": idl.lattice_to_json, "dot": idl.lattice_to_dot},
+            {
+                "text": _text(idl.lattice_to_text),
+                "json": idl.lattice_to_json,
+                "dot": _text(idl.lattice_to_dot),
+            },
         ),
         "spectrum": (
             spc.prim_space,
             {
-                "text": spc.prim_space_to_text,
-                "json": spc.prim_space_to_json,
-                "dot": spc.prim_space_to_dot,
+                "text": _text(spc.prim_space_to_text),
+                "json": _text(spc.prim_space_to_json),
+                "dot": _text(spc.prim_space_to_dot),
             },
         ),
     }
 
 
 def _cmd_graph(args, out) -> None:
-    compute, render = _graph_table(args)[args.command]
+    compute, write = _graph_table(args)[args.command]
     g, _ = _load_graph(args.graph)
-    out.write(render[args.format](compute(g)))
+    write[args.format](compute(g), out)
 
 
 def _cmd_quotient(args, out) -> None:
@@ -365,4 +376,13 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at devnull, so the
+        # flush at exit writes nothing, and exit 1 with no traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -17,7 +17,9 @@ label is the up-set of prime points above it, and the lattice tables are read
 off the labels: the meet of two pairs is the pair labelled by the union of
 their labels, the join by the intersection, and j covers i when j's label is
 i's less one prime.  The JSON export renders its tables straight from the
-labels and the up-sets of pairs, building no tuple table.  The prime points
+labels and the up-sets of pairs, building no tuple table, and streams the
+document row by row to a stream it is given, so its memory is the lattice
+plus one table row, not the P^2 cells of the three tables.  The prime points
 and the breaking ranges come from the kernel whose one home is `Graph`
 (``Graph._primes``, ``Graph._breaking``, ``Graph._sh_closure``).
 
@@ -29,9 +31,10 @@ its pairs from masks.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .graphs import DEFAULT_LIMIT, Edge, Graph, LimitExceededError
 from .poset import Poset, bits, cached_property, clip, subset_order, to_dot
@@ -58,9 +61,11 @@ class AdmissiblePair:
     Stands for the ideal I_{H,B}; the pair is the ideal's name, operator
     data is never materialized.  The pair is H and B as masks (``_h``,
     ``_b``), checked on every construction: from names, which it masks, or
-    from masks (``_of``).  The labels, the pair order, the lattice and
-    `quotient_graph` read the masks; the name sets ``h`` and ``b`` are
-    built when first read.
+    from masks (``_of``).  The check keeps the admissible range of B over H
+    as the mask ``_range``, which `quotient_graph` reads; it is not a field,
+    so equality and hashing see H and B only.  The labels, the pair order,
+    the lattice and `quotient_graph` read the masks; the name sets ``h`` and
+    ``b`` are built when first read.
     """
 
     graph: Graph
@@ -85,13 +90,14 @@ class AdmissiblePair:
         names of B that g lacks, and keep them."""
         if g._sh_closure(h) != h:
             raise ValueError(f"not a saturated hereditary set: {clip(sorted(g.unmask(h)))}")
-        extra = b & ~g._breaking(h)
+        allowed = g._breaking(h)
+        extra = b & ~allowed
         if extra or unknown:
             raise ValueError(
                 f"B contains vertices outside the admissible range for H: "
                 f"{clip(sorted([*g.unmask(extra), *unknown]))}"
             )
-        self.__dict__.update(graph=g, _h=h, _b=b)
+        self.__dict__.update(graph=g, _h=h, _b=b, _range=allowed)
 
     @cached_property
     def h(self) -> frozenset[str]:
@@ -274,7 +280,7 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
     h, index = p._h, g._index
     keep = g.names(g._full & ~h)
     edges = [e for e in g.edges if not h >> index[e.src] & 1]
-    gaps = g._breaking(h) & ~p._b
+    gaps = p._range & ~p._b
     if gaps:
         # a gap name may equal the name of a vertex in H, which is gone
         taken, edge_ids, bars = set(keep), {e.id for e in edges}, []
@@ -303,31 +309,59 @@ def _array(items: Iterable[str], depth: int) -> str:
     return f"[{pad}{body}{pad[:-2]}]" if body else "[]"
 
 
-def lattice_to_json(lat: IdealLattice) -> str:
+def _field(opening: str, key: str, items: Iterable[str]) -> Iterator[str]:
+    """A field of the lattice document in pieces: its header, each item (a
+    rendered array element at depth 2) and the closing bracket, laid out as
+    json.dumps(obj, indent=2) lays them out."""
+    yield f'{opening}\n  "{key}": ['
+    sep = "\n    "
+    for item in items:
+        yield sep + item
+        sep = ",\n    "
+    yield "]" if sep == "\n    " else "\n  ]"
+
+
+def lattice_to_json(lat: IdealLattice, out: TextIO | None = None) -> str | None:
     """The lattice as json.dumps(obj, indent=2) would print it, rendered
-    from the masks, the labels and the up-sets: no table is built."""
-    index = {u: str(i) for u, i in lat._hasse[0].items()}  # every table cell is a pair index
+    from the masks, the labels and the up-sets: no table is built.
+
+    The document is written in pieces, one per field header, array element
+    and closing bracket, so a table row is the largest: given `out`, each
+    piece is written to it and the writer holds the lattice plus one row;
+    without, the pieces are joined and returned.  A list of pairs that is
+    not the whole lattice raises ValueError before anything is written.
+    """
+    index, _ = lat._hasse  # read before the first piece: a refused lattice writes nothing
+    up = lat._up
     quoted = [json.dumps(v) for v in lat.graph.vertices]  # each name quoted once
+    cell = {u: ",\n      " + str(i) for u, i in index.items()}  # a table cell, per label
     width = f"0{len(lat)}b"
 
     def names(m: int) -> str:
         return _array([quoted[i] for i in bits(m)], 4)
 
+    def table(rows: Iterator[list[str]]) -> Iterator[str]:
+        return ("[" + "".join(row)[1:] + "\n    ]" for row in rows)
+
     pairs = (f'{{\n      "H": {names(p._h)},\n      "B": {names(p._b)}\n    }}' for p in lat.pairs)
     leq = (
         _array(format(m, width)[::-1], 3).replace("0", "false").replace("1", "true")
-        for m in lat._up
+        for m in up
     )
     fields = (
-        ("vertices", _array(quoted, 2)),
-        ("pairs", _array(pairs, 2)),
-        ("labels", _array((json.dumps(p.label) for p in lat.pairs), 2)),
-        ("leq", _array(leq, 2)),
-        ("covers", _array((_array((str(i), str(j)), 3) for i, j in lat.covers), 2)),
-        ("meet", _array((_array(row, 3) for row in lat._meet_rows(index)), 2)),
-        ("join", _array((_array(row, 3) for row in lat._join_rows(index)), 2)),
+        ("{", "vertices", quoted),
+        (",", "pairs", pairs),
+        (",", "labels", (json.dumps(p.label) for p in lat.pairs)),
+        (",", "leq", leq),
+        (",", "covers", (_array((str(i), str(j)), 3) for i, j in lat.covers)),
+        (",", "meet", table(lat._meet_rows(cell))),
+        (",", "join", table(lat._join_rows(cell))),
     )
-    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}\n"
+    pieces = itertools.chain(*(_field(*f) for f in fields), ("\n}\n",))
+    if out is None:
+        return "".join(pieces)
+    for piece in pieces:
+        out.write(piece)
 
 
 def lattice_to_dot(lat: IdealLattice) -> str:

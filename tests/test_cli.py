@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -702,6 +703,59 @@ def test_subprocess_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["aperiodic"] is True
+
+
+def edgeless_file(tmp_path, n: int) -> str:
+    """A graph file of n vertices and no edges: 2^n admissible pairs."""
+    path = tmp_path / f"edgeless-{n}.json"
+    path.write_text(json.dumps({"vertices": [f"v{i}" for i in range(n)], "edges": []}))
+    return str(path)
+
+
+def test_lattice_json_streams_its_rows(tmp_path):
+    """The traced peak of `lattice --format json` on eight edgeless vertices
+    (256 pairs, 2.2 MB of JSON) stays below a quarter of the bytes written:
+    the writer holds the lattice and one table row, not the document."""
+
+    class Sink:
+        written = 0
+
+        def write(self, text):
+            self.written += len(text)  # the output is ASCII: one byte a character
+
+    sink, err = Sink(), io.StringIO()
+    graph = edgeless_file(tmp_path, 8)
+    tracemalloc.start()
+    try:
+        code = run(["lattice", graph, "--format", "json"], sink, err)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err.getvalue()) == (0, "")
+    assert sink.written > 2_000_000
+    assert peak < sink.written / 4, (peak, sink.written)
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path, unbuffered):
+    """A reader that takes 10 bytes of the lattice JSON and closes the pipe:
+    graphck stops with exit 1 and writes nothing to stderr, whether stdout
+    is buffered or not.  The 2.2 MB output overfills the pipe, so a write
+    meets the closed end."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-m", "graphck", "lattice", edgeless_file(tmp_path, 8), "--format", "json"]
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=str(REPO)
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert head == b'{\n  "verti'
+    assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):

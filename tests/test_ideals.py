@@ -1,5 +1,6 @@
 """Admissible pairs, the ideal lattice, and quotient graphs."""
 
+import io
 import json
 import operator
 import random
@@ -197,12 +198,23 @@ def test_lattice_must_run_bottom_to_top(corpus):
         IdealLattice(corpus["e4"], ())
 
 
-@pytest.mark.parametrize("table", ["leq", "covers", "meet_table", "join_table", "lattice_to_json"])
+TABLE_READS = ["leq", "covers", "meet_table", "join_table", "lattice_to_json", "lattice_to_json(out)"]
+
+
+@pytest.mark.parametrize("table", TABLE_READS)
 def test_tables_need_the_whole_lattice(corpus, table):
     """The lattice accepts any list from bottom to top; its first table read
     refuses a list that is not every pair of its graph exactly once, and so
-    does the JSON writer when it reads the lattice first."""
-    read = lattice_to_json if table == "lattice_to_json" else operator.attrgetter(table)
+    does the JSON writer, which then writes nothing to its stream."""
+    out = io.StringIO()
+
+    def written(lat):
+        lattice_to_json(lat, out)
+        return out.getvalue()
+
+    read = {"lattice_to_json": lattice_to_json, "lattice_to_json(out)": written}.get(
+        table, operator.attrgetter(table)
+    )
     e1, e4 = corpus["e1"], corpus["e4"]
     bottom, p_w, p_wv, top = admissible_pairs(e4).pairs
     refused = [
@@ -215,6 +227,7 @@ def test_tables_need_the_whole_lattice(corpus, table):
         lat = IdealLattice(e4, pairs)
         with pytest.raises(ValueError, match=re.escape(message)):
             read(lat)
+        assert out.getvalue() == ""
     # one prime point: the bottom and the top are the whole lattice
     e1_bottom, e1_top = admissible_pairs(e1).pairs
     assert read(IdealLattice(e1, (e1_bottom, e1_top)))
@@ -491,7 +504,11 @@ def test_json_writer_matches_the_encoder():
     graphs.append(Graph(odd, tuple(Edge(f"e{i}", odd[i], odd[i + 1], OMEGA) for i in range(5))))
     for g in graphs:
         lat = admissible_pairs(g)
-        assert lattice_to_json(lat) == json.dumps(lattice_to_json_obj(lat), indent=2) + "\n", g
+        text = lattice_to_json(lat)
+        assert text == json.dumps(lattice_to_json_obj(lat), indent=2) + "\n", g
+        out = io.StringIO()
+        assert lattice_to_json(lat, out) is None
+        assert out.getvalue() == text, g
     assert len(admissible_pairs(graphs[-1])) > 4
 
 
