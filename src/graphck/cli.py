@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse or validation failure, 2 enumeration limit
-exceeded; a reader closing stdout early also gives 1, with no traceback.
+exceeded.  Failing to write stdout gives 1 with no traceback: silently for
+a reader that closed it early, else with one line on stderr.
 Only `lattice` and `paction` (for `invariant_subsets`), whose outputs can be
 exponential, take `--limit`; `analyze` and `spectrum` run in polynomial
 time.  Results go to stdout, diagnostics to stderr.  Identical
@@ -378,10 +379,12 @@ def run(argv, out=None, err=None) -> int:
 def main() -> None:
     try:
         code = run(sys.argv[1:])
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
-    except BrokenPipeError:
-        # the reader of stdout has gone: point stdout at devnull, so the
-        # flush at exit writes nothing, and exit 1 with no traceback
+        sys.stdout.flush()  # a write error raises here, not at exit
+    except OSError as exc:
+        # say why stdout failed unless its reader left; point it at devnull,
+        # so the flush at exit writes nothing, and exit 1 with no traceback
+        if not isinstance(exc, BrokenPipeError):
+            sys.stderr.write(f"error: cannot write output: {exc.strerror}\n")
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         code = 1

@@ -32,11 +32,11 @@ which send it more than one edge: by multiplicity two or more, OMEGA, or
 parallel records.  It also holds the mask of the infinite receivers, the
 vertices with an OMEGA in-edge (``infinite``).
 
-The kernel has two producers.  One pass over the edges (``_edge_pass``)
-builds ``_succ`` and ``_in``; after the two closures, one pass over the
-vertices (``_vertex_pass``) builds ``_comps``, ``_cyclic`` and ``_tails``.
-Each producer stores its attributes together on the first read of any of
-them, so a graph pays for each pass once.
+The kernel has two producers.  The constructor's one walk over the edges
+validates them and builds ``_succ`` and ``_in``.  The closures stay lazy, so
+a graph that is only printed never pays their O(V (V + E)); after them, one
+pass over the vertices (``_vertex_pass``) stores ``_comps``, ``_cyclic`` and
+``_tails`` together on the first read of any of them.
 
 ``Graph`` is the one home of the prime-point kernel, and `conditions`,
 `ideals`, `spectrum` and `classify` ask it every saturation, pair and
@@ -152,11 +152,14 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        seen = set()
+        """Validate the vertices, then the edges, in input order; each edge
+        that passes ORs its bits into ``_succ`` and ``_in``, which are stored
+        with ``_index`` and ``_full`` when the walk ends."""
+        index: dict[str, int] = {}
         for v in self.vertices:
             if not isinstance(v, str):  # checked first: a non-string may not hash
                 raise GraphFormatError(f"vertex {clip(v)}: id must be a string")
-            if v in seen:
+            if v in index:
                 raise GraphFormatError(f"vertex {clip(v)}: duplicate id")
             if not v:  # an empty member would print like the empty set
                 raise GraphFormatError(f"vertex {clip(v)}: empty id")
@@ -164,7 +167,9 @@ class Graph:
                 raise GraphFormatError(f"vertex {clip(v)}: reserved character ',' in id")
             if ";" in v:
                 raise GraphFormatError(f"vertex {clip(v)}: reserved character ';' in id")
-            seen.add(v)
+            index[v] = len(index)
+        n = len(index)
+        succ, src, omega, repeated, infinite = [0] * n, [0] * n, [0] * n, [0] * n, 0
         eids = set()
         for e in self.edges:
             if not (isinstance(e.id, str) and isinstance(e.src, str) and isinstance(e.rng, str)):
@@ -177,8 +182,8 @@ class Graph:
             if "," in e.id:  # cycle witnesses list edge ids with ","
                 raise GraphFormatError(f"edge {clip(e.id)}: reserved character ',' in id")
             eids.add(e.id)
-            if e.src not in seen or e.rng not in seen:
-                endpoint = e.src if e.src not in seen else e.rng
+            if e.src not in index or e.rng not in index:
+                endpoint = e.src if e.src not in index else e.rng
                 raise GraphFormatError(f"edge {clip(e.id)}: dangling endpoint {clip(endpoint)}")
             m = e.mult
             if not (m is OMEGA or type(m) is int and m > 0):
@@ -188,12 +193,19 @@ class Graph:
                         " got the text 'omega'"
                     )
                 _parse_mult(m, f"edge {clip(e.id)}")
+            s, r = index[e.src], index[e.rng]
+            bit = 1 << s
+            succ[s] |= 1 << r
+            if m != 1 or src[r] & bit:
+                repeated[r] |= bit
+                if m is OMEGA:
+                    omega[r] |= bit
+                    infinite |= 1 << r
+            src[r] |= bit
+        into = InTable(tuple(src), tuple(omega), tuple(repeated), infinite)
+        self.__dict__.update(_index=index, _full=(1 << n) - 1, _succ=tuple(succ), _in=into)
 
     # -- canonical order helpers -------------------------------------------
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
 
     def index(self, v: str) -> int:
         try:
@@ -233,35 +245,6 @@ class Graph:
 
     # -- per-vertex masks ------------------------------------------------------
 
-    def _edge_pass(self) -> dict:
-        """Store ``_succ`` and ``_in`` from one pass over the edges; returns
-        the instance dict that holds them."""
-        index, n = self._index, len(self.vertices)
-        succ, src, omega, repeated, infinite = [0] * n, [0] * n, [0] * n, [0] * n, 0
-        for e in self.edges:
-            s, r = index[e.src], index[e.rng]
-            bit = 1 << s
-            succ[s] |= 1 << r
-            if e.mult != 1 or src[r] & bit:
-                repeated[r] |= bit
-                if e.mult is OMEGA:
-                    omega[r] |= bit
-                    infinite |= 1 << r
-            src[r] |= bit
-        into = InTable(tuple(src), tuple(omega), tuple(repeated), infinite)
-        self.__dict__.update(_succ=tuple(succ), _in=into)
-        return self.__dict__
-
-    @cached_property
-    def _succ(self) -> tuple[int, ...]:
-        """succ[i] = mask of the ranges of vertex i's out-edges."""
-        return self._edge_pass()["_succ"]
-
-    @cached_property
-    def _in(self) -> InTable:
-        """The in-edge table (see the module docstring)."""
-        return self._edge_pass()["_in"]
-
     @cached_property
     def _reach(self) -> tuple[int, ...]:
         """reach[i] = mask of the vertices reachable from vertex i (incl. i)."""
@@ -271,10 +254,6 @@ class Graph:
     def _back(self) -> tuple[int, ...]:
         """back[i] = mask of the vertices that reach vertex i (incl. i)."""
         return closure(self._in.src)
-
-    @cached_property
-    def _full(self) -> int:
-        return (1 << len(self.vertices)) - 1
 
     def _vertex_pass(self) -> dict:
         """Store ``_comps``, ``_cyclic`` and ``_tails`` from one pass over the

@@ -210,16 +210,11 @@ class IdealLattice:
 
     @cached_property
     def _up(self) -> tuple[int, ...]:
-        """Per pair, the mask of the pairs above it, built along the covers
-        from the top (no prime above) down."""
-        labels, upper = self._labels, self._hasse[1]
-        up = [0] * len(labels)
-        for i in sorted(range(len(labels)), key=lambda i: labels[i].bit_count()):
-            m = 1 << i
-            for j in upper[i]:
-                m |= up[j]
-            up[i] = m
-        return tuple(up)
+        """Per pair, the mask of the pairs above it: those whose label, the
+        primes above them, lies inside its own."""
+        self._hasse  # refuses a list that is not the whole lattice
+        k = len(self.graph._primes)
+        return subset_order([((1 << k) - 1) & ~u for u in self._labels], k).up
 
     @cached_property
     def leq(self) -> tuple[tuple[bool, ...], ...]:

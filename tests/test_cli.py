@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import ast
+import errno
 import io
 import json
 import os
@@ -736,19 +737,26 @@ def test_lattice_json_streams_its_rows(tmp_path):
     assert peak < sink.written / 4, (peak, sink.written)
 
 
+def graphck_env(unbuffered):
+    """The environment of a graphck subprocess that imports this checkout,
+    its stdout buffered unless unbuffered is set."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.mark.parametrize("unbuffered", [None, "1"])
 def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path, unbuffered):
     """A reader that takes 10 bytes of the lattice JSON and closes the pipe:
     graphck stops with exit 1 and writes nothing to stderr, whether stdout
     is buffered or not.  The 2.2 MB output overfills the pipe, so a write
     meets the closed end."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = unbuffered
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     argv = [sys.executable, "-m", "graphck", "lattice", edgeless_file(tmp_path, 8), "--format", "json"]
     proc = subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=str(REPO)
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=graphck_env(unbuffered),
+        cwd=str(REPO),
     )
     head = proc.stdout.read(10)
     proc.stdout.close()
@@ -756,6 +764,20 @@ def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path, unbuffered):
     proc.stderr.close()
     assert head == b'{\n  "verti'
     assert (proc.wait(timeout=120), err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_a_failing_stdout_exits_1_with_one_line(unbuffered):
+    """Every write to /dev/full fails with ENOSPC: graphck names the error in
+    one line on stderr and exits 1, whether stdout is buffered or not."""
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphck", "analyze", E1], stdout=full, stderr=subprocess.PIPE,
+            env=graphck_env(unbuffered), cwd=str(REPO), timeout=120,
+        )
+    expected = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
+    assert (proc.returncode, proc.stderr) == (1, expected)
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):

@@ -16,6 +16,7 @@ import pytest
 
 from graphck import (
     OMEGA,
+    Graph,
     admissible_pairs,
     breaking_vertices,
     condition_L,
@@ -98,6 +99,19 @@ def test_reachability_kernel_matches_a_search_over_edge_records():
         seen["several tails"] += len(rows) > 1
         seen["L fails" if not L.holds else "L holds"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+def test_the_constructor_builds_the_edge_tables_and_nothing_lazy(kind):
+    """The walk that validates the edges also stores the index and the edge
+    tables; the closures and the adjacency lists wait for a question."""
+    for g in seeded(kind, 50):
+        g = Graph(g.vertices, g.edges)
+        assert {"_index", "_full", "_succ", "_in"} <= g.__dict__.keys()
+        assert not {"_reach", "_back", "_tails", "out_edges_by_vertex"} & g.__dict__.keys()
+        assert g._index == {v: i for i, v in enumerate(g.vertices)}
+        assert g._full == (1 << len(g.vertices)) - 1
+        assert (g._in.src, g._in.omega, g._in.repeated, g._in.infinite) == in_table(g)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
