@@ -269,10 +269,17 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
     edges leaving H die with H).  Every admissible-range vertex v left out of
     B keeps its infinite-receiver gap: a fresh source vertex v~ is added with
     a single edge v~ -> v carrying the gap.
+
+    The bottom pair's quotient is g itself: H is empty, and so is its range.
+    Any other quotient is built and validated like any graph, and then
+    inherits its reachability kernel from g's (``Graph._inherit``): no vertex
+    outside H reaches into H, so no closure runs again.
     """
-    if p.graph != g:
+    if p.graph is not g and p.graph != g:
         raise ValueError("pair does not belong to this graph")
     h, index = p._h, g._index
+    if not h:
+        return g
     keep = g.names(g._full & ~h)
     edges = [e for e in g.edges if not h >> index[e.src] & 1]
     gaps = p._range & ~p._b
@@ -290,7 +297,9 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
             bars.append(name)
             edges.append(Edge(id=eid, src=name, rng=v, mult=1))
         keep += tuple(bars)
-    return Graph(vertices=keep, edges=tuple(edges))
+    q = Graph(vertices=keep, edges=tuple(edges))
+    q._inherit(g, h, p._range, gaps)
+    return q
 
 
 # -- exports -------------------------------------------------------------------
