@@ -172,10 +172,7 @@ def is_simple(g: Graph):
     if len(g._tails) > 1:
         h = g._full
         for c in g._comps:  # a tail holding one member of c holds all of c
-            m = g._full
-            for t in g._tails:
-                if not t & c:
-                    m &= ~t
+            m = g._sh_closure(c)
             if (m.bit_count(), m) < (h.bit_count(), h):
                 h = m
         return SimpleVerdict("no", "nontrivial_lattice", pair=AdmissiblePair._of(g, h, 0))

@@ -7,7 +7,8 @@ in-edges from outside H.  The pairs, ordered by
     (H, B) <= (H', B')   iff   H is contained in H' and B in H' | B',
 
 form a lattice naming the gauge-invariant (equivalently graded) ideals
-I_{H,B} of the graph algebra.
+I_{H,B} of the graph algebra.  `admissible_pairs` is the one producer of
+`IdealLattice`, so a lattice always holds every pair of its graph once.
 
 The lattice is distributive and its meet-irreducibles are the prime points
 (Bates-Hong-Raeburn-Szymanski, Illinois J. Math. 2002), so by Birkhoff's
@@ -144,27 +145,16 @@ def pair_order(pairs: Sequence[AdmissiblePair]) -> Poset:
     return subset_order(_rows(g, [(p._h, p._b) for p in pairs]), 2 * len(g.vertices))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IdealLattice:
-    """The pairs of a graph from bottom to top, in any order between.
-
-    The tables need the whole lattice: the first read of `leq`, `covers`,
-    `meet_table` or `join_table` raises ValueError on a pair of another
-    graph, a pair listed twice, or a list missing some pair.
+    """Every admissible pair of a graph in canonical order, bottom first and
+    top last: the value `admissible_pairs` returns, never built from a list
+    of pairs (``IdealLattice(g, pairs)`` raises TypeError).  Its tables are
+    read off the labels of its pairs when first read.
     """
 
     graph: Graph
     pairs: tuple[AdmissiblePair, ...]
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("no pairs: a lattice holds at least the bottom")
-        bottom = self.pairs[0]
-        top = self.pairs[-1]
-        if bottom._h or bottom._b:
-            raise ValueError(f"first pair {bottom.label} is not the bottom (H={{}}, B={{}})")
-        if top._h != self.graph._full or top._b:
-            raise ValueError(f"last pair {top.label} is not the top (H=V, B={{}})")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -174,8 +164,6 @@ class IdealLattice:
         """Per pair, bit k set when the pair lies below the prime point
         ``graph._primes[k]``."""
         g = self.graph
-        if any(p.graph != g for p in self.pairs):
-            raise ValueError("pairs belong to different graphs")
         primes = _rows(g, g._primes)
         return tuple(
             sum([1 << k for k, q in enumerate(primes) if not r & ~q])
@@ -185,34 +173,20 @@ class IdealLattice:
     @cached_property
     def _hasse(self) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
         """The pair index of each label, and per pair the pairs covering it,
-        ascending: a cover takes one minimal prime off the label.
-
-        Raises ValueError unless the pairs are the whole lattice.  Every label
-        is an up-set of prime points and the bottom's holds them all, so the
-        labels are every up-set once when none repeats and every label less
-        one of its minimal primes is a label too."""
+        ascending: a cover takes one minimal prime off the label."""
         labels = self._labels
         index = {u: i for i, u in enumerate(labels)}
-        if len(index) < len(labels):
-            twice = next(i for i, u in enumerate(labels) if index[u] != i)
-            raise ValueError(f"pair {self.pairs[twice].label} is listed twice")
         g = self.graph
         below = subset_order(_rows(g, g._primes), 2 * len(g.vertices)).down
-        upper = []
-        for i, u in enumerate(labels):
-            try:
-                js = [index[u ^ 1 << k] for k in bits(u) if below[k] & u == 1 << k]
-            except KeyError:
-                missing = f"a pair covering {self.pairs[i].label} is missing"
-                raise ValueError(f"not the whole lattice: {missing}") from None
-            upper.append(tuple(sorted(js)))
-        return index, tuple(upper)
+        return index, tuple(
+            tuple(sorted([index[u ^ 1 << k] for k in bits(u) if below[k] & u == 1 << k]))
+            for u in labels
+        )
 
     @cached_property
     def _up(self) -> tuple[int, ...]:
         """Per pair, the mask of the pairs above it: those whose label, the
         primes above them, lies inside its own."""
-        self._hasse  # refuses a list that is not the whole lattice
         k = len(self.graph._primes)
         return subset_order([((1 << k) - 1) & ~u for u in self._labels], k).up
 
@@ -258,7 +232,9 @@ def admissible_pairs(g: Graph, limit: int = DEFAULT_LIMIT) -> IdealLattice:
         ((m & g._full, m >> n & ~m) for m in meets),
         key=lambda hb: (hb[0].bit_count(), hb[0], hb[1].bit_count(), hb[1]),
     )
-    return IdealLattice(g, tuple(AdmissiblePair._of(g, h, b) for h, b in hbs))
+    lat = IdealLattice.__new__(IdealLattice)
+    lat.__dict__.update(graph=g, pairs=tuple(AdmissiblePair._of(g, h, b) for h, b in hbs))
+    return lat
 
 
 def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
@@ -332,13 +308,10 @@ def lattice_to_json(lat: IdealLattice, out: TextIO | None = None) -> str | None:
     The document is written in pieces, one per field header, array element
     and closing bracket, so a table row is the largest: given `out`, each
     piece is written to it and the writer holds the lattice plus one row;
-    without, the pieces are joined and returned.  A list of pairs that is
-    not the whole lattice raises ValueError before anything is written.
+    without, the pieces are joined and returned.
     """
-    index, _ = lat._hasse  # read before the first piece: a refused lattice writes nothing
-    up = lat._up
     quoted = [json.dumps(v) for v in lat.graph.vertices]  # each name quoted once
-    cell = {u: ",\n      " + str(i) for u, i in index.items()}  # a table cell, per label
+    cell = {u: ",\n      " + str(i) for u, i in lat._hasse[0].items()}  # a table cell, per label
     width = f"0{len(lat)}b"
 
     def names(m: int) -> str:
@@ -350,7 +323,7 @@ def lattice_to_json(lat: IdealLattice, out: TextIO | None = None) -> str | None:
     pairs = (f'{{\n      "H": {names(p._h)},\n      "B": {names(p._b)}\n    }}' for p in lat.pairs)
     leq = (
         _array(format(m, width)[::-1], 3).replace("0", "false").replace("1", "true")
-        for m in up
+        for m in lat._up
     )
     fields = (
         ("{", "vertices", quoted),
