@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import reduce
 from itertools import combinations
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .graphs import DEFAULT_LIMIT, LimitExceededError, decode_json
-from .poset import Poset, bits, cached_property, check_antisymmetric, clip, closure, union
+from .poset import Poset, bits, cached_property, check_antisymmetric, clip, closure, record, union
 
 Letter = tuple[str, int]  # a run: (generator name, exponent)
 
@@ -57,7 +57,7 @@ def _check_known(index: dict, message: str, *groups: Iterable[str]) -> None:
         raise ActionFormatError(f"{message} {clip(min(unknown))}")
 
 
-@dataclass(frozen=True)
+@record
 class FiniteT0Space:
     """A finite T0 topological space, encoded by its specialization order."""
 
@@ -128,7 +128,7 @@ class FiniteT0Space:
         return self._interior(m) == m
 
 
-@dataclass(frozen=True)
+@record
 class PartialHomeo:
     """An order isomorphism between two open subsets of a finite T0 space.
 
@@ -195,7 +195,7 @@ _INT_RE = re.compile(r"-?\d+")  # an integer token of the word grammar
 _POWER_RE = re.compile(r"(.+?)\^(-?\d+)")  # a generator to an integer power
 
 
-@dataclass(frozen=True)
+@record
 class FinitePartialAction:
     """A generated partial action of a free group or the integers."""
 
@@ -441,7 +441,7 @@ class FinitePartialAction:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class QuasiOrbitSpace:
     space: FiniteT0Space
     classes: tuple[frozenset[str], ...]
@@ -450,7 +450,7 @@ class QuasiOrbitSpace:
 # -- decompositions ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """Candidate witness for paradoxicality (split set) or infiniteness."""
 
@@ -459,7 +459,7 @@ class Decomposition:
     split: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     clause: str
     detail: str
@@ -478,13 +478,13 @@ class Violation:
         return obj
 
 
-@dataclass(frozen=True)
+@record
 class WitnessCheck:
     valid: bool
     violation: Optional[Violation] = None
 
 
-@dataclass(frozen=True)
+@record
 class FiniteCounting:
     """Counting proof: covers force the images to exhaust V exactly."""
 
@@ -495,7 +495,7 @@ class FiniteCounting:
         return {"kind": "finite_counting", "size": self.size, "detail": self.detail}
 
 
-@dataclass(frozen=True)
+@record
 class GInfiniteDecision:
     infinite: bool
     proof: FiniteCounting

@@ -15,13 +15,12 @@ their witnesses, and int masks in canonical order inside.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 from .conditions import ConditionL, CycleWitness, condition_K, condition_L
 from .graphs import Graph, Path
 from .ideals import AdmissiblePair
-from .poset import bits, union
+from .poset import bits, record, union
 from .spectrum import maximal_tails
 
 # No(L) reasons for non-simplicity lean on standard graph-algebra theory
@@ -33,7 +32,7 @@ _EXTERNAL_L_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class SimpleVerdict:
     verdict: str  # "yes" | "no"
     reason_kind: Optional[str] = None  # "nontrivial_lattice" | "condition_L_fails"
@@ -59,7 +58,7 @@ class SimpleVerdict:
         return obj
 
 
-@dataclass(frozen=True)
+@record
 class TailWitness:
     """Audit data for one tail vertex: a cycle and a path from it."""
 
@@ -78,7 +77,7 @@ class TailWitness:
         }
 
 
-@dataclass(frozen=True)
+@record
 class PurelyInfiniteVerdict:
     verdict: str  # "yes" | "no"
     # reason kinds: "fails_K" | "tail_vertex_not_fed_by_cycle" | "breaking_vertex_gap"
@@ -109,7 +108,7 @@ class PurelyInfiniteVerdict:
         return obj
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationReport:
     graph: Graph
     aperiodic: bool
@@ -168,10 +167,14 @@ def is_simple(g: Graph):
     there is at most one tail.  Otherwise the witness is the canonically
     first nontrivial saturated hereditary set: it has the least size, so it
     is the closure of any of its vertices, which lies in it and is nontrivial.
+    Only source components are scanned: a hereditary set holding c holds its
+    ancestors, so c's closure holds some source component's, no larger.
     """
     if len(g._tails) > 1:
-        h = g._full
+        h, back = g._full, g._back
         for c in g._comps:  # a tail holding one member of c holds all of c
+            if back[(c & -c).bit_length() - 1] != c:
+                continue  # c has an ancestor outside it
             m = g._sh_closure(c)
             if (m.bit_count(), m) < (h.bit_count(), h):
                 h = m
@@ -261,15 +264,17 @@ def _tail_witnesses(g: Graph) -> tuple[TailWitness, ...]:
 
 def classify(g: Graph) -> ClassificationReport:
     # (K) is decided once, by is_purely_infinite: fails_K exactly when it fails.
-    # (L) is read off is_simple, unless a nontrivial lattice decided that first.
+    # (L) is read off is_simple, unless a nontrivial lattice decided that first;
+    # then (K) implies it: (K) rejects an entrance-less cycle, a component each
+    # of whose members has one source, inside it and not repeated.
     simple, purely_infinite = is_simple(g), is_purely_infinite(g)
-    if simple.reason_kind == "nontrivial_lattice":
+    K_fails = purely_infinite.reason_kind == "fails_K"
+    if simple.reason_kind == "nontrivial_lattice" and K_fails:
         L = condition_L(g)
     elif simple.reason_kind == "condition_L_fails":
         L = ConditionL(False, CycleWitness.for_cycle(g, simple.cycle))
     else:
         L = ConditionL(True)
-    K_fails = purely_infinite.reason_kind == "fails_K"
     # the equivalence is only available for finite graphs
     dual_tf = "unknown" if g._in.infinite else "yes" if L.holds else "no"
 

@@ -20,12 +20,11 @@ masks in canonical order inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import DEFAULT_LIMIT, Edge, Graph, Path
 from .ideals import admissible_pairs
-from .poset import bits, clip, union
+from .poset import bits, clip, record, union
 
 
 def is_hereditary(g: Graph, S: Iterable[str]) -> bool:
@@ -58,7 +57,7 @@ def saturated_hereditary_sets(
     return [p.h for p in admissible_pairs(g, limit).pairs if not p.b]
 
 
-@dataclass(frozen=True)
+@record
 class CycleWitness:
     cycle: Path
     missing_entrance: bool
@@ -83,7 +82,7 @@ def cycle_entrances(g: Graph, cycle: Path) -> tuple[Edge, ...]:
     return tuple(e for e in g.edges if e.rng in heads and (e.id not in used or e.mult != 1))
 
 
-@dataclass(frozen=True)
+@record
 class ConditionL:
     holds: bool
     witness: CycleWitness | None = None
@@ -103,7 +102,7 @@ def condition_L(g: Graph) -> ConditionL:
     return ConditionL(True)
 
 
-@dataclass(frozen=True)
+@record
 class ConditionK:
     holds: bool
     witness: str | None = None  # a vertex with exactly one first-return path

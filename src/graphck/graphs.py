@@ -66,10 +66,9 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
-from .poset import bits, cached_property, clip, closure, packer, union
+from .poset import bits, cached_property, clip, closure, packer, record, union
 
 DEFAULT_LIMIT = 16
 
@@ -137,7 +136,7 @@ def _parse_mult(token, where: str) -> Mult:
     return token
 
 
-@dataclass(frozen=True)
+@record
 class Edge:
     id: str
     src: str
@@ -154,7 +153,7 @@ class InTable(NamedTuple):
     infinite: int
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """Immutable directed multigraph.  Safe to share between threads."""
 
@@ -398,7 +397,7 @@ def _by_size(rows: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(rows, key=lambda m: (-m.bit_count(), m)))
 
 
-@dataclass(frozen=True)
+@record
 class Component:
     vertices: tuple[str, ...]
     nontrivial: bool
@@ -460,7 +459,7 @@ def first_return_count(g: Graph, v: str, cap: int = 2) -> int:
     return count[i]
 
 
-@dataclass(frozen=True)
+@record
 class Path:
     """A composable edge sequence, listed range-first.
 

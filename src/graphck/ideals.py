@@ -118,13 +118,9 @@ class AdmissiblePair:
         return {"H": list(g.names(self._h)), "B": list(g.names(self._b))}
 
 
-def _same_graph(p: AdmissiblePair, q: AdmissiblePair) -> None:
+def pair_leq(p: AdmissiblePair, q: AdmissiblePair) -> bool:
     if p.graph != q.graph:
         raise ValueError("pairs belong to different graphs")
-
-
-def pair_leq(p: AdmissiblePair, q: AdmissiblePair) -> bool:
-    _same_graph(p, q)
     return not p._h & ~q._h and not p._b & ~(q._h | q._b)
 
 
@@ -136,11 +132,9 @@ def _rows(g: Graph, hbs: Iterable[tuple[int, int]]) -> list[int]:
 
 
 def pair_order(pairs: Sequence[AdmissiblePair]) -> Poset:
-    """The pairs ordered by pair_leq, as one bitmask up-set per pair."""
+    """The pairs (of one graph, unchecked) ordered by pair_leq, one bitmask up-set each."""
     if not pairs:
         return Poset(())
-    for p in pairs:
-        _same_graph(pairs[0], p)
     g = pairs[0].graph
     return subset_order(_rows(g, [(p._h, p._b) for p in pairs]), 2 * len(g.vertices))
 

@@ -4,11 +4,15 @@ Elements are the indices 0..n-1.  ``up[i]`` has bit j set exactly when
 i <= j (so bit i itself is always set), and ``down[j]`` is its transpose.
 One closure routine turns any successor relation into such masks; covers
 and the DOT drawing are read off them.
+
+Two fixed costs every module pays per object live here too: ``bits`` reads
+masks below 256 off a byte table, and ``record`` is the frozen dataclass
+whose ``__init__`` writes the instance dict directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -27,8 +31,41 @@ class cached_property:
         return value
 
 
+def record(cls):
+    """``dataclass(frozen=True)`` whose ``__init__`` (same parameters, order
+    and defaults) stores each field straight into the instance dict, then
+    calls ``__post_init__`` if the class has one: the generated one calls
+    ``object.__setattr__`` per field, at two to three times the cost."""
+    cls = dataclass(frozen=True)(cls)
+    fs = fields(cls)
+    if any(f.default_factory is not MISSING or not f.init for f in fs):
+        raise TypeError(f"{cls.__name__}: record fields take plain defaults only")
+    scope = {f"_{f.name}": f.default for f in fs if f.default is not MISSING}
+    params = ", ".join(f.name + (f"=_{f.name}" if f"_{f.name}" in scope else "") for f in fs)
+    body = "".join(f"\n    __dict[{f.name!r}] = {f.name}" for f in fs)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    exec(f"def __init__(self, {params}):\n    __dict = self.__dict__{body}{post}", scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = cls.__init__.__annotations__
+    cls.__init__ = init
+    return cls
+
+
+# per byte value x, the indices of the set bits of x
+_BYTE_BITS = tuple(tuple(j for j in range(8) if x >> j & 1) for x in range(256))
+
+
 def bits(m: int) -> Iterator[int]:
-    """Indices of the set bits of m, ascending."""
+    """Indices of the set bits of m, ascending.  Below 256 they come from a
+    table; otherwise one at a time, so the first costs O(1) at any width.  A
+    negative m (m >> 8 is -1) never reads the table, and never ends."""
+    if m >> 8:
+        return _wide_bits(m)
+    return iter(_BYTE_BITS[m])
+
+
+def _wide_bits(m: int) -> Iterator[int]:
     while m:
         low = m & -m
         yield low.bit_length() - 1
@@ -133,7 +170,7 @@ def check_antisymmetric(up: Sequence[int], name: Callable[[int], str]) -> None:
 _BIT = {"0": False, "1": True}
 
 
-@dataclass(frozen=True)
+@record
 class Poset:
     up: tuple[int, ...]
 

@@ -28,13 +28,12 @@ saturated hereditary set and admissible pair (see `conditions`, `ideals`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Sequence
 
 from .conditions import condition_K
 from .graphs import Graph
 from .ideals import AdmissiblePair, pair_order
-from .poset import Poset, bits, cached_property, check_antisymmetric, to_dot
+from .poset import Poset, bits, cached_property, check_antisymmetric, record, to_dot
 
 
 def maximal_tails(g: Graph) -> list[frozenset[str]]:
@@ -54,7 +53,7 @@ def breaking_vertices(g: Graph) -> list[str]:
     return [g.vertices[i] for i in g._breakers]
 
 
-@dataclass(frozen=True)
+@record
 class PrimPoint:
     kind: str  # "tail" | "breaking"
     tail: frozenset[str] | None
@@ -90,7 +89,7 @@ def prime_points(g: Graph) -> list[PrimPoint]:
     ]
 
 
-@dataclass(frozen=True)
+@record
 class PrimSpace:
     graph: Graph
     points: tuple[PrimPoint, ...]

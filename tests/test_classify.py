@@ -29,12 +29,16 @@ from util import (
     DOCS_DIR,
     KINDS,
     bfs_connect,
+    first_single_return,
     induced_subgraph,
     random_graph,
     random_looped_graph,
     random_omega_graph,
     reach,
     reference_is_purely_infinite,
+    reference_is_simple,
+    reference_report,
+    walk_condition_L,
 )
 
 
@@ -385,3 +389,34 @@ def test_conditions_ignore_how_multiplicities_are_recorded():
             split = split_records(g)
             assert condition_K(split) == condition_K(g)
             assert condition_L(split).holds == condition_L(g).holds
+
+
+def test_is_simple_matches_the_all_components_scan(corpus):
+    """Scanning the source components only finds the same least closure."""
+    rng = random.Random(223)
+    graphs = list(corpus.values()) + [kind(rng, max_n=9) for kind in KINDS for _ in range(400)]
+    for g in graphs:
+        assert is_simple(g) == reference_is_simple(g)
+
+
+def test_every_quotient_reports_like_the_references():
+    """On every quotient of seeded graphs of each kind (its kernel inherited
+    from the parent), the JSON and text reports and (L) and (K) equal the
+    references computed on a fresh copy of the quotient, which builds its
+    own kernel and decides each verdict on its own."""
+    rng = random.Random(227)
+    seen = Counter()
+    for kind in KINDS:
+        for _ in range(120):
+            g = kind(rng)
+            for p in admissible_pairs(g).pairs:
+                q = quotient_graph(g, p)
+                fresh = Graph(q.vertices, q.edges)
+                report, ref = classify(q), reference_report(fresh)
+                assert report_to_json(report) == report_to_json(ref)
+                assert report_to_text(report) == report_to_text(ref)
+                assert condition_L(q) == walk_condition_L(fresh)
+                assert condition_K(q) == first_single_return(fresh)
+                seen[report.simple.reason_kind, report.purely_infinite.reason_kind] += 1
+    # seven (simple, purely infinite) reason pairs occur
+    assert len(seen) == 7 and sum(seen.values()) > 5000, seen

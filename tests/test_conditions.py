@@ -27,6 +27,7 @@ from util import (
     brute_is_saturated,
     brute_sh_sets,
     edges_by,
+    first_single_return,
     graphs,
     hereditary_closure,
     random_graph,
@@ -248,15 +249,6 @@ def test_K_implies_L(corpus):
     for g in graphs:
         if condition_K(g).holds:
             assert condition_L(g).holds
-
-
-def first_single_return(g):
-    """Condition (K) from its definition: the first vertex with exactly one
-    first-return path."""
-    for v in g.vertices:
-        if first_return_count(g, v) == 1:
-            return ConditionK(False, v)
-    return ConditionK(True)
 
 
 def test_condition_K_matches_first_return_definition(corpus):

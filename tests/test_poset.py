@@ -1,8 +1,11 @@
 """The bitmask poset kernel, and the reference meet and join tables in
 `util`, against brute-force order oracles."""
 
+import dataclasses
 import functools
 import importlib
+import inspect
+import itertools
 import random
 
 import pytest
@@ -15,6 +18,7 @@ from graphck.poset import (
     check_antisymmetric,
     closure,
     packer,
+    record,
     to_dot,
 )
 
@@ -23,6 +27,7 @@ from util import (
     brute_covers,
     brute_glb,
     brute_lub,
+    ref_bits,
     ref_join_table,
     ref_meet_table,
 )
@@ -38,6 +43,55 @@ def masks(rel, n):
 
 def test_bits_ascending():
     assert list(bits(0)) == [] and list(bits(0b101001)) == [0, 3, 5]
+
+
+def test_bits_match_the_reference_generator():
+    """Every mask below 2**12 (the byte table, its 256 boundary and the wide
+    path), random masks of up to 4,096 bits, and the first bit alone.  Wide
+    and negative masks take the lazy path, never the table: a negative mask's
+    bits never end there either."""
+    for m in range(1 << 12):
+        assert list(bits(m)) == list(ref_bits(m))
+    rng = random.Random(83)
+    for _ in range(400):
+        m = rng.getrandbits(rng.randint(1, 4096))
+        assert list(bits(m)) == list(ref_bits(m))
+        assert next(bits(m), None) == next(ref_bits(m), None)
+    for m in (256, 1 << 4095, -1, -2, -255, -256, -257, -(1 << 40)):
+        assert inspect.isgenerator(bits(m))
+        assert list(itertools.islice(bits(m), 20)) == list(itertools.islice(ref_bits(m), 20))
+
+
+def test_record_stores_fields_then_runs_post_init():
+    seen = []
+
+    @record
+    class Pair:
+        a: int
+        b: tuple = ()
+
+        def __post_init__(self):
+            seen.append((self.a, self.b))
+
+    assert Pair(1) == Pair(a=1, b=()) and seen == [(1, ()), (1, ())]
+    assert vars(Pair(2, (3,))) == {"a": 2, "b": (3,)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Pair(1).a = 2
+
+
+def test_record_refuses_fields_it_cannot_fill():
+    with pytest.raises(TypeError, match="plain defaults only"):
+
+        @record
+        class Listed:
+            items: list = dataclasses.field(default_factory=list)
+
+    with pytest.raises(TypeError, match="plain defaults only"):
+
+        @record
+        class Hidden:
+            shown: int
+            hidden: int = dataclasses.field(default=0, init=False)
 
 
 def test_closure_matches_warshall():

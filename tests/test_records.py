@@ -1,0 +1,194 @@
+"""Every frozen record of graphck is built by `poset.record`, whose __init__
+writes the instance dict directly.  Each one still binds its arguments,
+refuses assignment, compares, hashes, prints, pickles and replaces exactly as
+the plain frozen dataclass with the same fields."""
+
+import dataclasses
+import importlib
+import inspect
+import pickle
+
+import pytest
+
+from graphck import (
+    ActionFormatError,
+    Decomposition,
+    Edge,
+    FinitePartialAction,
+    FiniteT0Space,
+    Graph,
+    GraphFormatError,
+    PartialHomeo,
+    Path,
+    check_paradoxical_witness,
+    classify,
+    condition_K,
+    condition_L,
+    decide_G_infinite,
+    prim_space,
+    scc_decomposition,
+)
+
+from util import load_corpus
+
+MODULES = ("actions", "classify", "conditions", "graphs", "ideals", "poset", "spectrum")
+
+
+def record_classes() -> dict[str, type]:
+    """The graphck dataclasses with a generated __init__, by name."""
+    out = {}
+    for name in MODULES:
+        module = importlib.import_module(f"graphck.{name}")
+        for cls in vars(module).values():
+            if (
+                isinstance(cls, type)
+                and cls.__module__ == module.__name__
+                and dataclasses.is_dataclass(cls)
+                and cls.__dataclass_params__.init
+            ):
+                out[cls.__name__] = cls
+    return out
+
+
+def samples() -> dict[str, object]:
+    """One instance of each record class, from real computations."""
+    corpus = load_corpus()
+    no_L, lattice, pi, unfed = corpus["e2"], corpus["e6"], corpus["e5"], corpus["e4"]
+    space = FiniteT0Space.from_pairs(("1", "2", "3"))
+    move = PartialHomeo(space, (("1", "2"), ("2", "3")))
+    action = FinitePartialAction(space, "F1", ("g",), (move,))
+    d = Decomposition(frozenset({"1"}), ((frozenset({"1"}), "g"), (frozenset({"1"}), "")), 1)
+    check, decision = check_paradoxical_witness(action, d), decide_G_infinite(action, {"1"})
+    no_L_report, pi_report = classify(no_L), classify(pi)
+    ps = prim_space(lattice)
+    return {
+        "FiniteT0Space": space,
+        "PartialHomeo": move,
+        "FinitePartialAction": action,
+        "QuasiOrbitSpace": action.quasi_orbit_space(),
+        "Decomposition": d,
+        "Violation": check.violation,
+        "WitnessCheck": check,
+        "FiniteCounting": decision.proof,
+        "GInfiniteDecision": decision,
+        "SimpleVerdict": no_L_report.simple,
+        "TailWitness": pi_report.purely_infinite.witnesses[0],
+        "PurelyInfiniteVerdict": classify(unfed).purely_infinite,
+        "ClassificationReport": no_L_report,
+        "CycleWitness": no_L_report.condition_L_witness,
+        "ConditionL": condition_L(no_L),
+        "ConditionK": condition_K(no_L),
+        "Edge": no_L.edges[0],
+        "Graph": no_L,
+        "Component": scc_decomposition(no_L)[0],
+        "Path": no_L_report.simple.cycle,
+        "Poset": ps._order,
+        "PrimPoint": ps.points[0],
+        "PrimSpace": ps,
+    }
+
+
+SAMPLES = samples()
+NAMES = sorted(SAMPLES)
+
+
+def twin(cls: type) -> type:
+    """The plain frozen dataclass with cls's fields and defaults: the
+    __init__ that @dataclass(frozen=True) would generate, and no methods."""
+    specs = [(f.name, f.type, dataclasses.field(default=f.default)) for f in dataclasses.fields(cls)]
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
+
+
+def test_every_record_class_has_a_sample():
+    assert sorted(record_classes()) == NAMES and len(NAMES) == 23
+    assert all(type(SAMPLES[name]) is cls for name, cls in record_classes().items())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_signature_is_the_dataclass_one(name):
+    cls = record_classes()[name]
+    sig = inspect.signature(cls)
+    assert sig == inspect.signature(twin(cls))  # names, order, kinds, defaults, annotations
+    assert [p.name for p in sig.parameters.values()] == [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_arguments_bind_by_position_keyword_and_default(name):
+    x, fs = SAMPLES[name], dataclasses.fields(SAMPLES[name])
+    cls, values = type(x), [getattr(x, f.name) for f in fs]
+    kw = {f.name: v for f, v in zip(fs, values)}
+    assert cls(*values) == x and cls(**kw) == x
+    assert cls(*values[:1], **dict(list(kw.items())[1:])) == x
+    required = [v for f, v in zip(fs, values) if f.default is dataclasses.MISSING]
+    if len(required) < len(fs):
+        y = cls(*required)
+        assert all(getattr(y, f.name) == f.default for f in fs if f.default is not dataclasses.MISSING)
+    # a call that cannot bind fails with the generated __init__'s message
+    other = twin(cls)
+    calls = [((*values, None), {}), (values, {"no_such_field": 1}), (values[:1], kw)]
+    if required:
+        calls.append(((), {}))
+    for args, kwargs in calls:
+        assert binding_error(cls, args, kwargs) == binding_error(other, args, kwargs) != ""
+
+
+def binding_error(cls: type, args, kwargs) -> str:
+    try:
+        cls(*args, **kwargs)
+    except TypeError as exc:
+        return str(exc)
+    return ""
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_assignment_raises_frozen_instance_error(name):
+    x = SAMPLES[name]
+    for f in dataclasses.fields(x):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, f.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, f.name)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equality_hash_and_repr_read_the_fields(name):
+    x, fs = SAMPLES[name], dataclasses.fields(SAMPLES[name])
+    values = [getattr(x, f.name) for f in fs]
+    y = type(x)(*values)
+    assert y == x and hash(y) == hash(x) and hash(x) == hash(tuple(values))
+    shown = ", ".join(f"{f.name}={v!r}" for f, v in zip(fs, values))
+    assert repr(x) == f"{type(x).__qualname__}({shown})"
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_pickle_and_replace_round_trip(name):
+    x = SAMPLES[name]
+    back = pickle.loads(pickle.dumps(x))
+    assert type(back) is type(x) and back == x and hash(back) == hash(x)
+    same = dataclasses.replace(x)
+    assert type(same) is type(x) and same == x
+
+
+def test_validation_still_raises_its_messages():
+    g = Graph(("a", "b", "c"), (Edge("x", "a", "b"), Edge("y", "b", "c")))
+    cases = [
+        (lambda: Graph(("a", "a"), ()), GraphFormatError, "vertex 'a': duplicate id"),
+        (
+            lambda: Graph(vertices=("a",), edges=(Edge("x", "a", "b"),)),
+            GraphFormatError,
+            "edge 'x': dangling endpoint 'b'",
+        ),
+        (lambda: Path(g, ()), ValueError, "a path needs at least one edge"),
+        (lambda: Path(graph=g, edge_ids=("z",)), ValueError, "unknown edge 'z'"),
+        (
+            lambda: Path(g, ("x", "y")),
+            ValueError,
+            "edges 'x' and 'y' do not compose: src(x)='a' != rng(y)='c'",
+        ),
+        (lambda: FiniteT0Space(("p", "p"), frozenset()), ActionFormatError, "point 'p': duplicate id"),
+    ]
+    for build, kind, message in cases:
+        with pytest.raises(kind) as info:
+            build()
+        assert str(info.value) == message
+    assert Path(g, ("y", "x")).walk_edge_ids() == ("x", "y")

@@ -116,6 +116,46 @@ def test_layering_check_catches_each_fault(tmp_path):
     assert sorted(kinds) == ["assert", "import", "imports", "reads", "spectrum"]
 
 
+def slow_records(path) -> list[str]:
+    """The classes of one module under ``@dataclass(frozen=True)`` that let
+    dataclass generate ``__init__``: one ``object.__setattr__`` per field on
+    every build.  ``poset.record`` is the fast form; ``init=False`` builds
+    through the instance dict."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for d in node.decorator_list:
+            if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass":
+                kw = {k.arg: getattr(k.value, "value", None) for k in d.keywords}
+                if kw.get("frozen") is True and kw.get("init") is not False:
+                    out.append(f"{path.name}:{node.lineno}: {node.name}")
+    return out
+
+
+def test_frozen_dataclasses_are_records():
+    assert [f for path in sorted(SRC.glob("*.py")) for f in slow_records(path)] == []
+
+
+def test_slow_record_check_catches_a_generated_init(tmp_path):
+    bad = tmp_path / "lib.py"
+    bad.write_text(
+        "@dataclass(frozen=True)\n"
+        "class Slow:\n"
+        "    x: int\n"
+        "@dataclass(init=True, frozen=True)\n"
+        "class AlsoSlow:\n"
+        "    x: int\n"
+        "@dataclass(frozen=True, init=False)\n"
+        "class Built:\n"
+        "    x: int\n"
+        "@record\n"
+        "class Fast:\n"
+        "    x: int\n"
+    )
+    assert slow_records(bad) == ["lib.py:2: Slow", "lib.py:5: AlsoSlow"]
+
+
 def test_public_surface_is_the_committed_list():
     assert graphck.__all__ == PUBLIC
 

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from graphck import (
     ActionFormatError,
     AdmissiblePair,
+    ClassificationReport,
+    ConditionK,
     ConditionL,
     CycleWitness,
     Decomposition,
@@ -28,13 +30,15 @@ from graphck import (
     PartialHomeo,
     Path,
     PurelyInfiniteVerdict,
+    SimpleVerdict,
     condition_K,
+    first_return_count,
     maximal_tails,
     pair_leq,
     parse_graph,
 )
 from graphck.actions import Violation, WitnessCheck
-from graphck.classify import TailWitness, _paths_from
+from graphck.classify import _EXTERNAL_L_NOTE, TailWitness, _paths_from
 from graphck.graphs import GraphFormatError, Omega
 from graphck.poset import bits, clip
 
@@ -287,6 +291,52 @@ def reference_is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     return PurelyInfiniteVerdict("yes", witnesses=tuple(witnesses))
 
 
+def reference_is_simple(g: Graph) -> SimpleVerdict:
+    """Simplicity by the least closure over every component, not only the
+    source components `is_simple` scans; then (L) by the reference walk."""
+    if len(g._tails) > 1:
+        h = g._full
+        for c in g._comps:
+            m = g._sh_closure(c)
+            if (m.bit_count(), m) < (h.bit_count(), h):
+                h = m
+        return SimpleVerdict("no", "nontrivial_lattice", pair=AdmissiblePair._of(g, h, 0))
+    L = walk_condition_L(g)
+    if not L.holds:
+        return SimpleVerdict("no", "condition_L_fails", cycle=L.witness.cycle, note=_EXTERNAL_L_NOTE)
+    return SimpleVerdict("yes")
+
+
+def first_single_return(g: Graph) -> ConditionK:
+    """Condition (K) from its definition: the first vertex with exactly one
+    first-return path."""
+    for v in g.vertices:
+        if first_return_count(g, v) == 1:
+            return ConditionK(False, v)
+    return ConditionK(True)
+
+
+def reference_report(g: Graph) -> ClassificationReport:
+    """`classify` from the references, each verdict decided on its own: (L)
+    by the walk, (K) by first-return counts, simplicity by the scan over
+    every component, pure infiniteness by the interleaved loop."""
+    L, K = walk_condition_L(g), first_single_return(g)
+    return ClassificationReport(
+        graph=g,
+        aperiodic=L.holds,
+        residually_aperiodic=K.holds,
+        intersection_property=L.holds,
+        residual_intersection=K.holds,
+        exact=True,
+        ideal_property_of_crossproduct="yes" if K.holds else "unknown",
+        dual_system_topologically_free="unknown" if g._in.infinite else "yes" if L.holds else "no",
+        simple=reference_is_simple(g),
+        purely_infinite=reference_is_purely_infinite(g),
+        condition_L_witness=L.witness,
+        condition_K_witness=K.witness,
+    )
+
+
 def prim_space_t0(ps) -> FiniteT0Space:
     """The prime-point poset as a finite T0 space, labelled by point labels."""
     labels = [pt.label for pt in ps.points]
@@ -515,6 +565,15 @@ def ref_join_table(order) -> tuple[tuple[int, ...], ...]:
     n = len(order.up)
     rev = [int(format(m, f"0{n}b")[::-1], 2) for m in order.up]
     return tuple(tuple([n - (a & b).bit_length() for b in rev]) for a in rev)
+
+
+def ref_bits(m: int):
+    """Indices of the set bits of m, ascending, one lowest bit at a time:
+    `poset.bits` before its byte table (a negative m never ends)."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 def brute_closure(n: int, pairs):
