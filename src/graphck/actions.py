@@ -83,13 +83,13 @@ class FiniteT0Space:
         # normalize to the full transitive relation so that equality of spaces
         # is equality of topologies, however the input pairs were given
         pts = self.points
-        object.__setattr__(
-            self,
-            "closure_pairs",
-            frozenset((pts[i], pts[j]) for i, m in enumerate(up) for j in bits(m & ~(1 << i))),
+        self.__dict__.update(
+            closure_pairs=frozenset(
+                (pts[i], pts[j]) for i, m in enumerate(up) for j in bits(m & ~(1 << i))
+            ),
+            index=index,
+            _up=up,
         )
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_up", up)
 
     @classmethod
     def from_pairs(
@@ -177,9 +177,7 @@ class PartialHomeo:
                     f"map is not an order isomorphism at {clip(pts[i])}, {clip(pts[y])}"
                 )
         pairs = tuple((pts[i], pts[j]) for i, j in enumerate(fwd) if j >= 0)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_fwd", tuple(fwd))
-        object.__setattr__(self, "_inv", tuple(inv))
+        self.__dict__.update(pairs=pairs, _fwd=tuple(fwd), _inv=tuple(inv))
 
     @property
     def domain(self) -> frozenset[str]:

@@ -34,9 +34,7 @@ from .poset import clip
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = 1):
-        super().__init__(message)
-        self.code = code
+    """A refused invocation: its message goes to stderr and the exit code is 1."""
 
 
 def _read(path: str) -> str:
@@ -364,13 +362,10 @@ def run(argv, out=None, err=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         args.handler(args, out)
-    except _CliError as exc:
-        err.write(f"error: {exc}\n")
-        return exc.code
     except LimitExceededError as exc:
         err.write(f"error: {exc}\n")
         return 2
-    except (GraphFormatError, act.ActionFormatError, ValueError) as exc:
+    except (_CliError, GraphFormatError, act.ActionFormatError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return 1
     return 0

@@ -51,14 +51,16 @@ plus the row of each gap vertex.
 ``Graph`` is the one home of the prime-point kernel, and `conditions`,
 `ideals`, `spectrum` and `classify` ask it every saturation, pair and
 spectrum question.  The prime points are the maximal tails (``_tails``) and
-the breaking vertices (``_breakers``); ``_primes`` holds their (H, B) masks
-and ``_breaking(h)`` the admissible range of B over h.  The complement of a
-saturated hereditary set H is a union of maximal tails (walk back from a
-vertex outside H along sources outside H to a vertex on a cycle, with no
-in-edge or an OMEGA one: what it reaches is a tail).  So ``_sh_closure(m)``,
-the least saturated hereditary superset of m, is everything outside the
-tails that miss m (Birkhoff, *Rings of sets*, Duke Math. J. 1937;
-Bates-Hong-Raeburn-Szymanski, Illinois J. Math. 2002).
+the breaking vertices (``_breakers``); ``_primes`` holds their (H, B) masks,
+``_prime_rows`` each as the one mask H | (H | B) << n, ``_prime_order`` the
+pair order of those rows (the one prime order that the lattice and the
+spectrum read), and ``_breaking(h)`` the admissible range of B over h.  The
+complement of a saturated hereditary set H is a union of maximal tails (walk
+back from a vertex outside H along sources outside H to a vertex on a cycle,
+with no in-edge or an OMEGA one: what it reaches is a tail).  So
+``_sh_closure(m)``, the least saturated hereditary superset of m, is
+everything outside the tails that miss m (Birkhoff, *Rings of sets*, Duke
+Math. J. 1937; Bates-Hong-Raeburn-Szymanski, Illinois J. Math. 2002).
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import re
 import sys
 from typing import Iterable, NamedTuple, Union
 
-from .poset import bits, cached_property, clip, closure, packer, record, union
+from .poset import Poset, bits, cached_property, clip, closure, packer, record, subset_order, union
 
 DEFAULT_LIMIT = 16
 
@@ -369,6 +371,19 @@ class Graph:
             h = self._full & ~self._reach[i]
             out.append((h, self._breaking(h) & ~(1 << i)))
         return tuple(out)
+
+    @cached_property
+    def _prime_rows(self) -> tuple[int, ...]:
+        """Each prime point (H, B) as the mask H | (H | B) << n: the pair
+        order is inclusion of these masks, and the meet of pairs their AND."""
+        n = len(self.vertices)
+        return tuple(h | (h | b) << n for h, b in self._primes)
+
+    @cached_property
+    def _prime_order(self) -> Poset:
+        """The prime points in the pair order: ``up[k]`` masks the points
+        above point k."""
+        return subset_order(self._prime_rows, 2 * len(self.vertices))
 
     def _cycle_at(self, v: str) -> "Path":
         """A first-return cycle at v, by DFS in canonical edge order.  Each

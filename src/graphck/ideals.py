@@ -14,15 +14,17 @@ The lattice is distributive and its meet-irreducibles are the prime points
 (Bates-Hong-Raeburn-Szymanski, Illinois J. Math. 2002), so by Birkhoff's
 theorem (*Rings of sets*, Duke Math. J. 1937) the pairs are the meets (AND
 of H, AND of H | B) over the up-sets of prime points, one each.  A pair's
-label is the up-set of prime points above it, and the lattice tables are read
-off the labels: the meet of two pairs is the pair labelled by the union of
-their labels, the join by the intersection, and j covers i when j's label is
-i's less one prime.  The JSON export renders its tables straight from the
-labels and the up-sets of pairs, building no tuple table, and streams the
-document row by row to a stream it is given, so its memory is the lattice
-plus one table row, not the P^2 cells of the three tables.  The prime points
-and the breaking ranges come from the kernel whose one home is `Graph`
-(``Graph._primes``, ``Graph._breaking``, ``Graph._sh_closure``).
+label is the up-set of prime points above it, which is the up-set whose meet
+the enumeration took: it is kept as the enumeration walked it.  The lattice
+tables are read off the labels: the meet of two pairs is the pair labelled by
+the union of their labels, the join by the intersection, and j covers i when
+j's label is i's less one prime.  The JSON export renders its tables straight
+from the labels and the up-sets of pairs, building no tuple table, and
+streams the document row by row to a stream it is given, so its memory is the
+lattice plus one table row, not the P^2 cells of the three tables.  The prime
+points, their order and the breaking ranges come from the kernel whose one
+home is `Graph` (``Graph._prime_rows``, ``Graph._prime_order``,
+``Graph._breaking``, ``Graph._sh_closure``).
 
 Vertex sets are frozensets of names at the public API, including the
 members ``h`` and ``b`` of `AdmissiblePair`, and int masks in canonical order
@@ -124,27 +126,15 @@ def pair_leq(p: AdmissiblePair, q: AdmissiblePair) -> bool:
     return not p._h & ~q._h and not p._b & ~(q._h | q._b)
 
 
-def _rows(g: Graph, hbs: Iterable[tuple[int, int]]) -> list[int]:
-    """Each pair (H, B) of g as the mask H | (H | B) << n: pair_leq is
-    inclusion of these masks, and the meet of pairs is their AND."""
-    n = len(g.vertices)
-    return [h | (h | b) << n for h, b in hbs]
-
-
-def pair_order(pairs: Sequence[AdmissiblePair]) -> Poset:
-    """The pairs (of one graph, unchecked) ordered by pair_leq, one bitmask up-set each."""
-    if not pairs:
-        return Poset(())
-    g = pairs[0].graph
-    return subset_order(_rows(g, [(p._h, p._b) for p in pairs]), 2 * len(g.vertices))
-
-
 @dataclass(frozen=True, init=False)
 class IdealLattice:
     """Every admissible pair of a graph in canonical order, bottom first and
     top last: the value `admissible_pairs` returns, never built from a list
-    of pairs (``IdealLattice(g, pairs)`` raises TypeError).  Its tables are
-    read off the labels of its pairs when first read.
+    of pairs (``IdealLattice(g, pairs)`` raises TypeError).  It keeps each
+    pair's label (``_labels``: bit k set when the pair lies below the prime
+    point ``graph._primes[k]``) as `admissible_pairs` found it; the label is
+    not a field, so equality and hashing see the graph and the pairs only.
+    Its tables are read off the labels when first read.
     """
 
     graph: Graph
@@ -154,24 +144,12 @@ class IdealLattice:
         return len(self.pairs)
 
     @cached_property
-    def _labels(self) -> tuple[int, ...]:
-        """Per pair, bit k set when the pair lies below the prime point
-        ``graph._primes[k]``."""
-        g = self.graph
-        primes = _rows(g, g._primes)
-        return tuple(
-            sum([1 << k for k, q in enumerate(primes) if not r & ~q])
-            for r in _rows(g, [(p._h, p._b) for p in self.pairs])
-        )
-
-    @cached_property
     def _hasse(self) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
         """The pair index of each label, and per pair the pairs covering it,
         ascending: a cover takes one minimal prime off the label."""
         labels = self._labels
         index = {u: i for i, u in enumerate(labels)}
-        g = self.graph
-        below = subset_order(_rows(g, g._primes), 2 * len(g.vertices)).down
+        below = self.graph._prime_order.down
         return index, tuple(
             tuple(sorted([index[u ^ 1 << k] for k in bits(u) if below[k] & u == 1 << k]))
             for u in labels
@@ -216,18 +194,22 @@ class IdealLattice:
 
 def admissible_pairs(g: Graph, limit: int = DEFAULT_LIMIT) -> IdealLattice:
     """All admissible pairs of g, in canonical order, as a lattice: the meets
-    over the up-sets of prime points (see the module docstring)."""
-    n = len(g.vertices)
+    over the up-sets of prime points, each labelled by its up-set (see the
+    module docstring)."""
+    n, full = len(g.vertices), g._full
     if n > limit:
         raise LimitExceededError(n, limit)
-    rows = _rows(g, g._primes)
-    meets = subset_order(rows, 2 * n).upset_meets(rows, g._full | g._full << n)
-    hbs = sorted(
-        ((m & g._full, m >> n & ~m) for m in meets),
-        key=lambda hb: (hb[0].bit_count(), hb[0], hb[1].bit_count(), hb[1]),
+    meets = g._prime_order.upset_meets(g._prime_rows, full | full << n)
+    found = sorted(
+        ((m & full, m >> n & ~m, u) for u, m in meets),
+        key=lambda hbu: (hbu[0].bit_count(), hbu[0], hbu[1].bit_count(), hbu[1]),
     )
     lat = IdealLattice.__new__(IdealLattice)
-    lat.__dict__.update(graph=g, pairs=tuple(AdmissiblePair._of(g, h, b) for h, b in hbs))
+    lat.__dict__.update(
+        graph=g,
+        pairs=tuple(AdmissiblePair._of(g, h, b) for h, b, _ in found),
+        _labels=tuple(u for _, _, u in found),
+    )
     return lat
 
 

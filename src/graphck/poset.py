@@ -193,22 +193,23 @@ class Poset:
             out.extend((i, j) for j in bits(above) if down[j] & above == 1 << j)
         return tuple(out)
 
-    def upset_meets(self, values: Sequence[int], top: int) -> list[int]:
-        """The AND of values (growing with the order) over each up-set, top
-        for the empty one.  Branches on the elements in index order: including
-        one adds its up-set, excluding one its down-set; neither contradicts an
-        earlier choice, so every branch ends in an up-set (polynomial delay)."""
+    def upset_meets(self, values: Sequence[int], top: int) -> list[tuple[int, int]]:
+        """Each up-set, as a mask, with the AND of values (growing with the
+        order) over it, top for the empty one.  Branches on the elements in
+        index order: including one adds its up-set, excluding one its
+        down-set; neither contradicts an earlier choice, so every branch ends
+        in an up-set (polynomial delay)."""
         n, up, down, out = len(self.up), self.up, self.down, []
-        stack = [(0, 0, top)]  # (next index, decided mask, AND so far)
+        stack = [(0, 0, 0, top)]  # (next index, decided mask, up-set so far, AND so far)
         while stack:
-            i, decided, acc = stack.pop()
+            i, decided, upset, acc = stack.pop()
             while i < n and decided >> i & 1:
                 i += 1
             if i == n:
-                out.append(acc)
+                out.append((upset, acc))
             else:
-                stack.append((i + 1, decided | down[i], acc))
-                stack.append((i + 1, decided | up[i], acc & values[i]))
+                stack.append((i + 1, decided | down[i], upset, acc))
+                stack.append((i + 1, decided | up[i], upset | up[i], acc & values[i]))
         return out
 
 

@@ -18,11 +18,13 @@ Omega(v); counting sources inside Omega(v) instead is a different (and here
 rejected) reading.
 
 Vertex sets are frozensets of names at the public API and int masks in
-canonical order inside.  The points are read off the prime-point kernel,
-whose one home is `Graph` (``Graph._tails``, ``Graph._breakers`` and their
-masks ``Graph._primes``).  By Birkhoff (*Rings of sets*, Duke Math. J. 1937)
-and Bates-Hong-Raeburn-Szymanski (Illinois J. Math. 2002) they also fix every
-saturated hereditary set and admissible pair (see `conditions`, `ideals`).
+canonical order inside.  The points and their order are read off the
+prime-point kernel, whose one home is `Graph` (``Graph._tails``,
+``Graph._breakers``, their masks ``Graph._primes`` and the pair order of
+those, ``Graph._prime_order``).  By Birkhoff (*Rings of sets*, Duke Math. J.
+1937) and Bates-Hong-Raeburn-Szymanski (Illinois J. Math. 2002) they also fix
+every saturated hereditary set and admissible pair (see `conditions`,
+`ideals`).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Sequence
 
 from .conditions import condition_K
 from .graphs import Graph
-from .ideals import AdmissiblePair, pair_order
-from .poset import Poset, bits, cached_property, check_antisymmetric, record, to_dot
+from .ideals import AdmissiblePair
+from .poset import bits, cached_property, check_antisymmetric, record, to_dot
 
 
 def maximal_tails(g: Graph) -> list[frozenset[str]]:
@@ -98,17 +100,13 @@ class PrimSpace:
     def __len__(self) -> int:
         return len(self.points)
 
-    @cached_property
-    def _order(self) -> Poset:
-        return pair_order([pt.pair for pt in self.points])
-
     def closure_of(self, i: int) -> tuple[int, ...]:
         """The points in the closure of point i, i included."""
-        return tuple(bits(self._order.up[i]))
+        return tuple(bits(self.graph._prime_order.up[i]))
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        return self._order.covers
+        return self.graph._prime_order.covers
 
 
 def prim_space(g: Graph) -> PrimSpace:
@@ -116,7 +114,7 @@ def prim_space(g: Graph) -> PrimSpace:
     status = "Primitive" if condition_K(g).holds else "PrimeOnly"
     space = PrimSpace(g, points, status)
     # raises on a repeated prime pair: distinct pairs make specialization antisymmetric
-    check_antisymmetric(space._order.up, lambda i: points[i].label)
+    check_antisymmetric(g._prime_order.up, lambda i: points[i].label)
     return space
 
 

@@ -22,7 +22,6 @@ from graphck import (
     quotient_graph,
     saturated_hereditary_sets,
 )
-from graphck.ideals import pair_order
 from graphck.poset import clip
 
 from util import (
@@ -37,11 +36,13 @@ from util import (
     lattice_to_json_obj,
     pair_join,
     pair_meet,
+    pair_order,
     poset_isomorphic,
     random_graph,
     random_looped_graph,
     random_omega_graph,
     ref_join_table,
+    ref_labels,
     ref_meet_table,
     set_key,
 )
@@ -280,20 +281,32 @@ def test_lattice_laws_and_oracles(corpus):
 
 
 def test_pair_order_matches_pair_leq():
+    """The prime order on the graph and the lattice's order, each against
+    pair_leq on its pairs."""
     rng = random.Random(53)
     makers = (random_graph, random_omega_graph, random_looped_graph)
     sizes = []
     for k in range(150):
         g = makers[k % 3](rng, 7)
-        for pairs in (admissible_pairs(g).pairs, [pt.pair for pt in prim_space(g).points]):
-            up = pair_order(pairs).up
+        lat = admissible_pairs(g)
+        primes = [pt.pair for pt in prim_space(g).points]
+        for up, pairs in ((lat._up, lat.pairs), (g._prime_order.up, primes)):
             n = len(pairs)
             assert [[bool(m >> j & 1) for j in range(n)] for m in up] == [
                 [pair_leq(p, q) for q in pairs] for p in pairs
             ], g
             sizes.append(n)
-    assert pair_order([]).up == ()
+    assert Graph((), ())._prime_order.up == ()
     assert max(sizes) > 40
+
+
+def test_labels_are_the_prime_points_above_each_pair():
+    rng = random.Random(67)
+    graphs = [edgeless(6), omega_fan(3)]
+    graphs += [kind(rng, max_n=7) for _ in range(40) for kind in KINDS]
+    for g in graphs:
+        lat = admissible_pairs(g)
+        assert lat._labels == ref_labels(lat), g
 
 
 # -- quotient graphs -----------------------------------------------------------------

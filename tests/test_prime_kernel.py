@@ -3,7 +3,8 @@
 The kernel lives on `Graph`: `_succ` and `_in` hold the edge tables,
 `_reach`, `_back`, `_comps` and `_cyclic` the reachability rows and the
 condensation, `_tails` the maximal tails, `_breakers` the breaking
-vertices, and `_sh_closure` reads the saturated hereditary closure off
+vertices, `_prime_rows` and `_prime_order` the prime points and their
+order, and `_sh_closure` reads the saturated hereditary closure off
 them.  Every saturation question is read off this kernel, so each
 optimized answer is checked here against a definition on every seeded
 generator.
@@ -20,11 +21,13 @@ from graphck import (
     admissible_pairs,
     breaking_vertices,
     condition_L,
+    lattice_to_json,
     maximal_tails,
     prim_space,
     saturated_hereditary_sets,
 )
-from graphck.poset import Poset, bits, union
+from graphck import graphs, ideals, spectrum
+from graphck.poset import Poset, bits, subset_order, union
 
 from util import (
     KINDS,
@@ -153,7 +156,7 @@ def test_tails_and_breaking_vertices_match_definitions(kind):
 def test_pair_count_is_the_up_set_count_of_the_prime_order():
     for kind in KINDS:
         for g in seeded(kind, 100):
-            order = prim_space(g)._order
+            order = g._prime_order
             # count the up-sets of the prime order by scanning every subset
             n = len(order.up)
             count = sum(
@@ -177,6 +180,29 @@ def test_upset_meets_lists_every_up_set_once():
         # over an up-set U is the complement of U
         full = (1 << n) - 1
         values = [full & ~m for m in up]
-        got = [full & ~m for m in poset.upset_meets(values, full)]
+        found = poset.upset_meets(values, full)
+        assert all(u == full & ~m for u, m in found)  # each up-set with its own meet
         upsets = [s for s in range(1 << n) if all(up[i] & ~s == 0 for i in bits(s))]
-        assert sorted(got) == upsets
+        assert sorted(u for u, _ in found) == upsets
+
+
+def test_the_prime_rows_are_ordered_once_per_graph(monkeypatch, corpus):
+    """The spectrum, the lattice and its JSON export share one prime order."""
+    calls = []
+
+    def counting(rows, width):
+        calls.append((list(rows), width))
+        return subset_order(rows, width)
+
+    for module in (graphs, ideals, spectrum):  # wherever a module binds the name
+        if hasattr(module, "subset_order"):
+            monkeypatch.setattr(module, "subset_order", counting)
+    rng = random.Random(71)
+    for g in [corpus["e4"], corpus["e6"]] + [kind(rng, max_n=6) for kind in KINDS]:
+        g = Graph(g.vertices, g.edges)  # a fresh copy: nothing cached
+        calls.clear()
+        prim_space(g)
+        lattice_to_json(admissible_pairs(g))
+        n = len(g.vertices)
+        rows = [h | (h | b) << n for h, b in g._primes]
+        assert calls.count((rows, 2 * n)) == 1, g

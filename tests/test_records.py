@@ -82,7 +82,7 @@ def samples() -> dict[str, object]:
         "Graph": no_L,
         "Component": scc_decomposition(no_L)[0],
         "Path": no_L_report.simple.cycle,
-        "Poset": ps._order,
+        "Poset": lattice._prime_order,
         "PrimPoint": ps.points[0],
         "PrimSpace": ps,
     }

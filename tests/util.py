@@ -40,7 +40,7 @@ from graphck import (
 from graphck.actions import Violation, WitnessCheck
 from graphck.classify import _EXTERNAL_L_NOTE, TailWitness, _paths_from
 from graphck.graphs import GraphFormatError, Omega
-from graphck.poset import bits, clip
+from graphck.poset import Poset, bits, clip, subset_order
 
 REPO = FsPath(__file__).resolve().parent.parent
 CORPUS_DIR = REPO / "corpus"
@@ -538,6 +538,33 @@ def brute_covers(leq):
         and leq[i][j]
         and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))
     ]
+
+
+def pair_rows(g: Graph, hbs) -> list[int]:
+    """Each pair (H, B) of g as the mask H | (H | B) << n: pair_leq is
+    inclusion of these masks."""
+    n = len(g.vertices)
+    return [h | (h | b) << n for h, b in hbs]
+
+
+def pair_order(pairs) -> Poset:
+    """Any list of pairs (of one graph, unchecked) ordered by pair_leq, one
+    bitmask up-set each."""
+    if not pairs:
+        return Poset(())
+    g = pairs[0].graph
+    return subset_order(pair_rows(g, [(p._h, p._b) for p in pairs]), 2 * len(g.vertices))
+
+
+def ref_labels(lat) -> tuple[int, ...]:
+    """Per pair of lat, bit k set when the pair lies below the prime point
+    ``graph._primes[k]``: every pair scanned against every prime."""
+    g = lat.graph
+    primes = pair_rows(g, g._primes)
+    return tuple(
+        sum([1 << k for k, q in enumerate(primes) if not r & ~q])
+        for r in pair_rows(g, [(p._h, p._b) for p in lat.pairs])
+    )
 
 
 # Meets and joins of a lattice whose indices follow a linear extension (i <= j
