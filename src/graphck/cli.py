@@ -43,6 +43,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"cannot read {path}: {exc}") from None
 
 
 def _load_graph(path: str) -> tuple[Graph, str]:

@@ -22,9 +22,8 @@ vertices it reaches (``_reach``) and its ancestors (``_back``, the closure
 over the in-edge sources).  It also caches the mask of all vertices
 (``_full``) and the condensation: the component masks (``_comps``) and the
 mask of the vertices on a cycle (``_cyclic``).  Every reachability row is
-computed by ``poset.closure``, the one closure routine, or packed from a
-parent graph's rows (below), and every cycle witness comes from
-``_cycle_at``, the one cycle search.
+computed by ``poset.closure``, the one closure routine, and every cycle
+witness comes from ``_cycle_at``, the one cycle search.
 
 Every multiplicity question reads the in-edge table ``_in`` by field name.
 Per vertex it holds the masks of its in-edge sources (``src``), of its
@@ -33,20 +32,13 @@ which send it more than one edge: by multiplicity two or more, OMEGA, or
 parallel records.  It also holds the mask of the infinite receivers, the
 vertices with an OMEGA in-edge (``infinite``).
 
-The kernel has three producers.  The constructor's one walk over the edges
-validates them and builds ``_succ`` and ``_in``.  The closures stay lazy, so
-a graph that is only printed never pays their O(V (V + E)); after them, one
-pass over the vertices (``_vertex_pass``) stores ``_comps``, ``_cyclic`` and
-``_tails`` together on the first read of any of them.  A quotient by an
-admissible pair (`ideals.quotient_graph`) is built by the constructor and
-then inherits the rest from its parent (``_inherit``): no vertex outside the
-hereditary set H reaches into H, so each row of a kept vertex is the
-parent's row with H's bits dropped and the others packed down
-(``poset.packer``); the gap vertices follow, fresh sources that join the
-``_back`` row of everything their vertex reaches.  The quotient's tails are
-the parent's that miss H, less the rows of the range vertices off every
-cycle, which lose their OMEGA in-edges and keep a finite one from outside H,
-plus the row of each gap vertex.
+The kernel has two producers.  The constructor's one walk over the edges
+validates them and builds ``_succ`` and ``_in``.  The rest stays lazy, so a
+graph that is only printed never pays the closures' O(V (V + E)): the first
+read of any of ``_reach``, ``_back``, ``_comps``, ``_cyclic`` and ``_tails``
+runs ``_kernel``, which takes both closures and one pass over the vertices
+and stores all five.  A quotient by an admissible pair
+(`ideals.quotient_graph`) is a graph like any other and computes its own.
 
 ``Graph`` is the one home of the prime-point kernel, and `conditions`,
 `ideals`, `spectrum` and `classify` ask it every saturation, pair and
@@ -70,7 +62,7 @@ import re
 import sys
 from typing import Iterable, NamedTuple, Union
 
-from .poset import Poset, bits, cached_property, clip, closure, packer, record, subset_order, union
+from .poset import Poset, bits, cached_property, clip, closure, record, subset_order, union
 
 DEFAULT_LIMIT = 16
 
@@ -256,23 +248,14 @@ class Graph:
 
     # -- per-vertex masks ------------------------------------------------------
 
-    @cached_property
-    def _reach(self) -> tuple[int, ...]:
-        """reach[i] = mask of the vertices reachable from vertex i (incl. i)."""
-        return closure(self._succ)
-
-    @cached_property
-    def _back(self) -> tuple[int, ...]:
-        """back[i] = mask of the vertices that reach vertex i (incl. i)."""
-        return closure(self._in.src)
-
-    def _vertex_pass(self) -> dict:
-        """Store ``_comps``, ``_cyclic`` and ``_tails`` from one pass over the
-        vertices; returns the instance dict that holds them.  A quotient never
-        runs it: ``_inherit`` stores the three, with its closures."""
+    def _kernel(self) -> dict:
+        """Store ``_reach``, ``_back``, ``_comps``, ``_cyclic`` and ``_tails``
+        from the two closures and one pass over the vertices; returns the
+        instance dict that holds them."""
         succ, src, omega = self._succ, self._in.src, self._in.omega
+        reach, back = closure(succ), closure(src)
         comps, seen, cyclic, rows = [], 0, 0, set()
-        for i, (r, b) in enumerate(zip(self._reach, self._back)):
+        for i, (r, b) in enumerate(zip(reach, back)):
             if not seen >> i & 1:
                 seen |= r & b
                 comps.append(r & b)
@@ -281,60 +264,38 @@ class Graph:
                 rows.add(r)
             elif not src[i] or omega[i]:
                 rows.add(r)
-        self.__dict__.update(_comps=tuple(comps), _cyclic=cyclic, _tails=_by_size(rows))
+        tails = tuple(sorted(rows, key=lambda m: (-m.bit_count(), m)))
+        self.__dict__.update(
+            _reach=reach, _back=back, _comps=tuple(comps), _cyclic=cyclic, _tails=tails
+        )
         return self.__dict__
 
-    def _inherit(self, g: "Graph", h: int, allowed: int, gaps: int) -> None:
-        """Store the kernel of this graph, the quotient of g over the
-        hereditary mask h with admissible range allowed and a gap vertex per
-        set bit of gaps, packed from g's kernel (see the module docstring)."""
-        kept, n = g._full & ~h, len(g.vertices)
-        pack, reach, back = packer(kept, n), [], []
-        # no kept vertex reaches h, so the reach rows that miss h are the kept
-        # vertices'; their back rows lose the bits of h as they are packed
-        for r, b in zip(g._reach, g._back):
-            if not r & h:
-                reach.append(pack(r))
-                back.append(pack(b))
-        comps = [pack(m) for m in g._comps if not m & h]
-        # a vertex of the range off every cycle keeps a finite in-edge from
-        # outside h and loses its OMEGA ones: its row, its own, is no tail
-        lost = {g._reach[v] for v in bits(allowed & ~g._cyclic)} if allowed else ()
-        # pack keeps the order of masks inside kept, so the tails stay sorted
-        tails = [pack(t) for t in g._tails if not t & h and t not in lost]
-        if gaps:
-            k, into = len(reach), packer(gaps, n)
-            back = [m | into(b) << k for m, b in zip(back, (b for b in g._back if b & kept))]
-            for j, v in enumerate(bits(gaps), k):  # v~, a fresh source of one edge into v
-                reach.append(1 << j | pack(g._reach[v]))
-                back.append(1 << j)
-                comps.append(1 << j)
-                tails.append(reach[j])
-            tails = _by_size(tails)
-        self.__dict__.update(
-            _reach=tuple(reach),
-            _back=tuple(back),
-            _comps=tuple(comps),
-            _cyclic=pack(g._cyclic),
-            _tails=tuple(tails),
-        )
+    @cached_property
+    def _reach(self) -> tuple[int, ...]:
+        """reach[i] = mask of the vertices reachable from vertex i (incl. i)."""
+        return self._kernel()["_reach"]
+
+    @cached_property
+    def _back(self) -> tuple[int, ...]:
+        """back[i] = mask of the vertices that reach vertex i (incl. i)."""
+        return self._kernel()["_back"]
 
     @cached_property
     def _comps(self) -> tuple[int, ...]:
         """Strongly connected component masks, ordered by smallest member."""
-        return self._vertex_pass()["_comps"]
+        return self._kernel()["_comps"]
 
     @cached_property
     def _cyclic(self) -> int:
         """Mask of the vertices on a cycle: some successor reaches back."""
-        return self._vertex_pass()["_cyclic"]
+        return self._kernel()["_cyclic"]
 
     @cached_property
     def _tails(self) -> tuple[int, ...]:
         """The maximal tails, by (-size, mask): the distinct ``_reach`` rows of
         the vertices on a cycle, with no in-edge or with an OMEGA in-edge (every
         other member of such a row has a source inside it).  They cover V."""
-        return self._vertex_pass()["_tails"]
+        return self._kernel()["_tails"]
 
     @cached_property
     def _breakers(self) -> tuple[int, ...]:
@@ -405,11 +366,6 @@ class Graph:
                 if e.rng not in into:
                     stack.append((e.rng, e))
         raise RuntimeError(f"no cycle at {v!r}: caller promised one")
-
-
-def _by_size(rows: Iterable[int]) -> tuple[int, ...]:
-    """The masks rows by (-size, mask), the order of ``Graph._tails``."""
-    return tuple(sorted(rows, key=lambda m: (-m.bit_count(), m)))
 
 
 @record

@@ -223,9 +223,8 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
     a single edge v~ -> v carrying the gap.
 
     The bottom pair's quotient is g itself: H is empty, and so is its range.
-    Any other quotient is built and validated like any graph, and then
-    inherits its reachability kernel from g's (``Graph._inherit``): no vertex
-    outside H reaches into H, so no closure runs again.
+    Any other quotient is built and validated like any graph, and computes
+    its reachability kernel, as any graph does, when first asked.
     """
     if p.graph is not g and p.graph != g:
         raise ValueError("pair does not belong to this graph")
@@ -249,9 +248,7 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
             bars.append(name)
             edges.append(Edge(id=eid, src=name, rng=v, mult=1))
         keep += tuple(bars)
-    q = Graph(vertices=keep, edges=tuple(edges))
-    q._inherit(g, h, p._range, gaps)
-    return q
+    return Graph(vertices=keep, edges=tuple(edges))
 
 
 # -- exports -------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Elements are the indices 0..n-1.  ``up[i]`` has bit j set exactly when
 i <= j (so bit i itself is always set), and ``down[j]`` is its transpose.
-One closure routine turns any successor relation into such masks; covers
-and the DOT drawing are read off them.
+One closure routine turns any successor relation into such masks (every
+graph, a quotient too, takes its reachability rows from it); covers and the
+DOT drawing are read off them.
 
 Two fixed costs every module pays per object live here too: ``bits`` reads
 masks below 256 off a byte table, and ``record`` is the frozen dataclass
@@ -78,45 +79,6 @@ def union(table: Sequence[int], m: int) -> int:
     for i in bits(m):
         out |= table[i]
     return out
-
-
-# per byte k, the table x -> pext(x, k); pure, so one per process serves all
-_PEXT: list[tuple[int, ...] | None] = [None] * 256
-
-
-def _pext(k: int) -> tuple[int, ...]:
-    """Per byte x, the bits of x at the set bits of k packed low: x less its
-    low bit, plus that bit's rank in k.  Built once per k."""
-    table = _PEXT[k]
-    if table is None:
-        rank = [1 << (k & (1 << j) - 1).bit_count() if k >> j & 1 else 0 for j in range(8)]
-        table = [0] * 256
-        for x in range(1, 256):
-            low = x & -x
-            table[x] = table[x ^ low] | rank[low.bit_length() - 1]
-        table = _PEXT[k] = tuple(table)
-    return table
-
-
-def packer(keep: int, width: int) -> Callable[[int], int]:
-    """The map packing the bits at the set bits of keep of a mask below
-    1 << width into the low bits, in order (a pext), one byte at a time."""
-    if width <= 8:
-        return _pext(keep).__getitem__
-    size, chunks, at = (width + 7) // 8, [], 0
-    for shift in range(0, width, 8):
-        k = keep >> shift & 255
-        chunks.append((_pext(k), at))
-        at += k.bit_count()
-
-    def pack(m: int) -> int:
-        out = 0
-        for (table, at), byte in zip(chunks, m.to_bytes(size, "little")):
-            if byte:
-                out |= table[byte] << at
-        return out
-
-    return pack
 
 
 def transpose(rows: Sequence[int], width: int) -> list[int]:

@@ -30,6 +30,7 @@ every saturated hereditary set and admissible pair (see `conditions`,
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Sequence
 
 from .conditions import condition_K
@@ -91,8 +92,14 @@ def prime_points(g: Graph) -> list[PrimPoint]:
     ]
 
 
-@record
+@dataclass(frozen=True, init=False)
 class PrimSpace:
+    """The prime points of a graph and the status of the space: the value
+    `prim_space` returns, never built from a list of points
+    (``PrimSpace(g, points, status)`` and `dataclasses.replace` raise
+    TypeError), so its points are always the graph's, in the order that
+    ``graph._prime_order`` ranks."""
+
     graph: Graph
     points: tuple[PrimPoint, ...]
     status: str  # "Primitive" | "PrimeOnly"
@@ -112,7 +119,8 @@ class PrimSpace:
 def prim_space(g: Graph) -> PrimSpace:
     points = tuple(prime_points(g))
     status = "Primitive" if condition_K(g).holds else "PrimeOnly"
-    space = PrimSpace(g, points, status)
+    space = PrimSpace.__new__(PrimSpace)
+    space.__dict__.update(graph=g, points=points, status=status)
     # raises on a repeated prime pair: distinct pairs make specialization antisymmetric
     check_antisymmetric(g._prime_order.up, lambda i: points[i].label)
     return space

@@ -400,10 +400,9 @@ def test_is_simple_matches_the_all_components_scan(corpus):
 
 
 def test_every_quotient_reports_like_the_references():
-    """On every quotient of seeded graphs of each kind (its kernel inherited
-    from the parent), the JSON and text reports and (L) and (K) equal the
-    references computed on a fresh copy of the quotient, which builds its
-    own kernel and decides each verdict on its own."""
+    """On every quotient of seeded graphs of each kind, the JSON and text
+    reports and (L) and (K) equal the references computed on a fresh copy of
+    the quotient, which decides each verdict on its own."""
     rng = random.Random(227)
     seen = Counter()
     for kind in KINDS:

@@ -106,6 +106,30 @@ def test_parse_error_exit_1(tmp_path):
     assert code == 1 and "cannot read" in err
 
 
+def test_undecodable_input_names_its_path_and_exits_1(tmp_path):
+    """A graph, action or witness file that is not UTF-8 is a read error
+    naming the file, as a missing one is."""
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"vertices": ["\xff"]}')
+    action = make_action(tmp_path)
+    for argv in (
+        ["analyze", str(bad)],
+        ["paction", str(bad), "orbit"],
+        ["paction", action, "check_infinite_witness", "--witness", str(bad)],
+    ):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+
+def test_a_repeated_key_keeps_its_last_value(tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text('{"vertices": ["a"], "edges": [], "vertices": ["b", "c"]}')
+    code, out, err = invoke("quotient", str(path), "--pair", "H=;B=", "--format", "json")
+    assert (code, err) == (0, "") and json.loads(out)["vertices"] == ["b", "c"]
+
+
 def test_mistyped_graph_json_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": ["v"], "edges": [{"src": ["v"], "rng": "v", "mult": 1}]}')

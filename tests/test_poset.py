@@ -17,7 +17,6 @@ from graphck.poset import (
     cached_property,
     check_antisymmetric,
     closure,
-    packer,
     record,
     to_dot,
 )
@@ -102,20 +101,6 @@ def test_closure_matches_warshall():
         up = closure(masks(rel, n))
         brute = brute_closure(n, rel)
         assert [[bool(m >> j & 1) for j in range(n)] for m in up] == brute
-
-
-def test_packer_is_pext():
-    """The packed mask holds m's bits at keep's set bits, in order, across
-    byte boundaries, keep's empty bytes, and masks narrower than width."""
-    rng = random.Random(79)
-    for width in (0, 1, 7, 8, 9, 16, 17, 40, 64, 65):
-        for _ in range(60):
-            keep = rng.getrandbits(width) & rng.choice((-1, rng.getrandbits(width)))
-            pack = packer(keep, width)
-            for _ in range(5):
-                m = rng.getrandbits(width) >> rng.randint(0, width)
-                want = sum(1 << k for k, i in enumerate(bits(keep)) if m >> i & 1)
-                assert pack(m) == want, (width, keep, m)
 
 
 def random_order(rng, n):

@@ -17,6 +17,7 @@ import pytest
 
 from graphck import (
     OMEGA,
+    AdmissiblePair,
     Graph,
     admissible_pairs,
     breaking_vertices,
@@ -24,6 +25,7 @@ from graphck import (
     lattice_to_json,
     maximal_tails,
     prim_space,
+    quotient_graph,
     saturated_hereditary_sets,
 )
 from graphck import graphs, ideals, spectrum
@@ -60,61 +62,83 @@ def in_table(g):
     return tuple(src), tuple(omega), tuple(repeated), infinite
 
 
+def check_kernel(g, seen):
+    """The rows of g against `util.reach`, the edge tables against the edge
+    records, the tails against their definition, and (L) against the
+    reference walk; seen counts the cases met."""
+    r = reach(g)
+    outs = edges_by(g, "src")
+    assert g._succ == tuple(g.mask(e.rng for e in outs[v]) for v in g.vertices)
+    ins = edges_by(g, "rng")
+    assert (g._in.src, g._in.omega, g._in.repeated, g._in.infinite) == in_table(g)
+    below = {v: {w for w in g.vertices if v in r[w]} for v in g.vertices}
+    comps = []  # the mutual-reach classes, each at its smallest member
+    for v in g.vertices:
+        c = g.mask(below[v] & r[v])
+        if c not in comps:
+            comps.append(c)
+    assert g._reach == tuple(g.mask(r[v]) for v in g.vertices)
+    assert g._back == tuple(g.mask(below[v]) for v in g.vertices)
+    assert g._comps == tuple(comps)
+    assert g._cyclic == g.mask(e.src for e in g.edges if e.src in r[e.rng])
+    # a tail is the reach of a vertex on a cycle, with no in-edge or an OMEGA one
+    rows = {
+        g.mask(r[v])
+        for v in g.vertices
+        if any(v in r[e.rng] for e in outs[v])
+        or not ins[v]
+        or any(e.mult == OMEGA for e in ins[v])
+    }
+    assert g._tails == tuple(sorted(rows, key=lambda m: (-m.bit_count(), m)))
+    L = condition_L(g)
+    assert L == walk_condition_L(g)
+    seen["self-loop"] += any(e.src == e.rng for e in g.edges)
+    seen["parallel"] += len({(e.src, e.rng) for e in g.edges}) < len(g.edges)
+    seen["omega"] += any(e.mult == OMEGA for e in g.edges)
+    seen["lone self-loop"] += any(
+        below[e.src] & r[e.src] == {e.src} for e in g.edges if e.src == e.rng
+    )
+    seen["several tails"] += len(rows) > 1
+    seen["L fails" if not L.holds else "L holds"] += 1
+
+
 def test_reachability_kernel_matches_a_search_over_edge_records():
-    """On 20 to 60 vertices, past the subset-scanning oracles: the rows of
-    `Graph` against `util.reach`, the edge tables against the edge records,
-    the tails against their definition, and (L) against the reference walk."""
-    rng, seen = random.Random(210), Counter()
+    """On 20 to 60 vertices, past the subset-scanning oracles, each graph and
+    two quotients of it over one saturated hereditary H: one with B the whole
+    admissible range, one with B empty, which keeps a gap vertex per range
+    vertex.  The kept vertices, H's complement, often span several bytes."""
+    rng, pick, seen = random.Random(210), random.Random(212), Counter()
     for k in range(400):
         g = KINDS[k % len(KINDS)](rng, max_n=60, min_n=20)
-        r = reach(g)
-        outs = edges_by(g, "src")
-        assert g._succ == tuple(g.mask(e.rng for e in outs[v]) for v in g.vertices)
-        ins = edges_by(g, "rng")
-        assert (g._in.src, g._in.omega, g._in.repeated, g._in.infinite) == in_table(g)
-        below = {v: {w for w in g.vertices if v in r[w]} for v in g.vertices}
-        comps = []  # the mutual-reach classes, each at its smallest member
-        for v in g.vertices:
-            c = g.mask(below[v] & r[v])
-            if c not in comps:
-                comps.append(c)
-        assert g._reach == tuple(g.mask(r[v]) for v in g.vertices)
-        assert g._back == tuple(g.mask(below[v]) for v in g.vertices)
-        assert g._comps == tuple(comps)
-        assert g._cyclic == g.mask(e.src for e in g.edges if e.src in r[e.rng])
-        # a tail is the reach of a vertex on a cycle, with no in-edge or an OMEGA one
-        rows = {
-            g.mask(r[v])
-            for v in g.vertices
-            if any(v in r[e.rng] for e in outs[v])
-            or not ins[v]
-            or any(e.mult == OMEGA for e in ins[v])
-        }
-        assert g._tails == tuple(sorted(rows, key=lambda m: (-m.bit_count(), m)))
-        L = condition_L(g)
-        assert L == walk_condition_L(g)
-        seen["self-loop"] += any(e.src == e.rng for e in g.edges)
-        seen["parallel"] += len({(e.src, e.rng) for e in g.edges}) < len(g.edges)
-        seen["omega"] += any(e.mult == OMEGA for e in g.edges)
-        seen["lone self-loop"] += any(
-            below[e.src] & r[e.src] == {e.src} for e in g.edges if e.src == e.rng
-        )
-        seen["several tails"] += len(rows) > 1
-        seen["L fails" if not L.holds else "L holds"] += 1
+        check_kernel(g, seen)
+        n = len(g.vertices)
+        h = g._sh_closure(pick.getrandbits(n) & pick.getrandbits(n) & pick.getrandbits(n))
+        if h in (0, g._full):  # the bottom quotient is g, the top one empty
+            continue
+        for b in {g._breaking(h), 0}:
+            q = quotient_graph(g, AdmissiblePair._of(g, h, b))
+            check_kernel(q, seen)
+            kept = g._full & ~h
+            seen["quotient"] += 1
+            seen["gap vertices"] += len(q.vertices) > kept.bit_count()
+            seen["kept over bytes"] += kept.bit_length() > 8 and kept.bit_count() < kept.bit_length()
     assert min(seen.values()) >= 10, seen
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
 def test_the_constructor_builds_the_edge_tables_and_nothing_lazy(kind):
     """The walk that validates the edges also stores the index and the edge
-    tables; the closures and the adjacency lists wait for a question."""
+    tables; the closures and the adjacency lists wait for a question, in a
+    quotient as in any graph."""
     for g in seeded(kind, 50):
-        g = Graph(g.vertices, g.edges)
-        assert {"_index", "_full", "_succ", "_in"} <= g.__dict__.keys()
-        assert not {"_reach", "_back", "_tails", "out_edges_by_vertex"} & g.__dict__.keys()
-        assert g._index == {v: i for i, v in enumerate(g.vertices)}
-        assert g._full == (1 << len(g.vertices)) - 1
-        assert (g._in.src, g._in.omega, g._in.repeated, g._in.infinite) == in_table(g)
+        quotients = [quotient_graph(g, p) for p in admissible_pairs(g).pairs[1:]]
+        for q in [Graph(g.vertices, g.edges)] + quotients:
+            assert {"_index", "_full", "_succ", "_in"} <= q.__dict__.keys()
+            lazy = {"_reach", "_back", "_comps", "_cyclic", "_tails", "out_edges_by_vertex"}
+            assert not lazy & q.__dict__.keys()
+            assert q._index == {v: i for i, v in enumerate(q.vertices)}
+            assert q._full == (1 << len(q.vertices)) - 1
+            assert (q._in.src, q._in.omega, q._in.repeated, q._in.infinite) == in_table(q)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)

@@ -84,7 +84,6 @@ def samples() -> dict[str, object]:
         "Path": no_L_report.simple.cycle,
         "Poset": lattice._prime_order,
         "PrimPoint": ps.points[0],
-        "PrimSpace": ps,
     }
 
 
@@ -100,7 +99,7 @@ def twin(cls: type) -> type:
 
 
 def test_every_record_class_has_a_sample():
-    assert sorted(record_classes()) == NAMES and len(NAMES) == 23
+    assert sorted(record_classes()) == NAMES and len(NAMES) == 22
     assert all(type(SAMPLES[name]) is cls for name, cls in record_classes().items())
 
 

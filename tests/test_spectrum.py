@@ -1,8 +1,13 @@
 """Maximal tails, breaking vertices, prime points, the Prim poset."""
 
+import dataclasses
+import pickle
 import random
 
+import pytest
+
 from graphck import (
+    PrimSpace,
     admissible_pairs,
     breaking_vertices,
     is_hereditary,
@@ -91,6 +96,27 @@ def test_prim_space_examples(corpus):
     assert len(prim_space(corpus["e1"])) == 1
     ps2 = prim_space(corpus["e2"])
     assert ps2.status == "PrimeOnly" and len(ps2) == 1
+
+
+def test_prim_space_is_only_what_prim_space_returns(corpus):
+    """A space is not built from a list of points, nor copied with other
+    points; what prim_space returns is a frozen value: equal results hash
+    equal and survive pickling."""
+    g = corpus["e4"]
+    ps = prim_space(g)
+    with pytest.raises(TypeError):
+        PrimSpace(g, ps.points, ps.status)
+    with pytest.raises(TypeError):
+        dataclasses.replace(ps, points=ps.points[::-1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ps.points = ps.points[::-1]
+    again = prim_space(g)
+    assert again is not ps and again == ps and hash(again) == hash(ps)
+    assert repr(ps) == f"PrimSpace(graph={g!r}, points={ps.points!r}, status='Primitive')"
+    ps.covers  # a cached table rides along in the pickle
+    back = pickle.loads(pickle.dumps(ps))
+    assert back == ps and hash(back) == hash(ps) and back.covers == again.covers
+    assert [back.closure_of(i) for i in range(len(back))] == [(0, 1, 2), (1,), (1, 2)]
 
 
 def test_point_count_formula(corpus):
