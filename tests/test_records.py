@@ -1,7 +1,9 @@
 """Every frozen record of graphck is built by `poset.record`, whose __init__
 writes the instance dict directly.  Each one still binds its arguments,
 refuses assignment, compares, hashes, prints, pickles and replaces exactly as
-the plain frozen dataclass with the same fields."""
+the plain frozen dataclass with the same fields.  PrimSpace, which only
+`prim_space` fills, refuses assignment, compares, hashes, prints and pickles
+the same way, and `replace` on it raises TypeError."""
 
 import dataclasses
 import importlib
@@ -20,6 +22,7 @@ from graphck import (
     GraphFormatError,
     PartialHomeo,
     Path,
+    PrimSpace,
     check_paradoxical_witness,
     classify,
     condition_K,
@@ -84,11 +87,22 @@ def samples() -> dict[str, object]:
         "Path": no_L_report.simple.cycle,
         "Poset": lattice._prime_order,
         "PrimPoint": ps.points[0],
+        "PrimSpace": ps,
     }
 
 
 SAMPLES = samples()
-NAMES = sorted(SAMPLES)
+# PrimSpace has no generated __init__: only prim_space fills it
+NAMES = sorted(set(SAMPLES) - {"PrimSpace"})
+FROZEN = sorted(SAMPLES)
+
+
+def rebuild(x):
+    """A fresh value with x's fields: from the constructor, or for a
+    PrimSpace from prim_space on the same graph."""
+    if isinstance(x, PrimSpace):
+        return prim_space(x.graph)
+    return type(x)(*(getattr(x, f.name) for f in dataclasses.fields(x)))
 
 
 def twin(cls: type) -> type:
@@ -139,7 +153,7 @@ def binding_error(cls: type, args, kwargs) -> str:
     return ""
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", FROZEN)
 def test_assignment_raises_frozen_instance_error(name):
     x = SAMPLES[name]
     for f in dataclasses.fields(x):
@@ -149,21 +163,25 @@ def test_assignment_raises_frozen_instance_error(name):
             delattr(x, f.name)
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", FROZEN)
 def test_equality_hash_and_repr_read_the_fields(name):
     x, fs = SAMPLES[name], dataclasses.fields(SAMPLES[name])
     values = [getattr(x, f.name) for f in fs]
-    y = type(x)(*values)
-    assert y == x and hash(y) == hash(x) and hash(x) == hash(tuple(values))
+    y = rebuild(x)
+    assert y is not x and y == x and hash(y) == hash(x) and hash(x) == hash(tuple(values))
     shown = ", ".join(f"{f.name}={v!r}" for f, v in zip(fs, values))
     assert repr(x) == f"{type(x).__qualname__}({shown})"
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", FROZEN)
 def test_pickle_and_replace_round_trip(name):
     x = SAMPLES[name]
     back = pickle.loads(pickle.dumps(x))
     assert type(back) is type(x) and back == x and hash(back) == hash(x)
+    if isinstance(x, PrimSpace):  # replace would build one from a list of points
+        with pytest.raises(TypeError):
+            dataclasses.replace(x)
+        return
     same = dataclasses.replace(x)
     assert type(same) is type(x) and same == x
 
