@@ -669,7 +669,7 @@ def decomposition_from_json_obj(raw: dict) -> Decomposition:
             raise ActionFormatError(f"part #{k}: set must list point names, word be a string")
         parts.append((frozenset(part["set"]), part["word"]))
     split = raw.get("split")
-    if split is not None and not isinstance(split, int):
+    if split is not None and (isinstance(split, bool) or not isinstance(split, int)):
         raise ActionFormatError('"split": expected an integer or null')
     return Decomposition(frozenset(raw["V"]), tuple(parts), split)
 

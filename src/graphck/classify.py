@@ -171,9 +171,9 @@ def is_simple(g: Graph):
     ancestors, so c's closure holds some source component's, no larger.
     """
     if len(g._tails) > 1:
-        h, back = g._full, g._back
+        h, src = g._full, g._in.src
         for c in g._comps:  # a tail holding one member of c holds all of c
-            if back[(c & -c).bit_length() - 1] != c:
+            if union(src, c) & ~c:
                 continue  # c has an ancestor outside it
             m = g._sh_closure(c)
             if (m.bit_count(), m) < (h.bit_count(), h):
@@ -255,7 +255,8 @@ def _tail_witnesses(g: Graph) -> tuple[TailWitness, ...]:
     for M, m in zip(maximal_tails(g), g._tails):
         on_cycle = g._cyclic & m
         for i in bits(m):
-            v, y = g.vertices[i], g.vertices[next(bits(g._back[i] & on_cycle))]
+            v = g.vertices[i]
+            y = g.vertices[next(j for j in bits(on_cycle) if g._reach[j] >> i & 1)]
             if y not in trees:
                 cycles[y], trees[y] = g._cycle_at(y), _paths_from(g, y)
             witnesses.append(TailWitness(M, v, cycles[y], trees[y][v]))

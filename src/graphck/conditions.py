@@ -8,9 +8,9 @@ Both fail only on a strongly connected component that is a bare simple
 cycle, read off the graph's in-edge table.  (K) is read off the components:
 it fails on the first one each of whose members has exactly one source
 inside it, not repeated (so the component is cyclic).  (L) fails on such a
-component with no entrance, and is read off the ancestry of the first vertex
-whose ancestors all have in-degree one (one source, not repeated): they hold
-that cycle, which ``Graph._cycle_at`` finds from its lowest vertex.
+component with no entrance, read off the reach rows: the ancestors of the
+first vertex that no vertex of in-degree other than one (one source, not
+repeated) reaches hold that cycle, found from its lowest vertex.
 
 Saturation is read off the prime-point kernel, whose one home is `Graph`
 (see `graphs`): ``Graph._sh_closure`` is the one saturated hereditary
@@ -29,7 +29,7 @@ from .poset import bits, clip, record, union
 
 def is_hereditary(g: Graph, S: Iterable[str]) -> bool:
     m = g.mask(S)
-    return union(g._back, m) == m
+    return not union(g._in.src, m) & ~m
 
 
 def is_saturated(g: Graph, S: Iterable[str]) -> bool:
@@ -89,16 +89,16 @@ class ConditionL:
 
 
 def condition_L(g: Graph) -> ConditionL:
-    """Decide Condition (L); a failure carries an entrance-less cycle: the
-    one among the ancestors of the first vertex whose ancestors all have
-    in-degree one, found from its smallest vertex (the only first-return
-    walk there, as each of its vertices has one in-edge)."""
-    src, repeated = g._in.src, g._in.repeated
+    """Decide Condition (L).  The vertices outside the reach of every vertex
+    of in-degree other than one have only ancestors of in-degree one; the
+    failure witness is the cycle at the lowest cycle vertex reaching the
+    first of them (the only first-return walk there)."""
+    full, reach, src, repeated = g._full, g._reach, g._in.src, g._in.repeated
     deg1 = sum(1 << i for i, s in enumerate(src) if s.bit_count() == 1 and not repeated[i])
-    for back in g._back:
-        if not back & ~deg1:
-            cycle = g._cycle_at(g.vertices[next(bits(back & g._cyclic))])
-            return ConditionL(False, CycleWitness.for_cycle(g, cycle))
+    only = full & ~union(reach, full & ~deg1)
+    for j in bits(only & g._cyclic):
+        if reach[j] & only & -only:
+            return ConditionL(False, CycleWitness.for_cycle(g, g._cycle_at(g.vertices[j])))
     return ConditionL(True)
 
 

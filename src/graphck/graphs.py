@@ -17,13 +17,13 @@ multiplicity m or as m parallel edges.
 
 Vertex sets are frozensets of names at the public API.  Inside the graph
 layer they are int masks in canonical order (bit i is vertex i), and the
-graph caches one mask per vertex for its out-neighbours (``_succ``), the
-vertices it reaches (``_reach``) and its ancestors (``_back``, the closure
-over the in-edge sources).  It also caches the mask of all vertices
+graph caches one mask per vertex for its out-neighbours (``_succ``) and the
+vertices it reaches (``_reach``).  It also caches the mask of all vertices
 (``_full``) and the condensation: the component masks (``_comps``) and the
-mask of the vertices on a cycle (``_cyclic``).  Every reachability row is
-computed by ``poset.closure``, the one closure routine, and every cycle
-witness comes from ``_cycle_at``, the one cycle search.
+mask of the vertices on a cycle (``_cyclic``).  ``_reach``, ``_comps`` and
+``_cyclic`` come from one ``poset.closure`` over ``_succ``, the one closure
+routine: two vertices share a component exactly when their rows are equal.
+Every cycle witness comes from ``_cycle_at``, the one cycle search.
 
 Every multiplicity question reads the in-edge table ``_in`` by field name.
 Per vertex it holds the masks of its in-edge sources (``src``), of its
@@ -34,10 +34,10 @@ vertices with an OMEGA in-edge (``infinite``).
 
 The kernel has two producers.  The constructor's one walk over the edges
 validates them and builds ``_succ`` and ``_in``.  The rest stays lazy, so a
-graph that is only printed never pays the closures' O(V (V + E)): the first
-read of any of ``_reach``, ``_back``, ``_comps``, ``_cyclic`` and ``_tails``
-runs ``_kernel``, which takes both closures and one pass over the vertices
-and stores all five.  A quotient by an admissible pair
+graph that is only printed never pays the closure's O(V (V + E)): the first
+read of any of ``_reach``, ``_comps``, ``_cyclic`` and ``_tails`` runs
+``_kernel``, which takes the closure and passes over its rows and stores
+all four.  A quotient by an admissible pair
 (`ideals.quotient_graph`) is a graph like any other and computes its own.
 
 ``Graph`` is the one home of the prime-point kernel, and `conditions`,
@@ -249,24 +249,23 @@ class Graph:
     # -- per-vertex masks ------------------------------------------------------
 
     def _kernel(self) -> dict:
-        """Store ``_reach``, ``_back``, ``_comps``, ``_cyclic`` and ``_tails``
-        from the two closures and one pass over the vertices; returns the
-        instance dict that holds them."""
+        """Store ``_reach``, ``_comps`` (the classes of equal reach rows, met
+        in smallest-member order), ``_cyclic`` and ``_tails`` from the one
+        closure; returns the instance dict that holds them."""
         succ, src, omega = self._succ, self._in.src, self._in.omega
-        reach, back = closure(succ), closure(src)
-        comps, seen, cyclic, rows = [], 0, 0, set()
-        for i, (r, b) in enumerate(zip(reach, back)):
-            if not seen >> i & 1:
-                seen |= r & b
-                comps.append(r & b)
-            if succ[i] & b:
+        reach, comps = closure(succ), {}
+        for i, r in enumerate(reach):
+            comps[r] = comps.get(r, 0) | 1 << i
+        cyclic, rows = 0, set()
+        for i, r in enumerate(reach):
+            if succ[i] & comps[r]:  # a successor shares the component
                 cyclic |= 1 << i
                 rows.add(r)
             elif not src[i] or omega[i]:
                 rows.add(r)
         tails = tuple(sorted(rows, key=lambda m: (-m.bit_count(), m)))
         self.__dict__.update(
-            _reach=reach, _back=back, _comps=tuple(comps), _cyclic=cyclic, _tails=tails
+            _reach=reach, _comps=tuple(comps.values()), _cyclic=cyclic, _tails=tails
         )
         return self.__dict__
 
@@ -274,11 +273,6 @@ class Graph:
     def _reach(self) -> tuple[int, ...]:
         """reach[i] = mask of the vertices reachable from vertex i (incl. i)."""
         return self._kernel()["_reach"]
-
-    @cached_property
-    def _back(self) -> tuple[int, ...]:
-        """back[i] = mask of the vertices that reach vertex i (incl. i)."""
-        return self._kernel()["_back"]
 
     @cached_property
     def _comps(self) -> tuple[int, ...]:

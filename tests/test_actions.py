@@ -19,6 +19,7 @@ from graphck import (
     check_paradoxical_witness,
     decide_G_infinite,
     parse_action,
+    parse_decomposition,
     prim_space,
 )
 import graphck.actions as actions
@@ -614,6 +615,16 @@ def test_witness_malformed_errors():
         check_infinite_witness(a, Decomposition(frozenset(("1",)), (), split=0))
     with pytest.raises(ActionFormatError, match="unknown point"):
         check_infinite_witness(a, Decomposition(frozenset(("9",)), ((frozenset(("9",)), ""),)))
+
+
+def test_witness_split_must_be_an_integer():
+    """A JSON boolean is not an integer, although Python's bool is an int."""
+    text = '{"V": ["1"], "parts": [{"set": ["1"], "word": ""}], "split": %s}'
+    assert parse_decomposition(text % "1").split == 1
+    assert parse_decomposition(text % "null").split is None
+    for bad in ("true", "false", "1.0", '"1"'):
+        with pytest.raises(ActionFormatError, match='"split": expected an integer or null'):
+            parse_decomposition(text % bad)
 
 
 def test_random_witnesses_always_rejected():

@@ -621,6 +621,11 @@ def test_paction_witness_check(tmp_path):
     jsonschema.validate(obj, schema("paction"))
     assert obj["valid"] is False and obj["violation"]["clause"] == "images_overlap"
 
+    wit.write_text(json.dumps({"V": ["1", "2", "3"], "parts": [], "split": True}))
+    assert invoke("paction", path, "check_paradoxical_witness", "--witness", str(wit)) == (
+        1, "", f'error: {wit}: malformed decomposition: "split": expected an integer or null\n'
+    )
+
     code, _, err = invoke("paction", path, "orbit")
     assert code == 1 and "--point" in err
 

@@ -140,7 +140,7 @@ def witness_text(points):
     part = st.fixed_dictionaries({"set": point_set | bad_set, "word": WORD})
     obj = st.fixed_dictionaries(
         {"V": point_set, "parts": st.lists(part, max_size=3)},
-        optional={"split": st.sampled_from([0, 1, 5, None, "1"])},
+        optional={"split": st.sampled_from([0, 1, 5, None, "1", True])},
     )
     return (obj | JSON).map(json.dumps)
 

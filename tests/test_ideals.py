@@ -430,67 +430,6 @@ def test_quotient_rejects_foreign_pair(corpus):
         quotient_graph(corpus["e4"], p)
 
 
-KERNEL = ("_index", "_full", "_succ", "_in", "_reach", "_back", "_comps", "_cyclic", "_tails")
-
-
-def inherited(g, p, seen):
-    """quotient_graph(g, p), once every kernel table of it equals the one a
-    graph built from its vertices and edges computes; seen counts the cases."""
-    q = quotient_graph(g, p)
-    fresh = Graph(q.vertices, q.edges)
-    for name in KERNEL:
-        assert getattr(q, name) == getattr(fresh, name), (name, g, p.label)
-    kept = g._full & ~p._h
-    seen["gaps"] += p._range != p._b
-    seen["range off cycles"] += bool(p._range & ~g._cyclic)
-    seen["kept over bytes"] += kept.bit_length() > 8 and kept.bit_count() < kept.bit_length()
-    return q
-
-
-def interleaved_graph(rng, kind):
-    """9 to 40 vertices: blocks drawn by kind, each linked into the blocks
-    before it by a few edges, with the vertex order shuffled, so a mask of
-    the kept vertices spans several bytes in several runs."""
-    vertices, edges = [], []
-    while len(vertices) < 9 or len(vertices) < 32 and rng.random() < 0.5:
-        g, k = kind(rng, max_n=8), len(vertices)
-        name = {v: f"{v}.{k}" for v in g.vertices}
-        edges += [Edge(f"{e.id}.{k}", name[e.src], name[e.rng], e.mult) for e in g.edges]
-        for j in range(rng.randint(1, 3) if k else 0):
-            src, dst = name[rng.choice(g.vertices)], rng.choice(vertices)
-            edges.append(Edge(f"y{j}.{k}", src, dst, rng.choice([1, 2, OMEGA])))
-        vertices += name.values()
-    rng.shuffle(vertices)
-    return Graph(tuple(vertices), tuple(edges))
-
-
-def test_quotients_inherit_the_kernel_they_would_compute():
-    """Per kind, every quotient of 60 small graphs and of 10 interleaved
-    ones with at most 200 pairs, and every quotient of the former's
-    quotients and three of each of the latter's."""
-    rng = random.Random(211)
-    seen = dict.fromkeys(["gaps", "range off cycles", "kept over bytes"], 0)
-    for kind in KINDS:
-        for _ in range(60):
-            g = kind(rng)
-            for p in admissible_pairs(g).pairs:
-                q = inherited(g, p, seen)
-                for p2 in admissible_pairs(q).pairs:
-                    inherited(q, p2, seen)
-        big = 0
-        while big < 10:
-            g = interleaved_graph(rng, kind)
-            if len(g._primes) > 12 or len(lat := admissible_pairs(g, limit=40)) > 200:
-                continue
-            big += 1
-            for p in lat.pairs:
-                q = inherited(g, p, seen)
-                pairs = admissible_pairs(q, limit=40).pairs
-                for p2 in rng.sample(pairs, min(3, len(pairs))):
-                    inherited(q, p2, seen)
-    assert min(seen.values()) >= 20, seen
-
-
 # -- exports --------------------------------------------------------------------------
 
 

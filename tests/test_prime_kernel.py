@@ -1,7 +1,7 @@
 """The kernel against the oracles: reachability, closures, pairs and tails.
 
 The kernel lives on `Graph`: `_succ` and `_in` hold the edge tables,
-`_reach`, `_back`, `_comps` and `_cyclic` the reachability rows and the
+`_reach`, `_comps` and `_cyclic` the reachability rows and the
 condensation, `_tails` the maximal tails, `_breakers` the breaking
 vertices, `_prime_rows` and `_prime_order` the prime points and their
 order, and `_sh_closure` reads the saturated hereditary closure off
@@ -18,6 +18,7 @@ import pytest
 from graphck import (
     OMEGA,
     AdmissiblePair,
+    Edge,
     Graph,
     admissible_pairs,
     breaking_vertices,
@@ -29,7 +30,7 @@ from graphck import (
     saturated_hereditary_sets,
 )
 from graphck import graphs, ideals, spectrum
-from graphck.poset import Poset, bits, subset_order, union
+from graphck.poset import Poset, bits, closure, subset_order, union
 
 from util import (
     KINDS,
@@ -78,7 +79,6 @@ def check_kernel(g, seen):
         if c not in comps:
             comps.append(c)
     assert g._reach == tuple(g.mask(r[v]) for v in g.vertices)
-    assert g._back == tuple(g.mask(below[v]) for v in g.vertices)
     assert g._comps == tuple(comps)
     assert g._cyclic == g.mask(e.src for e in g.edges if e.src in r[e.rng])
     # a tail is the reach of a vertex on a cycle, with no in-edge or an OMEGA one
@@ -125,20 +125,73 @@ def test_reachability_kernel_matches_a_search_over_edge_records():
     assert min(seen.values()) >= 10, seen
 
 
+def interleaved_graph(rng, kind):
+    """9 to 40 vertices: blocks drawn by kind, each linked into the blocks
+    before it by a few edges, with the vertex order shuffled, so a mask of
+    the kept vertices spans several bytes in several runs."""
+    vertices, edges = [], []
+    while len(vertices) < 9 or len(vertices) < 32 and rng.random() < 0.5:
+        g, k = kind(rng, max_n=8), len(vertices)
+        name = {v: f"{v}.{k}" for v in g.vertices}
+        edges += [Edge(f"{e.id}.{k}", name[e.src], name[e.rng], e.mult) for e in g.edges]
+        for j in range(rng.randint(1, 3) if k else 0):
+            src, dst = name[rng.choice(g.vertices)], rng.choice(vertices)
+            edges.append(Edge(f"y{j}.{k}", src, dst, rng.choice([1, 2, OMEGA])))
+        vertices += name.values()
+    rng.shuffle(vertices)
+    return Graph(tuple(vertices), tuple(edges))
+
+
+def test_interleaved_graphs_and_their_quotients_match_the_oracles():
+    """Per kind, 5 interleaved graphs with at most 200 pairs, 8 quotients of
+    each and 2 quotients of each of those, all through `check_kernel`; the
+    pairs met keep gap vertices, range vertices off every cycle, and kept
+    vertices spread over several bytes."""
+    rng, seen = random.Random(211), Counter()
+
+    def quotient(g, p):
+        kept = g._full & ~p._h
+        seen["gaps"] += p._range != p._b
+        seen["range off cycles"] += bool(p._range & ~g._cyclic)
+        seen["kept over bytes"] += kept.bit_length() > 8 and kept.bit_count() < kept.bit_length()
+        q = quotient_graph(g, p)
+        check_kernel(q, seen)
+        return q
+
+    for kind in KINDS:
+        big = 0
+        while big < 5:
+            g = interleaved_graph(rng, kind)
+            if len(g._primes) > 12 or len(lat := admissible_pairs(g, limit=40)) > 200:
+                continue
+            big += 1
+            check_kernel(g, seen)
+            for p in rng.sample(lat.pairs, min(8, len(lat))):
+                pairs = admissible_pairs(quotient(g, p), limit=40).pairs
+                for p2 in rng.sample(pairs, min(2, len(pairs))):
+                    quotient(p2.graph, p2)
+    assert min(seen.values()) >= 10, seen
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
-def test_the_constructor_builds_the_edge_tables_and_nothing_lazy(kind):
+def test_the_constructor_builds_the_edge_tables_and_nothing_lazy(kind, monkeypatch):
     """The walk that validates the edges also stores the index and the edge
-    tables; the closures and the adjacency lists wait for a question, in a
-    quotient as in any graph."""
+    tables; the closure and the adjacency lists wait for a question, in a
+    quotient as in any graph, and the first read of the kernel runs the
+    closure once."""
+    calls = []
+    monkeypatch.setattr(graphs, "closure", lambda succ: calls.append(succ) or closure(succ))
     for g in seeded(kind, 50):
         quotients = [quotient_graph(g, p) for p in admissible_pairs(g).pairs[1:]]
         for q in [Graph(g.vertices, g.edges)] + quotients:
             assert {"_index", "_full", "_succ", "_in"} <= q.__dict__.keys()
-            lazy = {"_reach", "_back", "_comps", "_cyclic", "_tails", "out_edges_by_vertex"}
+            lazy = {"_reach", "_comps", "_cyclic", "_tails", "out_edges_by_vertex"}
             assert not lazy & q.__dict__.keys()
             assert q._index == {v: i for i, v in enumerate(q.vertices)}
             assert q._full == (1 << len(q.vertices)) - 1
             assert (q._in.src, q._in.omega, q._in.repeated, q._in.infinite) == in_table(q)
+            calls.clear()
+            assert (q._cyclic, q._reach, q._comps, q._tails) and calls == [q._succ]
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)

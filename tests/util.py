@@ -264,12 +264,12 @@ def reference_is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     K = condition_K(g)
     if not K.holds:
         return PurelyInfiniteVerdict("no", "fails_K", vertex=K.witness)
-    witnesses, cycles, trees = [], {}, {}
+    r, witnesses, cycles, trees = reach(g), [], {}, {}
     for M, m in zip(maximal_tails(g), g._tails):
         on_cycle = g._cyclic & m
         for i in bits(m):
             v = g.vertices[i]
-            fed_by = g._back[i] & on_cycle
+            fed_by = on_cycle & g.mask(w for w in g.vertices if v in r[w])
             if not fed_by:
                 return PurelyInfiniteVerdict(
                     "no", "tail_vertex_not_fed_by_cycle", vertex=v, tail=M
