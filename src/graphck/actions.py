@@ -281,10 +281,13 @@ class FinitePartialAction:
         # f^k is applied by repeated squaring, since the powers of f commute
         for name, exp in reversed(self.parse_word(word)):
             f, k = maps[slot[name] + (exp < 0)], abs(exp)
-            while k:
+            while True:
                 if k & 1:
                     current = tuple(f[v] if v >= 0 else -1 for v in current)
-                f, k = tuple(f[v] if v >= 0 else -1 for v in f), k >> 1
+                k >>= 1
+                if not k:  # no bit left: the next square would go unused
+                    break
+                f = tuple(f[v] if v >= 0 else -1 for v in f)
         return current
 
     def element_map(self, word: str) -> PartialHomeo:

@@ -14,11 +14,10 @@ their witnesses, and int masks in canonical order inside.
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
 from .conditions import ConditionL, CycleWitness, condition_K, condition_L
-from .graphs import Graph, Path
+from .graphs import Graph, Path, encode_json
 from .ideals import AdmissiblePair
 from .poset import bits, record, union
 from .spectrum import maximal_tails
@@ -173,7 +172,8 @@ def is_simple(g: Graph):
     if len(g._tails) > 1:
         h, src = g._full, g._in.src
         for c in g._comps:  # a tail holding one member of c holds all of c
-            if union(src, c) & ~c:
+            sources = union(src, c) if c & (c - 1) else src[c.bit_length() - 1]
+            if sources & ~c:
                 continue  # c has an ancestor outside it
             m = g._sh_closure(c)
             if (m.bit_count(), m) < (h.bit_count(), h):
@@ -296,7 +296,7 @@ def classify(g: Graph) -> ClassificationReport:
 
 
 def report_to_json(report: ClassificationReport) -> str:
-    return json.dumps(report.to_json_obj(), indent=2) + "\n"
+    return encode_json(report.to_json_obj())
 
 
 def report_to_text(report: ClassificationReport) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -27,6 +26,7 @@ from .graphs import (
     GraphFormatError,
     LimitExceededError,
     detect_format,
+    encode_json,
     parse_graph,
     serialize_graph,
 )
@@ -282,7 +282,7 @@ def _cmd_paction(args, out) -> None:
     build, render = _PACTION[args.query]
     result = build(a, args)
     if args.format == "json":
-        out.write(json.dumps(result, indent=2) + "\n")
+        out.write(encode_json(result))
     else:
         out.write(render(result))
 

@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .graphs import DEFAULT_LIMIT, Edge, Graph, LimitExceededError
-from .poset import Poset, bits, cached_property, clip, subset_order, to_dot
+from .poset import Poset, bits, cached_property, clip, record, subset_order, to_dot
 
 T = TypeVar("T")
 
@@ -57,7 +56,7 @@ def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
     return g.unmask(g._breaking(h))
 
 
-@dataclass(frozen=True, init=False)
+@record(init=False)
 class AdmissiblePair:
     """A saturated hereditary set with a choice of breaking vertices.
 
@@ -126,7 +125,7 @@ def pair_leq(p: AdmissiblePair, q: AdmissiblePair) -> bool:
     return not p._h & ~q._h and not p._b & ~(q._h | q._b)
 
 
-@dataclass(frozen=True, init=False)
+@record(init=False)
 class IdealLattice:
     """Every admissible pair of a graph in canonical order, bottom first and
     top last: the value `admissible_pairs` returns, never built from a list

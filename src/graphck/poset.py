@@ -6,14 +6,20 @@ One closure routine turns any successor relation into such masks (every
 graph, a quotient too, takes its reachability rows from it); covers and the
 DOT drawing are read off them.
 
-Two fixed costs every module pays per object live here too: ``bits`` reads
-masks below 256 off a byte table, and ``record`` is the frozen dataclass
-whose ``__init__`` writes the instance dict directly.
+Two fixed costs every module pays live here too.  ``bits`` reads masks
+below 256 off a byte table.  ``record`` makes every frozen value class: it
+behaves as ``dataclass(frozen=True)``, but its ``__init__`` writes the
+instance dict directly, and it generates no code for equality, hashing,
+repr or frozen assignment (dataclasses execs one function for each, per
+class, which was most of the cost of importing the package): those are
+closures made per class from one template.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from operator import attrgetter
+from reprlib import recursive_repr
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -32,25 +38,91 @@ class cached_property:
         return value
 
 
-def record(cls):
-    """``dataclass(frozen=True)`` whose ``__init__`` (same parameters, order
-    and defaults) stores each field straight into the instance dict, then
-    calls ``__post_init__`` if the class has one: the generated one calls
-    ``object.__setattr__`` per field, at two to three times the cost."""
-    cls = dataclass(frozen=True)(cls)
+def record(cls=None, /, *, init: bool = True):
+    """A frozen record: what ``dataclass(frozen=True)`` builds (fields,
+    ``__init__`` parameters, equality, hash, repr and frozen assignment,
+    with dataclasses' messages), for a class that defines none of those
+    methods and whose fields take plain defaults.
+
+    ``dataclass(repr=False, eq=False)`` collects the fields and generates
+    no method but ``__init__`` (none with ``init=False``).  The record's
+    own ``__init__`` replaces that one, with the same parameters, order and
+    defaults: it stores each field straight into the instance dict, then
+    calls ``__post_init__`` if the class has one, where the frozen one calls
+    ``object.__setattr__`` per field, at two to three times the cost.  The
+    other methods come from `_frozen_methods`, without code generation."""
+    if cls is None:
+        return lambda c: record(c, init=init)
+    taken = _FROZEN_METHODS & cls.__dict__.keys()
+    if taken:
+        raise TypeError(f"{cls.__name__}: a record defines none of {sorted(taken)}")
+    cls = dataclass(init=init, repr=False, eq=False)(cls)
     fs = fields(cls)
-    if any(f.default_factory is not MISSING or not f.init for f in fs):
+    if any(
+        f.default_factory is not MISSING or not (f.init and f.repr and f.compare) or f.hash is not None
+        for f in fs
+    ):
         raise TypeError(f"{cls.__name__}: record fields take plain defaults only")
-    scope = {f"_{f.name}": f.default for f in fs if f.default is not MISSING}
-    params = ", ".join(f.name + (f"=_{f.name}" if f"_{f.name}" in scope else "") for f in fs)
-    body = "".join(f"\n    __dict[{f.name!r}] = {f.name}" for f in fs)
-    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-    exec(f"def __init__(self, {params}):\n    __dict = self.__dict__{body}{post}", scope)
-    init = scope["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = cls.__init__.__annotations__
-    cls.__init__ = init
+    for name, method in _frozen_methods(cls, tuple(f.name for f in fs)).items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    if init:
+        scope = {f"_{f.name}": f.default for f in fs if f.default is not MISSING}
+        params = ", ".join(f.name + (f"=_{f.name}" if f"_{f.name}" in scope else "") for f in fs)
+        body = "".join(f"\n    __dict[{f.name!r}] = {f.name}" for f in fs)
+        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        exec(f"def __init__(self, {params}):\n    __dict = self.__dict__{body}{post}", scope)
+        init_fn = scope["__init__"]
+        init_fn.__qualname__ = f"{cls.__qualname__}.__init__"
+        init_fn.__annotations__ = cls.__init__.__annotations__
+        cls.__init__ = init_fn
     return cls
+
+
+_FROZEN_METHODS = frozenset({"__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"})
+
+
+def _frozen_methods(cls: type, names: tuple[str, ...]) -> dict[str, Callable]:
+    """The methods ``dataclass(frozen=True)`` would generate for cls with
+    the fields names: equality and hash on the tuple of the fields (read by
+    one C-level ``attrgetter``), the recursion-guarded repr, and assignment
+    and deletion refused with `FrozenInstanceError`."""
+    if len(names) > 1:
+        key = attrgetter(*names)
+    else:  # attrgetter of one name gives no tuple
+
+        def key(self):
+            return tuple(getattr(self, name) for name in names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in names])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    return {
+        "__eq__": __eq__,
+        "__hash__": __hash__,
+        "__repr__": recursive_repr()(__repr__),
+        "__setattr__": __setattr__,
+        "__delattr__": __delattr__,
+    }
 
 
 # per byte value x, the indices of the set bits of x

@@ -29,12 +29,10 @@ every saturated hereditary set and admissible pair (see `conditions`,
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Sequence
 
 from .conditions import condition_K
-from .graphs import Graph
+from .graphs import Graph, encode_json
 from .ideals import AdmissiblePair
 from .poset import bits, cached_property, check_antisymmetric, record, to_dot
 
@@ -92,7 +90,7 @@ def prime_points(g: Graph) -> list[PrimPoint]:
     ]
 
 
-@dataclass(frozen=True, init=False)
+@record(init=False)
 class PrimSpace:
     """The prime points of a graph and the status of the space: the value
     `prim_space` returns, never built from a list of points
@@ -140,7 +138,7 @@ def prim_space_to_json_obj(ps: PrimSpace) -> dict:
 
 
 def prim_space_to_json(ps: PrimSpace) -> str:
-    return json.dumps(prim_space_to_json_obj(ps), indent=2) + "\n"
+    return encode_json(prim_space_to_json_obj(ps))
 
 
 def prim_space_to_dot(ps: PrimSpace) -> str:

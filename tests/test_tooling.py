@@ -158,6 +158,36 @@ def test_slow_record_check_catches_a_generated_init(tmp_path):
 
 def test_public_surface_is_the_committed_list():
     assert graphck.__all__ == PUBLIC
+    assert "encode_json" not in PUBLIC  # the JSON writer is internal
+
+
+def indented_dumps(path) -> list[str]:
+    """The calls of one module to ``dumps`` with an ``indent=`` keyword:
+    json.dumps's pure-Python encoder, where `graphs.encode_json` is the
+    package's one pretty-printer."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+        and any(k.arg == "indent" for k in node.keywords)
+    ]
+
+
+def test_encode_json_is_the_one_pretty_printer():
+    assert [f for path in sorted(SRC.glob("*.py")) for f in indented_dumps(path)] == []
+
+
+def test_indented_dumps_check_catches_each_call(tmp_path):
+    bad = tmp_path / "lib.py"
+    bad.write_text(
+        "import json\n"
+        "from json import dumps\n"
+        "a = json.dumps(1, indent=2)\n"
+        "b = dumps(1, indent=None)\n"
+        "c = json.dumps('quoted')\n"
+    )
+    assert indented_dumps(bad) == ["lib.py:3", "lib.py:4"]
 
 
 # -- callers of the public members ---------------------------------------------------
