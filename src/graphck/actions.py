@@ -444,6 +444,8 @@ class FinitePartialAction:
 
 @record
 class QuasiOrbitSpace:
+    """The quotient space of quasi-orbits, with the points each class holds."""
+
     space: FiniteT0Space
     classes: tuple[frozenset[str], ...]
 
@@ -462,6 +464,8 @@ class Decomposition:
 
 @record
 class Violation:
+    """The first clause a witness breaks, with the parts (i, j) involved."""
+
     clause: str
     detail: str
     i: Optional[int] = None
@@ -481,6 +485,8 @@ class Violation:
 
 @record
 class WitnessCheck:
+    """Whether a witness holds, and otherwise the clause it breaks."""
+
     valid: bool
     violation: Optional[Violation] = None
 
@@ -498,6 +504,8 @@ class FiniteCounting:
 
 @record
 class GInfiniteDecision:
+    """Whether an open set is G-infinite, and the proof of the answer."""
+
     infinite: bool
     proof: FiniteCounting
 

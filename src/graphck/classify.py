@@ -33,6 +33,8 @@ _EXTERNAL_L_NOTE = (
 
 @record
 class SimpleVerdict:
+    """Whether the algebra is simple, and why not: a nontrivial pair or a cycle."""
+
     verdict: str  # "yes" | "no"
     reason_kind: Optional[str] = None  # "nontrivial_lattice" | "condition_L_fails"
     pair: Optional[AdmissiblePair] = None
@@ -78,6 +80,8 @@ class TailWitness:
 
 @record
 class PurelyInfiniteVerdict:
+    """Whether the algebra is purely infinite, and the reason and witnesses."""
+
     verdict: str  # "yes" | "no"
     # reason kinds: "fails_K" | "tail_vertex_not_fed_by_cycle" | "breaking_vertex_gap"
     reason_kind: Optional[str] = None
@@ -109,6 +113,8 @@ class PurelyInfiniteVerdict:
 
 @record
 class ClassificationReport:
+    """Every verdict `classify` gives on a graph, with the witnesses."""
+
     graph: Graph
     aperiodic: bool
     residually_aperiodic: bool

@@ -59,6 +59,8 @@ def saturated_hereditary_sets(
 
 @record
 class CycleWitness:
+    """A cycle with its entrance edges; missing_entrance when it has none."""
+
     cycle: Path
     missing_entrance: bool
     entrance_edges: tuple[Edge, ...]
@@ -84,6 +86,8 @@ def cycle_entrances(g: Graph, cycle: Path) -> tuple[Edge, ...]:
 
 @record
 class ConditionL:
+    """Whether Condition (L) holds; on failure, a cycle without an entrance."""
+
     holds: bool
     witness: CycleWitness | None = None
 
@@ -104,6 +108,8 @@ def condition_L(g: Graph) -> ConditionL:
 
 @record
 class ConditionK:
+    """Whether Condition (K) holds; on failure, a vertex with one first-return path."""
+
     holds: bool
     witness: str | None = None  # a vertex with exactly one first-return path
 

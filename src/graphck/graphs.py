@@ -139,6 +139,8 @@ def _parse_mult(token, where: str) -> Mult:
 
 @record
 class Edge:
+    """An edge from src to rng (its range) of multiplicity mult, OMEGA for infinite."""
+
     id: str
     src: str
     rng: str
@@ -371,6 +373,8 @@ class Graph:
 
 @record
 class Component:
+    """A strongly connected component; nontrivial when it contains a cycle."""
+
     vertices: tuple[str, ...]
     nontrivial: bool
 

@@ -18,12 +18,19 @@ label is the up-set of prime points above it, which is the up-set whose meet
 the enumeration took: it is kept as the enumeration walked it.  The lattice
 tables are read off the labels: the meet of two pairs is the pair labelled by
 the union of their labels, the join by the intersection, and j covers i when
-j's label is i's less one prime.  The JSON export renders its tables straight
-from the labels and the up-sets of pairs, building no tuple table, and
-streams the document row by row to a stream it is given, so its memory is the
-lattice plus one table row, not the P^2 cells of the three tables.  The prime
-points, their order and the breaking ranges come from the kernel whose one
-home is `Graph` (``Graph._prime_rows``, ``Graph._prime_order``,
+j's label is i's less one prime.
+
+The JSON export renders its tables straight from the labels and the up-sets
+of pairs, building no tuple table: a ``leq`` row joins one piece per byte of
+the pair's up-set from a module table of 256 pieces, and a ``meet`` or
+``join`` row one cell per pair.  Each vertex name is quoted once, by json's C
+quoter, and the pairs' name lists and labels are joined from those quoted
+names.  The document streams row by row to a stream it is given, so its
+memory is the lattice plus one table row, not the P^2 cells of the three
+tables.
+
+The prime points, their order and the breaking ranges come from the kernel
+whose one home is `Graph` (``Graph._prime_rows``, ``Graph._prime_order``,
 ``Graph._breaking``, ``Graph._sh_closure``).
 
 Vertex sets are frozensets of names at the public API, including the
@@ -35,7 +42,7 @@ its pairs from masks.
 from __future__ import annotations
 
 import itertools
-import json
+from json.encoder import encode_basestring_ascii as _QUOTE
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .graphs import DEFAULT_LIMIT, Edge, Graph, LimitExceededError
@@ -273,36 +280,58 @@ def _field(opening: str, key: str, items: Iterable[str]) -> Iterator[str]:
     yield "]" if sep == "\n    " else "\n  ]"
 
 
+# per byte x of an up-set, the leq cells of its eight pairs, lowest bit first
+# (product varies the last item fastest, so a reversed item x lists x's bits)
+_LEQ_BYTE = tuple(
+    "".join(cells[::-1]) for cells in itertools.product((",\n      false", ",\n      true"), repeat=8)
+)
+
+
 def lattice_to_json(lat: IdealLattice, out: TextIO | None = None) -> str | None:
     """The lattice as json.dumps(obj, indent=2) would print it, rendered
     from the masks, the labels and the up-sets: no table is built.
+
+    Each vertex name is quoted once, by json's C quoter; a pair's names and
+    its label are joined from those quoted names (JSON escapes character by
+    character, so the label's inner names are its names' quoted text).  A
+    ``leq`` row is the up-set's bytes, little end first, each rendered by a
+    module table of 256 pieces of eight cells; the cells of the bits past
+    the last pair, all false, are cut off the row's end.
 
     The document is written in pieces, one per field header, array element
     and closing bracket, so a table row is the largest: given `out`, each
     piece is written to it and the writer holds the lattice plus one row;
     without, the pieces are joined and returned.
     """
-    quoted = [json.dumps(v) for v in lat.graph.vertices]  # each name quoted once
+    quoted = list(map(_QUOTE, lat.graph.vertices))
+    inner = [q[1:-1] for q in quoted]
     cell = {u: ",\n      " + str(i) for u, i in lat._hasse[0].items()}  # a table cell, per label
-    width = f"0{len(lat)}b"
+    size = (len(lat) + 7) // 8  # bytes per up-set
+    cut = len(",\n      false") * (-len(lat) % 8)
 
     def names(m: int) -> str:
         return _array([quoted[i] for i in bits(m)], 4)
+
+    def joined(m: int) -> str:
+        return ",".join([inner[i] for i in bits(m)])
+
+    def label(p: AdmissiblePair) -> str:  # json.dumps(p.label)
+        return '"H={' + joined(p._h) + "};B={" + joined(p._b) + '}"'
+
+    def leq(m: int) -> str:
+        row = "".join(map(_LEQ_BYTE.__getitem__, m.to_bytes(size, "little")))
+        return "[" + row[1 : len(row) - cut] + "\n    ]"
 
     def table(rows: Iterator[list[str]]) -> Iterator[str]:
         return ("[" + "".join(row)[1:] + "\n    ]" for row in rows)
 
     pairs = (f'{{\n      "H": {names(p._h)},\n      "B": {names(p._b)}\n    }}' for p in lat.pairs)
-    leq = (
-        _array(format(m, width)[::-1], 3).replace("0", "false").replace("1", "true")
-        for m in lat._up
-    )
     fields = (
         ("{", "vertices", quoted),
         (",", "pairs", pairs),
-        (",", "labels", (json.dumps(p.label) for p in lat.pairs)),
-        (",", "leq", leq),
-        (",", "covers", (_array((str(i), str(j)), 3) for i, j in lat.covers)),
+        (",", "labels", map(label, lat.pairs)),
+        (",", "leq", map(leq, lat._up)),
+        (",", "covers", (f"[\n      {i},\n      {j}\n    ]" for i, j in lat.covers)),
         (",", "meet", table(lat._meet_rows(cell))),
         (",", "join", table(lat._join_rows(cell))),
     )

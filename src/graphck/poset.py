@@ -206,6 +206,8 @@ _BIT = {"0": False, "1": True}
 
 @record
 class Poset:
+    """A finite poset given by up-sets: bit j of up[i] is set when i <= j."""
+
     up: tuple[int, ...]
 
     @cached_property

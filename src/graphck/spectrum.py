@@ -56,6 +56,8 @@ def breaking_vertices(g: Graph) -> list[str]:
 
 @record
 class PrimPoint:
+    """A prime point: a maximal tail or a breaking vertex, with its pair."""
+
     kind: str  # "tail" | "breaking"
     tail: frozenset[str] | None
     vertex: str | None

@@ -467,15 +467,24 @@ def test_json_writer_matches_the_encoder():
     graphs += [random_looped_graph(rng, max_n=6) for _ in range(10)]
     # names the encoder escapes: quote, backslash, control and non-ASCII characters
     odd = ('q"uote', "back\\slash", "t\tab", "caf\u00e9", "\u65e5\u672c", "\U0001f600")
-    graphs.append(Graph(odd, tuple(Edge(f"e{i}", odd[i], odd[i + 1], OMEGA) for i in range(5))))
+    escaped = Graph(odd, tuple(Edge(f"e{i}", odd[i], odd[i + 1], OMEGA) for i in range(5)))
+    graphs.append(escaped)
+    # OMEGA chains of n vertices have n + 1 pairs: a leq row of 9..16 cells
+    # ends in every partial byte, and in a whole one
+    for n in range(8, 16):
+        vs = tuple(f"v{i}" for i in range(n))
+        graphs.append(Graph(vs, tuple(Edge(f"e{i}", vs[i], vs[i + 1], OMEGA) for i in range(n - 1))))
+    sizes = set()
     for g in graphs:
         lat = admissible_pairs(g)
+        sizes.add(len(lat))
         text = lattice_to_json(lat)
         assert text == json.dumps(lattice_to_json_obj(lat), indent=2) + "\n", g
         out = io.StringIO()
         assert lattice_to_json(lat, out) is None
         assert out.getvalue() == text, g
-    assert len(admissible_pairs(graphs[-1])) > 4
+    assert len(admissible_pairs(escaped)) > 4
+    assert {p % 8 for p in sizes if p > 8} == set(range(8))
 
 
 def test_lattice_json_builds_no_tables():
