@@ -68,7 +68,8 @@ class Str(str):
     "obj",
     [1.5, float("nan"), {1}, frozenset(), {1: "a"}, {None: 1}, {True: 1}, {(1,): 1}, Int(3),
      [Int(3)], {"a": [1, 2.0]}, ["a", b"b"], ["a", 1.0], object(), range(2)],
-    ids=repr,
+    # repr(object()) carries a memory address; name that case so its id is the same every run
+    ids=lambda obj: "object()" if type(obj) is object else repr(obj),
 )
 def test_writer_refuses_other_types(obj):
     with pytest.raises(TypeError):
