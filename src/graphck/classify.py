@@ -308,10 +308,8 @@ def report_to_json(report: ClassificationReport) -> str:
 def report_to_text(report: ClassificationReport) -> str:
     g = report.graph
 
-    def mark(b) -> str:
-        if isinstance(b, bool):
-            return "yes" if b else "no"
-        return b
+    def mark(b: bool) -> str:
+        return "yes" if b else "no"
 
     lines = [
         f"graph: {len(g.vertices)} vertices, {len(g.edges)} edge records",

@@ -367,7 +367,7 @@ def run(argv, out=None, err=None) -> int:
     except LimitExceededError as exc:
         err.write(f"error: {exc}\n")
         return 2
-    except (_CliError, GraphFormatError, act.ActionFormatError, ValueError) as exc:
+    except (_CliError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return 1
     return 0

@@ -12,8 +12,10 @@ vertex that can reach v lies in H as well.
 
 An edge multiplicity is a positive integer or ``OMEGA``; the latter stands
 for a countably infinite bundle of parallel edges and lets finite data model
-infinite receivers.  A finite bundle may equivalently be given as one edge of
-multiplicity m or as m parallel edges.
+infinite receivers.  ``OMEGA`` is one object, which ``Omega()``, ``copy``
+and every pickle protocol give back, so ``m is OMEGA`` is the one test for
+it.  A finite bundle may equivalently be given as one edge of multiplicity m
+or as m parallel edges, and prints as its ``int``.
 
 Vertex sets are frozensets of names at the public API.  Inside the graph
 layer they are int masks in canonical order (bit i is vertex i), and the
@@ -94,7 +96,7 @@ class LimitExceededError(RuntimeError):
 
 
 class Omega:
-    """Infinite multiplicity."""
+    """Infinite multiplicity: the one object ``OMEGA`` (see the module docstring)."""
 
     _instance = None
 
@@ -103,11 +105,8 @@ class Omega:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def __eq__(self, other):
-        return isinstance(other, Omega)
-
-    def __hash__(self):
-        return hash("omega-multiplicity")
+    def __reduce__(self):
+        return "OMEGA"
 
     def __repr__(self):
         return "OMEGA"
@@ -122,11 +121,11 @@ Mult = Union[int, Omega]
 
 
 def mult_to_json(m: Mult):
-    return "omega" if isinstance(m, Omega) else m
+    return "omega" if m is OMEGA else int(m)
 
 
 def _parse_mult(token, where: str) -> Mult:
-    if token == "omega" or isinstance(token, Omega):
+    if token == "omega":
         return OMEGA
     if isinstance(token, bool) or not isinstance(token, int):
         raise GraphFormatError(
@@ -423,7 +422,7 @@ def first_return_count(g: Graph, v: str, cap: int = 2) -> int:
         total = 0
         for e in g.out_edges_by_vertex[g.vertices[u]]:
             j = g._index[e.rng]
-            step = cap if isinstance(e.mult, Omega) else min(e.mult, cap)
+            step = cap if e.mult is OMEGA else min(e.mult, cap)
             if j == i:
                 total += step
             elif region >> j & 1:

@@ -8,11 +8,11 @@ DOT drawing are read off them.
 
 Two fixed costs every module pays live here too.  ``bits`` reads masks
 below 256 off a byte table.  ``record`` makes every frozen value class: it
-behaves as ``dataclass(frozen=True)``, but its ``__init__`` writes the
-instance dict directly, and it generates no code for equality, hashing,
-repr or frozen assignment (dataclasses execs one function for each, per
-class, which was most of the cost of importing the package): those are
-closures made per class from one template.
+behaves as ``dataclass(frozen=True)``, but it generates one function per
+class, the ``__init__``, which writes the instance dict directly.  No code
+is generated for equality, hashing, repr or frozen assignment (dataclasses
+execs one function for each, per class, which was most of the cost of
+importing the package): those are closures made per class from one template.
 """
 
 from __future__ import annotations
@@ -44,19 +44,20 @@ def record(cls=None, /, *, init: bool = True):
     with dataclasses' messages), for a class that defines none of those
     methods and whose fields take plain defaults.
 
-    ``dataclass(repr=False, eq=False)`` collects the fields and generates
-    no method but ``__init__`` (none with ``init=False``).  The record's
-    own ``__init__`` replaces that one, with the same parameters, order and
-    defaults: it stores each field straight into the instance dict, then
-    calls ``__post_init__`` if the class has one, where the frozen one calls
-    ``object.__setattr__`` per field, at two to three times the cost.  The
-    other methods come from `_frozen_methods`, without code generation."""
+    ``dataclass(init=False, repr=False, eq=False)`` only collects the
+    fields.  The one generated function is the ``__init__``, with the
+    dataclass parameters, order, defaults and annotations: it stores each
+    field straight into the instance dict, then calls ``__post_init__`` if
+    the class has one, where the frozen one calls ``object.__setattr__`` per
+    field, at two to three times the cost.  ``init=False`` writes no
+    ``__init__``.  The other methods come from `_frozen_methods`, without
+    code generation."""
     if cls is None:
         return lambda c: record(c, init=init)
     taken = _FROZEN_METHODS & cls.__dict__.keys()
     if taken:
         raise TypeError(f"{cls.__name__}: a record defines none of {sorted(taken)}")
-    cls = dataclass(init=init, repr=False, eq=False)(cls)
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
     fs = fields(cls)
     if any(
         f.default_factory is not MISSING or not (f.init and f.repr and f.compare) or f.hash is not None
@@ -74,7 +75,7 @@ def record(cls=None, /, *, init: bool = True):
         exec(f"def __init__(self, {params}):\n    __dict = self.__dict__{body}{post}", scope)
         init_fn = scope["__init__"]
         init_fn.__qualname__ = f"{cls.__qualname__}.__init__"
-        init_fn.__annotations__ = cls.__init__.__annotations__
+        init_fn.__annotations__ = {**{f.name: f.type for f in fs}, "return": None}
         cls.__init__ = init_fn
     return cls
 

@@ -1,6 +1,8 @@
 """Finite T0 spaces and generated partial actions."""
 
+import io
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -24,6 +26,7 @@ from graphck import (
 )
 import graphck.actions as actions
 from graphck.actions import Violation, WitnessCheck
+from graphck.cli import run
 
 from util import (
     all_subsets,
@@ -295,6 +298,56 @@ def test_rejects_higher_rank_integer_groups():
         FinitePartialAction(sp, "Z2", ("s", "t"), (gen, gen))
     with pytest.raises(ActionFormatError, match="generator"):
         FinitePartialAction(sp, "F2", ("s",), (gen,))
+
+
+BASE_ACTION = {
+    "points": ["a", "b"],
+    "specialization": [],
+    "group": "F1",
+    "generators": [{"name": "g", "map": [["a", "a"]]}],
+}
+BASE_WITNESS = {"V": ["a"], "parts": [{"set": ["a"], "word": ""}]}
+# (document, changes to its base, the message its first fault raises)
+INPUT_FAULTS = [
+    ("action", {"specialization": {"a": "b"}}, '"specialization": expected a list of pairs'),
+    ("action", {"group": 1}, '"group": expected "Z" or "F<k>"'),
+    ("action", {"generators": {"g": []}}, '"generators": expected a list'),
+    ("action", {"generators": [{"name": "g"}]}, "generator #0: expected name and map"),
+    (
+        "action",
+        {"group": "F2", "generators": [{"name": "g", "map": []}, {"name": "g", "map": []}]},
+        "generator names repeat",
+    ),
+    ("action", {"generators": [{"name": "g", "map": [["9", "a"]]}]}, "map names unknown point '9'"),
+    ("witness", {"V": "a"}, '"V": expected a list of point names'),
+    ("witness", {"parts": {}}, '"parts": expected a list'),
+    ("witness", {"parts": [{"set": ["a"]}]}, "part #0: expected set and word"),
+]
+
+
+def test_input_fault_messages(tmp_path):
+    """Each malformed action or witness raises its message, and the CLI
+    exits 1 with it on stderr and nothing on stdout.  A generator on another
+    space no action file can express: its message is checked in the library."""
+    action, witness = tmp_path / "a.json", tmp_path / "w.json"
+    for kind, changes, message in INPUT_FAULTS:
+        doc = {**(BASE_ACTION if kind == "action" else BASE_WITNESS), **changes}
+        action.write_text(json.dumps(doc if kind == "action" else BASE_ACTION))
+        witness.write_text(json.dumps(doc if kind == "witness" else BASE_WITNESS))
+        parse = parse_action if kind == "action" else parse_decomposition
+        with pytest.raises(ActionFormatError) as info:
+            parse(json.dumps(doc))
+        assert str(info.value) == message
+        argv = ["paction", str(action), "check_paradoxical_witness", "--witness", str(witness)]
+        shown = f"{action}: " if kind == "action" else f"{witness}: malformed decomposition: "
+        out, err = io.StringIO(), io.StringIO()
+        assert run(argv, out=out, err=err) == 1
+        assert (out.getvalue(), err.getvalue()) == ("", f"error: {shown}{message}\n")
+    a = parse_action(json.dumps(BASE_ACTION))
+    other = PartialHomeo(FiniteT0Space.from_pairs(("a",)), (("a", "a"),))
+    with pytest.raises(ActionFormatError) as info:
+        FinitePartialAction(a.space, "F1", ("g",), (other,))
+    assert str(info.value) == "generator lives on a different space"
 
 
 def test_extension_axiom_exhaustive():

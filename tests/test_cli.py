@@ -14,6 +14,7 @@ import tracemalloc
 import jsonschema
 import pytest
 
+from graphck import check_paradoxical_witness, parse_action, parse_decomposition, parse_graph
 from graphck.cli import run
 from graphck.poset import Poset
 
@@ -650,6 +651,60 @@ def test_input_schemas_accept_corpus_and_action(tmp_path):
         obj = json.loads((CORPUS_DIR / f"{name}.json").read_text())
         jsonschema.validate(obj, schema("graph"))
     jsonschema.validate(json.loads(open(make_action(tmp_path)).read()), schema("action"))
+
+
+ACTION = {"points": ["1"], "group": "F0", "generators": []}
+GRAPH = {"vertices": ["v"], "edges": []}
+
+
+def loop(**edge):
+    return {"vertices": ["v"], "edges": [{"src": "v", "rng": "v", "mult": 1, **edge}]}
+
+
+# where the input schemas and the parsers part, as docs/FORMATS.md lists it:
+# (id, schema, document, whether the parser reads it)
+SCHEMA_GAPS = [
+    ("graph-without-edges", "graph", {"vertices": ["v"]}, True),
+    ("graph-unknown-key", "graph", {**GRAPH, "name": "g"}, True),
+    ("edge-unknown-key", "graph", loop(note=""), True),
+    ("action-unknown-key", "action", {**ACTION, "note": ""}, True),
+    ("action-without-generators", "action", {"points": ["1"], "group": "F0"}, True),
+    ("non-ascii-rank", "action", {**ACTION, "group": "F\u0660"}, True),
+    ("witness-unknown-key", "witness", {"V": [], "parts": [], "note": ""}, True),
+    ("negative-split", "witness", {"V": [], "parts": [], "split": -1}, True),
+    ("float-mult", "graph", loop(mult=1.0), False),
+    ("float-split", "witness", {"V": [], "parts": [], "split": 1.0}, False),
+    ("empty-vertex-id", "graph", {"vertices": [""], "edges": []}, False),
+    ("repeated-vertex-id", "graph", {"vertices": ["v", "v"], "edges": []}, False),
+    ("comma-vertex-id", "graph", {"vertices": ["a,b"], "edges": []}, False),
+    ("semicolon-vertex-id", "graph", {"vertices": ["a;b"], "edges": []}, False),
+    ("empty-edge-id", "graph", loop(id=""), False),
+    ("comma-edge-id", "graph", loop(id="x,y"), False),
+    ("repeated-edge-id", "graph", {"vertices": ["v"], "edges": loop(id="e")["edges"] * 2}, False),
+    ("empty-point-id", "action", {**ACTION, "points": [""]}, False),
+    ("repeated-point-id", "action", {**ACTION, "points": ["1", "1"]}, False),
+    ("comma-point-id", "action", {**ACTION, "points": ["a,b"]}, False),
+    ("semicolon-point-id", "action", {**ACTION, "points": ["a;b"]}, False),
+]
+PARSERS = {"graph": parse_graph, "action": parse_action, "witness": parse_decomposition}
+
+
+@pytest.mark.parametrize(
+    "name, doc, parsed", [pytest.param(*case[1:], id=case[0]) for case in SCHEMA_GAPS]
+)
+def test_input_schemas_and_parsers_part_as_documented(name, doc, parsed):
+    sch = schema(name)
+    valid = jsonschema.validators.validator_for(sch)(sch).is_valid(doc)
+    assert valid is not parsed
+    text = json.dumps(doc)
+    if not parsed:
+        with pytest.raises(ValueError):
+            PARSERS[name](text)
+        return
+    value = PARSERS[name](text)
+    if doc.get("split") == -1:  # the witness check refuses the split the parser read
+        with pytest.raises(ValueError, match="split index out of range"):
+            check_paradoxical_witness(parse_action(json.dumps(ACTION)), value)
 
 
 # -- dot well-formedness -------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Graph model: parsing, multiplicities, reachability, cycles."""
 
+import copy
+import io
 import json
+import pickle
 import random
 import re
 from collections import Counter
@@ -23,8 +26,10 @@ from graphck import (
     graph_to_json,
     parse_graph,
     prime_points,
+    report_to_json,
     scc_decomposition,
 )
+from graphck.cli import run
 from graphck.graphs import detect_format, mult_to_json
 from graphck.poset import clip
 
@@ -84,6 +89,28 @@ def test_parse_json_errors():
         parse_graph('{"vertices": ["v"], "edges": [{"src":"v","rng":"v"}]}')
     with pytest.raises(GraphFormatError, match="duplicate id"):
         parse_graph('{"vertices": ["v", "v"], "edges": []}')
+
+
+# each document's first fault, as _parse_json names it
+JSON_FAULTS = [
+    ({"vertices": ["v"], "edges": {"e": "v"}}, '"edges": expected a list'),
+    ({"vertices": ["v"], "edges": [{"id": 7, "src": "v", "rng": "v", "mult": 1}]},
+     "edge #0: id must be a string"),
+]
+
+
+@pytest.mark.parametrize("doc, message", JSON_FAULTS)
+def test_parse_json_fault_messages(tmp_path, doc, message):
+    text = json.dumps(doc)
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    for command in ("analyze", "lattice", "spectrum"):
+        out, err = io.StringIO(), io.StringIO()
+        assert run([command, str(path)], out=out, err=err) == 1
+        assert out.getvalue() == "" and err.getvalue() == f"error: {path}: {message}\n"
 
 
 def test_auto_edge_ids_in_file_order():
@@ -163,6 +190,22 @@ def test_omega_dominates(n):
 def test_omega_identity():
     assert OMEGA == OMEGA and Omega() is OMEGA
     assert hash(Omega()) == hash(OMEGA)
+    assert copy.copy(OMEGA) is OMEGA and copy.deepcopy(OMEGA) is OMEGA
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_keeps_the_one_omega(corpus, protocol):
+    # every multiplicity question asks mult is OMEGA: a second Omega would
+    # read as finite to all of them, though its graph compares equal
+    g = corpus["e4"]
+    edge = next(e for e in g.edges if e.mult is OMEGA)
+    assert pickle.loads(pickle.dumps(OMEGA, protocol)) is OMEGA
+    assert pickle.loads(pickle.dumps(edge, protocol)).mult is OMEGA
+    g1 = pickle.loads(pickle.dumps(g, protocol))
+    assert g1 == g and [e.mult is OMEGA for e in g1.edges] == [e.mult is OMEGA for e in g.edges]
+    h = Graph(g1.vertices, g1.edges)
+    assert h._in == g._in and len(admissible_pairs(h)) == 4 and len(prime_points(h)) == 3
+    assert report_to_json(classify(h)) == report_to_json(classify(g))
 
 
 # -- reachability --------------------------------------------------------------------
@@ -303,7 +346,7 @@ def test_first_return_matches_scc_cycles():
 
 def test_omega_text_multiplicity_is_refused():
     # the text reads as a finite multiplicity to every question that asks
-    # isinstance(mult, Omega), so a graph holding it would count wrong
+    # mult is OMEGA, so a graph holding it would count wrong
     edges = [Edge("e0", "a", "b", "omega"), Edge("e1", "b", "b", 1)]
     with pytest.raises(GraphFormatError) as info:
         Graph(("a", "b"), tuple(edges))
@@ -334,6 +377,13 @@ def test_ids_and_endpoints_that_are_not_strings_are_refused():
 
 class _Two(int):
     """An int subclass: a valid multiplicity that is not of type int."""
+
+
+def test_an_int_subclass_multiplicity_prints_as_its_int():
+    g = Graph(("a",), (Edge("e0", "a", "a", _Two(2)),))
+    assert '"mult": 2\n' in graph_to_json(g)
+    assert graph_to_edgelist(g) == "vertex a\na a 2\n"
+    assert parse_graph(graph_to_json(g)) == g
 
 
 def _plant_vertex_fault(rng, vs):

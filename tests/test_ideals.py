@@ -15,6 +15,9 @@ from graphck import (
     IdealLattice,
     admissible_pairs,
     breaking_vertices_of,
+    classify,
+    condition_K,
+    condition_L,
     lattice_to_dot,
     lattice_to_json,
     pair_leq,
@@ -33,6 +36,7 @@ from util import (
     brute_is_saturated,
     brute_lub,
     brute_sh_sets,
+    first_single_return,
     lattice_to_json_obj,
     pair_join,
     pair_meet,
@@ -44,7 +48,9 @@ from util import (
     ref_join_table,
     ref_labels,
     ref_meet_table,
+    reference_report,
     set_key,
+    walk_condition_L,
 )
 
 
@@ -350,6 +356,21 @@ def test_quotient_gap_name_may_match_a_name_in_h():
     q = quotient_graph(g, AdmissiblePair(g, frozenset(["a~"]), frozenset()))
     assert q.vertices == ("a", "x", "a~")
     assert q.edges == (Edge("e1", "x", "a", 1), Edge("e~a", "a~", "a", 1))
+
+
+def test_quotient_gap_names_step_past_taken_names():
+    # the gap vertex of v and its edge would be v~ and e~v, both taken by
+    # kept ones: they become v~~ and e~v~
+    g = Graph(("h", "v", "v~"), (Edge("f", "h", "v", OMEGA), Edge("e~v", "v~", "v", 1)))
+    q = quotient_graph(g, AdmissiblePair(g, frozenset("h"), frozenset()))
+    assert q.vertices == ("v", "v~", "v~~")
+    assert q.edges == (Edge("e~v", "v~", "v", 1), Edge("e~v~", "v~~", "v", 1))
+    fresh = Graph(q.vertices, q.edges)
+    kernel = ("_succ", "_in", "_reach", "_comps", "_cyclic", "_tails", "_breakers", "_primes")
+    assert [getattr(q, k) for k in kernel] == [getattr(fresh, k) for k in kernel]
+    assert classify(q) == reference_report(fresh)
+    assert condition_L(q) == walk_condition_L(fresh)
+    assert condition_K(q) == first_single_return(fresh)
 
 
 def test_quotient_interval_isomorphism(corpus):

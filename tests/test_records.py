@@ -5,6 +5,7 @@ the plain frozen dataclass with the same fields.  PrimSpace, which only
 `prim_space` fills, refuses assignment, compares, hashes, prints and pickles
 the same way, and `replace` on it raises TypeError."""
 
+import builtins
 import dataclasses
 import importlib
 import inspect
@@ -31,6 +32,7 @@ from graphck import (
     prim_space,
     scc_decomposition,
 )
+from graphck.poset import record
 
 from util import load_corpus
 
@@ -38,7 +40,9 @@ MODULES = ("actions", "classify", "conditions", "graphs", "ideals", "poset", "sp
 
 
 def record_classes() -> dict[str, type]:
-    """The graphck dataclasses with a generated __init__, by name."""
+    """The graphck dataclasses with a generated __init__, by name: their own
+    __init__ takes exactly their fields.  (`record` has dataclasses write no
+    __init__, so __dataclass_params__.init is false on every record.)"""
     out = {}
     for name in MODULES:
         module = importlib.import_module(f"graphck.{name}")
@@ -47,7 +51,9 @@ def record_classes() -> dict[str, type]:
                 isinstance(cls, type)
                 and cls.__module__ == module.__name__
                 and dataclasses.is_dataclass(cls)
-                and cls.__dataclass_params__.init
+                and "__init__" in vars(cls)
+                and list(inspect.signature(cls).parameters)
+                == [f.name for f in dataclasses.fields(cls)]
             ):
                 out[cls.__name__] = cls
     return out
@@ -184,6 +190,37 @@ def test_pickle_and_replace_round_trip(name):
         return
     same = dataclasses.replace(x)
     assert type(same) is type(x) and same == x
+
+
+@pytest.mark.parametrize("init, execs", [(True, 1), (False, 0)])
+def test_a_record_generates_one_function_its_init(monkeypatch, init, execs):
+    calls, real_exec = [], builtins.exec
+
+    def counting_exec(*args):
+        calls.append(args[0])
+        return real_exec(*args)
+
+    monkeypatch.setattr(builtins, "exec", counting_exec)
+
+    @record(init=init)
+    class Pair:
+        """Two fields, one with a default, and a check after the init."""
+
+        a: int
+        b: str = "x"
+
+        def __post_init__(self):
+            if self.a < 0:
+                raise ValueError("a is negative")
+
+    monkeypatch.undo()
+    assert len(calls) == execs
+    assert ("__init__" in vars(Pair)) is init
+    if init:
+        assert Pair(1) == Pair(a=1, b="x") != Pair(1, "y")
+        assert inspect.signature(Pair) == inspect.signature(twin(Pair))
+        with pytest.raises(ValueError, match="a is negative"):
+            Pair(-1)
 
 
 def test_validation_still_raises_its_messages():
