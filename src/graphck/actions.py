@@ -188,7 +188,6 @@ class PartialHomeo:
         return frozenset(y for _, y in self.pairs)
 
 
-_GROUP_RE = re.compile(r"^F(\d+)$")
 _INT_RE = re.compile(r"-?\d+")  # an integer token of the word grammar
 _POWER_RE = re.compile(r"(.+?)\^(-?\d+)")  # a generator to an integer power
 
@@ -206,7 +205,7 @@ class FinitePartialAction:
         if self.group == "Z":
             rank = 1
         else:
-            m = _GROUP_RE.match(self.group)
+            m = re.fullmatch(r"F([0-9]+)", self.group)
             if not m:
                 raise ActionFormatError(
                     f"unsupported group {clip(self.group)}: use \"Z\" or \"F<k>\" "
@@ -215,7 +214,7 @@ class FinitePartialAction:
             rank = int(m.group(1))
         if len(self.generators) != rank:
             raise ActionFormatError(
-                f"group {self.group} needs {rank} generator(s), got {len(self.generators)}"
+                f"group {clip(self.group)} needs {rank} generator(s), got {len(self.generators)}"
             )
         if len(set(self.generator_names)) != len(self.generator_names):
             raise ActionFormatError("generator names repeat")

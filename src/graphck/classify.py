@@ -6,10 +6,11 @@ intersection property.  The grading group is the integers, which are
 amenable, so the bundle is always exact.  Simplicity needs (L) plus a trivial
 ideal lattice; pure infiniteness needs (K) plus every maximal-tail vertex
 being fed by a cycle inside its tail.  Every verdict carries a
-machine-checkable witness.
+machine-checkable witness; the tail witnesses of a pure-infiniteness "yes"
+are rendered by the JSON report, which alone prints them.
 
-Vertex sets are frozensets of names at the public API, in the verdicts and
-their witnesses, and int masks in canonical order inside.
+Vertex sets are frozensets of names at the public API and in the verdicts,
+and int masks in canonical order inside.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .conditions import ConditionL, CycleWitness, condition_K, condition_L
 from .graphs import Graph, Path, encode_json
 from .ideals import AdmissiblePair
 from .poset import bits, record, union
-from .spectrum import maximal_tails
 
 # No(L) reasons for non-simplicity lean on standard graph-algebra theory
 # (an entrance-less cycle yields a non-gauge-invariant ideal); the lattice
@@ -60,27 +60,8 @@ class SimpleVerdict:
 
 
 @record
-class TailWitness:
-    """Audit data for one tail vertex: a cycle and a path from it."""
-
-    tail: frozenset[str]
-    vertex: str
-    cycle: Path
-    connect: tuple[str, ...]  # edge ids in traversal order; empty if on cycle
-
-    def to_json_obj(self) -> dict:
-        g = self.cycle.graph
-        return {
-            "tail": list(g.sort_set(self.tail)),
-            "vertex": self.vertex,
-            "cycle": list(self.cycle.walk_edge_ids()),
-            "path": list(self.connect),
-        }
-
-
-@record
 class PurelyInfiniteVerdict:
-    """Whether the algebra is purely infinite, and the reason and witnesses."""
+    """Whether the algebra is purely infinite, and the reason why not."""
 
     verdict: str  # "yes" | "no"
     # reason kinds: "fails_K" | "tail_vertex_not_fed_by_cycle" | "breaking_vertex_gap"
@@ -88,7 +69,6 @@ class PurelyInfiniteVerdict:
     vertex: Optional[str] = None
     tail: Optional[frozenset[str]] = None
     h_set: Optional[frozenset[str]] = None
-    witnesses: tuple[TailWitness, ...] = ()
 
     def to_json_obj(self, g: Graph) -> dict:
         obj: dict = {"verdict": self.verdict}
@@ -143,7 +123,7 @@ class ClassificationReport:
             else None
         )
         witnesses["purely_infinite"] = (
-            [w.to_json_obj() for w in self.purely_infinite.witnesses]
+            _tail_witnesses(self.graph)
             if self.purely_infinite.verdict == "yes"
             else None
         )
@@ -193,22 +173,6 @@ def is_simple(g: Graph):
     return SimpleVerdict("yes")
 
 
-def _paths_from(g: Graph, src: str) -> dict[str, tuple[str, ...]]:
-    """Edge ids of a shortest path from src to each vertex it reaches, in
-    traversal order: the BFS tree keeping the first edge found into each."""
-    paths = {src: ()}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for e in g.out_edges_by_vertex[u]:
-                if e.rng not in paths:
-                    paths[e.rng] = paths[u] + (e.id,)
-                    nxt.append(e.rng)
-        frontier = nxt
-    return paths
-
-
 def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     """Pure infiniteness: Condition (K), cycles feeding every tail vertex,
     and no infinite-receiver gaps anywhere in the ideal lattice.
@@ -227,8 +191,8 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     over Hmin(v), which is no larger.  So the canonically first H with a
     breaking vertex is some Hmin(v).
 
-    The clauses are decided on masks, in this order; the witnesses, one per
-    (maximal tail, member), are built only for a "yes", which reports them.
+    The clauses are decided on masks, in this order.  The tail witnesses of
+    a "yes" are not built here: the JSON report renders them.
     """
     K = condition_K(g)
     if not K.holds:
@@ -250,23 +214,45 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
         h = min(gap_sets, key=lambda m: (m.bit_count(), m))
         gap = g.vertices[next(bits(g._breaking(h)))]
         return PurelyInfiniteVerdict("no", "breaking_vertex_gap", vertex=gap, h_set=g.unmask(h))
-    return PurelyInfiniteVerdict("yes", witnesses=_tail_witnesses(g))
+    return PurelyInfiniteVerdict("yes")
 
 
-def _tail_witnesses(g: Graph) -> tuple[TailWitness, ...]:
-    """Per maximal tail and member v, a cycle at the first cycle vertex y of
-    the tail that reaches v, and the BFS-tree path from y to v; one cycle and
-    one tree per y.  The searches stay inside the tail, which is forward-closed."""
-    witnesses, cycles, trees = [], {}, {}
-    for M, m in zip(maximal_tails(g), g._tails):
-        on_cycle = g._cyclic & m
-        for i in bits(m):
-            v = g.vertices[i]
-            y = g.vertices[next(j for j in bits(on_cycle) if g._reach[j] >> i & 1)]
+def _tail_witnesses(g: Graph) -> list[dict]:
+    """The ``witnesses.purely_infinite`` list of a "yes": per maximal tail and
+    member v, a cycle at the first cycle vertex y of the tail that reaches v,
+    and the edge ids from y to v in the BFS tree that keeps the first edge
+    found into each vertex, in canonical edge order.  One cycle and one
+    parent-edge tree per y; the searches stay inside the tail, which is
+    forward-closed."""
+    out, cycles, trees = [], {}, {}
+    for m in g._tails:
+        tail, feeder, todo = g.names(m), {}, m
+        for j in bits(g._cyclic & m):
+            for i in bits(g._reach[j] & todo):
+                feeder[i] = g.vertices[j]
+            todo &= ~g._reach[j]
+        for v, i in zip(tail, bits(m)):
+            y = feeder[i]
             if y not in trees:
-                cycles[y], trees[y] = g._cycle_at(y), _paths_from(g, y)
-            witnesses.append(TailWitness(M, v, cycles[y], trees[y][v]))
-    return tuple(witnesses)
+                cycles[y], trees[y] = g._cycle_at(y).walk_edge_ids(), _bfs_tree(g, y)
+            path, u, into = [], v, trees[y]
+            while u != y:
+                path.append(into[u].id)
+                u = into[u].src
+            path.reverse()
+            out.append({"tail": list(tail), "vertex": v, "cycle": list(cycles[y]), "path": path})
+    return out
+
+
+def _bfs_tree(g: Graph, src: str) -> dict:
+    """The first edge found into each vertex src reaches, by BFS."""
+    into, order = {src: None}, [src]
+    for u in order:  # the loop reads what it appends: a FIFO queue
+        for e in g.out_edges_by_vertex[u]:
+            if e.rng not in into:
+                into[e.rng] = e
+                order.append(e.rng)
+    return into
 
 
 def classify(g: Graph) -> ClassificationReport:

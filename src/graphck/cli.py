@@ -291,7 +291,7 @@ def _cmd_paction(args, out) -> None:
 
 
 def _limit(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not (text.isascii() and text.isdecimal()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {clip(text)}")
     return int(text)
 

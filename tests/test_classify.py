@@ -90,24 +90,34 @@ def test_is_purely_infinite_examples(corpus):
     assert (r2.verdict, r2.reason_kind) == ("no", "fails_K")
 
 
+def pi_witnesses(g):
+    """The tail witnesses the JSON report lists, or None for a "no"."""
+    return classify(g).to_json_obj()["witnesses"]["purely_infinite"]
+
+
 def test_pi_witnesses_are_auditable(corpus):
     rng = random.Random(71)
     graphs = list(corpus.values()) + [random_graph(rng, max_n=6) for _ in range(60)]
+    audited = 0
     for g in graphs:
-        r = is_purely_infinite(g)
-        if r.verdict != "yes":
+        witnesses, by_id = pi_witnesses(g), {e.id: e for e in g.edges}
+        if witnesses is None:
             continue
-        for w in r.witnesses:
-            assert w.vertex in w.tail
-            assert w.cycle.is_cycle
-            assert set(w.cycle.walk_vertices()) <= w.tail
+        for w in witnesses:
+            tail = set(w["tail"])
+            assert w["vertex"] in tail
+            # the cycle composes, closes and lies in the tail
+            cycle = [by_id[eid] for eid in w["cycle"]]
+            assert all(a.rng == b.src for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+            assert {e.src for e in cycle} <= tail
             # the connecting path really runs from the cycle to the vertex
-            cur = w.cycle.src
-            for eid in w.connect:
-                (e,) = [e for e in g.edges if e.id == eid]
-                assert e.src == cur
-                cur = e.rng
-            assert cur == w.vertex
+            cur = cycle[0].src
+            for eid in w["path"]:
+                assert by_id[eid].src == cur
+                cur = by_id[eid].rng
+            assert cur == w["vertex"]
+            audited += 1
+    assert audited > 10
 
 
 def test_pi_witness_paths_match_a_search_per_vertex():
@@ -117,17 +127,18 @@ def test_pi_witness_paths_match_a_search_per_vertex():
     checked = 0
     for k in range(900):
         g = (random_looped_graph if k % 2 else random_graph)(rng)
-        r = is_purely_infinite(g)
-        for w in r.witnesses:
-            assert w.connect == bfs_connect(g, w.cycle.src, w.vertex)
-            checked += bool(w.connect)
+        by_id = {e.id: e for e in g.edges}
+        for w in pi_witnesses(g) or ():
+            start = by_id[w["cycle"][0]].src
+            assert w["path"] == list(bfs_connect(g, start, w["vertex"]))
+            checked += bool(w["path"])
     assert checked > 400
 
 
 def test_pi_matches_the_interleaved_reference():
-    """The mask-first verdict, witnesses included, equals the loop that builds
-    witnesses while it decides, on seeded graphs of every kind (omega-heavy
-    ones included) and on every quotient of each."""
+    """The mask-first verdict equals the loop that builds witnesses while it
+    decides, on seeded graphs of every kind (omega-heavy ones included) and
+    on every quotient of each."""
     rng = random.Random(2015)
     seen = Counter()
     for kind in KINDS:
@@ -137,12 +148,31 @@ def test_pi_matches_the_interleaved_reference():
             for p in admissible_pairs(g).pairs:
                 q = quotient_graph(g, p)
                 r = is_purely_infinite(q)
-                assert r == reference_is_purely_infinite(q), (kind.__name__, q)
+                assert r == reference_is_purely_infinite(q)[0], (kind.__name__, q)
                 seen[kind.__name__, r.reason_kind] += 1
                 seen[r.reason_kind] += 1
     reasons = [None, "fails_K", "tail_vertex_not_fed_by_cycle", "breaking_vertex_gap"]
     assert min(seen[k] for k in reasons) >= 50, seen
-    assert all(seen[kind.__name__, None] for kind in KINDS), seen  # witnesses compared
+    assert all(seen[kind.__name__, None] for kind in KINDS), seen
+
+
+def test_rendered_pi_witnesses_match_the_reference_rendering():
+    """The list the JSON report renders from the kernel masks equals the one
+    the interleaved reference builds, with a tuple path per vertex, on seeded
+    graphs of every kind (omega-heavy ones included) and on every quotient
+    of each."""
+    rng = random.Random(2016)
+    paths = Counter()
+    for kind in KINDS:
+        for _ in range(120):
+            g = kind(rng)
+            for p in admissible_pairs(g).pairs:
+                q = quotient_graph(g, p)
+                witnesses = pi_witnesses(q)
+                assert witnesses == reference_is_purely_infinite(q)[1], (kind.__name__, q)
+                paths[kind.__name__] += sum(bool(w["path"]) for w in witnesses or ())
+    # witnesses with a nonempty path, per kind
+    assert len(paths) == len(KINDS) and min(paths.values()) >= 50, paths
 
 
 def test_pi_breaking_gap_clause():

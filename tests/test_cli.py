@@ -14,11 +14,17 @@ import tracemalloc
 import jsonschema
 import pytest
 
-from graphck import check_paradoxical_witness, parse_action, parse_decomposition, parse_graph
+from graphck import (
+    check_paradoxical_witness,
+    classify,
+    parse_action,
+    parse_decomposition,
+    parse_graph,
+)
 from graphck.cli import run
 from graphck.poset import Poset
 
-from util import CORPUS_DIR, DOCS_DIR, REPO
+from util import CORPUS_DIR, DOCS_DIR, REPO, reference_is_purely_infinite
 
 
 def invoke(*argv):
@@ -514,6 +520,38 @@ def test_analyze_scales_to_a_thousand_vertex_chain(tmp_path):
     assert elapsed < 60, elapsed
 
 
+def test_only_the_json_report_renders_tail_witnesses(tmp_path, monkeypatch):
+    # n double loops, each feeding one vertex of an n-chain: purely infinite,
+    # and the tail of loop i holds it and the chain from c_i on, so there are
+    # n(n + 3)/2 witnesses, one per (tail, member)
+    n = 60
+    loops = tmp_path / "loops.edges"
+    loops.write_text(
+        "".join(f"vertex c{i}\nvertex l{i}\n" for i in range(n))
+        + "".join(f"l{i} l{i} 2\nl{i} c{i} 1\n" for i in range(n))
+        + "".join(f"c{i} c{i + 1} 1\n" for i in range(n - 1))
+    )
+    g = parse_graph(loops.read_text(), "edgelist")
+    expected = classify(g).to_json_obj()
+    expected["witnesses"]["purely_infinite"] = reference_is_purely_infinite(g)[1]
+    code, out, err = invoke("analyze", str(loops), "--format", "json")
+    assert (code, err) == (0, "") and out == json.dumps(expected, indent=2) + "\n"
+    assert len(expected["witnesses"]["purely_infinite"]) == n * (n + 3) // 2
+
+    class Rendered(Exception):
+        pass
+
+    def refuse(g):
+        raise Rendered
+
+    # the package name `classify` is the function; the module is in sys.modules
+    monkeypatch.setattr(sys.modules["graphck.classify"], "_tail_witnesses", refuse)
+    with pytest.raises(Rendered):
+        invoke("analyze", str(loops), "--format", "json")
+    code, out, err = invoke("analyze", str(loops))
+    assert (code, err) == (0, "") and "purely infinite:                     yes\n" in out
+
+
 def test_analyze_and_spectrum_count_no_first_returns(monkeypatch, corpus):
     # Conditions (L) and (K) are read off the components, not per-vertex closures
     def refuse(*args, **kwargs):
@@ -669,7 +707,6 @@ SCHEMA_GAPS = [
     ("edge-unknown-key", "graph", loop(note=""), True),
     ("action-unknown-key", "action", {**ACTION, "note": ""}, True),
     ("action-without-generators", "action", {"points": ["1"], "group": "F0"}, True),
-    ("non-ascii-rank", "action", {**ACTION, "group": "F\u0660"}, True),
     ("witness-unknown-key", "witness", {"V": [], "parts": [], "note": ""}, True),
     ("negative-split", "witness", {"V": [], "parts": [], "split": -1}, True),
     ("float-mult", "graph", loop(mult=1.0), False),
@@ -705,6 +742,28 @@ def test_input_schemas_and_parsers_part_as_documented(name, doc, parsed):
     if doc.get("split") == -1:  # the witness check refuses the split the parser read
         with pytest.raises(ValueError, match="split index out of range"):
             check_paradoxical_witness(parse_action(json.dumps(ACTION)), value)
+
+
+def test_ranks_and_limits_are_read_in_ascii_digits_only(tmp_path):
+    # a rank is [0-9]+, as in the schema: no other Unicode digit, and no
+    # final newline
+    for group in ("F\u0660", "F\u0661", "F1\n"):
+        with pytest.raises(ValueError, match=re.escape(f"unsupported group {group!r}")):
+            parse_action(json.dumps({**ACTION, "group": group}))
+    # the schema refuses the other digits too (its `$`, read by Python's re,
+    # lets "F1\n" pass)
+    sch = schema("action")
+    is_valid = jsonschema.validators.validator_for(sch)(sch).is_valid
+    assert not any(is_valid({**ACTION, "group": group}) for group in ("F\u0660", "F\u0661"))
+    path = tmp_path / "grp.json"
+    path.write_text(json.dumps({"points": ["a"], "group": "F1\n", "generators": []}))
+    code, out, err = invoke("paction", str(path), "is_minimal")
+    assert (code, out) == (1, "") and err.count("\n") == 1 and "unsupported group 'F1\\n'" in err
+    path.write_text(json.dumps({"points": ["a"], "group": "F1", "generators": []}))
+    code, out, err = invoke("paction", str(path), "is_minimal")
+    assert (code, out) == (1, "") and err.endswith(": group 'F1' needs 1 generator(s), got 0\n")
+    code, out, err = invoke("lattice", E1, "--limit", "\u0661\u0666")
+    assert (code, out) == (1, "") and "--limit: must be a positive integer, got '\u0661\u0666'" in err
 
 
 # -- dot well-formedness -------------------------------------------------------------

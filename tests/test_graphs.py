@@ -28,6 +28,7 @@ from graphck import (
     prime_points,
     report_to_json,
     scc_decomposition,
+    serialize_graph,
 )
 from graphck.cli import run
 from graphck.graphs import detect_format, mult_to_json
@@ -121,6 +122,13 @@ def test_auto_edge_ids_in_file_order():
 def test_detect_format():
     assert detect_format('  {"vertices": []}') == "json"
     assert detect_format("vertex v\n") == "edgelist"
+
+
+def test_unknown_graph_formats_raise_value_error(corpus):
+    with pytest.raises(ValueError, match="unknown graph format 'xml'"):
+        parse_graph(graph_to_json(corpus["e1"]), "xml")
+    with pytest.raises(ValueError, match="unknown graph format 'xml'"):
+        serialize_graph(corpus["e1"], "xml")
 
 
 @pytest.mark.parametrize("fmt", ["json", "edgelist"])

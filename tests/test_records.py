@@ -62,13 +62,13 @@ def record_classes() -> dict[str, type]:
 def samples() -> dict[str, object]:
     """One instance of each record class, from real computations."""
     corpus = load_corpus()
-    no_L, lattice, pi, unfed = corpus["e2"], corpus["e6"], corpus["e5"], corpus["e4"]
+    no_L, lattice, unfed = corpus["e2"], corpus["e6"], corpus["e4"]
     space = FiniteT0Space.from_pairs(("1", "2", "3"))
     move = PartialHomeo(space, (("1", "2"), ("2", "3")))
     action = FinitePartialAction(space, "F1", ("g",), (move,))
     d = Decomposition(frozenset({"1"}), ((frozenset({"1"}), "g"), (frozenset({"1"}), "")), 1)
     check, decision = check_paradoxical_witness(action, d), decide_G_infinite(action, {"1"})
-    no_L_report, pi_report = classify(no_L), classify(pi)
+    no_L_report = classify(no_L)
     ps = prim_space(lattice)
     return {
         "FiniteT0Space": space,
@@ -81,7 +81,6 @@ def samples() -> dict[str, object]:
         "FiniteCounting": decision.proof,
         "GInfiniteDecision": decision,
         "SimpleVerdict": no_L_report.simple,
-        "TailWitness": pi_report.purely_infinite.witnesses[0],
         "PurelyInfiniteVerdict": classify(unfed).purely_infinite,
         "ClassificationReport": no_L_report,
         "CycleWitness": no_L_report.condition_L_witness,
@@ -119,7 +118,7 @@ def twin(cls: type) -> type:
 
 
 def test_every_record_class_has_a_sample():
-    assert sorted(record_classes()) == NAMES and len(NAMES) == 22
+    assert sorted(record_classes()) == NAMES and len(NAMES) == 21
     assert all(type(SAMPLES[name]) is cls for name, cls in record_classes().items())
 
 

@@ -38,7 +38,7 @@ from graphck import (
     parse_graph,
 )
 from graphck.actions import Violation, WitnessCheck
-from graphck.classify import _EXTERNAL_L_NOTE, TailWitness, _paths_from
+from graphck.classify import _EXTERNAL_L_NOTE
 from graphck.graphs import GraphFormatError, Omega
 from graphck.poset import Poset, bits, clip, subset_order
 
@@ -256,14 +256,15 @@ def reference_graph_fault(vertices, edges) -> BaseException | None:
     return None
 
 
-def reference_is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
+def reference_is_purely_infinite(g: Graph) -> tuple[PurelyInfiniteVerdict, list[dict] | None]:
     """Pure infiniteness by the loop that decides the verdict while it builds
     the witnesses: per maximal tail and member v, in order, a cycle at the
     first cycle vertex of the tail feeding v and its BFS-tree path to v, one
-    cycle and tree per feeding vertex; then the gap clause."""
+    cycle and tree per feeding vertex; then the gap clause.  Returns the
+    verdict and, for a "yes", the witnesses as the JSON report lists them."""
     K = condition_K(g)
     if not K.holds:
-        return PurelyInfiniteVerdict("no", "fails_K", vertex=K.witness)
+        return PurelyInfiniteVerdict("no", "fails_K", vertex=K.witness), None
     r, witnesses, cycles, trees = reach(g), [], {}, {}
     for M, m in zip(maximal_tails(g), g._tails):
         on_cycle = g._cyclic & m
@@ -271,13 +272,19 @@ def reference_is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
             v = g.vertices[i]
             fed_by = on_cycle & g.mask(w for w in g.vertices if v in r[w])
             if not fed_by:
-                return PurelyInfiniteVerdict(
-                    "no", "tail_vertex_not_fed_by_cycle", vertex=v, tail=M
-                )
+                verdict = PurelyInfiniteVerdict("no", "tail_vertex_not_fed_by_cycle", vertex=v, tail=M)
+                return verdict, None
             y = g.vertices[next(bits(fed_by))]
             if y not in trees:
-                cycles[y], trees[y] = g._cycle_at(y), _paths_from(g, y)
-            witnesses.append(TailWitness(M, v, cycles[y], trees[y][v]))
+                cycles[y], trees[y] = copying_cycle_at(g, y), bfs_paths(g, y)
+            witnesses.append(
+                {
+                    "tail": list(g.sort_set(M)),
+                    "vertex": v,
+                    "cycle": list(cycles[y].walk_edge_ids()),
+                    "path": list(trees[y][v]),
+                }
+            )
     gap_sets = []
     for i, omega_src in enumerate(g._in.omega):
         if omega_src:
@@ -287,8 +294,8 @@ def reference_is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     if gap_sets:
         h = min(gap_sets, key=lambda m: (m.bit_count(), m))
         gap = g.vertices[next(bits(g._breaking(h)))]
-        return PurelyInfiniteVerdict("no", "breaking_vertex_gap", vertex=gap, h_set=g.unmask(h))
-    return PurelyInfiniteVerdict("yes", witnesses=tuple(witnesses))
+        return PurelyInfiniteVerdict("no", "breaking_vertex_gap", vertex=gap, h_set=g.unmask(h)), None
+    return PurelyInfiniteVerdict("yes"), witnesses
 
 
 def reference_is_simple(g: Graph) -> SimpleVerdict:
@@ -331,7 +338,7 @@ def reference_report(g: Graph) -> ClassificationReport:
         ideal_property_of_crossproduct="yes" if K.holds else "unknown",
         dual_system_topologically_free="unknown" if g._in.infinite else "yes" if L.holds else "no",
         simple=reference_is_simple(g),
-        purely_infinite=reference_is_purely_infinite(g),
+        purely_infinite=reference_is_purely_infinite(g)[0],
         condition_L_witness=L.witness,
         condition_K_witness=K.witness,
     )
@@ -382,6 +389,22 @@ def bfs_connect(g: Graph, src: str, dst: str) -> tuple[str, ...]:
     if dst not in paths:
         raise ValueError(f"no path {src!r} -> {dst!r}")
     return paths[dst]
+
+
+def bfs_paths(g: Graph, src: str) -> dict[str, tuple[str, ...]]:
+    """Edge ids of a shortest path from src to each vertex it reaches, in
+    traversal order: the BFS tree keeping the first edge found into each,
+    every path built whole by tuple concatenation."""
+    succ, paths, frontier = edges_by(g, "src"), {src: ()}, [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for e in succ[u]:
+                if e.rng not in paths:
+                    paths[e.rng] = paths[u] + (e.id,)
+                    nxt.append(e.rng)
+        frontier = nxt
+    return paths
 
 
 def enumerate_simple_cycles(g: Graph):
