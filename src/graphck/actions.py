@@ -188,8 +188,9 @@ class PartialHomeo:
         return frozenset(y for _, y in self.pairs)
 
 
-_INT_RE = re.compile(r"-?\d+")  # an integer token of the word grammar
-_POWER_RE = re.compile(r"(.+?)\^(-?\d+)")  # a generator to an integer power
+# the word grammar's integers are ASCII: "\u0661" is a name, as "x" is
+_INT_RE = re.compile(r"-?[0-9]+")  # an integer token of the word grammar
+_POWER_RE = re.compile(r"(.+?)\^(-?[0-9]+)")  # a generator to an integer power
 
 
 @record

@@ -6,21 +6,24 @@ intersection property.  The grading group is the integers, which are
 amenable, so the bundle is always exact.  Simplicity needs (L) plus a trivial
 ideal lattice; pure infiniteness needs (K) plus every maximal-tail vertex
 being fed by a cycle inside its tail.  Every verdict carries a
-machine-checkable witness; the tail witnesses of a pure-infiniteness "yes"
-are rendered by the JSON report, which alone prints them.
+machine-checkable witness, but is decided without it, from the kernel
+masks: a "no" keeps its witness as data (the mask of a set, or the index of
+a cycle vertex), and the witness object is built once, on its first read.
+The tail witnesses of a pure-infiniteness "yes" are rendered by the JSON
+report, which alone prints them.
 
-Vertex sets are frozensets of names at the public API and in the verdicts,
-and int masks in canonical order inside.
+Vertex sets are frozensets of names at the public API, and int masks in
+canonical order inside and in the verdicts' fields.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .conditions import ConditionL, CycleWitness, condition_K, condition_L
+from .conditions import CycleWitness, condition_K, entranceless_cycle_at
 from .graphs import Graph, Path, encode_json
 from .ideals import AdmissiblePair
-from .poset import bits, record, union
+from .poset import bits, cached_property, record, union
 
 # No(L) reasons for non-simplicity lean on standard graph-algebra theory
 # (an entrance-less cycle yields a non-gauge-invariant ideal); the lattice
@@ -33,13 +36,25 @@ _EXTERNAL_L_NOTE = (
 
 @record
 class SimpleVerdict:
-    """Whether the algebra is simple, and why not: a nontrivial pair or a cycle."""
+    """Whether the algebra is simple, and why not: a nontrivial pair or a
+    cycle, kept as the mask of H or the index of the cycle's first vertex and
+    built from it on first read."""
 
     verdict: str  # "yes" | "no"
     reason_kind: Optional[str] = None  # "nontrivial_lattice" | "condition_L_fails"
-    pair: Optional[AdmissiblePair] = None
-    cycle: Optional[Path] = None
+    graph: Optional[Graph] = None  # set on a "no"
+    h_mask: Optional[int] = None  # H of the pair (H, empty B)
+    cycle_at: Optional[int] = None  # the entrance-less cycle's first vertex
     note: Optional[str] = None
+
+    @cached_property
+    def pair(self) -> Optional[AdmissiblePair]:
+        return None if self.h_mask is None else AdmissiblePair._of(self.graph, self.h_mask, 0)
+
+    @cached_property
+    def cycle(self) -> Optional[Path]:
+        g, j = self.graph, self.cycle_at
+        return None if j is None else g._cycle_at(g.vertices[j])
 
     def to_json_obj(self) -> dict:
         obj: dict = {"verdict": self.verdict}
@@ -61,29 +76,40 @@ class SimpleVerdict:
 
 @record
 class PurelyInfiniteVerdict:
-    """Whether the algebra is purely infinite, and the reason why not."""
+    """Whether the algebra is purely infinite, and the reason why not: a
+    vertex, with the mask of its tail or of H; the name sets ``tail`` and
+    ``h_set`` are built from the masks on first read."""
 
     verdict: str  # "yes" | "no"
     # reason kinds: "fails_K" | "tail_vertex_not_fed_by_cycle" | "breaking_vertex_gap"
     reason_kind: Optional[str] = None
     vertex: Optional[str] = None
-    tail: Optional[frozenset[str]] = None
-    h_set: Optional[frozenset[str]] = None
+    graph: Optional[Graph] = None  # set with either mask
+    tail_mask: Optional[int] = None
+    h_mask: Optional[int] = None
 
-    def to_json_obj(self, g: Graph) -> dict:
+    @cached_property
+    def tail(self) -> Optional[frozenset[str]]:
+        return None if self.tail_mask is None else self.graph.unmask(self.tail_mask)
+
+    @cached_property
+    def h_set(self) -> Optional[frozenset[str]]:
+        return None if self.h_mask is None else self.graph.unmask(self.h_mask)
+
+    def to_json_obj(self) -> dict:
         obj: dict = {"verdict": self.verdict}
         if self.reason_kind == "fails_K":
             obj["reason"] = {"kind": self.reason_kind, "vertex": self.vertex}
         elif self.reason_kind == "tail_vertex_not_fed_by_cycle":
             obj["reason"] = {
                 "kind": self.reason_kind,
-                "tail": list(g.sort_set(self.tail)),
+                "tail": list(self.graph.names(self.tail_mask)),
                 "vertex": self.vertex,
             }
         elif self.reason_kind == "breaking_vertex_gap":
             obj["reason"] = {
                 "kind": self.reason_kind,
-                "H": list(g.sort_set(self.h_set)),
+                "H": list(self.graph.names(self.h_mask)),
                 "vertex": self.vertex,
             }
         else:
@@ -93,7 +119,9 @@ class PurelyInfiniteVerdict:
 
 @record
 class ClassificationReport:
-    """Every verdict `classify` gives on a graph, with the witnesses."""
+    """Every verdict `classify` gives on a graph, with the witnesses: the
+    (L) one is kept as the index of the cycle's first vertex, and built with
+    its entrances on first read."""
 
     graph: Graph
     aperiodic: bool
@@ -105,8 +133,16 @@ class ClassificationReport:
     dual_system_topologically_free: str  # "yes" | "no" | "unknown"
     simple: SimpleVerdict
     purely_infinite: PurelyInfiniteVerdict
-    condition_L_witness: Optional[object] = None  # CycleWitness on failure
+    condition_L_cycle_at: Optional[int] = None  # set when (L) fails
     condition_K_witness: Optional[str] = None
+
+    @cached_property
+    def condition_L_witness(self) -> Optional[CycleWitness]:
+        if self.condition_L_cycle_at is None:
+            return None
+        g = self.graph  # the simple verdict's cycle, when (L) decided it, is this one
+        cycle = self.simple.cycle or g._cycle_at(g.vertices[self.condition_L_cycle_at])
+        return CycleWitness.for_cycle(g, cycle)
 
     def to_json_obj(self) -> dict:
         witnesses: dict = {}
@@ -136,13 +172,13 @@ class ClassificationReport:
             "ideal_property_of_crossproduct": self.ideal_property_of_crossproduct,
             "dual_system_topologically_free": self.dual_system_topologically_free,
             "simple": self.simple.to_json_obj(),
-            "purely_infinite": self.purely_infinite.to_json_obj(self.graph),
+            "purely_infinite": self.purely_infinite.to_json_obj(),
             "witnesses": witnesses,
             "limit_exceeded": False,  # verdicts are always decided; kept for the schema
         }
 
 
-def is_simple(g: Graph):
+def is_simple(g: Graph) -> SimpleVerdict:
     """Simplicity verdict: Condition (L) plus a trivial ideal lattice.
 
     The saturated hereditary closure of a vertex v is everything outside the
@@ -152,24 +188,26 @@ def is_simple(g: Graph):
     there is at most one tail.  Otherwise the witness is the canonically
     first nontrivial saturated hereditary set: it has the least size, so it
     is the closure of any of its vertices, which lies in it and is nontrivial.
-    Only source components are scanned: a hereditary set holding c holds its
-    ancestors, so c's closure holds some source component's, no larger.
+    That closure holds the closure of a source component c above the vertex
+    (a hereditary set holds the ancestors of its members), and c lies in one
+    tail only, its reach row, so c's closure is the part of that tail that
+    no other tail holds.  A tail inside another has no such part; the
+    witness is the least nonempty one.
     """
     if len(g._tails) > 1:
-        h, src = g._full, g._in.src
-        for c in g._comps:  # a tail holding one member of c holds all of c
-            sources = union(src, c) if c & (c - 1) else src[c.bit_length() - 1]
-            if sources & ~c:
-                continue  # c has an ancestor outside it
-            m = g._sh_closure(c)
-            if (m.bit_count(), m) < (h.bit_count(), h):
+        seen = shared = 0
+        for t in g._tails:
+            shared |= seen & t
+            seen |= t
+        h = g._full
+        for t in g._tails:
+            m = t & ~shared
+            if m and (m.bit_count(), m) < (h.bit_count(), h):
                 h = m
-        return SimpleVerdict("no", "nontrivial_lattice", pair=AdmissiblePair._of(g, h, 0))
-    L = condition_L(g)
-    if not L.holds:
-        return SimpleVerdict(
-            "no", "condition_L_fails", cycle=L.witness.cycle, note=_EXTERNAL_L_NOTE
-        )
+        return SimpleVerdict("no", "nontrivial_lattice", g, h_mask=h)
+    j = entranceless_cycle_at(g)
+    if j is not None:
+        return SimpleVerdict("no", "condition_L_fails", g, cycle_at=j, note=_EXTERNAL_L_NOTE)
     return SimpleVerdict("yes")
 
 
@@ -202,9 +240,7 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
         unfed = m & ~union(g._reach, g._cyclic & m)
         if unfed:
             v = g.vertices[next(bits(unfed))]
-            return PurelyInfiniteVerdict(
-                "no", "tail_vertex_not_fed_by_cycle", vertex=v, tail=g.unmask(m)
-            )
+            return PurelyInfiniteVerdict("no", "tail_vertex_not_fed_by_cycle", v, g, tail_mask=m)
     gap_sets = []
     for i in bits(g._in.infinite):
         h = g._sh_closure(g._in.omega[i])
@@ -213,7 +249,7 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     if gap_sets:
         h = min(gap_sets, key=lambda m: (m.bit_count(), m))
         gap = g.vertices[next(bits(g._breaking(h)))]
-        return PurelyInfiniteVerdict("no", "breaking_vertex_gap", vertex=gap, h_set=g.unmask(h))
+        return PurelyInfiniteVerdict("no", "breaking_vertex_gap", gap, g, h_mask=h)
     return PurelyInfiniteVerdict("yes")
 
 
@@ -263,26 +299,25 @@ def classify(g: Graph) -> ClassificationReport:
     simple, purely_infinite = is_simple(g), is_purely_infinite(g)
     K_fails = purely_infinite.reason_kind == "fails_K"
     if simple.reason_kind == "nontrivial_lattice" and K_fails:
-        L = condition_L(g)
-    elif simple.reason_kind == "condition_L_fails":
-        L = ConditionL(False, CycleWitness.for_cycle(g, simple.cycle))
+        L_fails_at = entranceless_cycle_at(g)
     else:
-        L = ConditionL(True)
+        L_fails_at = simple.cycle_at
+    L_holds = L_fails_at is None
     # the equivalence is only available for finite graphs
-    dual_tf = "unknown" if g._in.infinite else "yes" if L.holds else "no"
+    dual_tf = "unknown" if g._in.infinite else "yes" if L_holds else "no"
 
     return ClassificationReport(
         graph=g,
-        aperiodic=L.holds,
+        aperiodic=L_holds,
         residually_aperiodic=not K_fails,
-        intersection_property=L.holds,
+        intersection_property=L_holds,
         residual_intersection=not K_fails,
         exact=True,  # integer grading; amenable groups give exact bundles
         ideal_property_of_crossproduct="unknown" if K_fails else "yes",
         dual_system_topologically_free=dual_tf,
         simple=simple,
         purely_infinite=purely_infinite,
-        condition_L_witness=L.witness,
+        condition_L_cycle_at=L_fails_at,
         condition_K_witness=purely_infinite.vertex if K_fails else None,
     )
 
@@ -327,14 +362,14 @@ def report_to_text(report: ClassificationReport) -> str:
             f"purely infinite:                     no: Condition (K) fails at {p.vertex}"
         )
     elif p.reason_kind == "breaking_vertex_gap":
-        hs = ",".join(g.sort_set(p.h_set))
+        hs = ",".join(g.names(p.h_mask))
         lines.append(
             "purely infinite:                     "
             f"no: {p.vertex} keeps an infinite-receiver gap over H={{{hs}}} "
             f"(finite corner in the quotient)"
         )
     else:
-        tail = ",".join(g.sort_set(p.tail))
+        tail = ",".join(g.names(p.tail_mask))
         lines.append(
             "purely infinite:                     "
             f"no: vertex {p.vertex} in tail {{{tail}}} is not fed by a cycle"

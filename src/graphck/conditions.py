@@ -92,18 +92,28 @@ class ConditionL:
     witness: CycleWitness | None = None
 
 
-def condition_L(g: Graph) -> ConditionL:
-    """Decide Condition (L).  The vertices outside the reach of every vertex
-    of in-degree other than one have only ancestors of in-degree one; the
-    failure witness is the cycle at the lowest cycle vertex reaching the
-    first of them (the only first-return walk there)."""
+def entranceless_cycle_at(g: Graph) -> int | None:
+    """The one (L) decider: the index of the lowest vertex of an
+    entrance-less cycle, or None when Condition (L) holds.  The vertices
+    outside the reach of every vertex of in-degree other than one have only
+    ancestors of in-degree one; the lowest cycle vertex reaching the first
+    of them starts that cycle (the only first-return walk there)."""
     full, reach, src, repeated = g._full, g._reach, g._in.src, g._in.repeated
     deg1 = sum(1 << i for i, s in enumerate(src) if s.bit_count() == 1 and not repeated[i])
     only = full & ~union(reach, full & ~deg1)
     for j in bits(only & g._cyclic):
         if reach[j] & only & -only:
-            return ConditionL(False, CycleWitness.for_cycle(g, g._cycle_at(g.vertices[j])))
-    return ConditionL(True)
+            return j
+    return None
+
+
+def condition_L(g: Graph) -> ConditionL:
+    """Decide Condition (L); a failure carries the cycle at the vertex
+    `entranceless_cycle_at` names, with its entrances (none)."""
+    j = entranceless_cycle_at(g)
+    if j is None:
+        return ConditionL(True)
+    return ConditionL(False, CycleWitness.for_cycle(g, g._cycle_at(g.vertices[j])))
 
 
 @record

@@ -668,14 +668,14 @@ def _parse_edgelist(text: str) -> Graph:
         for endpoint in (src, rng):
             if endpoint not in declared:
                 raise GraphFormatError(f"{where}: dangling endpoint {clip(endpoint)}")
-        try:
-            token = int(mtok)
-        except ValueError:
-            if re.fullmatch(r"[+-]?\d+", mtok):  # int() refuses these only for their length
+        token = mtok  # "omega", or a bad token that _parse_mult names
+        if re.fullmatch(r"[+-]?[0-9]+", mtok):  # ASCII digits: int() also reads others and "_"
+            try:
+                token = int(mtok)
+            except ValueError:  # refused only for its length
                 raise GraphFormatError(
                     f"{where}: integer literal too long: over {sys.get_int_max_str_digits()} digits"
                 ) from None
-            token = mtok  # "omega", or a bad token that _parse_mult names
         edges.append(Edge(id=f"e{k}", src=src, rng=rng, mult=_parse_mult(token, where)))
         k += 1
     return Graph(vertices=tuple(vertices), edges=tuple(edges))

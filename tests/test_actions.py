@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -237,6 +238,14 @@ def test_element_map_integer_words():
     assert dict(a.element_map("t^-1").pairs) == {y: x for x, y in gen.pairs}
     assert a.element_map("3").pairs == a.element_map("t^0").pairs != ()
     assert a.element_map("t^-2").pairs == a.element_map("-2").pairs
+    # integers are ASCII digits only: "t^\u0661" and the bare "\u0661" name generators
+    for word in ("t^\u0661", "\u0661", "-\u0661", "t^1_0"):
+        with pytest.raises(ActionFormatError, match=re.escape(f"unknown generator {word!r}")):
+            a.element_map(word)
+    # so a generator may be named "\u0661", and a word reaches it by that name
+    one = FinitePartialAction(sp, "Z", ("\u0661",), (gen,))
+    assert one.element_map("\u0661^2").pairs == one.element_map("2").pairs == a.element_map("2").pairs
+    assert one.element_map("\u0661").pairs == gen.pairs
     # free reduction over the one generator leaves the exponent sum
     rng = random.Random(9)
     for _ in range(300):

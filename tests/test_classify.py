@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import jsonschema
 from graphck import (
+    AdmissiblePair,
+    CycleWitness,
     Graph,
     admissible_pairs,
     breaking_vertices_of,
@@ -168,8 +170,8 @@ def test_rendered_pi_witnesses_match_the_reference_rendering():
             g = kind(rng)
             for p in admissible_pairs(g).pairs:
                 q = quotient_graph(g, p)
-                witnesses = pi_witnesses(q)
-                assert witnesses == reference_is_purely_infinite(q)[1], (kind.__name__, q)
+                witnesses, (verdict, ref) = pi_witnesses(q), reference_is_purely_infinite(q)
+                assert witnesses == (ref if verdict.verdict == "yes" else None), (kind.__name__, q)
                 paths[kind.__name__] += sum(bool(w["path"]) for w in witnesses or ())
     # witnesses with a nonempty path, per kind
     assert len(paths) == len(KINDS) and min(paths.values()) >= 50, paths
@@ -387,18 +389,20 @@ def graphs_and_splits(seed, n):
 
 
 def test_classify_decides_L_and_K_once(monkeypatch, corpus):
+    # (L) is decided by the one decider condition_L shares, not through it
     module = sys.modules["graphck.classify"]
     calls = Counter()
-    for name in ("condition_L", "condition_K"):
+    for name in ("entranceless_cycle_at", "condition_K"):
         def counted(g, _decide=getattr(module, name), _name=name):
             calls[_name] += 1
             return _decide(g)
 
         monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(sys.modules["graphck.conditions"], "condition_L", None)
     for g in list(corpus.values()) + list(graphs_and_splits(59, 300)):
         calls.clear()
         classify(g)
-        assert calls["condition_K"] == 1 and calls["condition_L"] <= 1, calls
+        assert calls["condition_K"] == 1 and calls["entranceless_cycle_at"] <= 1, calls
 
 
 def test_classify_fields_match_direct_conditions():
@@ -422,11 +426,12 @@ def test_conditions_ignore_how_multiplicities_are_recorded():
 
 
 def test_is_simple_matches_the_all_components_scan(corpus):
-    """Scanning the source components only finds the same least closure."""
+    """The least part of a tail that no other tail holds is the least
+    closure of a component."""
     rng = random.Random(223)
     graphs = list(corpus.values()) + [kind(rng, max_n=9) for kind in KINDS for _ in range(400)]
     for g in graphs:
-        assert is_simple(g) == reference_is_simple(g)
+        assert is_simple(g) == reference_is_simple(g)[0]
 
 
 def test_every_quotient_reports_like_the_references():
@@ -449,3 +454,64 @@ def test_every_quotient_reports_like_the_references():
                 seen[report.simple.reason_kind, report.purely_infinite.reason_kind] += 1
     # seven (simple, purely infinite) reason pairs occur
     assert len(seen) == 7 and sum(seen.values()) > 5000, seen
+
+
+def read_witnesses(report) -> tuple:
+    """Every witness a report's verdicts stand for, read through the
+    properties that build them."""
+    s, p = report.simple, report.purely_infinite
+    return s.pair, s.cycle, p.tail, p.h_set, report.condition_L_witness
+
+
+def test_verdicts_are_decided_without_building_a_witness(monkeypatch):
+    """With the witness builders patched to raise, `classify` still gives
+    every verdict on 120 seeded graphs of each kind (omega-heavy ones
+    included) and on every quotient of each, and each report equals the
+    references': equality compares the masks and vertex indices the
+    witnesses are built from.  Unpatched, each witness read from those
+    reports equals the one the references built as they found it, and a
+    second read returns the same object."""
+    rng = random.Random(229)
+    cases = []
+    for kind in KINDS:
+        for _ in range(120):
+            g = kind(rng)
+            for p in admissible_pairs(g).pairs:
+                q = quotient_graph(g, p)
+                fresh = Graph(q.vertices, q.edges)
+                ref = reference_report(fresh)
+                simple_w = reference_is_simple(fresh)[1]
+                pi_w = reference_is_purely_infinite(fresh)[1]
+                pi_kind = ref.purely_infinite.reason_kind
+                expected = (
+                    simple_w if ref.simple.reason_kind == "nontrivial_lattice" else None,
+                    simple_w if ref.simple.reason_kind == "condition_L_fails" else None,
+                    pi_w if pi_kind == "tail_vertex_not_fed_by_cycle" else None,
+                    pi_w if pi_kind == "breaking_vertex_gap" else None,
+                    walk_condition_L(fresh).witness,
+                )
+                cases.append((q, ref, expected))
+
+    def refuse(*args):
+        raise AssertionError("a witness was built")
+
+    for owner, name in (
+        (AdmissiblePair, "_of"),
+        (Graph, "_cycle_at"),
+        (CycleWitness, "for_cycle"),
+        (Graph, "unmask"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    reports = [classify(q) for q, _, _ in cases]
+    monkeypatch.undo()
+    seen = Counter()
+    for report, (q, ref, expected) in zip(reports, cases):
+        assert report == ref, q
+        assert read_witnesses(report) == expected, q
+        assert all(a is b for a, b in zip(read_witnesses(report), read_witnesses(report)))
+        seen[report.simple.reason_kind] += 1
+        seen[report.purely_infinite.reason_kind] += 1
+        seen["condition_L"] += not report.aperiodic
+    lazy = ("nontrivial_lattice", "condition_L_fails", "condition_L")
+    lazy += ("tail_vertex_not_fed_by_cycle", "breaking_vertex_gap")
+    assert min(seen[k] for k in lazy) >= 50, seen

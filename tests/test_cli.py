@@ -722,6 +722,8 @@ SCHEMA_GAPS = [
     ("repeated-point-id", "action", {**ACTION, "points": ["1", "1"]}, False),
     ("comma-point-id", "action", {**ACTION, "points": ["a,b"]}, False),
     ("semicolon-point-id", "action", {**ACTION, "points": ["a;b"]}, False),
+    # Python's re reads the pattern's `$` as matching before a final newline
+    ("newline-group", "action", {**ACTION, "group": "F1\n"}, False),
 ]
 PARSERS = {"graph": parse_graph, "action": parse_action, "witness": parse_decomposition}
 

@@ -75,6 +75,16 @@ def test_parse_edgelist_comments_and_bad_mult():
         parse_graph("vertex a\na a wommega\n", "edgelist")
 
 
+@pytest.mark.parametrize("token", ["\u0662", "1_0", "\uff12", "+\u0662"])
+def test_edgelist_multiplicity_is_read_in_ascii_digits_only(token):
+    # int() reads the Arabic-Indic two, fullwidth two and "1_0" as 2, 2 and 10
+    message = f'line 2: multiplicity must be a positive integer or "omega", got {token!r}'
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(f"vertex a\na a {token}\n", "edgelist")
+    assert str(info.value) == message
+    assert parse_graph("vertex a\na a +2\n", "edgelist").edges[0].mult == 2
+
+
 def test_parse_json_errors():
     with pytest.raises(GraphFormatError, match="dangling endpoint"):
         parse_graph('{"vertices": ["v"], "edges": [{"src":"v","rng":"x","mult":1}]}')

@@ -256,12 +256,17 @@ def reference_graph_fault(vertices, edges) -> BaseException | None:
     return None
 
 
-def reference_is_purely_infinite(g: Graph) -> tuple[PurelyInfiniteVerdict, list[dict] | None]:
+def reference_is_purely_infinite(
+    g: Graph,
+) -> tuple[PurelyInfiniteVerdict, list[dict] | frozenset[str] | None]:
     """Pure infiniteness by the loop that decides the verdict while it builds
     the witnesses: per maximal tail and member v, in order, a cycle at the
     first cycle vertex of the tail feeding v and its BFS-tree path to v, one
     cycle and tree per feeding vertex; then the gap clause.  Returns the
-    verdict and, for a "yes", the witnesses as the JSON report lists them."""
+    verdict and its witness, built as the loop meets it: for a "yes" the
+    witnesses as the JSON report lists them, for a "no" the name set of the
+    unfed vertex's tail or of H (None on a (K) failure, whose witness is the
+    verdict's vertex)."""
     K = condition_K(g)
     if not K.holds:
         return PurelyInfiniteVerdict("no", "fails_K", vertex=K.witness), None
@@ -272,8 +277,10 @@ def reference_is_purely_infinite(g: Graph) -> tuple[PurelyInfiniteVerdict, list[
             v = g.vertices[i]
             fed_by = on_cycle & g.mask(w for w in g.vertices if v in r[w])
             if not fed_by:
-                verdict = PurelyInfiniteVerdict("no", "tail_vertex_not_fed_by_cycle", vertex=v, tail=M)
-                return verdict, None
+                verdict = PurelyInfiniteVerdict(
+                    "no", "tail_vertex_not_fed_by_cycle", v, g, tail_mask=g.mask(M)
+                )
+                return verdict, M
             y = g.vertices[next(bits(fed_by))]
             if y not in trees:
                 cycles[y], trees[y] = copying_cycle_at(g, y), bfs_paths(g, y)
@@ -294,24 +301,32 @@ def reference_is_purely_infinite(g: Graph) -> tuple[PurelyInfiniteVerdict, list[
     if gap_sets:
         h = min(gap_sets, key=lambda m: (m.bit_count(), m))
         gap = g.vertices[next(bits(g._breaking(h)))]
-        return PurelyInfiniteVerdict("no", "breaking_vertex_gap", vertex=gap, h_set=g.unmask(h)), None
+        H = frozenset(v for i, v in enumerate(g.vertices) if h >> i & 1)
+        return PurelyInfiniteVerdict("no", "breaking_vertex_gap", gap, g, h_mask=h), H
     return PurelyInfiniteVerdict("yes"), witnesses
 
 
-def reference_is_simple(g: Graph) -> SimpleVerdict:
+def reference_is_simple(g: Graph) -> tuple[SimpleVerdict, AdmissiblePair | Path | None]:
     """Simplicity by the least closure over every component, not only the
-    source components `is_simple` scans; then (L) by the reference walk."""
+    source components whose tails `is_simple` reads; then (L) by the
+    reference walk.  Returns the verdict and its witness, built as it is
+    found: the pair, from the names of H, or the walk's cycle."""
     if len(g._tails) > 1:
         h = g._full
         for c in g._comps:
             m = g._sh_closure(c)
             if (m.bit_count(), m) < (h.bit_count(), h):
                 h = m
-        return SimpleVerdict("no", "nontrivial_lattice", pair=AdmissiblePair._of(g, h, 0))
+        pair = AdmissiblePair(g, [v for i, v in enumerate(g.vertices) if h >> i & 1], ())
+        return SimpleVerdict("no", "nontrivial_lattice", g, h_mask=h), pair
     L = walk_condition_L(g)
     if not L.holds:
-        return SimpleVerdict("no", "condition_L_fails", cycle=L.witness.cycle, note=_EXTERNAL_L_NOTE)
-    return SimpleVerdict("yes")
+        cycle = L.witness.cycle
+        verdict = SimpleVerdict(
+            "no", "condition_L_fails", g, cycle_at=g.index(cycle.src), note=_EXTERNAL_L_NOTE
+        )
+        return verdict, cycle
+    return SimpleVerdict("yes"), None
 
 
 def first_single_return(g: Graph) -> ConditionK:
@@ -337,9 +352,9 @@ def reference_report(g: Graph) -> ClassificationReport:
         exact=True,
         ideal_property_of_crossproduct="yes" if K.holds else "unknown",
         dual_system_topologically_free="unknown" if g._in.infinite else "yes" if L.holds else "no",
-        simple=reference_is_simple(g),
+        simple=reference_is_simple(g)[0],
         purely_infinite=reference_is_purely_infinite(g)[0],
-        condition_L_witness=L.witness,
+        condition_L_cycle_at=None if L.holds else g.index(L.witness.cycle.src),
         condition_K_witness=K.witness,
     )
 
