@@ -9,6 +9,8 @@ being fed by a cycle inside its tail.  Every verdict carries a
 machine-checkable witness, but is decided without it, from the kernel
 masks: a "no" keeps its witness as data (the mask of a set, or the index of
 a cycle vertex), and the witness object is built once, on its first read.
+A nontrivial lattice keeps only its graph; the least nontrivial saturated
+hereditary set that names it is found on first read too.
 The tail witnesses of a pure-infiniteness "yes" are rendered by the JSON
 report, which alone prints them.
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .conditions import CycleWitness, condition_K, entranceless_cycle_at
+from .conditions import CycleWitness, entranceless_cycle_at
 from .graphs import Graph, Path, encode_json
 from .ideals import AdmissiblePair
 from .poset import bits, cached_property, record, union
@@ -36,16 +38,32 @@ _EXTERNAL_L_NOTE = (
 
 @record
 class SimpleVerdict:
-    """Whether the algebra is simple, and why not: a nontrivial pair or a
-    cycle, kept as the mask of H or the index of the cycle's first vertex and
+    """Whether the algebra is simple, and why not: a nontrivial pair, found
+    on first read, or a cycle, kept as the index of its first vertex and
     built from it on first read."""
 
     verdict: str  # "yes" | "no"
     reason_kind: Optional[str] = None  # "nontrivial_lattice" | "condition_L_fails"
     graph: Optional[Graph] = None  # set on a "no"
-    h_mask: Optional[int] = None  # H of the pair (H, empty B)
     cycle_at: Optional[int] = None  # the entrance-less cycle's first vertex
     note: Optional[str] = None
+
+    @cached_property
+    def h_mask(self) -> Optional[int]:
+        """H of the pair (H, empty B) of a nontrivial lattice: the least
+        nonempty part of a tail that no other tail holds (see `is_simple`)."""
+        if self.reason_kind != "nontrivial_lattice":
+            return None
+        tails, seen, shared = self.graph._tails, 0, 0
+        for t in tails:
+            shared |= seen & t
+            seen |= t
+        h = self.graph._full
+        for t in tails:
+            m = t & ~shared
+            if m and (m.bit_count(), m) < (h.bit_count(), h):
+                h = m
+        return h
 
     @cached_property
     def pair(self) -> Optional[AdmissiblePair]:
@@ -185,29 +203,21 @@ def is_simple(g: Graph) -> SimpleVerdict:
     maximal tails that miss v (see `graphs`): it holds v, and it is not
     everything exactly when some tail misses v.  Of two distinct tails one
     misses a vertex, so the lattice is trivial, and (L) decides, exactly when
-    there is at most one tail.  Otherwise the witness is the canonically
-    first nontrivial saturated hereditary set: it has the least size, so it
-    is the closure of any of its vertices, which lies in it and is nontrivial.
-    That closure holds the closure of a source component c above the vertex
-    (a hereditary set holds the ancestors of its members), and c lies in one
+    there is at most one tail.  Otherwise the witness, found on its first
+    read (`SimpleVerdict.h_mask`), is the canonically first nontrivial
+    saturated hereditary set: it has the least size, so it is the closure of
+    any of its vertices, which lies in it and is nontrivial.  That closure
+    holds the closure of a source component c above the vertex (a
+    hereditary set holds the ancestors of its members), and c lies in one
     tail only, its reach row, so c's closure is the part of that tail that
     no other tail holds.  A tail inside another has no such part; the
     witness is the least nonempty one.
     """
     if len(g._tails) > 1:
-        seen = shared = 0
-        for t in g._tails:
-            shared |= seen & t
-            seen |= t
-        h = g._full
-        for t in g._tails:
-            m = t & ~shared
-            if m and (m.bit_count(), m) < (h.bit_count(), h):
-                h = m
-        return SimpleVerdict("no", "nontrivial_lattice", g, h_mask=h)
+        return SimpleVerdict("no", "nontrivial_lattice", g)
     j = entranceless_cycle_at(g)
     if j is not None:
-        return SimpleVerdict("no", "condition_L_fails", g, cycle_at=j, note=_EXTERNAL_L_NOTE)
+        return SimpleVerdict("no", "condition_L_fails", g, j, _EXTERNAL_L_NOTE)
     return SimpleVerdict("yes")
 
 
@@ -229,18 +239,19 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     over Hmin(v), which is no larger.  So the canonically first H with a
     breaking vertex is some Hmin(v).
 
-    The clauses are decided on masks, in this order.  The tail witnesses of
-    a "yes" are not built here: the JSON report renders them.
+    The clauses are decided on masks, in this order; (K) is read off the
+    kernel mask, as `condition_K` reads it.  The tail witnesses of a "yes"
+    are not built here: the JSON report renders them.
     """
-    K = condition_K(g)
-    if not K.holds:
-        return PurelyInfiniteVerdict("no", "fails_K", vertex=K.witness)
+    one = g._one_return
+    if one:
+        return PurelyInfiniteVerdict("no", "fails_K", g.vertices[(one & -one).bit_length() - 1])
     for m in g._tails:
         # a tail is forward-closed: what its cycle vertices reach is what they feed
         unfed = m & ~union(g._reach, g._cyclic & m)
         if unfed:
             v = g.vertices[next(bits(unfed))]
-            return PurelyInfiniteVerdict("no", "tail_vertex_not_fed_by_cycle", v, g, tail_mask=m)
+            return PurelyInfiniteVerdict("no", "tail_vertex_not_fed_by_cycle", v, g, m)
     gap_sets = []
     for i in bits(g._in.infinite):
         h = g._sh_closure(g._in.omega[i])
@@ -249,7 +260,7 @@ def is_purely_infinite(g: Graph) -> PurelyInfiniteVerdict:
     if gap_sets:
         h = min(gap_sets, key=lambda m: (m.bit_count(), m))
         gap = g.vertices[next(bits(g._breaking(h)))]
-        return PurelyInfiniteVerdict("no", "breaking_vertex_gap", gap, g, h_mask=h)
+        return PurelyInfiniteVerdict("no", "breaking_vertex_gap", gap, g, None, h)
     return PurelyInfiniteVerdict("yes")
 
 
@@ -307,18 +318,14 @@ def classify(g: Graph) -> ClassificationReport:
     dual_tf = "unknown" if g._in.infinite else "yes" if L_holds else "no"
 
     return ClassificationReport(
-        graph=g,
-        aperiodic=L_holds,
-        residually_aperiodic=not K_fails,
-        intersection_property=L_holds,
-        residual_intersection=not K_fails,
-        exact=True,  # integer grading; amenable groups give exact bundles
-        ideal_property_of_crossproduct="unknown" if K_fails else "yes",
-        dual_system_topologically_free=dual_tf,
-        simple=simple,
-        purely_infinite=purely_infinite,
-        condition_L_cycle_at=L_fails_at,
-        condition_K_witness=purely_infinite.vertex if K_fails else None,
+        g,
+        L_holds, not K_fails,  # aperiodic, residually aperiodic
+        L_holds, not K_fails,  # the intersection property, residual or not
+        True,  # exact: integer grading; amenable groups give exact bundles
+        "unknown" if K_fails else "yes",  # ideal property of the crossed product
+        dual_tf,
+        simple, purely_infinite,
+        L_fails_at, purely_infinite.vertex if K_fails else None,  # the (L) and (K) witnesses
     )
 
 

@@ -5,12 +5,14 @@ a cycle vertex r(mu_k).  Condition (K): every vertex has zero or at least two
 first-return paths.  Both tests return explicit witnesses on failure.
 
 Both fail only on a strongly connected component that is a bare simple
-cycle, read off the graph's in-edge table.  (K) is read off the components:
-it fails on the first one each of whose members has exactly one source
-inside it, not repeated (so the component is cyclic).  (L) fails on such a
-component with no entrance, read off the reach rows: the ancestors of the
-first vertex that no vertex of in-degree other than one (one source, not
-repeated) reaches hold that cycle, found from its lowest vertex.
+cycle: each of its members has exactly one source inside it, not repeated.
+The kernel pass that finds the components marks their members
+(``Graph._one_return``: the vertices with exactly one first-return path),
+and (K) is read off that mask: it fails at its lowest vertex, the smallest
+member of the first such component.  (L) fails on such a component with no
+entrance, read off the reach rows: the ancestors of the first vertex that
+no vertex of in-degree other than one (one source, not repeated) reaches
+hold that cycle, found from its lowest vertex.
 
 Saturation is read off the prime-point kernel, whose one home is `Graph`
 (see `graphs`): ``Graph._sh_closure`` is the one saturated hereditary
@@ -94,10 +96,17 @@ class ConditionL:
 
 def entranceless_cycle_at(g: Graph) -> int | None:
     """The one (L) decider: the index of the lowest vertex of an
-    entrance-less cycle, or None when Condition (L) holds.  The vertices
-    outside the reach of every vertex of in-degree other than one have only
-    ancestors of in-degree one; the lowest cycle vertex reaching the first
-    of them starts that cycle (the only first-return walk there)."""
+    entrance-less cycle, or None when Condition (L) holds.  Such a cycle is
+    a bare cycle component, so there is none when ``g._one_return`` is
+    empty.  Otherwise the cycle named is the one that feeds the lowest
+    vertex outside the reach of every vertex whose in-degree is not one
+    (one source, not repeated): that vertex has only ancestors of in-degree
+    one, and the lowest cycle vertex reaching it starts the cycle (the only
+    first-return walk there).  It need not be the cycle with the lowest
+    vertex: with cycles c1 <-> c2 and d4 <-> d5 and an edge d4 -> u0 on the
+    vertices u0, c1, c2, x3, d4, d5, it names d4."""
+    if not g._one_return:
+        return None
     full, reach, src, repeated = g._full, g._reach, g._in.src, g._in.repeated
     deg1 = sum(1 << i for i, s in enumerate(src) if s.bit_count() == 1 and not repeated[i])
     only = full & ~union(reach, full & ~deg1)
@@ -125,11 +134,8 @@ class ConditionK:
 
 
 def condition_K(g: Graph) -> ConditionK:
-    """Decide Condition (K); a failure carries the smallest vertex of the
-    first component that is a bare cycle (see the module docstring): each
-    member has one first-return path."""
-    src, repeated, cyclic = g._in.src, g._in.repeated, g._cyclic
-    for c in g._comps:  # an acyclic component is one vertex with no source in it
-        if c & cyclic and all((src[i] & c).bit_count() == 1 and not repeated[i] & c for i in bits(c)):
-            return ConditionK(False, g.vertices[next(bits(c))])
-    return ConditionK(True)
+    """Decide Condition (K); a failure carries the lowest vertex with one
+    first-return path, the smallest member of the first component that is
+    a bare cycle (see the module docstring)."""
+    m = g._one_return
+    return ConditionK(False, g.vertices[(m & -m).bit_length() - 1]) if m else ConditionK(True)

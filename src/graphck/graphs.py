@@ -21,10 +21,12 @@ Vertex sets are frozensets of names at the public API.  Inside the graph
 layer they are int masks in canonical order (bit i is vertex i), and the
 graph caches one mask per vertex for its out-neighbours (``_succ``) and the
 vertices it reaches (``_reach``).  It also caches the mask of all vertices
-(``_full``) and the condensation: the component masks (``_comps``) and the
-mask of the vertices on a cycle (``_cyclic``).  ``_reach``, ``_comps`` and
-``_cyclic`` come from one ``poset.closure`` over ``_succ``, the one closure
-routine: two vertices share a component exactly when their rows are equal.
+(``_full``) and the condensation: the component masks (``_comps``), the
+mask of the vertices on a cycle (``_cyclic``) and the mask of those with
+exactly one first-return path (``_one_return``), the members of the
+components that are a bare cycle, which Condition (K) reads.  They come
+from one ``poset.closure`` over ``_succ``, the one closure routine: two
+vertices share a component exactly when their rows are equal.
 Every cycle witness comes from ``_cycle_at``, the one cycle search.
 
 Every multiplicity question reads the in-edge table ``_in`` by field name.
@@ -37,9 +39,9 @@ vertices with an OMEGA in-edge (``infinite``).
 The kernel has two producers.  The constructor's one walk over the edges
 validates them and builds ``_succ`` and ``_in``.  The rest stays lazy, so a
 graph that is only printed never pays the closure's O(V (V + E)): the first
-read of any of ``_reach``, ``_comps``, ``_cyclic`` and ``_tails`` runs
-``_kernel``, which takes the closure and passes over its rows and stores
-all four.  A quotient by an admissible pair
+read of any of ``_reach``, ``_comps``, ``_cyclic``, ``_one_return`` and
+``_tails`` runs ``_kernel``, which takes the closure and passes over its
+rows and stores all five.  A quotient by an admissible pair
 (`ideals.quotient_graph`) is a graph like any other and computes its own.
 
 ``Graph`` is the one home of the prime-point kernel, and `conditions`,
@@ -236,7 +238,7 @@ class Graph:
 
     def names(self, m: int) -> tuple[str, ...]:
         """Vertices of the mask m in canonical order."""
-        return tuple(self.vertices[i] for i in bits(m))
+        return tuple([self.vertices[i] for i in bits(m)])  # a list: no generator frame
 
     def unmask(self, m: int) -> frozenset[str]:
         return frozenset(self.vertices[i] for i in bits(m))
@@ -258,22 +260,28 @@ class Graph:
 
     def _kernel(self) -> dict:
         """Store ``_reach``, ``_comps`` (the classes of equal reach rows, met
-        in smallest-member order), ``_cyclic`` and ``_tails`` from the one
-        closure; returns the instance dict that holds them."""
-        succ, src, omega = self._succ, self._in.src, self._in.omega
+        in smallest-member order), ``_cyclic``, ``_one_return`` and
+        ``_tails`` from the one closure; returns the instance dict that
+        holds them."""
+        succ, src, omega, repeated = self._succ, self._in.src, self._in.omega, self._in.repeated
         reach, comps = closure(succ), {}
         for i, r in enumerate(reach):
             comps[r] = comps.get(r, 0) | 1 << i
-        cyclic, rows = 0, set()
+        cyclic, multi, rows = 0, 0, set()  # multi: cyclic components that are not a bare cycle
         for i, r in enumerate(reach):
-            if succ[i] & comps[r]:  # a successor shares the component
+            c = comps[r]
+            if succ[i] & c:  # a successor shares the component
                 cyclic |= 1 << i
                 rows.add(r)
+                s = src[i] & c  # not empty: the component is strongly connected
+                if s & (s - 1) or repeated[i] & c:
+                    multi |= c
             elif not src[i] or omega[i]:
                 rows.add(r)
-        tails = tuple(sorted(rows, key=lambda m: (-m.bit_count(), m)))
+        tails = tuple(sorted(rows, key=lambda m: (-m.bit_count(), m)) if len(rows) > 1 else rows)
         self.__dict__.update(
-            _reach=reach, _comps=tuple(comps.values()), _cyclic=cyclic, _tails=tails
+            _reach=reach, _comps=tuple(comps.values()), _cyclic=cyclic,
+            _one_return=cyclic & ~multi, _tails=tails,
         )
         return self.__dict__
 
@@ -291,6 +299,12 @@ class Graph:
     def _cyclic(self) -> int:
         """Mask of the vertices on a cycle: some successor reaches back."""
         return self._kernel()["_cyclic"]
+
+    @cached_property
+    def _one_return(self) -> int:
+        """Mask of the vertices with exactly one first-return path: the
+        members of the components that are a bare cycle."""
+        return self._kernel()["_one_return"]
 
     @cached_property
     def _tails(self) -> tuple[int, ...]:

@@ -252,9 +252,9 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
             taken.add(name)
             edge_ids.add(eid)
             bars.append(name)
-            edges.append(Edge(id=eid, src=name, rng=v, mult=1))
+            edges.append(Edge(eid, name, v))
         keep += tuple(bars)
-    return Graph(vertices=keep, edges=tuple(edges))
+    return Graph(keep, tuple(edges))
 
 
 # -- exports -------------------------------------------------------------------

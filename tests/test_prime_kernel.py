@@ -2,7 +2,8 @@
 
 The kernel lives on `Graph`: `_succ` and `_in` hold the edge tables,
 `_reach`, `_comps` and `_cyclic` the reachability rows and the
-condensation, `_tails` the maximal tails, `_breakers` the breaking
+condensation, `_one_return` the vertices with one first-return path,
+`_tails` the maximal tails, `_breakers` the breaking
 vertices, `_prime_rows` and `_prime_order` the prime points and their
 order, and `_sh_closure` reads the saturated hereditary closure off
 them.  Every saturation question is read off this kernel, so each
@@ -30,16 +31,19 @@ from graphck import (
     saturated_hereditary_sets,
 )
 from graphck import graphs, ideals, spectrum
+from graphck.conditions import entranceless_cycle_at
 from graphck.poset import Poset, bits, closure, subset_order, union
 
 from util import (
     KINDS,
     brute_breaking_vertices_of,
+    brute_first_return_count,
     brute_maximal_tails,
     brute_pairs,
     edges_by,
     reach,
     round_closure,
+    split_records,
     walk_condition_L,
 )
 
@@ -185,13 +189,39 @@ def test_the_constructor_builds_the_edge_tables_and_nothing_lazy(kind, monkeypat
         quotients = [quotient_graph(g, p) for p in admissible_pairs(g).pairs[1:]]
         for q in [Graph(g.vertices, g.edges)] + quotients:
             assert {"_index", "_full", "_succ", "_in"} <= q.__dict__.keys()
-            lazy = {"_reach", "_comps", "_cyclic", "_tails", "out_edges_by_vertex"}
+            lazy = {"_reach", "_comps", "_cyclic", "_one_return", "_tails", "out_edges_by_vertex"}
             assert not lazy & q.__dict__.keys()
             assert q._index == {v: i for i, v in enumerate(q.vertices)}
             assert q._full == (1 << len(q.vertices)) - 1
             assert (q._in.src, q._in.omega, q._in.repeated, q._in.infinite) == in_table(q)
             calls.clear()
-            assert (q._cyclic, q._reach, q._comps, q._tails) and calls == [q._succ]
+            assert (q._one_return, q._cyclic, q._reach, q._comps, q._tails) and calls == [q._succ]
+
+
+def test_one_return_marks_the_vertices_with_one_first_return_path():
+    """Bit v of `_one_return` is set exactly when the brute-force count finds
+    one first-return path at v: on seeded graphs of each kind (omega-heavy
+    ones included) up to 8 vertices and all their quotients, on each of
+    those with every finite bundle split into parallel records, and on the
+    empty graph.  Where the mask is 0, (L) holds too."""
+    rng, seen = random.Random(231), Counter()
+    graphs = [Graph((), ())]
+    for kind in KINDS:
+        for _ in range(100):
+            g = kind(rng, max_n=8)
+            graphs += [quotient_graph(g, p) for p in admissible_pairs(g).pairs]
+    for g in graphs + [split_records(g) for g in graphs]:
+        one = g._one_return
+        assert one == g.mask(v for v in g.vertices if brute_first_return_count(g, v) == 1), g
+        if not one:
+            assert entranceless_cycle_at(g) is None, g
+        src, repeated = g._in.src, g._in.repeated
+        for c in g._comps:  # a repeated source is all that keeps c from being a bare cycle
+            bare = all((src[i] & c).bit_count() == 1 for i in bits(c & g._cyclic))
+            seen["repeated"] += bare and any(repeated[i] & c for i in bits(c))
+        seen["one return" if one else "none"] += 1
+        seen["omega"] += bool(g._in.infinite)
+    assert min(seen.values()) >= 500, seen
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)

@@ -31,7 +31,6 @@ from graphck import (
     Path,
     PurelyInfiniteVerdict,
     SimpleVerdict,
-    condition_K,
     first_return_count,
     maximal_tails,
     pair_leq,
@@ -267,7 +266,7 @@ def reference_is_purely_infinite(
     witnesses as the JSON report lists them, for a "no" the name set of the
     unfed vertex's tail or of H (None on a (K) failure, whose witness is the
     verdict's vertex)."""
-    K = condition_K(g)
+    K = first_single_return(g)
     if not K.holds:
         return PurelyInfiniteVerdict("no", "fails_K", vertex=K.witness), None
     r, witnesses, cycles, trees = reach(g), [], {}, {}
@@ -306,11 +305,12 @@ def reference_is_purely_infinite(
     return PurelyInfiniteVerdict("yes"), witnesses
 
 
-def reference_is_simple(g: Graph) -> tuple[SimpleVerdict, AdmissiblePair | Path | None]:
+def reference_is_simple(g: Graph) -> tuple[SimpleVerdict, AdmissiblePair | Path | None, int | None]:
     """Simplicity by the least closure over every component, not only the
     source components whose tails `is_simple` reads; then (L) by the
-    reference walk.  Returns the verdict and its witness, built as it is
-    found: the pair, from the names of H, or the walk's cycle."""
+    reference walk.  Returns the verdict, built without H, its witness,
+    built as it is found (the pair, from the names of H, or the walk's
+    cycle), and the mask of H (None unless the lattice is nontrivial)."""
     if len(g._tails) > 1:
         h = g._full
         for c in g._comps:
@@ -318,15 +318,15 @@ def reference_is_simple(g: Graph) -> tuple[SimpleVerdict, AdmissiblePair | Path 
             if (m.bit_count(), m) < (h.bit_count(), h):
                 h = m
         pair = AdmissiblePair(g, [v for i, v in enumerate(g.vertices) if h >> i & 1], ())
-        return SimpleVerdict("no", "nontrivial_lattice", g, h_mask=h), pair
+        return SimpleVerdict("no", "nontrivial_lattice", g), pair, h
     L = walk_condition_L(g)
     if not L.holds:
         cycle = L.witness.cycle
         verdict = SimpleVerdict(
             "no", "condition_L_fails", g, cycle_at=g.index(cycle.src), note=_EXTERNAL_L_NOTE
         )
-        return verdict, cycle
-    return SimpleVerdict("yes"), None
+        return verdict, cycle, None
+    return SimpleVerdict("yes"), None, None
 
 
 def first_single_return(g: Graph) -> ConditionK:
@@ -754,6 +754,17 @@ def random_graph(
         for k in range(m)
     )
     return Graph(vertices, edges)
+
+
+def split_records(g: Graph) -> Graph:
+    """g with every finite multiplicity-m edge split into m parallel records."""
+    edges = []
+    for e in g.edges:
+        if isinstance(e.mult, int) and e.mult > 1:
+            edges += [replace(e, id=f"{e.id}.{k}", mult=1) for k in range(e.mult)]
+        else:
+            edges.append(e)
+    return Graph(g.vertices, tuple(edges))
 
 
 def random_omega_graph(rng: random.Random, max_n: int = 7, min_n: int = 1) -> Graph:
