@@ -375,12 +375,13 @@ class FinitePartialAction:
         n = len(self.space.points)
         if n > limit:
             raise LimitExceededError(n, limit, what="points")
-        unions = [(0, frozenset())]  # (mask, set) pairs
+        unions = {0: frozenset()}  # mask -> set
         for m in set(self._orbits):
             orbit = self.space.unmask(m)
-            unions += [(u | m, S | orbit) for u, S in unions]
-        unions.sort(key=lambda uS: (uS[0].bit_count(), uS[0]))
-        return [S for _, S in unions]
+            unions.update([(u | m, S | orbit) for u, S in unions.items()])
+        masks = sorted(unions)
+        masks.sort(key=int.bit_count)  # stable: by size, then mask
+        return [unions[u] for u in masks]
 
     @cached_property
     def _closed_invariant_masks(self) -> tuple[int, ...]:
@@ -399,27 +400,18 @@ class FinitePartialAction:
     def _fixed_union(self) -> int:
         """Mask of the union of fixed points of theta_w over nontrivial reduced words w.
 
-        theta_w fixes x exactly when the letters of w, applied right to left,
-        walk from x back to x with every step defined and no letter followed
-        by its inverse.  So the union is read off reachability among
-        (point, last letter) states, polynomial in the number of points; the
-        generator of Z walks like the one of F1.
+        Join x to theta(x) by one edge for each generator and each point x of
+        its domain.  theta_w fixes x exactly when w spells a closed walk at x
+        that never turns back along the edge it came by, and such a walk
+        exists exactly when the orbit of x, which is connected, holds a
+        cycle: at least as many edges as points, a loop or two parallel
+        edges included.  Past the orbits this costs one pass over each
+        generator's domain; the generator of Z counts like the one of F1.
         """
-        maps, n = self._index_maps, len(self.space.points)
-        k = len(maps)  # letters: each generator, then its inverse; j ^ 1 inverts j
-        succ = [0] * (n * k)
-        for p in range(n):
-            for j in range(k):
-                for i, f in enumerate(maps):
-                    if i != j ^ 1 and f[p] >= 0:  # keep the word reduced and defined
-                        succ[p * k + j] |= 1 << (f[p] * k + i)
-        reach = closure(succ)
-        at = (1 << k) - 1  # the k states at a point, shifted to it
-        fixed = 0
-        for x in range(n):
-            if any(f[x] >= 0 and reach[f[x] * k + i] >> (x * k) & at for i, f in enumerate(maps)):
-                fixed |= 1 << x
-        return fixed
+        doms = [sum(1 << i for i, j in enumerate(gen._fwd) if j >= 0) for gen in self.generators]
+        return sum(
+            m for m in set(self._orbits) if sum((d & m).bit_count() for d in doms) >= m.bit_count()
+        )
 
     def is_topologically_free(self) -> bool:
         return not self.space._interior(self._fixed_union)
@@ -429,10 +421,11 @@ class FinitePartialAction:
 
         It suffices to check the minimal closed invariant set Y of each point:
         every closed invariant set is a union of those, and a fixed open
-        patch in the union already sits inside one of them.  Words act on
-        the invariant set Y as on the whole space, so the restriction's fixed
-        union is the whole action's fixed union inside Y, and it is free
-        when no point of that set has its smallest open set within Y inside it.
+        patch in the union already sits inside one of them.  The restriction
+        to the invariant set Y keeps each orbit inside Y with all its edges,
+        so its fixed union is the whole action's fixed union inside Y, and it
+        is free when no point of that set has its smallest open set within Y
+        inside it.
         """
         fixed, down = self._fixed_union, self.space._down
         for Y in set(self._closed_invariant_masks):

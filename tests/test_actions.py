@@ -49,6 +49,7 @@ from util import (
     ref_check_paradoxical_witness,
     restrict,
     specializes,
+    state_closure_fixed_union,
     REPO,
     trivial_action,
     word_text,
@@ -536,9 +537,62 @@ def test_invariant_subsets_match_brute_force():
     assert a.invariant_subsets(limit=40) == [frozenset(), low, high, low | high]
 
 
+def test_invariant_subsets_order_at_full_size():
+    """Ten orbits of mixed sizes on shuffled points: all 1,024 unions, by
+    size, then mask."""
+    rng = random.Random(151)
+    sp = FiniteT0Space.from_pairs(tuple(f"p{i}" for i in range(16)))
+    pts = list(sp.points)
+    rng.shuffle(pts)
+    orbits, pairs = [], []
+    for size in (1, 1, 2, 1, 3, 1, 2, 1, 1, 3):
+        orbit, pts = pts[:size], pts[size:]
+        orbits.append(frozenset(orbit))
+        pairs += [(orbit[k], orbit[(k + 1) % size]) for k in range(size)]
+    a = FinitePartialAction(sp, "Z", ("t",), (PartialHomeo(sp, tuple(pairs)),))
+    ref = [frozenset().union(*c) for c in all_subsets(orbits)]
+    ref.sort(key=lambda S: (len(S), sum(1 << sp.index[p] for p in S)))
+    assert len(ref) == 1024 and a.invariant_subsets() == ref
+
+
 def test_fixed_union_matches_brute_force():
     for a in differential_actions():
         assert a.space.unmask(a._fixed_union) == brute_fixed_union(a)
+
+
+def test_fixed_union_matches_the_state_closure():
+    """The orbit-cycle rule against reachability among (point, last letter)
+    states, also at sizes the word search cannot reach."""
+    cases = differential_actions()
+    rng = random.Random(157)
+    seeded = []
+    while len(seeded) < 300:  # discrete spaces come next
+        a = random_action(rng, max_points=9, max_gens=3)
+        if a.space.closure_pairs:
+            seeded.append(a)
+    assert {a.group for a in seeded} == {"Z", "F1", "F2", "F3"}
+    cases += seeded
+    cases += [random_cycle_transposition_action(rng, n) for n in range(5, 13) for _ in range(4)]
+    sp = FiniteT0Space.from_pairs(("x", "y", "z"), [("x", "z")])
+    cases.append(FinitePartialAction(sp, "F0", (), ()))
+    for a in cases:
+        assert a._fixed_union == state_closure_fixed_union(a)
+
+    disc = FiniteT0Space.from_pairs(("x", "y", "z"))
+
+    def fixed(group, *maps):
+        names = tuple(f"g{i}" for i in range(len(maps)))
+        a = FinitePartialAction(disc, group, names, tuple(PartialHomeo(disc, m) for m in maps))
+        assert a._fixed_union == state_closure_fixed_union(a)
+        return a.space.unmask(a._fixed_union)
+
+    ident = (("x", "x"), ("y", "y"), ("z", "z"))
+    assert fixed("F1", (("y", "y"),)) == {"y"}  # a loop
+    assert fixed("F1", (("x", "y"), ("z", "x"))) == set()  # the path z - x - y
+    assert fixed("Z", (("x", "y"), ("y", "x"))) == {"x", "y"}  # a 2-cycle: t^2
+    # two generators that agree at one point: g1^-1 g0 fixes it
+    assert fixed("F2", (("y", "x"),), (("y", "x"), ("x", "y"))) == {"x", "y"}
+    assert fixed("F0") == set() and fixed("F1", ident) == {"x", "y", "z"}
 
 
 def test_is_minimal_matches_brute_force():
@@ -606,22 +660,24 @@ def test_residual_freeness_implies_freeness():
             assert a.is_topologically_free()
 
 
-def test_both_freeness_queries_share_one_state_closure(monkeypatch):
-    """The (point, last letter) closure behind the fixed-point union runs
-    once per action, however many freeness queries read it."""
+def test_both_freeness_queries_compute_the_fixed_union_once(monkeypatch):
+    """The fixed-point union comes from the orbits: both freeness queries
+    together take no closure wider than the point count, and compute the
+    union once per action."""
     rng = random.Random(137)
     for _ in range(20):
         a = random_action(rng, max_points=5)
-        states = len(a.space.points) * 2 * len(a.generators)  # never n, as n > 0
-        if not states:
-            continue
-        sizes = []
-        real = actions.closure
+        sizes, calls = [], []
+        real, rule = actions.closure, actions.FinitePartialAction._fixed_union.func
         monkeypatch.setattr(actions, "closure", lambda succ: sizes.append(len(succ)) or real(succ))
+        monkeypatch.setattr(
+            actions.FinitePartialAction._fixed_union, "func", lambda self: calls.append(1) or rule(self)
+        )
         a.is_topologically_free()
         a.is_residually_topologically_free()
         monkeypatch.undo()
-        assert sizes.count(states) == 1, (states, sizes)
+        assert max(sizes, default=0) <= len(a.space.points), sizes
+        assert len(calls) == 1
 
 
 def test_minimal_implies_single_quasi_orbit():

@@ -40,6 +40,7 @@ from graphck.actions import Violation, WitnessCheck
 from graphck.classify import _EXTERNAL_L_NOTE
 from graphck.graphs import GraphFormatError, Omega
 from graphck.poset import Poset, bits, clip, subset_order
+from graphck.poset import closure as reach_closure
 
 REPO = FsPath(__file__).resolve().parent.parent
 CORPUS_DIR = REPO / "corpus"
@@ -847,22 +848,30 @@ def interior(space: FiniteT0Space, S) -> frozenset:
 
 
 def order_automorphisms(space: FiniteT0Space):
+    """Every order automorphism, in the lexicographic order of its
+    permutation of point positions: a backtracking search that places point
+    i only where specialization to and from the points before it is kept."""
     pts = space.points
     n = len(pts)
-    autos = []
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                if specializes(space, pts[i], pts[j]) != specializes(
-                    space, pts[perm[i]], pts[perm[j]]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            autos.append({pts[i]: pts[perm[i]] for i in range(n)})
+    spec = [[specializes(space, p, q) for q in pts] for p in pts]
+    autos, perm, used = [], [], [False] * n
+
+    def extend(i: int) -> None:
+        if i == n:
+            autos.append({pts[k]: pts[perm[k]] for k in range(n)})
+            return
+        for c in range(n):
+            if not used[c] and all(
+                spec[i][k] == spec[c][perm[k]] and spec[k][i] == spec[perm[k]][c]
+                for k in range(i)
+            ):
+                used[c] = True
+                perm.append(c)
+                extend(i + 1)
+                perm.pop()
+                used[c] = False
+
+    extend(0)
     return autos
 
 
@@ -1148,6 +1157,32 @@ def brute_fixed_union(a: FinitePartialAction) -> frozenset:
                 nxt.append((composed, letter))
         frontier = nxt
     return frozenset(fixed)
+
+
+def state_closure_fixed_union(a: FinitePartialAction) -> int:
+    """Mask of the union of fixed points of theta_w over nontrivial reduced words w.
+
+    theta_w fixes x exactly when the letters of w, applied right to left,
+    walk from x back to x with every step defined and no letter followed
+    by its inverse.  So the union is read off reachability among
+    (point, last letter) states, polynomial in the number of points; the
+    generator of Z walks like the one of F1.
+    """
+    maps, n = a._index_maps, len(a.space.points)
+    k = len(maps)  # letters: each generator, then its inverse; j ^ 1 inverts j
+    succ = [0] * (n * k)
+    for p in range(n):
+        for j in range(k):
+            for i, f in enumerate(maps):
+                if i != j ^ 1 and f[p] >= 0:  # keep the word reduced and defined
+                    succ[p * k + j] |= 1 << (f[p] * k + i)
+    reach = reach_closure(succ)
+    at = (1 << k) - 1  # the k states at a point, shifted to it
+    fixed = 0
+    for x in range(n):
+        if any(f[x] >= 0 and reach[f[x] * k + i] >> (x * k) & at for i, f in enumerate(maps)):
+            fixed |= 1 << x
+    return fixed
 
 
 # -- witness-check references ----------------------------------------------------------
