@@ -29,7 +29,7 @@ from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .graphs import DEFAULT_LIMIT, LimitExceededError, decode_json
-from .poset import Poset, bits, cached_property, check_antisymmetric, clip, closure, record, union
+from .poset import bits, cached_property, check_antisymmetric, clip, closure, record, union
 
 Letter = tuple[str, int]  # a run: (generator name, exponent)
 
@@ -113,11 +113,6 @@ class FiniteT0Space:
 
     def unmask(self, m: int) -> frozenset[str]:
         return frozenset(self.points[j] for j in bits(m))
-
-    @cached_property
-    def _down(self) -> tuple[int, ...]:
-        """Per point, the mask of the smallest open set containing it."""
-        return Poset(self._up).down
 
     def _interior(self, m: int) -> int:
         """Mask of the interior of m: everything outside the closure of its complement."""
@@ -326,13 +321,12 @@ class FinitePartialAction:
         """Orbit closure -> the points whose orbit has that closure, in the
         canonical order of each class's first point."""
         out: dict[int, int] = {}
-        for i, m in enumerate(self._orbits):
-            K = union(self.space._up, m)
+        for i, K in enumerate(self._closed_invariant_masks):
             out[K] = out.get(K, 0) | 1 << i
         return out
 
     def quasi_orbit(self, x: str) -> frozenset[str]:
-        K = union(self.space._up, self._orbits[self._point(x)])
+        K = self._closed_invariant_masks[self._point(x)]
         return self.space.unmask(self._quasi_orbits[K])
 
     def quasi_orbit_space(self) -> "QuasiOrbitSpace":
@@ -385,9 +379,10 @@ class FinitePartialAction:
 
     @cached_property
     def _closed_invariant_masks(self) -> tuple[int, ...]:
-        """Per point, the mask of the smallest closed invariant set containing it:
-        everything reachable by specialization and by generator steps."""
-        return closure([s | up for s, up in zip(self._step_succ, self.space._up)])
+        """Per point, the closure of its orbit: the smallest closed invariant set
+        containing it, since domains are down-sets and so the closure of an
+        invariant set is invariant."""
+        return tuple(union(self.space._up, m) for m in self._orbits)
 
     def is_minimal(self) -> bool:
         """No closed invariant subsets besides the empty set and everything."""
@@ -414,25 +409,14 @@ class FinitePartialAction:
         )
 
     def is_topologically_free(self) -> bool:
-        return not self.space._interior(self._fixed_union)
+        """No point is fixed by a nontrivial reduced word: if theta_w fixes x, it
+        permutes x's smallest open set, so a power of w fixes an open point."""
+        return not self._fixed_union
 
     def is_residually_topologically_free(self) -> bool:
-        """Topological freeness of the restriction to every closed invariant set.
-
-        It suffices to check the minimal closed invariant set Y of each point:
-        every closed invariant set is a union of those, and a fixed open
-        patch in the union already sits inside one of them.  The restriction
-        to the invariant set Y keeps each orbit inside Y with all its edges,
-        so its fixed union is the whole action's fixed union inside Y, and it
-        is free when no point of that set has its smallest open set within Y
-        inside it.
-        """
-        fixed, down = self._fixed_union, self.space._down
-        for Y in set(self._closed_invariant_masks):
-            inside = fixed & Y
-            if any(not down[p] & Y & ~inside for p in bits(inside)):
-                return False
-        return True
+        """Freeness on every closed invariant Y, which is freeness: the restriction
+        to Y keeps whole orbits, so its fixed union is the fixed union inside Y."""
+        return self.is_topologically_free()
 
 
 @record

@@ -162,7 +162,7 @@ def _quasi_orbit_space(a: act.FinitePartialAction, args) -> dict:
         "labels": labels,
         "specialization": sorted(
             [list(pq) for pq in qo.space.closure_pairs],
-            key=lambda pq: (labels.index(pq[0]), labels.index(pq[1])),
+            key=lambda pq: (qo.space.index[pq[0]], qo.space.index[pq[1]]),  # label positions
         ),
     }
 

@@ -28,6 +28,7 @@ from graphck import (
 import graphck.actions as actions
 from graphck.actions import Violation, WitnessCheck
 from graphck.cli import run
+from graphck.poset import Poset
 
 from util import (
     all_subsets,
@@ -37,6 +38,7 @@ from util import (
     brute_invariant_subsets,
     closure,
     compose,
+    differential_actions,
     interior,
     open_sets,
     prim_space_t0,
@@ -50,6 +52,7 @@ from util import (
     restrict,
     specializes,
     state_closure_fixed_union,
+    step_closure_invariant_masks,
     REPO,
     trivial_action,
     word_text,
@@ -82,7 +85,7 @@ def test_space_validation():
 def test_sierpinski_topology():
     sp = sierpinski()
     assert sp.closure_pairs == {("a", "b")}  # b lies in the closure of the open point
-    assert sp.unmask(sp._down[sp.index["b"]]) == {"a", "b"}  # smallest open set around b
+    assert sp.unmask(Poset(sp._up).down[sp.index["b"]]) == {"a", "b"}  # smallest open set around b
     assert sp.is_open({"a"}) and not sp.is_open({"b"})
     assert closure(sp, {"b"}) == {"b"} and closure(sp, {"a"}) == {"a", "b"}
     assert interior(sp, {"b"}) == frozenset()  # a fixed closed point is invisible
@@ -127,7 +130,7 @@ def test_closure_matches_set_fixpoint():
         assert sp.closure_pairs == {(p, q) for p in points for q in above[p] if q != p}
         # the topology from the definitions: closed sets are up-sets, open sets down-sets
         below = {p: {q for q in points if p in above[q]} for p in points}
-        assert {p: sp.unmask(sp._down[sp.index[p]]) for p in points} == below
+        assert {p: sp.unmask(Poset(sp._up).down[sp.index[p]]) for p in points} == below
         for _ in range(8):
             S = frozenset(p for p in points if pick.random() < 0.5)
             closed = frozenset().union(*(above[p] for p in S))
@@ -507,15 +510,6 @@ def test_invariant_subsets_and_complement_property():
             assert everything - V in inv_set  # complements stay invariant
 
 
-def differential_actions():
-    """Seeded actions over Z, F1, F2 and F3, then cycle-plus-transposition F2
-    actions on 5 and 6 discrete points."""
-    rng = random.Random(149)
-    out = [random_action(rng, max_points=6, max_gens=3) for _ in range(150)]
-    out += [random_cycle_transposition_action(rng, n) for n in (5, 6) for _ in range(6)]
-    return out
-
-
 def test_invariant_subsets_match_brute_force():
     groups = set()
     for a in differential_actions():
@@ -527,7 +521,7 @@ def test_invariant_subsets_match_brute_force():
         for x in a.space.points:
             smallest = min((S for S in closed if x in S), key=len)
             assert a.space.unmask(a._closed_invariant_masks[a.space.index[x]]) == smallest
-    assert groups == {"Z", "F1", "F2", "F3"}
+    assert groups == {"Z", "F0", "F1", "F2", "F3"}
     # unions of orbits, not a scan of 2^40 subsets: 40 points in two orbits
     sp = FiniteT0Space.from_pairs(tuple(f"p{i}" for i in range(40)))
     pts = sp.points
@@ -535,6 +529,16 @@ def test_invariant_subsets_match_brute_force():
     a = FinitePartialAction(sp, "Z", ("t",), (PartialHomeo(sp, shift),))
     low, high = frozenset(pts[:20]), frozenset(pts[20:])
     assert a.invariant_subsets(limit=40) == [frozenset(), low, high, low | high]
+
+
+def test_closed_invariant_masks_match_the_step_closure():
+    """Orbit closures against one closure over specialization and generator
+    steps, also at sizes the subset enumeration cannot reach."""
+    rng = random.Random(163)
+    cases = differential_actions()
+    cases += [random_action(rng, max_points=9, max_gens=3) for _ in range(500)]
+    for a in cases:
+        assert a._closed_invariant_masks == step_closure_invariant_masks(a)
 
 
 def test_invariant_subsets_order_at_full_size():
@@ -625,6 +629,23 @@ def test_freeness_examples():
     big = random_cycle_transposition_action(random.Random(0), 12)
     assert big.space.unmask(big._fixed_union) == frozenset(big.space.points)
     assert not big.is_topologically_free()
+
+
+def test_freeness_is_no_fixed_point():
+    """On a finite T0 space the points fixed by nontrivial reduced words have
+    empty interior only when there are none, and residual freeness is
+    freeness."""
+    rng = random.Random(167)
+    cases = differential_actions()
+    cases += [random_action(rng, max_points=9, max_gens=3) for _ in range(2000)]
+    assert {a.group for a in cases} == {"Z", "F0", "F1", "F2", "F3"}
+    fixed_somewhere = 0
+    for a in cases:
+        fixed = a.space.unmask(state_closure_fixed_union(a))
+        fixed_somewhere += bool(fixed)
+        assert (not interior(a.space, fixed)) == (not fixed)
+        assert a.is_residually_topologically_free() == a.is_topologically_free() == (not fixed)
+    assert 100 < fixed_somewhere < len(cases) - 100
 
 
 def test_z_and_f1_freeness_agree():

@@ -975,6 +975,16 @@ def random_cycle_transposition_action(rng: random.Random, n: int) -> FiniteParti
     return FinitePartialAction(space, "F2", ("a", "b"), (cycle, swap))
 
 
+def differential_actions() -> list[FinitePartialAction]:
+    """Seeded actions over Z, F1, F2 and F3, then cycle-plus-transposition F2
+    actions on 5 and 6 discrete points, then F0 actions (no generators)."""
+    rng = random.Random(149)
+    out = [random_action(rng, max_points=6, max_gens=3) for _ in range(150)]
+    out += [random_cycle_transposition_action(rng, n) for n in (5, 6) for _ in range(6)]
+    out += [FinitePartialAction(random_t0_space(rng), "F0", (), ()) for _ in range(6)]
+    return out
+
+
 # -- action oracles ------------------------------------------------------------------
 
 
@@ -1183,6 +1193,12 @@ def state_closure_fixed_union(a: FinitePartialAction) -> int:
         if any(f[x] >= 0 and reach[f[x] * k + i] >> (x * k) & at for i, f in enumerate(maps)):
             fixed |= 1 << x
     return fixed
+
+
+def step_closure_invariant_masks(a: FinitePartialAction) -> tuple[int, ...]:
+    """Per point, the mask of the smallest closed invariant set containing it:
+    everything reachable by specialization and by generator steps."""
+    return reach_closure([s | up for s, up in zip(a._step_succ, a.space._up)])
 
 
 # -- witness-check references ----------------------------------------------------------
