@@ -231,13 +231,23 @@ class FinitePartialAction:
     def _by_name(self) -> dict[str, PartialHomeo]:
         return dict(zip(self.generator_names, self.generators))
 
+    @cached_property
+    def _letters(self) -> dict[str, Letter]:
+        """The tokens g and g^-1 of each generator g, as runs: exact, since no
+        name is e, an integer token, or holds "^", whitespace or a separator."""
+        return {t: (g, e) for g in self.generator_names for t, e in ((g, 1), (g + "^-1", -1))}
+
     # -- words ---------------------------------------------------------------
 
     def parse_word(self, word: str) -> tuple[Letter, ...]:
         """Parse a word of the text grammar (docs/FORMATS.md) into freely
         reduced (generator, exponent) runs, expanding no exponent."""
         runs: list[Letter] = []
+        letters = self._letters
         for tok in word.replace("·", " ").replace("*", " ").split():
+            if tok in letters:
+                runs.append(letters[tok])
+                continue
             if tok == "e":
                 continue
             m = _POWER_RE.fullmatch(tok)
@@ -305,8 +315,26 @@ class FinitePartialAction:
 
     @cached_property
     def _orbits(self) -> tuple[int, ...]:
-        """Per point, its orbit: the closure of the relation joining x and theta(x)."""
-        return closure(self._step_succ)
+        """Per point, its orbit: the connected component of x in the relation
+        joining x and theta(x), which _step_succ holds both ways.  One search
+        per orbit, a frontier at a time, so the cost is linear in the points
+        times the generators."""
+        succ = self._step_succ
+        out = [0] * len(succ)
+        for i in range(len(succ)):
+            if not out[i]:
+                m = new = 1 << i
+                while new:
+                    new = union(succ, new) & ~m
+                    m |= new
+                for j in bits(m):
+                    out[j] = m
+        return tuple(out)
+
+    @cached_property
+    def _orbit_sets(self) -> dict[int, frozenset[str]]:
+        """Each distinct orbit's mask -> its points, in the order of first points."""
+        return {m: self.space.unmask(m) for m in dict.fromkeys(self._orbits)}
 
     def _point(self, x: str) -> int:
         if x not in self.space.index:
@@ -314,42 +342,32 @@ class FinitePartialAction:
         return self.space.index[x]
 
     def orbit(self, x: str) -> frozenset[str]:
-        return self.space.unmask(self._orbits[self._point(x)])
-
-    @cached_property
-    def _quasi_orbits(self) -> dict[int, int]:
-        """Orbit closure -> the points whose orbit has that closure, in the
-        canonical order of each class's first point."""
-        out: dict[int, int] = {}
-        for i, K in enumerate(self._closed_invariant_masks):
-            out[K] = out.get(K, 0) | 1 << i
-        return out
+        return self._orbit_sets[self._orbits[self._point(x)]]
 
     def quasi_orbit(self, x: str) -> frozenset[str]:
-        K = self._closed_invariant_masks[self._point(x)]
-        return self.space.unmask(self._quasi_orbits[K])
+        """The points whose orbit has the closure of x's, which is x's orbit: if
+        theta_w(x) = y, theta_w maps U_x onto U_y (smallest open sets), so |U_x| =
+        |U_y| and no two points of one orbit are comparable; equal closures would
+        give x >= y >= x' with x, x' in one orbit, so x = y."""
+        return self._orbit_sets[self._orbits[self._point(x)]]
 
     def quasi_orbit_space(self) -> "QuasiOrbitSpace":
-        sp = self.space
-        classes = list(self._quasi_orbits.values())
+        """The quotient by the quasi-orbits, which are the orbits."""
+        sp, orbits = self.space, self._orbits
         # label singleton classes by their sole member so that the trivial
         # action reproduces the space on the nose
-        members = [[sp.points[i] for i in bits(c)] for c in classes]
-        labels = [ps[0] if len(ps) == 1 else "{" + ",".join(ps) + "}" for ps in members]
-        key_of = {i: k for k, c in enumerate(classes) for i in bits(c)}
+        members = {m: [sp.points[i] for i in bits(m)] for m in self._orbit_sets}
+        label = {m: p[0] if len(p) == 1 else "{" + ",".join(p) + "}" for m, p in members.items()}
         # the quotient topology is generated by the representative relation;
         # FiniteT0Space closes it and checks antisymmetry
         pairs = frozenset(
-            (labels[key_of[i]], labels[key_of[j]])
+            (label[orbits[i]], label[orbits[j]])
             for i, up in enumerate(sp._up)
             for j in bits(up)
-            if key_of[i] != key_of[j]
+            if orbits[i] != orbits[j]
         )
-        quotient = FiniteT0Space(tuple(labels), pairs)
-        return QuasiOrbitSpace(
-            space=quotient,
-            classes=tuple(sp.unmask(c) for c in classes),
-        )
+        quotient = FiniteT0Space(tuple(label.values()), pairs)
+        return QuasiOrbitSpace(space=quotient, classes=tuple(self._orbit_sets.values()))
 
     # -- invariance ------------------------------------------------------------
 
@@ -370,24 +388,17 @@ class FinitePartialAction:
         if n > limit:
             raise LimitExceededError(n, limit, what="points")
         unions = {0: frozenset()}  # mask -> set
-        for m in set(self._orbits):
-            orbit = self.space.unmask(m)
+        for m, orbit in self._orbit_sets.items():
             unions.update([(u | m, S | orbit) for u, S in unions.items()])
         masks = sorted(unions)
         masks.sort(key=int.bit_count)  # stable: by size, then mask
         return [unions[u] for u in masks]
 
-    @cached_property
-    def _closed_invariant_masks(self) -> tuple[int, ...]:
-        """Per point, the closure of its orbit: the smallest closed invariant set
-        containing it, since domains are down-sets and so the closure of an
-        invariant set is invariant."""
-        return tuple(union(self.space._up, m) for m in self._orbits)
-
     def is_minimal(self) -> bool:
-        """No closed invariant subsets besides the empty set and everything."""
-        everything = (1 << len(self.space.points)) - 1
-        return all(m == everything for m in self._closed_invariant_masks)
+        """No closed invariant subsets besides the empty set and everything:
+        at most one orbit.  The closure of an orbit is invariant, since domains
+        are down-sets, and it holds no other orbit, as quasi_orbit shows."""
+        return len(self._orbit_sets) <= 1
 
     # -- topological freeness ---------------------------------------------------
 
@@ -405,7 +416,7 @@ class FinitePartialAction:
         """
         doms = [sum(1 << i for i, j in enumerate(gen._fwd) if j >= 0) for gen in self.generators]
         return sum(
-            m for m in set(self._orbits) if sum((d & m).bit_count() for d in doms) >= m.bit_count()
+            m for m in self._orbit_sets if sum((d & m).bit_count() for d in doms) >= m.bit_count()
         )
 
     def is_topologically_free(self) -> bool:

@@ -36,6 +36,8 @@ from util import (
     brute_fixed_union,
     brute_homeo_error,
     brute_invariant_subsets,
+    brute_quasi_orbits,
+    closed_invariant_masks,
     closure,
     compose,
     differential_actions,
@@ -49,10 +51,12 @@ from util import (
     reduce_letters,
     ref_check_infinite_witness,
     ref_check_paradoxical_witness,
+    regex_parse_word,
     restrict,
     specializes,
     state_closure_fixed_union,
     step_closure_invariant_masks,
+    step_closure_orbits,
     REPO,
     trivial_action,
     word_text,
@@ -304,6 +308,47 @@ def test_free_reduction():
     assert compose(a.element_map("g^-1"), g).domain == {"1", "2"}
 
 
+def test_parse_word_matches_the_regex_parser():
+    """Generator tokens read from the per-action table against the parser that
+    sends every token through the regexes: the same runs or the same error on
+    seeded token soup."""
+    rng = random.Random(181)
+    sp = FiniteT0Space.from_pairs(("x", "y", "z"))
+    ident = PartialHomeo(sp, (("x", "x"),))
+    cases = [
+        FinitePartialAction(sp, "Z", ("t",), (ident,)),
+        FinitePartialAction(sp, "F1", ("g",), (ident,)),
+        FinitePartialAction(sp, "F2", ("a", "b"), (ident, ident)),
+        FinitePartialAction(sp, "F3", ("g1", "\u0661", "-"), (ident,) * 3),
+        FinitePartialAction(sp, "F0", (), ()),
+    ]
+    huge = "9" * (sys.get_int_max_str_digits() + 1)  # int() refuses it
+    outcomes = Counter()
+    for a in cases:
+        names = a.generator_names or ("g",)
+        for _ in range(1500):
+            tokens = []
+            for _ in range(rng.randint(0, 5)):
+                g = rng.choice(names)
+                tokens.append(rng.choice((
+                    g, g, f"{g}^-1", f"{g}^-1", f"{g}^1", f"{g}^0", f"{g}^01", f"{g}^-3",
+                    str(rng.randint(-12, 12)), "e", "zz", "a^b^2", f"{g}^\u0662", "\u0661",
+                    f"{g}^{huge}", huge,
+                )))
+            word = "".join(tok + rng.choice((" ", "  ", "\u00b7", "*", " * ")) for tok in tokens)
+            results = []
+            for parse in (FinitePartialAction.parse_word, regex_parse_word):
+                try:
+                    results.append(parse(a, word))
+                except ActionFormatError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1], word[:80]
+            outcomes["runs" if isinstance(results[0], tuple) else results[0].split()[0]] += 1
+    # parsed, unknown generator, bare integer off Z, and integer literal too long
+    assert set(outcomes) == {"runs", "unknown", "bare", "word"}, outcomes
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 def test_rejects_higher_rank_integer_groups():
     sp = FiniteT0Space.from_pairs(("1",))
     gen = PartialHomeo(sp, (("1", "1"),))
@@ -396,6 +441,28 @@ def test_orbit_examples():
         a.orbit("9")
 
 
+def test_orbits_match_the_step_closure():
+    """One search per orbit against one depth-first search per point; at 2,000
+    points, where those searches take seconds, against the one orbit."""
+    rng = random.Random(173)
+    cases = differential_actions()
+    cases += [random_action(rng, max_points=9, max_gens=3) for _ in range(500)]
+    cases += [random_cycle_transposition_action(rng, n) for n in range(5, 41)]
+    for a in cases:
+        assert a._orbits == step_closure_orbits(a)
+    sp = FiniteT0Space.from_pairs(tuple(f"p{i}" for i in range(2000)))
+    pts = sp.points
+    cycle = PartialHomeo(sp, tuple((p, pts[i - 1]) for i, p in enumerate(pts)))
+    every_other = PartialHomeo(sp, tuple((p, p) for p in pts[::2]))
+    path = PartialHomeo(sp, tuple(zip(pts, pts[1:])))
+    for a in (
+        FinitePartialAction(sp, "F2", ("a", "b"), (cycle, every_other)),
+        FinitePartialAction(sp, "F1", ("g",), (path,)),
+    ):
+        assert a._orbits == ((1 << 2000) - 1,) * 2000
+        assert a.is_minimal() and a.quasi_orbit("p7") == frozenset(pts)
+
+
 def test_invariance_queries_reject_unknown_points():
     a = three_chain_action()
     with pytest.raises(ActionFormatError, match="unknown point 'zz'"):
@@ -472,6 +539,19 @@ def test_orbit_partition_and_quasi_orbit_equivalence():
             assert x in a.quasi_orbit(x)
 
 
+def test_quasi_orbits_match_the_definition():
+    """quasi_orbit at every point, and the quotient's classes in the order of
+    their first points, against the classes of equal orbit closures."""
+    rng = random.Random(179)
+    cases = differential_actions()
+    cases += [random_action(rng, max_points=9, max_gens=3) for _ in range(1000)]
+    for a in cases:
+        brute = brute_quasi_orbits(a)
+        for x in a.space.points:
+            assert a.quasi_orbit(x) == brute[x]
+        assert a.quasi_orbit_space().classes == tuple(dict.fromkeys(brute.values()))
+
+
 def test_quotient_map_is_continuous_and_open():
     rng = random.Random(103)
     for _ in range(60):
@@ -520,7 +600,7 @@ def test_invariant_subsets_match_brute_force():
         closed = [S for S in brute if closure(a.space, S) == S]
         for x in a.space.points:
             smallest = min((S for S in closed if x in S), key=len)
-            assert a.space.unmask(a._closed_invariant_masks[a.space.index[x]]) == smallest
+            assert a.space.unmask(closed_invariant_masks(a)[a.space.index[x]]) == smallest
     assert groups == {"Z", "F0", "F1", "F2", "F3"}
     # unions of orbits, not a scan of 2^40 subsets: 40 points in two orbits
     sp = FiniteT0Space.from_pairs(tuple(f"p{i}" for i in range(40)))
@@ -538,7 +618,7 @@ def test_closed_invariant_masks_match_the_step_closure():
     cases = differential_actions()
     cases += [random_action(rng, max_points=9, max_gens=3) for _ in range(500)]
     for a in cases:
-        assert a._closed_invariant_masks == step_closure_invariant_masks(a)
+        assert closed_invariant_masks(a) == step_closure_invariant_masks(a)
 
 
 def test_invariant_subsets_order_at_full_size():
@@ -602,13 +682,17 @@ def test_fixed_union_matches_the_state_closure():
 def test_is_minimal_matches_brute_force():
     rng = random.Random(109)
     for _ in range(60):
-        a = random_action(rng, max_points=5)
+        a = random_action(rng, max_points=8)
         closed_inv = [
             S
             for S in a.invariant_subsets()
             if closure(a.space, S) == S and S not in (frozenset(), frozenset(a.space.points))
         ]
         assert a.is_minimal() == (not closed_inv)
+    # no points, and one point: nothing closed and invariant lies strictly between
+    for points in ((), ("x",)):
+        a = FinitePartialAction(FiniteT0Space(points, frozenset()), "F0", (), ())
+        assert a.is_minimal()
 
 
 # -- topological freeness ---------------------------------------------------------------

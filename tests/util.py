@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+import sys
 from dataclasses import replace
 from pathlib import Path as FsPath
 
@@ -36,10 +38,10 @@ from graphck import (
     pair_leq,
     parse_graph,
 )
-from graphck.actions import Violation, WitnessCheck
+from graphck.actions import Violation, WitnessCheck, _reduce
 from graphck.classify import _EXTERNAL_L_NOTE
 from graphck.graphs import GraphFormatError, Omega
-from graphck.poset import Poset, bits, clip, subset_order
+from graphck.poset import Poset, bits, clip, subset_order, union
 from graphck.poset import closure as reach_closure
 
 REPO = FsPath(__file__).resolve().parent.parent
@@ -977,11 +979,13 @@ def random_cycle_transposition_action(rng: random.Random, n: int) -> FiniteParti
 
 def differential_actions() -> list[FinitePartialAction]:
     """Seeded actions over Z, F1, F2 and F3, then cycle-plus-transposition F2
-    actions on 5 and 6 discrete points, then F0 actions (no generators)."""
+    actions on 5 and 6 discrete points, then F0 actions (no generators), the
+    last of them on no points."""
     rng = random.Random(149)
     out = [random_action(rng, max_points=6, max_gens=3) for _ in range(150)]
     out += [random_cycle_transposition_action(rng, n) for n in (5, 6) for _ in range(6)]
     out += [FinitePartialAction(random_t0_space(rng), "F0", (), ()) for _ in range(6)]
+    out.append(FinitePartialAction(FiniteT0Space((), frozenset()), "F0", (), ()))
     return out
 
 
@@ -1199,6 +1203,74 @@ def step_closure_invariant_masks(a: FinitePartialAction) -> tuple[int, ...]:
     """Per point, the mask of the smallest closed invariant set containing it:
     everything reachable by specialization and by generator steps."""
     return reach_closure([s | up for s, up in zip(a._step_succ, a.space._up)])
+
+
+def closed_invariant_masks(a: FinitePartialAction) -> tuple[int, ...]:
+    """Per point, the closure of its orbit: the smallest closed invariant set
+    containing it, since domains are down-sets and so the closure of an
+    invariant set is invariant."""
+    return tuple(union(a.space._up, m) for m in a._orbits)
+
+
+def step_closure_orbits(a: FinitePartialAction) -> tuple[int, ...]:
+    """Per point, the mask of its orbit: everything reachable by generator
+    steps, one depth-first search per point."""
+    return reach_closure(a._step_succ)
+
+
+def brute_orbit(a: FinitePartialAction, x) -> frozenset:
+    """The points reached from x by generators and their inverses, pair by pair."""
+    steps = [dict(gen.pairs) for gen in a.generators]
+    steps += [{y: x for x, y in gen.pairs} for gen in a.generators]
+    seen, todo = {x}, [x]
+    while todo:
+        p = todo.pop()
+        for step in steps:
+            if p in step and step[p] not in seen:
+                seen.add(step[p])
+                todo.append(step[p])
+    return frozenset(seen)
+
+
+def brute_quasi_orbits(a: FinitePartialAction) -> dict:
+    """Point -> its quasi-orbit: the points whose orbit has the same closure."""
+    K = {x: closure(a.space, brute_orbit(a, x)) for x in a.space.points}
+    return {x: frozenset(y for y in a.space.points if K[y] == K[x]) for x in a.space.points}
+
+
+# the word parser with regexes alone, before generator tokens were looked up
+_REF_INT_RE = re.compile(r"-?[0-9]+")
+_REF_POWER_RE = re.compile(r"(.+?)\^(-?[0-9]+)")
+
+
+def regex_parse_word(a: FinitePartialAction, word: str) -> tuple:
+    """Parse a word of the text grammar (docs/FORMATS.md) into freely
+    reduced (generator, exponent) runs, expanding no exponent."""
+    runs = []
+    for tok in word.replace("·", " ").replace("*", " ").split():
+        if tok == "e":
+            continue
+        m = _REF_POWER_RE.fullmatch(tok)
+        if m:
+            name, exp = m.group(1), m.group(2)
+        elif _REF_INT_RE.fullmatch(tok):
+            if a.group != "Z":
+                raise ActionFormatError(
+                    f"bare integer token {clip(tok)} is only defined over Z"
+                )
+            name, exp = a.generator_names[0], tok
+        else:
+            name, exp = tok, "1"
+        try:
+            runs.append((name, int(exp)))
+        except ValueError:  # int() refuses literals over sys.get_int_max_str_digits()
+            raise ActionFormatError(
+                f"word {clip(word)}: integer literal too long: "
+                f"over {sys.get_int_max_str_digits()} digits"
+            ) from None
+        if name not in a._by_name:
+            raise ActionFormatError(f"unknown generator {clip(name)} in word")
+    return _reduce(runs)
 
 
 # -- witness-check references ----------------------------------------------------------
