@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import replace
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
@@ -48,6 +47,14 @@ def _reduce(runs: Iterable[Letter]) -> tuple[Letter, ...]:
         if exp:
             out.append((name, exp))
     return tuple(out)
+
+
+def _mask(index: dict, ps: Iterable[str]) -> int:
+    """The mask of the named points; a KeyError names an unknown one."""
+    m = 0
+    for p in ps:
+        m |= 1 << index[p]
+    return m
 
 
 def _check_known(index: dict, message: str, *groups: Iterable[str]) -> None:
@@ -103,13 +110,12 @@ class FiniteT0Space:
         return tuple(sorted(ps, key=self.index.__getitem__))
 
     def mask(self, ps: Iterable[str]) -> int:
-        m, ps = 0, iter(ps)
+        ps = iter(ps)
         try:
-            for p in ps:
-                m |= 1 << self.index[p]
-        except KeyError:  # the points before p are known: the rest hold the least unknown
-            _check_known(self.index, "unknown point", (p,), ps)
-        return m
+            return _mask(self.index, ps)
+        except KeyError as exc:  # the points before it are known: the rest hold the least unknown
+            _check_known(self.index, "unknown point", exc.args, ps)
+            raise
 
     def unmask(self, m: int) -> frozenset[str]:
         return frozenset(self.points[j] for j in bits(m))
@@ -127,8 +133,11 @@ class FiniteT0Space:
 class PartialHomeo:
     """An order isomorphism between two open subsets of a finite T0 space.
 
-    Validation leaves the map on the instance as two index tuples over the
-    space's points: ``_fwd`` (theta) and ``_inv`` (its inverse).
+    The map lives on the instance as two index tuples over the space's
+    points: ``_fwd`` (theta) and ``_inv`` (its inverse).  It is built one of
+    two ways: the constructor validates input pairs and derives the tuples;
+    ``FinitePartialAction.element_map`` composes validated generators and
+    fills in the record from the composite's tuple without re-checking it.
     """
 
     space: FiniteT0Space
@@ -137,20 +146,23 @@ class PartialHomeo:
     def __post_init__(self):
         sp = self.space
         index, pts = sp.index, sp.points
-        for x in [x for x, _ in self.pairs] + [y for _, y in self.pairs]:
-            if x not in index:
-                raise ActionFormatError(f"map names unknown point {clip(x)}")
         fwd, inv, order = [-1] * len(pts), [-1] * len(pts), []
-        repeat = clash = False
+        repeated = clash = False
         dom = img = 0
-        for x, y in self.pairs:
-            i, j = index[x], index[y]
-            repeat |= fwd[i] >= 0
-            clash |= inv[j] >= 0
-            fwd[i], inv[j] = j, i
-            dom, img = dom | 1 << i, img | 1 << j
-            order.append(i)
-        if repeat:
+        try:
+            for x, y in self.pairs:
+                i, j = index[x], index[y]
+                repeated |= fwd[i] >= 0
+                clash |= inv[j] >= 0
+                fwd[i], inv[j] = j, i
+                dom, img = dom | 1 << i, img | 1 << j
+                order.append(i)
+        except KeyError:  # name the first unknown domain point, then image point
+            for x in [x for x, _ in self.pairs] + [y for _, y in self.pairs]:
+                if x not in index:
+                    raise ActionFormatError(f"map names unknown point {clip(x)}") from None
+            raise
+        if repeated:
             raise ActionFormatError("map domain repeats a point")
         if clash:
             raise ActionFormatError("map is not injective")
@@ -277,15 +289,25 @@ class FinitePartialAction:
         """Each generator's index tuple, then its inverse's."""
         return tuple(f for gen in self.generators for f in (gen._fwd, gen._inv))
 
+    @cached_property
+    def _word_maps(self) -> dict[str, tuple[int, ...]]:
+        """Word text -> its index tuple, filled by _word_map."""
+        return {}
+
     def _word_map(self, word: str) -> tuple[int, ...]:
-        """The index tuple of the reduced word's map; e acts as identity."""
-        maps = self._index_maps
-        slot = {name: 2 * k for k, name in enumerate(self.generator_names)}
+        """The index tuple of the reduced word's map; e acts as identity.
+        Computed once per word text; a word that raises is not kept, so it
+        raises again."""
+        memo = self._word_maps
+        if word in memo:
+            return memo[word]
+        by_name = self._by_name
         current = tuple(range(len(self.space.points)))
         # the rightmost run acts first: theta_{l1 ... ln} = l1 o ... o ln; a run
         # f^k is applied by repeated squaring, since the powers of f commute
         for name, exp in reversed(self.parse_word(word)):
-            f, k = maps[slot[name] + (exp < 0)], abs(exp)
+            gen, k = by_name[name], abs(exp)
+            f = gen._inv if exp < 0 else gen._fwd
             while True:
                 if k & 1:
                     current = tuple(f[v] if v >= 0 else -1 for v in current)
@@ -293,13 +315,31 @@ class FinitePartialAction:
                 if not k:  # no bit left: the next square would go unused
                     break
                 f = tuple(f[v] if v >= 0 else -1 for v in f)
+        memo[word] = current
         return current
 
     def element_map(self, word: str) -> PartialHomeo:
-        """The partial homeomorphism of the reduced word; e acts as identity."""
-        pts = self.space.points
-        pairs = tuple((pts[i], pts[j]) for i, j in enumerate(self._word_map(word)) if j >= 0)
-        return PartialHomeo(self.space, pairs)
+        """The partial homeomorphism of the reduced word; e acts as identity.
+
+        Built from the composite's index tuple without the constructor's
+        checks, which it passes by construction: every letter is a validated
+        order isomorphism between open sets, a restriction of one to an open
+        part of its domain is one onto an open part of its image, and the
+        composite on its natural domain chains such restrictions."""
+        sp = self.space
+        pts, fwd = sp.points, self._word_map(word)
+        inv = [-1] * len(fwd)
+        for i, j in enumerate(fwd):
+            if j >= 0:
+                inv[j] = i
+        h = PartialHomeo.__new__(PartialHomeo)
+        h.__dict__.update(
+            space=sp,
+            pairs=tuple((pts[i], pts[j]) for i, j in enumerate(fwd) if j >= 0),
+            _fwd=fwd,
+            _inv=tuple(inv),
+        )
+        return h
 
     # -- orbits ----------------------------------------------------------------
 
@@ -506,9 +546,12 @@ def _check_common(
     that fails); each cover (a slice of the parts, with its message) exactly
     V; the images inside V and pairwise disjoint.  Returns the first
     violation, V's mask and the image masks."""
-    sp = a.space
-    _check_known(sp.index, "decomposition names unknown point", d.v, *(p for p, _ in d.parts))
-    v, parts = sp.mask(d.v), [sp.mask(part) for part, _ in d.parts]
+    sp, index = a.space, a.space.index
+    try:
+        v, parts = _mask(index, d.v), [_mask(index, part) for part, _ in d.parts]
+    except KeyError:  # name the least unknown point, whatever the hash seed
+        _check_known(index, "decomposition names unknown point", d.v, *(p for p, _ in d.parts))
+        raise
     if sp._interior(v) != v:
         return Violation("v_not_open", f"V={sorted(d.v)} is not open"), v, []
     bad, images = None, []
@@ -557,7 +600,7 @@ def check_paradoxical_witness(
         # with both covers intact this clause must fail on a finite space:
         # the two families alone already supply 2|V| image points inside V
         detail = f"; on a finite space the double cover of |V|={len(d.v)} points forces an overlap"
-        bad = replace(bad, detail=bad.detail + detail, counting=True)
+        bad = Violation(bad.clause, bad.detail + detail, bad.i, bad.j, True)
     return WitnessCheck(bad is None, bad)
 
 
@@ -606,7 +649,7 @@ def decide_G_infinite(a: FinitePartialAction, V: Iterable[str]) -> GInfiniteDeci
 
 def _names(x, size: Optional[int] = None) -> bool:
     """x is a list of point names (of the given length), as the schemas require."""
-    return isinstance(x, list) and all(isinstance(p, str) for p in x) and size in (None, len(x))
+    return isinstance(x, list) and all(map(isinstance, x, repeat(str))) and size in (None, len(x))
 
 
 def action_from_json_obj(raw: dict) -> FinitePartialAction:

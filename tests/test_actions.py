@@ -214,6 +214,25 @@ def test_homeo_validation_matches_pairwise_check():
     assert min(outcomes.values()) >= 20, outcomes
 
 
+def test_homeo_names_the_first_unknown_point_in_input_order():
+    """Domain points are read before image points, each in pair order, and an
+    unknown point is reported before any other fault of the map."""
+    sp = FiniteT0Space.from_pairs(("a", "b", "c"))
+    cases = [
+        ((("a", "zz"), ("zy", "b")), "zy"),  # an unknown image, then a later unknown domain point
+        ((("a", "zz"), ("b", "zy")), "zz"),
+        ((("a", "b"), ("zz", "c"), ("zy", "a")), "zz"),
+        ((("a", "a"), ("a", "b"), ("zz", "c")), "zz"),  # over a repeated domain point
+        ((("a", "c"), ("b", "c"), ("c", "zz")), "zz"),  # over a repeated image point
+    ]
+    for pairs, name in cases:
+        with pytest.raises(ActionFormatError) as info:
+            PartialHomeo(sp, pairs)
+        assert info.value.args == (f"map names unknown point {name!r}",)
+    with pytest.raises(ActionFormatError, match="map domain repeats a point"):
+        PartialHomeo(sp, (("a", "a"), ("a", "b")))
+
+
 def test_homeo_compose_and_inverse():
     a = three_chain_action()
     g = a.generators[0]
@@ -223,6 +242,84 @@ def test_homeo_compose_and_inverse():
 
 
 # -- element maps --------------------------------------------------------------------
+
+
+def trusted_path_words(rng, a):
+    """Words over a's generators: e, inverses, powers, 10**30 exponents and,
+    over Z, integer tokens."""
+    names = a.generator_names
+    yield from ("", "e", "e e")
+    for name in names:
+        yield from (name, f"{name}^-1", f"{name} {name}^-1")
+        yield from (f"{name}^{10**30}", f"{name}^-{10**30 + 1}")
+    for _ in range(6 if names else 0):
+        tokens = []
+        for _ in range(rng.randint(1, 6)):
+            name, exp, r = rng.choice(names), rng.randint(-9, 9), rng.random()
+            if r < 0.1:
+                tokens.append("e")
+            elif r < 0.3 and a.group == "Z":
+                tokens.append(str(exp))
+            elif r < 0.5:
+                tokens.append(f"{name}^{rng.choice((10**30, -(10**30), exp))}")
+            else:
+                tokens.append(name if r < 0.75 else f"{name}^{exp}")
+        yield rng.choice((" ", "*", "·")).join(tokens)
+
+
+def test_element_map_equals_the_validated_constructor():
+    """element_map skips the constructor's checks; the record it builds is
+    the one the constructor builds from its pairs, index tuples included."""
+    rng = random.Random(181)
+    cases = differential_actions()
+    cases += [random_action(rng, max_points=7, max_gens=3) for _ in range(500)]
+    seen = Counter()
+    for a in cases:
+        for word in trusted_path_words(rng, a):
+            m = a.element_map(word)
+            ref = PartialHomeo(a.space, m.pairs)
+            assert m == ref and (m._fwd, m._inv) == (ref._fwd, ref._inv), (a, word)
+            assert all(m._inv[j] == i for i, j in enumerate(m._fwd) if j >= 0)
+            assert sum(j >= 0 for j in m._inv) == len(m.pairs)
+            seen[a.group, 0 < len(m.pairs) < len(a.space.points)] += 1
+    assert seen[("Z", True)] >= 100 and seen[("F2", True)] >= 100, seen
+
+
+def test_element_map_runs_no_validation(monkeypatch):
+    """The composite is built from trusted index tuples, never re-checked."""
+    rng = random.Random(191)
+    cases = [random_action(rng, max_points=6, max_gens=2) for _ in range(40)]
+
+    def refuse(self):
+        raise AssertionError("PartialHomeo.__post_init__ ran")
+
+    monkeypatch.setattr(actions.PartialHomeo, "__post_init__", refuse)
+    for a in cases:
+        for word in trusted_path_words(rng, a):
+            a.element_map(word)
+
+
+def test_word_maps_are_memoised_per_action_and_faults_repeat():
+    sp = FiniteT0Space.from_pairs(("1", "2", "3"))
+    gen = PartialHomeo(sp, (("1", "2"), ("2", "3")))
+    a = FinitePartialAction(sp, "Z", ("t",), (gen,))
+    first = a._word_map("t t")
+    assert a._word_map("t t") is first and a.element_map("t t")._fwd is first
+    assert a.element_map("t t") == a.element_map("t t")
+    # words that share a first token keep their own maps
+    assert dict(a.element_map("t").pairs) == {"1": "2", "2": "3"}
+    assert dict(a.element_map("t t").pairs) == {"1": "3"}
+    assert dict(a.element_map("t^-1").pairs) == {"2": "1", "3": "2"}
+    assert dict(a.element_map("t^-1 t^-1").pairs) == {"3": "1"}
+    for word, bad in (("t s", "s"), ("t^", "t^")):
+        message = f"unknown generator {bad!r} in word"
+        for _ in range(2):
+            with pytest.raises(ActionFormatError) as info:
+                a.element_map(word)
+            assert info.value.args == (message,)
+        assert word not in a._word_maps
+    b = FinitePartialAction(sp, "Z", ("t",), (gen,))
+    assert b == a and "t t" not in b.__dict__.get("_word_maps", {})
 
 
 def test_element_map_examples():
@@ -938,6 +1035,29 @@ def test_unknown_generator_after_a_non_open_part_is_not_read():
     assert res.violation.clause == "bad_cover"  # the first family, {"2"}, misses "1"
     res = check_paradoxical_witness(a, Decomposition(V, ((V, ""),) + parts, split=2))
     assert res.violation == Violation("part_not_open", "V_1 is not open", i=1)
+
+
+def test_witness_names_the_least_unknown_point_under_any_hash_seed(tmp_path):
+    """V and two parts name unknown points; the least of them, in the second
+    part, is reported whatever order the sets iterate in."""
+    action, witness = tmp_path / "a.json", tmp_path / "w.json"
+    action.write_text(json.dumps(BASE_ACTION))
+    doc = {
+        "V": ["zz", "a", "mm", "yy"],
+        "parts": [{"set": ["a", "nn", "xx"], "word": ""}, {"set": ["pp", "ab", "b"], "word": "g"}],
+        "split": 1,
+    }
+    witness.write_text(json.dumps(doc))
+    argv = ["paction", str(action), "check_paradoxical_witness", "--witness", str(witness)]
+    message = "decomposition names unknown point 'ab'"
+    expected = f"error: {witness}: malformed decomposition: {message}\n"
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphck", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected), seed
 
 
 def test_decide_G_infinite():
