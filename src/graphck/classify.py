@@ -12,7 +12,8 @@ a cycle vertex), and the witness object is built once, on its first read.
 A nontrivial lattice keeps only its graph; the least nontrivial saturated
 hereditary set that names it is found on first read too.
 The tail witnesses of a pure-infiniteness "yes" are rendered by the JSON
-report, which alone prints them.
+report, which alone prints them.  Both reports read a verdict's reason
+from its `reason` property, so the two formats give the same reason.
 
 Vertex sets are frozensets of names at the public API, and int masks in
 canonical order inside and in the verdicts' fields.
@@ -24,7 +25,7 @@ from typing import Optional
 
 from .conditions import CycleWitness, entranceless_cycle_at
 from .graphs import Graph, Path, encode_json
-from .ideals import AdmissiblePair
+from .ideals import AdmissiblePair, pair_label
 from .poset import bits, cached_property, record, union
 
 # No(L) reasons for non-simplicity lean on standard graph-algebra theory
@@ -74,22 +75,18 @@ class SimpleVerdict:
         g, j = self.graph, self.cycle_at
         return None if j is None else g._cycle_at(g.vertices[j])
 
-    def to_json_obj(self) -> dict:
-        obj: dict = {"verdict": self.verdict}
+    @property
+    def reason(self) -> Optional[dict]:
+        """What both reports print for the verdict, built afresh on each
+        read: the kind with the pair or the cycle, or None for a "yes"."""
         if self.reason_kind == "nontrivial_lattice":
-            obj["reason"] = {
-                "kind": self.reason_kind,
-                "pair": self.pair.to_json_obj(),
-            }
-        elif self.reason_kind == "condition_L_fails":
-            obj["reason"] = {
-                "kind": self.reason_kind,
-                "cycle": list(self.cycle.walk_edge_ids()),
-                "note": self.note,
-            }
-        else:
-            obj["reason"] = None
-        return obj
+            return {"kind": self.reason_kind, "pair": self.pair.to_json_obj()}
+        if self.reason_kind == "condition_L_fails":
+            return {"kind": self.reason_kind, "cycle": list(self.cycle.walk_edge_ids()), "note": self.note}
+        return None
+
+    def to_json_obj(self) -> dict:
+        return {"verdict": self.verdict, "reason": self.reason}
 
 
 @record
@@ -114,25 +111,21 @@ class PurelyInfiniteVerdict:
     def h_set(self) -> Optional[frozenset[str]]:
         return None if self.h_mask is None else self.graph.unmask(self.h_mask)
 
+    @property
+    def reason(self) -> Optional[dict]:
+        """What both reports print for the verdict, built afresh on each read:
+        the kind, the tail or H the verdict holds a mask of, and the vertex."""
+        if self.reason_kind is None:
+            return None
+        reason: dict = {"kind": self.reason_kind}
+        for key, m in (("tail", self.tail_mask), ("H", self.h_mask)):
+            if m is not None:
+                reason[key] = list(self.graph.names(m))
+        reason["vertex"] = self.vertex
+        return reason
+
     def to_json_obj(self) -> dict:
-        obj: dict = {"verdict": self.verdict}
-        if self.reason_kind == "fails_K":
-            obj["reason"] = {"kind": self.reason_kind, "vertex": self.vertex}
-        elif self.reason_kind == "tail_vertex_not_fed_by_cycle":
-            obj["reason"] = {
-                "kind": self.reason_kind,
-                "tail": list(self.graph.names(self.tail_mask)),
-                "vertex": self.vertex,
-            }
-        elif self.reason_kind == "breaking_vertex_gap":
-            obj["reason"] = {
-                "kind": self.reason_kind,
-                "H": list(self.graph.names(self.h_mask)),
-                "vertex": self.vertex,
-            }
-        else:
-            obj["reason"] = None
-        return obj
+        return {"verdict": self.verdict, "reason": self.reason}
 
 
 @record
@@ -333,6 +326,25 @@ def report_to_json(report: ClassificationReport) -> str:
     return encode_json(report.to_json_obj())
 
 
+_REASON_TEXT = {
+    "nontrivial_lattice": "nontrivial ideal I_{%(pair)s}",
+    "condition_L_fails": "entrance-less cycle [%(cycle)s]",
+    "fails_K": "Condition (K) fails at %(vertex)s",
+    "tail_vertex_not_fed_by_cycle": "vertex %(vertex)s in tail {%(tail)s} is not fed by a cycle",
+    "breaking_vertex_gap": "%(vertex)s keeps an infinite-receiver gap over H={%(H)s}"
+        " (finite corner in the quotient)",
+}
+
+
+def _reason_text(reason: dict) -> str:
+    """A verdict's reason in the text report's words: its kind's template
+    filled in, each list of names joined by commas and the pair labelled."""
+    fields = {k: ",".join(v) if type(v) is list else v for k, v in reason.items()}
+    if "pair" in reason:
+        fields["pair"] = pair_label(**reason["pair"])
+    return _REASON_TEXT[reason["kind"]] % fields
+
+
 def report_to_text(report: ClassificationReport) -> str:
     g = report.graph
 
@@ -349,36 +361,7 @@ def report_to_text(report: ClassificationReport) -> str:
         f"ideal property of crossed product:   {report.ideal_property_of_crossproduct}",
         f"dual system topologically free:      {report.dual_system_topologically_free}",
     ]
-    s = report.simple
-    if s.verdict == "yes":
-        lines.append("simple:                              yes")
-    elif s.reason_kind == "nontrivial_lattice":
-        lines.append(
-            f"simple:                              no: nontrivial ideal I_{{{s.pair.label}}}"
-        )
-    else:
-        ids = ",".join(s.cycle.walk_edge_ids())
-        lines.append(
-            f"simple:                              no: entrance-less cycle [{ids}]"
-        )
-    p = report.purely_infinite
-    if p.verdict == "yes":
-        lines.append("purely infinite:                     yes")
-    elif p.reason_kind == "fails_K":
-        lines.append(
-            f"purely infinite:                     no: Condition (K) fails at {p.vertex}"
-        )
-    elif p.reason_kind == "breaking_vertex_gap":
-        hs = ",".join(g.names(p.h_mask))
-        lines.append(
-            "purely infinite:                     "
-            f"no: {p.vertex} keeps an infinite-receiver gap over H={{{hs}}} "
-            f"(finite corner in the quotient)"
-        )
-    else:
-        tail = ",".join(g.names(p.tail_mask))
-        lines.append(
-            "purely infinite:                     "
-            f"no: vertex {p.vertex} in tail {{{tail}}} is not fed by a cycle"
-        )
+    for head, v in (("simple:", report.simple), ("purely infinite:", report.purely_infinite)):
+        line, reason = f"{head:<37}{v.verdict}", v.reason
+        lines.append(line if reason is None else f"{line}: {_reason_text(reason)}")
     return "\n".join(lines) + "\n"

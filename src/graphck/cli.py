@@ -138,15 +138,11 @@ def _cmd_quotient(args, out) -> None:
     out.write(serialize_graph(q, out_fmt))
 
 
-def _sorted_list(a: act.FinitePartialAction, S) -> list[str]:
-    return list(a.space.sort_set(S))
-
-
 def _point_set(a: act.FinitePartialAction, args) -> dict:
     if args.point is None:
         raise _CliError(f"{args.query} needs --point")
     S = getattr(a, args.query)(args.point)  # a.orbit or a.quasi_orbit
-    return {"query": args.query, "point": args.point, "set": _sorted_list(a, S)}
+    return {"query": args.query, "point": args.point, "set": a.space.sort_set(S)}
 
 
 def _point_set_text(result: dict) -> str:
@@ -155,11 +151,10 @@ def _point_set_text(result: dict) -> str:
 
 def _quasi_orbit_space(a: act.FinitePartialAction, args) -> dict:
     qo = a.quasi_orbit_space()
-    labels = list(qo.space.points)
     return {
         "query": args.query,
-        "classes": [_sorted_list(a, c) for c in qo.classes],
-        "labels": labels,
+        "classes": [a.space.sort_set(c) for c in qo.classes],
+        "labels": qo.space.points,
         "specialization": sorted(
             [list(pq) for pq in qo.space.closure_pairs],
             key=lambda pq: (qo.space.index[pq[0]], qo.space.index[pq[1]]),  # label positions
@@ -181,7 +176,7 @@ def _quasi_orbit_space_text(result: dict) -> str:
 
 def _invariant_subsets(a: act.FinitePartialAction, args) -> dict:
     sets = a.invariant_subsets(args.limit)
-    return {"query": args.query, "sets": [_sorted_list(a, S) for S in sets]}
+    return {"query": args.query, "sets": [a.space.sort_set(S) for S in sets]}
 
 
 def _invariant_subsets_text(result: dict) -> str:
@@ -209,8 +204,8 @@ def _element_map(a: act.FinitePartialAction, args) -> dict:
         "query": args.query,
         "word": args.word,
         "map": [list(xy) for xy in m.pairs],
-        "domain": _sorted_list(a, m.domain),
-        "image": _sorted_list(a, m.image),
+        "domain": a.space.sort_set(m.domain),
+        "image": a.space.sort_set(m.image),
     }
 
 
@@ -229,7 +224,7 @@ def _decide_G_infinite(a: act.FinitePartialAction, args) -> dict:
         raise _CliError(str(exc)) from None
     return {
         "query": args.query,
-        "set": _sorted_list(a, V),
+        "set": a.space.sort_set(V),
         "infinite": decision.infinite,
         "proof": decision.proof.to_json_obj(),
     }

@@ -24,9 +24,10 @@ The JSON export renders its tables straight from the labels and the up-sets
 of pairs, building no tuple table: a ``leq`` row joins one piece per byte of
 the pair's up-set from a module table of 256 pieces, and a ``meet`` or
 ``join`` row one cell per pair.  Each vertex name is quoted once, by json's C
-quoter, and the pairs' name lists and labels are joined from those quoted
-names.  The document streams row by row to a stream it is given, so its
-memory is the lattice plus one table row, not the P^2 cells of the three
+quoter, and the pairs' name lists are joined from those quoted names; a
+pair's label is quoted from `AdmissiblePair.label`, not joined from the
+quoted names.  The document streams row by row to a stream it is given, so
+its memory is the lattice plus one table row, not the P^2 cells of the three
 tables.
 
 The prime points, their order and the breaking ranges come from the kernel
@@ -118,12 +119,15 @@ class AdmissiblePair:
 
     @property
     def label(self) -> str:
-        g = self.graph
-        return "H={" + ",".join(g.names(self._h)) + "};B={" + ",".join(g.names(self._b)) + "}"
+        return pair_label(self.graph.names(self._h), self.graph.names(self._b))
 
     def to_json_obj(self) -> dict:
         g = self.graph
         return {"H": list(g.names(self._h)), "B": list(g.names(self._b))}
+
+
+def pair_label(H: Sequence[str], B: Sequence[str]) -> str:
+    return "H={" + ",".join(H) + "};B={" + ",".join(B) + "}"
 
 
 def pair_leq(p: AdmissiblePair, q: AdmissiblePair) -> bool:
@@ -291,12 +295,12 @@ def lattice_to_json(lat: IdealLattice, out: TextIO | None = None) -> str | None:
     """The lattice as json.dumps(obj, indent=2) would print it, rendered
     from the masks, the labels and the up-sets: no table is built.
 
-    Each vertex name is quoted once, by json's C quoter; a pair's names and
-    its label are joined from those quoted names (JSON escapes character by
-    character, so the label's inner names are its names' quoted text).  A
-    ``leq`` row is the up-set's bytes, little end first, each rendered by a
-    module table of 256 pieces of eight cells; the cells of the bits past
-    the last pair, all false, are cut off the row's end.
+    Each vertex name is quoted once, by json's C quoter, and a pair's names
+    are joined from those quoted names; its label is `AdmissiblePair.label`,
+    quoted whole, not joined from them.  A ``leq`` row is the up-set's
+    bytes, little end first, each rendered by a module table of 256 pieces
+    of eight cells; the cells of the bits past the last pair, all false,
+    are cut off the row's end.
 
     The document is written in pieces, one per field header, array element
     and closing bracket, so a table row is the largest: given `out`, each
@@ -304,19 +308,12 @@ def lattice_to_json(lat: IdealLattice, out: TextIO | None = None) -> str | None:
     without, the pieces are joined and returned.
     """
     quoted = list(map(_QUOTE, lat.graph.vertices))
-    inner = [q[1:-1] for q in quoted]
     cell = {u: ",\n      " + str(i) for u, i in lat._hasse[0].items()}  # a table cell, per label
     size = (len(lat) + 7) // 8  # bytes per up-set
     cut = len(",\n      false") * (-len(lat) % 8)
 
     def names(m: int) -> str:
         return _array([quoted[i] for i in bits(m)], 4)
-
-    def joined(m: int) -> str:
-        return ",".join([inner[i] for i in bits(m)])
-
-    def label(p: AdmissiblePair) -> str:  # json.dumps(p.label)
-        return '"H={' + joined(p._h) + "};B={" + joined(p._b) + '}"'
 
     def leq(m: int) -> str:
         row = "".join(map(_LEQ_BYTE.__getitem__, m.to_bytes(size, "little")))
@@ -329,7 +326,7 @@ def lattice_to_json(lat: IdealLattice, out: TextIO | None = None) -> str | None:
     fields = (
         ("{", "vertices", quoted),
         (",", "pairs", pairs),
-        (",", "labels", map(label, lat.pairs)),
+        (",", "labels", (_QUOTE(p.label) for p in lat.pairs)),
         (",", "leq", map(leq, lat._up)),
         (",", "covers", (f"[\n      {i},\n      {j}\n    ]" for i, j in lat.covers)),
         (",", "meet", table(lat._meet_rows(cell))),

@@ -40,6 +40,8 @@ from util import (
     reference_is_purely_infinite,
     reference_is_simple,
     reference_report,
+    reference_report_to_text,
+    reference_verdict_json,
     split_records,
     walk_condition_L,
 )
@@ -507,3 +509,29 @@ def test_verdicts_are_decided_without_building_a_witness(monkeypatch):
     lazy = ("nontrivial_lattice", "condition_L_fails", "condition_L")
     lazy += ("tail_vertex_not_fed_by_cycle", "breaking_vertex_gap")
     assert min(seen[k] for k in lazy) >= 50, seen
+
+
+def test_reasons_render_like_the_branch_per_kind_references(corpus):
+    """Both verdicts' ``to_json_obj()`` and the text report equal the
+    references that choose each reason in a branch of its own, on the corpus
+    and on seeded graphs of every kind (omega-heavy ones included) with every
+    quotient of each; every reason kind and both "yes" verdicts occur."""
+    rng = random.Random(239)
+    graphs = list(corpus.values())
+    for kind in KINDS:
+        for _ in range(120):
+            g = kind(rng)
+            graphs += [quotient_graph(g, p) for p in admissible_pairs(g).pairs]
+    seen = Counter()
+    for g in graphs:
+        report = classify(g)
+        assert report_to_text(report) == reference_report_to_text(report), g
+        for v in (report.simple, report.purely_infinite):
+            assert v.to_json_obj() == reference_verdict_json(v), g
+            seen[type(v).__name__, v.reason_kind or v.verdict] += 1
+    kinds = [("SimpleVerdict", k) for k in ("yes", "nontrivial_lattice", "condition_L_fails")]
+    kinds += [
+        ("PurelyInfiniteVerdict", k)
+        for k in ("yes", "fails_K", "tail_vertex_not_fed_by_cycle", "breaking_vertex_gap")
+    ]
+    assert min(seen[k] for k in kinds) >= 50, seen

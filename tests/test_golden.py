@@ -46,10 +46,11 @@ ACTIONS = {
     },
 }
 
-# lattices past the corpus, as `lattice --format json` prints them: edgeless-9
-# (512 pairs, one size past the writer test's edgeless-8) and the omega fan
-# of test_ideals with k = 4 (162 pairs, with breaking vertices); their digests
-# were recorded before the writer rendered its tables from the pair labels
+# graphs past the corpus.  Two lattices, as `lattice --format json` prints
+# them: edgeless-9 (512 pairs, one size past the writer test's edgeless-8) and
+# the omega fan of test_ideals with k = 4 (162 pairs, with breaking vertices);
+# their digests were recorded before the writer rendered its tables from the
+# pair labels
 FAN_4 = [{"id": f"a{i}", "src": f"u{i}", "rng": f"v{i}", "mult": "omega"} for i in range(4)]
 FAN_4 += [{"id": f"b{i}", "src": "w", "rng": f"v{i}", "mult": 1} for i in range(4)]
 GRAPHS = {
@@ -57,6 +58,20 @@ GRAPHS = {
     "omega-fan-4": {
         "vertices": ["w"] + [f"u{i}" for i in range(4)] + [f"v{i}" for i in range(4)],
         "edges": FAN_4,
+    },
+    # test_classify's gap graph, as `analyze` prints it: every tail is fed,
+    # but v1 keeps an infinite-receiver gap over H={v2}, the one reason kind
+    # no corpus graph prints; its digests were recorded before each verdict
+    # built its reason in one place for both formats
+    "omega-gap": {
+        "vertices": ["v0", "v1", "v2"],
+        "edges": [
+            {"id": "a", "src": "v2", "rng": "v2", "mult": "omega"},
+            {"id": "b", "src": "v2", "rng": "v1", "mult": "omega"},
+            {"id": "c", "src": "v0", "rng": "v1", "mult": 1},
+            {"id": "d", "src": "v1", "rng": "v0", "mult": 1},
+            {"id": "e", "src": "v0", "rng": "v0", "mult": 1},
+        ],
     },
 }
 
@@ -72,7 +87,8 @@ PACTION_QUERIES = (
 # "<query>:<action>" on another entry of ACTIONS
 CASES = (
     [(cmd, name, fmt) for name in CORPUS_NAMES for cmd, fmts in FORMATS.items() for fmt in fmts]
-    + [("lattice", name, "json") for name in GRAPHS]
+    + [("lattice", name, "json") for name in ("edgeless-9", "omega-fan-4")]
+    + [("analyze", "omega-gap", fmt) for fmt in ("text", "json")]
     + [("paction", "quasi_orbit_space", fmt) for fmt in ("text", "json")]
     + [
         ("paction", f"{query}:{which}" if which else query, fmt)
@@ -141,6 +157,8 @@ GOLDEN = {
     "spectrum e7 dot": "a63878c3a93753f228283b3661507982b0b655ce8a11797c2f2f3e292163aacd",
     "lattice edgeless-9 json": "8f6cdbecbf2cd5b3b35be63c68465eb8fd5c271f35129e85afc83706797f0d7a",
     "lattice omega-fan-4 json": "5d1ace7e57956ac38908ae2a168725fa88cb70c8c350cd6054939f659839defc",
+    "analyze omega-gap text": "f0139ee9df22e49fc353ccd8f71cbf3f9966ecec648cf710f24e282bcedc4a3b",
+    "analyze omega-gap json": "d7f10125345703786bda983aac70619bf96506d22fbbfe99e4f95e81a08548be",
     "paction quasi_orbit_space text": "32619e774199baa17340c2edfe54d2213a9b828cda7461836d44f156a61b0cd8",
     "paction quasi_orbit_space json": "667a02e03ae7ff0d02ad61409ed9b4352bdaf4a38aa57844ee99b74396551db8",
     "paction invariant_subsets text": "5d5ce23517b7fe1a4183167315e9636a66875a13561b93fa1bb86d18edf6939b",

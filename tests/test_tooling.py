@@ -14,6 +14,7 @@ import pytest
 
 import graphck
 
+from mutants import MUTANTS
 from util import REPO
 
 
@@ -303,3 +304,18 @@ def test_scripts_run(argv, header):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[0].startswith(header)
+
+
+# -- the mutant catalogue --------------------------------------------------------------
+
+
+def test_every_catalogued_mutant_applies_once():
+    """Each mutant's text occurs exactly once in its file, and changes it;
+    the names are distinct and each named test file exists.  Whether the
+    tests kill the mutants is `scripts/run_mutants.py`'s to check."""
+    assert len({m["name"] for m in MUTANTS}) == len(MUTANTS)
+    for m in MUTANTS:
+        assert (REPO / m["file"]).read_text().count(m["old"]) == 1, m["name"]
+        assert m["new"] != m["old"] and m["tests"] and m["origin"], m["name"]
+        for test in m["tests"]:
+            assert (REPO / test.partition("::")[0]).is_file(), (m["name"], test)

@@ -362,6 +362,91 @@ def reference_report(g: Graph) -> ClassificationReport:
     )
 
 
+def reference_verdict_json(v: SimpleVerdict | PurelyInfiniteVerdict) -> dict:
+    """A verdict's ``to_json_obj()`` with each reason chosen in a branch of
+    its own per ``reason_kind``, read from the verdict's witnesses and
+    masks: the reference for the verdicts' single ``reason``."""
+    obj: dict = {"verdict": v.verdict}
+    if v.reason_kind == "nontrivial_lattice":
+        obj["reason"] = {"kind": v.reason_kind, "pair": v.pair.to_json_obj()}
+    elif v.reason_kind == "condition_L_fails":
+        obj["reason"] = {
+            "kind": v.reason_kind,
+            "cycle": list(v.cycle.walk_edge_ids()),
+            "note": v.note,
+        }
+    elif v.reason_kind == "fails_K":
+        obj["reason"] = {"kind": v.reason_kind, "vertex": v.vertex}
+    elif v.reason_kind == "tail_vertex_not_fed_by_cycle":
+        obj["reason"] = {
+            "kind": v.reason_kind,
+            "tail": list(v.graph.names(v.tail_mask)),
+            "vertex": v.vertex,
+        }
+    elif v.reason_kind == "breaking_vertex_gap":
+        obj["reason"] = {
+            "kind": v.reason_kind,
+            "H": list(v.graph.names(v.h_mask)),
+            "vertex": v.vertex,
+        }
+    else:
+        obj["reason"] = None
+    return obj
+
+
+def reference_report_to_text(report: ClassificationReport) -> str:
+    """`report_to_text` with each verdict line chosen in a branch of its own
+    per ``reason_kind``, read from the verdict's witnesses and masks."""
+    g = report.graph
+
+    def mark(b: bool) -> str:
+        return "yes" if b else "no"
+
+    lines = [
+        f"graph: {len(g.vertices)} vertices, {len(g.edges)} edge records",
+        f"aperiodic / Condition (L):           {mark(report.aperiodic)}",
+        f"residually aperiodic / Condition (K): {mark(report.residually_aperiodic)}",
+        f"intersection property:               {mark(report.intersection_property)}",
+        f"residual intersection property:      {mark(report.residual_intersection)}",
+        f"exact:                               {mark(report.exact)}",
+        f"ideal property of crossed product:   {report.ideal_property_of_crossproduct}",
+        f"dual system topologically free:      {report.dual_system_topologically_free}",
+    ]
+    s = report.simple
+    if s.verdict == "yes":
+        lines.append("simple:                              yes")
+    elif s.reason_kind == "nontrivial_lattice":
+        lines.append(
+            f"simple:                              no: nontrivial ideal I_{{{s.pair.label}}}"
+        )
+    else:
+        ids = ",".join(s.cycle.walk_edge_ids())
+        lines.append(
+            f"simple:                              no: entrance-less cycle [{ids}]"
+        )
+    p = report.purely_infinite
+    if p.verdict == "yes":
+        lines.append("purely infinite:                     yes")
+    elif p.reason_kind == "fails_K":
+        lines.append(
+            f"purely infinite:                     no: Condition (K) fails at {p.vertex}"
+        )
+    elif p.reason_kind == "breaking_vertex_gap":
+        hs = ",".join(g.names(p.h_mask))
+        lines.append(
+            "purely infinite:                     "
+            f"no: {p.vertex} keeps an infinite-receiver gap over H={{{hs}}} "
+            f"(finite corner in the quotient)"
+        )
+    else:
+        tail = ",".join(g.names(p.tail_mask))
+        lines.append(
+            "purely infinite:                     "
+            f"no: vertex {p.vertex} in tail {{{tail}}} is not fed by a cycle"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def prim_space_t0(ps) -> FiniteT0Space:
     """The prime-point poset as a finite T0 space, labelled by point labels."""
     labels = [pt.label for pt in ps.points]
