@@ -71,7 +71,7 @@ def _parse_pair_selector(g: Graph, text: str) -> idl.AdmissiblePair:
     sets, vertices = [], set(g.vertices)
     for chunk in parts:
         body = chunk[2:]
-        names = [x for x in body.split(",") if x] if body else []
+        names = [x for x in body.split(",") if x]
         for x in names:
             if x not in vertices:
                 raise _CliError(f"pair selector names unknown vertex {clip(x)}")
@@ -83,7 +83,7 @@ def _parse_pair_selector(g: Graph, text: str) -> idl.AdmissiblePair:
 
 
 def _parse_point_set(a: act.FinitePartialAction, text: str) -> frozenset[str]:
-    names = [x for x in text.split(",") if x] if text else []
+    names = [x for x in text.split(",") if x]
     for x in names:
         if x not in a.space.index:
             raise _CliError(f"unknown point {clip(x)}")
@@ -203,7 +203,7 @@ def _element_map(a: act.FinitePartialAction, args) -> dict:
     return {
         "query": args.query,
         "word": args.word,
-        "map": [list(xy) for xy in m.pairs],
+        "map": m.pairs,
         "domain": a.space.sort_set(m.domain),
         "image": a.space.sort_set(m.image),
     }

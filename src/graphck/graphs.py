@@ -36,13 +36,16 @@ which send it more than one edge: by multiplicity two or more, OMEGA, or
 parallel records.  It also holds the mask of the infinite receivers, the
 vertices with an OMEGA in-edge (``infinite``).
 
-The kernel has two producers.  The constructor's one walk over the edges
-validates them and builds ``_succ`` and ``_in``.  The rest stays lazy, so a
-graph that is only printed never pays the closure's O(V (V + E)): the first
-read of any of ``_reach``, ``_comps``, ``_cyclic``, ``_one_return`` and
-``_tails`` runs ``_kernel``, which takes the closure and passes over its
-rows and stores all five.  A quotient by an admissible pair
-(`ideals.quotient_graph`) is a graph like any other and computes its own.
+The kernel has two producers.  One table walk over the edges (``_tables``)
+builds ``_index``, ``_full``, ``_succ`` and ``_in``.  It has two entry
+points: the constructor, which first validates every vertex and edge
+record, and ``Graph._of``, which checks nothing and serves graphs built
+valid from a validated one (`ideals.quotient_graph` says why a quotient
+is).  The rest stays lazy, so a graph that is only printed never pays the
+closure's O(V (V + E)): the first read of any of ``_reach``, ``_comps``,
+``_cyclic``, ``_one_return`` and ``_tails`` runs ``_kernel``, which takes
+the closure and passes over its rows and stores all five.  A quotient
+computes its own, as any graph does.
 
 ``Graph`` is the one home of the prime-point kernel, and `conditions`,
 `ideals`, `spectrum` and `classify` ask it every saturation, pair and
@@ -165,14 +168,13 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        """Validate the vertices, then the edges, in input order; each edge
-        that passes ORs its bits into ``_succ`` and ``_in``, which are stored
-        with ``_index`` and ``_full`` when the walk ends."""
-        index: dict[str, int] = {}
+        """Validate the vertices, then the edges, in input order, and build
+        the tables (`_tables`) once every record has passed."""
+        names: set[str] = set()
         for v in self.vertices:
             if not isinstance(v, str):  # checked first: a non-string may not hash
                 raise GraphFormatError(f"vertex {clip(v)}: id must be a string")
-            if v in index:
+            if v in names:
                 raise GraphFormatError(f"vertex {clip(v)}: duplicate id")
             if not v:  # an empty member would print like the empty set
                 raise GraphFormatError(f"vertex {clip(v)}: empty id")
@@ -180,9 +182,7 @@ class Graph:
                 raise GraphFormatError(f"vertex {clip(v)}: reserved character ',' in id")
             if ";" in v:
                 raise GraphFormatError(f"vertex {clip(v)}: reserved character ';' in id")
-            index[v] = len(index)
-        n = len(index)
-        succ, src, omega, repeated, infinite = [0] * n, [0] * n, [0] * n, [0] * n, 0
+            names.add(v)
         eids = set()
         for e in self.edges:
             if not (isinstance(e.id, str) and isinstance(e.src, str) and isinstance(e.rng, str)):
@@ -195,8 +195,8 @@ class Graph:
             if "," in e.id:  # cycle witnesses list edge ids with ","
                 raise GraphFormatError(f"edge {clip(e.id)}: reserved character ',' in id")
             eids.add(e.id)
-            if e.src not in index or e.rng not in index:
-                endpoint = e.src if e.src not in index else e.rng
+            if e.src not in names or e.rng not in names:
+                endpoint = e.src if e.src not in names else e.rng
                 raise GraphFormatError(f"edge {clip(e.id)}: dangling endpoint {clip(endpoint)}")
             m = e.mult
             if not (m is OMEGA or type(m) is int and m > 0):
@@ -206,7 +206,25 @@ class Graph:
                         " got the text 'omega'"
                     )
                 _parse_mult(m, f"edge {clip(e.id)}")
-            s, r = index[e.src], index[e.rng]
+        self._tables()
+
+    @classmethod
+    def _of(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> "Graph":
+        """The graph of vertices and edges that the caller built valid from
+        a validated graph: the tables are built, nothing is checked."""
+        g = cls.__new__(cls)
+        g.__dict__.update(vertices=vertices, edges=edges)
+        g._tables()
+        return g
+
+    def _tables(self) -> None:
+        """The one table walk: each edge ORs its bits into ``_succ`` and
+        ``_in``, which are stored with ``_index`` and ``_full``."""
+        n = len(self.vertices)
+        index = dict(zip(self.vertices, range(n)))
+        succ, src, omega, repeated, infinite = [0] * n, [0] * n, [0] * n, [0] * n, 0
+        for e in self.edges:
+            s, r, m = index[e.src], index[e.rng], e.mult
             bit = 1 << s
             succ[s] |= 1 << r
             if m != 1 or src[r] & bit:
@@ -278,10 +296,11 @@ class Graph:
                     multi |= c
             elif not src[i] or omega[i]:
                 rows.add(r)
-        tails = tuple(sorted(rows, key=lambda m: (-m.bit_count(), m)) if len(rows) > 1 else rows)
+        tails = sorted(rows)
+        tails.sort(key=int.bit_count, reverse=True)  # stable: by (-size, mask)
         self.__dict__.update(
             _reach=reach, _comps=tuple(comps.values()), _cyclic=cyclic,
-            _one_return=cyclic & ~multi, _tails=tails,
+            _one_return=cyclic & ~multi, _tails=tuple(tails),
         )
         return self.__dict__
 

@@ -36,8 +36,8 @@ whose one home is `Graph` (``Graph._prime_rows``, ``Graph._prime_order``,
 
 Vertex sets are frozensets of names at the public API, including the
 members ``h`` and ``b`` of `AdmissiblePair`, and int masks in canonical order
-inside: a pair is its masks, checked when it is built, and the library builds
-its pairs from masks.
+inside: a pair is its masks, checked when it is built from names; the
+library builds its pairs from masks it made valid, and checks them no more.
 """
 
 from __future__ import annotations
@@ -70,12 +70,14 @@ class AdmissiblePair:
 
     Stands for the ideal I_{H,B}; the pair is the ideal's name, operator
     data is never materialized.  The pair is H and B as masks (``_h``,
-    ``_b``), checked on every construction: from names, which it masks, or
-    from masks (``_of``).  The check keeps the admissible range of B over H
-    as the mask ``_range``, which `quotient_graph` reads; it is not a field,
-    so equality and hashing see H and B only.  The labels, the pair order,
-    the lattice and `quotient_graph` read the masks; the name sets ``h`` and
-    ``b`` are built when first read.
+    ``_b``).  Built from names, which it masks, it is checked: H must be
+    saturated hereditary and B inside the admissible range over H.  Built
+    from masks (``_of``), which the library makes only from valid data, it
+    is not.  Either way it keeps that range as the mask ``_range``, which
+    `quotient_graph` reads; it is not a field, so equality and hashing see
+    H and B only.  The labels, the pair order, the lattice and
+    `quotient_graph` read the masks; the name sets ``h`` and ``b`` are built
+    when first read.
     """
 
     graph: Graph
@@ -84,30 +86,27 @@ class AdmissiblePair:
 
     def __init__(self, graph: Graph, h: Iterable[str], b: Iterable[str]):
         H, B = frozenset(h), frozenset(b)
+        hm = graph.mask(H)
+        if graph._sh_closure(hm) != hm:
+            raise ValueError(f"not a saturated hereditary set: {clip(sorted(H))}")
         unknown = [v for v in B if v not in graph._index]  # outside every range
-        self._check(graph, graph.mask(H), graph.mask(B.difference(unknown)), unknown)
-        self.__dict__.update(h=H, b=B)
+        allowed = graph._breaking(hm)
+        bm = graph.mask(B.difference(unknown))
+        if bm & ~allowed or unknown:
+            raise ValueError(
+                f"B contains vertices outside the admissible range for H: "
+                f"{clip(sorted([*graph.unmask(bm & ~allowed), *unknown]))}"
+            )
+        self.__dict__.update(graph=graph, _h=hm, _b=bm, _range=allowed, h=H, b=B)
 
     @classmethod
     def _of(cls, graph: Graph, h: int, b: int) -> "AdmissiblePair":
-        """The pair of the masks h and b, checked as one built from names."""
+        """The pair of the masks h and b, unchecked: every caller builds them
+        valid (`admissible_pairs` and `spectrum.prime_points` from the prime
+        rows, `classify.SimpleVerdict.pair` from a tail's own part)."""
         pair = cls.__new__(cls)
-        pair._check(graph, h, b, ())
+        pair.__dict__.update(graph=graph, _h=h, _b=b, _range=graph._breaking(h))
         return pair
-
-    def _check(self, g: Graph, h: int, b: int, unknown: Sequence[str]) -> None:
-        """Check h and b as the masks of a pair of g, unknown holding the
-        names of B that g lacks, and keep them."""
-        if g._sh_closure(h) != h:
-            raise ValueError(f"not a saturated hereditary set: {clip(sorted(g.unmask(h)))}")
-        allowed = g._breaking(h)
-        extra = b & ~allowed
-        if extra or unknown:
-            raise ValueError(
-                f"B contains vertices outside the admissible range for H: "
-                f"{clip(sorted([*g.unmask(extra), *unknown]))}"
-            )
-        self.__dict__.update(graph=g, _h=h, _b=b, _range=allowed)
 
     @cached_property
     def h(self) -> frozenset[str]:
@@ -233,8 +232,17 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
     a single edge v~ -> v carrying the gap.
 
     The bottom pair's quotient is g itself: H is empty, and so is its range.
-    Any other quotient is built and validated like any graph, and computes
-    its reachability kernel, as any graph does, when first asked.
+    Any other quotient is built by `Graph._of`, which builds its tables but
+    checks nothing, because the quotient is valid by construction:
+
+    - the kept vertex names and edge records come from the validated g, and
+      a kept edge ends outside H, since H is hereditary;
+    - each gap name is a vertex name plus ``~``s, made unique against the
+      kept names and the other gaps;
+    - each gap edge id is ``e~v`` plus ``~``s, made unique the same way, with
+      multiplicity 1.
+
+    It computes its reachability kernel, as any graph does, when first asked.
     """
     if p.graph is not g and p.graph != g:
         raise ValueError("pair does not belong to this graph")
@@ -258,7 +266,7 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
             bars.append(name)
             edges.append(Edge(eid, name, v))
         keep += tuple(bars)
-    return Graph(keep, tuple(edges))
+    return Graph._of(keep, tuple(edges))
 
 
 # -- exports -------------------------------------------------------------------

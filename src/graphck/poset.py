@@ -164,8 +164,13 @@ def transpose(rows: Sequence[int], width: int) -> list[int]:
 
 
 def subset_order(rows: Sequence[int], width: int) -> "Poset":
-    """The rows ordered by inclusion: out[v] masks the rows missing bit v <
-    width, so the rows not above i are the OR of out over the bits of rows[i]."""
+    """The rows, masks below bit width, ordered by inclusion.  With no more
+    rows than bits, each pair of rows takes one mask test: P^2 tests cost no
+    more than the P * width bit steps of the transpose.  Otherwise out[v]
+    masks the rows missing bit v, so the rows not above i are the OR of out
+    over the bits of rows[i]."""
+    if len(rows) <= width:
+        return Poset(tuple([sum([1 << j for j, s in enumerate(rows) if not r & ~s]) for r in rows]))
     out = transpose([((1 << width) - 1) & ~r for r in rows], width)
     return Poset(tuple(((1 << len(rows)) - 1) & ~union(out, r) for r in rows))
 

@@ -67,6 +67,50 @@ MUTANTS = (
         ),
         "origin": "One source per printed fact",
     },
+    # -- the graph layer's trusted builds -------------------------------------
+    {
+        "name": "gap_name_steps_once",
+        "file": "src/graphck/ideals.py",
+        "old": "            while name in taken:\n",
+        "new": "            if name in taken:\n",
+        "tests": ("tests/test_ideals.py::test_quotients_equal_their_validated_copies",),
+        "origin": "Validate once in the graph layer",
+    },
+    {
+        "name": "mask_pair_range_over_the_empty_set",
+        "file": "src/graphck/ideals.py",
+        "old": "_range=graph._breaking(h))",
+        "new": "_range=graph._breaking(0))",
+        "tests": ("tests/test_ideals.py::test_pair_validation_matches_the_oracles",),
+        "origin": "Validate once in the graph layer",
+    },
+    {
+        "name": "pairwise_subset_test_reversed",
+        "file": "src/graphck/poset.py",
+        "old": "if not r & ~s]",
+        "new": "if not s & ~r]",
+        "tests": ("tests/test_poset.py::test_subset_order_matches_a_brute_inclusion_test",),
+        "origin": "Validate once in the graph layer",
+    },
+    {
+        "name": "tails_sorted_smallest_first",
+        "file": "src/graphck/graphs.py",
+        "old": "tails.sort(key=int.bit_count, reverse=True)",
+        "new": "tails.sort(key=int.bit_count)",
+        "tests": ("tests/test_prime_kernel.py::test_tails_and_breaking_vertices_match_definitions",),
+        "origin": "Validate once in the graph layer",
+    },
+    {
+        "name": "parallel_records_not_repeated",
+        "file": "src/graphck/graphs.py",
+        "old": "if m != 1 or src[r] & bit:",
+        "new": "if m != 1:",
+        "tests": (
+            "tests/test_prime_kernel.py::test_the_constructor_builds_the_edge_tables_and_nothing_lazy",
+            "tests/test_prime_kernel.py::test_one_return_marks_the_vertices_with_one_first_return_path",
+        ),
+        "origin": "Validate once in the graph layer",
+    },
     # -- the actions layer ----------------------------------------------------
     {
         "name": "fixed_union_strict_cycle_count",

@@ -4,6 +4,7 @@ import io
 import json
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from graphck import (
     lattice_to_json,
     pair_leq,
     prim_space,
+    prime_points,
     quotient_graph,
     saturated_hereditary_sets,
 )
@@ -110,8 +112,12 @@ def parent_pair_verdict(g, H, B):
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
 def test_pair_validation_matches_the_oracles(kind):
+    """A pair built from names is accepted or refused as the oracles say.
+    The library's own pairs, built from masks and not checked, are each the
+    pair that the names of their masks build, with the same range."""
     rng = random.Random(131 + KINDS.index(kind))
-    seen = dict.fromkeys(["accepted", "unknown in H", "not closed", "range", "unknown in B", "masks"], 0)
+    verdicts = ["accepted", "unknown in H", "not closed", "range", "unknown in B"]
+    seen = dict.fromkeys(verdicts + ["lattice", "prime points", "simple"], 0)
     for _ in range(100):
         g = kind(rng)
         vs = list(g.vertices)
@@ -133,34 +139,36 @@ def test_pair_validation_matches_the_oracles(kind):
             if rng.random() < 0.1:
                 B |= {"zz"}
             expected = parent_pair_verdict(g, H, B)
-            # the masks of the library's own pairs take the same check
-            masked = "zz" not in H | B
-            seen["masks"] += masked
             if expected is None:
                 p = AdmissiblePair(g, H, B)
                 assert (p.h, p.b) == (H, B)
                 h, b = g.sort_set(H), g.sort_set(B)
                 assert p.label == "H={" + ",".join(h) + "};B={" + ",".join(b) + "}"
                 assert p.to_json_obj() == {"H": list(h), "B": list(b)}
-                if masked:
-                    q = AdmissiblePair._of(g, g.mask(H), g.mask(B))
-                    assert q == p and hash(q) == hash(p) and (q.h, q.b) == (H, B)
                 seen["accepted"] += 1
                 continue
             error, message = expected
             with pytest.raises(error) as info:
                 AdmissiblePair(g, H, B)
             assert type(info.value) is error and info.value.args == (message,)
-            if masked:
-                with pytest.raises(error) as info:
-                    AdmissiblePair._of(g, g.mask(H), g.mask(B))
-                assert type(info.value) is error and info.value.args == (message,)
             if error is KeyError:
                 seen["unknown in H"] += 1
             else:
                 seen["not closed" if "set:" in message else "range"] += 1
                 seen["unknown in B"] += "'zz'" in message
-    assert min(seen.values()) >= 20, seen  # every verdict is exercised
+        # an isolated vertex is one more tail: the lattice is not trivial
+        for g in (g, Graph(g.vertices + ("zz",), g.edges)):
+            simple = classify(g).simple.pair
+            for source, pairs in (
+                ("lattice", admissible_pairs(g).pairs),
+                ("prime points", [pt.pair for pt in prime_points(g)]),
+                ("simple", [simple] if simple else []),
+            ):
+                for p in pairs:
+                    q = AdmissiblePair(g, p.h, p.b)
+                    assert p == q and hash(p) == hash(q) and p._range == q._range, (g, p)
+                    seen[source] += 1
+    assert min(seen.values()) >= 20, seen  # every verdict and every source is exercised
 
 
 def test_pair_is_immutable(corpus):
@@ -371,6 +379,52 @@ def test_quotient_gap_names_step_past_taken_names():
     assert classify(q) == reference_report(fresh)
     assert condition_L(q) == walk_condition_L(fresh)
     assert condition_K(q) == first_single_return(fresh)
+
+
+def tilde_names(rng, g):
+    """g with its vertices renamed to a letter plus ~s ("a", "a~", "a~~", ...,
+    shuffled) and its edge ids to e~ plus a vertex name plus ~s, so that
+    the gap names and gap edge ids of its quotients step past taken ones,
+    often more than once."""
+    counts, names = Counter(), []
+    for _ in g.vertices:
+        base = rng.choice("ab")
+        names.append(base + "~" * counts[base])
+        counts[base] += 1
+    rng.shuffle(names)
+    name, edges = dict(zip(g.vertices, names)), []
+    for e in g.edges:
+        eid = "e~" + rng.choice(names)
+        while eid in {f.id for f in edges}:
+            eid += "~"
+        edges.append(Edge(eid, name[e.src], name[e.rng], e.mult))
+    return Graph(tuple(names), tuple(edges))
+
+
+def test_quotients_equal_their_validated_copies():
+    """A quotient other than the bottom one is built unchecked
+    (`Graph._of`).  On seeded graphs of every kind, and on each renamed by
+    `tilde_names`, every such quotient passes the validating constructor
+    and equals the graph it builds, tables included."""
+    rng, seen = random.Random(151), Counter()
+    tables = ("_index", "_full", "_succ", "_in")
+    for kind in KINDS:
+        for _ in range(150):
+            g = kind(rng)
+            for g in (g, tilde_names(rng, g)):
+                for p in admissible_pairs(g).pairs[1:]:
+                    q = quotient_graph(g, p)
+                    fresh = Graph(q.vertices, q.edges)
+                    assert q == fresh, (g, p)
+                    assert [getattr(q, k) for k in tables] == [getattr(fresh, k) for k in tables]
+                    # the gap edges come last, one per vertex added
+                    added = len(q.vertices) - (g._full & ~p._h).bit_count()
+                    gaps = q.edges[len(q.edges) - added :]
+                    seen["quotients"] += 1
+                    seen["with gaps"] += bool(gaps)
+                    seen["name stepped twice"] += any(len(e.src) - len(e.rng) > 2 for e in gaps)
+                    seen["id stepped twice"] += any(len(e.id) - len(e.rng) > 3 for e in gaps)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_quotient_interval_isomorphism(corpus):

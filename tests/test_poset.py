@@ -18,6 +18,7 @@ from graphck.poset import (
     check_antisymmetric,
     closure,
     record,
+    subset_order,
     to_dot,
 )
 
@@ -119,6 +120,31 @@ def test_covers_and_leq_match_brute_force():
         for i in range(n):
             for j in range(n):
                 assert (order.down[j] >> i & 1) == (order.up[i] >> j & 1)
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 63, 64, 65])
+def test_subset_order_matches_a_brute_inclusion_test(width):
+    """Both branches of `subset_order`: P = width - 1 and P = width rows
+    take the pairwise mask tests, P = width + 1 the transpose.  Each row is
+    random, or a subset or superset of an earlier one, or a repeat of one."""
+    rng, seen = random.Random(89 + width), dict.fromkeys(["strict", "repeated"], 0)
+    for p in (width - 1, width, width + 1):
+        for _ in range(10):
+            rows = []
+            for _ in range(p):
+                r, step = rng.getrandbits(width), rng.random()
+                if rows and step < 0.6:
+                    old = rng.choice(rows)
+                    r = old if step < 0.2 else old & r if step < 0.4 else old | r
+                rows.append(r)
+            up = [
+                sum(1 << j for j, s in enumerate(rows) if all(s >> k & 1 for k in ref_bits(r)))
+                for r in rows
+            ]
+            assert subset_order(rows, width).up == tuple(up), (width, rows)
+            seen["strict"] += sum(m.bit_count() > rows.count(r) for r, m in zip(rows, up))
+            seen["repeated"] += len(set(rows)) < len(rows)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_meet_and_join_of_random_lattices():
