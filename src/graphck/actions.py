@@ -28,7 +28,7 @@ from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .graphs import DEFAULT_LIMIT, LimitExceededError, decode_json
-from .poset import bits, cached_property, check_antisymmetric, clip, closure, record, union
+from .poset import bits, cached_property, clip, closure, record, union
 
 Letter = tuple[str, int]  # a run: (generator name, exponent)
 
@@ -81,15 +81,20 @@ class FiniteT0Space:
         succ = [0] * len(self.points)
         for p, q in self.closure_pairs:
             succ[index[p]] |= 1 << index[q]
-        # reflexive-transitive closure, then antisymmetry = T0
-        up = closure(succ)
-        try:
-            check_antisymmetric(up, self.points.__getitem__)
-        except ValueError as exc:
-            raise ActionFormatError(f"specialization is {exc}") from None
+        # reflexive-transitive closure; T0 = distinct rows, since two points
+        # are related both ways exactly when their rows are equal
+        up, pts = closure(succ), self.points
+        if len(set(up)) < len(up):  # name the least point with a twin, then its least twin
+            first, twins = {}, []
+            for j, r in enumerate(up):
+                if first.setdefault(r, j) != j:
+                    twins.append((first[r], j))
+            i, j = min(twins)
+            raise ActionFormatError(
+                f"specialization is not antisymmetric: {clip(pts[i])} and {clip(pts[j])}"
+            )
         # normalize to the full transitive relation so that equality of spaces
         # is equality of topologies, however the input pairs were given
-        pts = self.points
         self.__dict__.update(
             closure_pairs=frozenset(
                 (pts[i], pts[j]) for i, m in enumerate(up) for j in bits(m & ~(1 << i))

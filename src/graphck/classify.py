@@ -298,14 +298,13 @@ def _bfs_tree(g: Graph, src: str) -> dict:
 def classify(g: Graph) -> ClassificationReport:
     # (K) is decided once, by is_purely_infinite: fails_K exactly when it fails.
     # (L) is read off is_simple, unless a nontrivial lattice decided that first;
-    # then (K) implies it: (K) rejects an entrance-less cycle, a component each
-    # of whose members has one source, inside it and not repeated.
+    # then the (L) decider is asked, which answers at once from the (K) mask
+    # when (K) holds: (K) rejects an entrance-less cycle.
     simple, purely_infinite = is_simple(g), is_purely_infinite(g)
     K_fails = purely_infinite.reason_kind == "fails_K"
-    if simple.reason_kind == "nontrivial_lattice" and K_fails:
-        L_fails_at = entranceless_cycle_at(g)
-    else:
-        L_fails_at = simple.cycle_at
+    L_fails_at = (
+        entranceless_cycle_at(g) if simple.reason_kind == "nontrivial_lattice" else simple.cycle_at
+    )
     L_holds = L_fails_at is None
     # the equivalence is only available for finite graphs
     dual_tf = "unknown" if g._in.infinite else "yes" if L_holds else "no"

@@ -244,10 +244,6 @@ class Graph:
         except KeyError:
             raise KeyError(f"unknown vertex {clip(v)}") from None
 
-    def sort_set(self, vs: Iterable[str]) -> tuple[str, ...]:
-        """Vertices of vs in canonical order."""
-        return tuple(sorted(vs, key=self.index))
-
     def mask(self, vs: Iterable[str]) -> int:
         m = 0
         for v in vs:

@@ -36,8 +36,10 @@ whose one home is `Graph` (``Graph._prime_rows``, ``Graph._prime_order``,
 
 Vertex sets are frozensets of names at the public API, including the
 members ``h`` and ``b`` of `AdmissiblePair`, and int masks in canonical order
-inside: a pair is its masks, checked when it is built from names; the
-library builds its pairs from masks it made valid, and checks them no more.
+inside: a pair is its graph and its two masks, checked when it is built
+from names; the library builds its pairs from masks it made valid, and
+checks them no more.  `quotient_graph` asks the graph for the admissible
+range over H.
 """
 
 from __future__ import annotations
@@ -73,11 +75,8 @@ class AdmissiblePair:
     ``_b``).  Built from names, which it masks, it is checked: H must be
     saturated hereditary and B inside the admissible range over H.  Built
     from masks (``_of``), which the library makes only from valid data, it
-    is not.  Either way it keeps that range as the mask ``_range``, which
-    `quotient_graph` reads; it is not a field, so equality and hashing see
-    H and B only.  The labels, the pair order, the lattice and
-    `quotient_graph` read the masks; the name sets ``h`` and ``b`` are built
-    when first read.
+    is not.  The labels, the pair order, the lattice and `quotient_graph`
+    read the masks; the name sets ``h`` and ``b`` are built when first read.
     """
 
     graph: Graph
@@ -97,7 +96,7 @@ class AdmissiblePair:
                 f"B contains vertices outside the admissible range for H: "
                 f"{clip(sorted([*graph.unmask(bm & ~allowed), *unknown]))}"
             )
-        self.__dict__.update(graph=graph, _h=hm, _b=bm, _range=allowed, h=H, b=B)
+        self.__dict__.update(graph=graph, _h=hm, _b=bm, h=H, b=B)
 
     @classmethod
     def _of(cls, graph: Graph, h: int, b: int) -> "AdmissiblePair":
@@ -105,7 +104,7 @@ class AdmissiblePair:
         valid (`admissible_pairs` and `spectrum.prime_points` from the prime
         rows, `classify.SimpleVerdict.pair` from a tail's own part)."""
         pair = cls.__new__(cls)
-        pair.__dict__.update(graph=graph, _h=h, _b=b, _range=graph._breaking(h))
+        pair.__dict__.update(graph=graph, _h=h, _b=b)
         return pair
 
     @cached_property
@@ -251,7 +250,7 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
         return g
     keep = g.names(g._full & ~h)
     edges = [e for e in g.edges if not h >> index[e.src] & 1]
-    gaps = p._range & ~p._b
+    gaps = g._breaking(h) & ~p._b
     if gaps:
         # a gap name may equal the name of a vertex in H, which is gone
         taken, edge_ids, bars = set(keep), {e.id for e in edges}, []

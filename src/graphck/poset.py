@@ -4,7 +4,9 @@ Elements are the indices 0..n-1.  ``up[i]`` has bit j set exactly when
 i <= j (so bit i itself is always set), and ``down[j]`` is its transpose.
 One closure routine turns any successor relation into such masks (every
 graph, a quotient too, takes its reachability rows from it); covers and the
-DOT drawing are read off them.
+DOT drawing are read off them.  Two elements of a closed relation are
+related both ways exactly when their rows are equal, so the closure is
+antisymmetric, a partial order, exactly when its rows are distinct.
 
 Two fixed costs every module pays live here too.  ``bits`` reads masks
 below 256 off a byte table.  ``record`` makes every frozen value class: it
@@ -196,15 +198,6 @@ def clip(value) -> str:
     """repr(value) cut to 80 characters: diagnostics echo input of any size."""
     text = repr(value)
     return text if len(text) <= 80 else text[:77] + "..."
-
-
-def check_antisymmetric(up: Sequence[int], name: Callable[[int], str]) -> None:
-    """Raise ValueError naming, by name(i), the first i < j with i <= j and
-    j <= i: only a failure builds names."""
-    for i, m in enumerate(up):
-        for j in bits(m >> (i + 1)):
-            if up[i + 1 + j] >> i & 1:
-                raise ValueError(f"not antisymmetric: {clip(name(i))} and {clip(name(i + 1 + j))}")
 
 
 _BIT = {"0": False, "1": True}

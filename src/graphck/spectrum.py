@@ -18,7 +18,8 @@ Omega(v); counting sources inside Omega(v) instead is a different (and here
 rejected) reading.
 
 Vertex sets are frozensets of names at the public API and int masks in
-canonical order inside.  The points and their order are read off the
+canonical order inside; a tail point prints its tail from its pair's mask,
+as the vertices outside H.  The points and their order are read off the
 prime-point kernel, whose one home is `Graph` (``Graph._tails``,
 ``Graph._breakers``, their masks ``Graph._primes`` and the pair order of
 those, ``Graph._prime_order``).  By Birkhoff (*Rings of sets*, Duke Math. J.
@@ -29,12 +30,10 @@ every saturated hereditary set and admissible pair (see `conditions`,
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .conditions import condition_K
 from .graphs import Graph, encode_json
 from .ideals import AdmissiblePair
-from .poset import bits, cached_property, check_antisymmetric, record, to_dot
+from .poset import bits, cached_property, record, to_dot
 
 
 def maximal_tails(g: Graph) -> list[frozenset[str]]:
@@ -65,19 +64,18 @@ class PrimPoint:
 
     @property
     def label(self) -> str:
-        return self._label(self.pair.graph.sort_set(self.tail) if self.tail else ())
-
-    def _label(self, tail: Sequence[str]) -> str:
-        """The label, given the tail in canonical order."""
-        return "Tail{" + ",".join(tail) + "}" if self.kind == "tail" else f"Breaking({self.vertex})"
+        if self.kind == "breaking":
+            return f"Breaking({self.vertex})"
+        g = self.pair.graph  # the tail is V outside H of the pair
+        return "Tail{" + ",".join(g.names(g._full & ~self.pair._h)) + "}"
 
     def to_json_obj(self) -> dict:
-        tail = self.pair.graph.sort_set(self.tail) if self.tail else ()  # sorted once
+        g = self.pair.graph
         return {
             "kind": self.kind,
-            "tail": list(tail) if self.tail else None,
+            "tail": list(g.names(g._full & ~self.pair._h)) if self.tail else None,
             "vertex": self.vertex,
-            "label": self._label(tail),
+            "label": self.label,
             "pair": self.pair.to_json_obj(),
         }
 
@@ -117,12 +115,16 @@ class PrimSpace:
 
 
 def prim_space(g: Graph) -> PrimSpace:
+    """The prime points of g in the pair order, and the space's status.  The
+    order is antisymmetric, as the prime rows are distinct by construction:
+    two tails differ in H (the tail rows form a set); a breaking vertex v
+    lies in the admissible range over its H, and its point's B is that range
+    minus v, while the tail point with that H has the whole range; and two
+    breaking vertices with equal H differ in B, as each keeps the other."""
     points = tuple(prime_points(g))
     status = "Primitive" if condition_K(g).holds else "PrimeOnly"
     space = PrimSpace.__new__(PrimSpace)
     space.__dict__.update(graph=g, points=points, status=status)
-    # raises on a repeated prime pair: distinct pairs make specialization antisymmetric
-    check_antisymmetric(g._prime_order.up, lambda i: points[i].label)
     return space
 
 

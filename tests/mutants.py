@@ -79,9 +79,9 @@ MUTANTS = (
     {
         "name": "mask_pair_range_over_the_empty_set",
         "file": "src/graphck/ideals.py",
-        "old": "_range=graph._breaking(h))",
-        "new": "_range=graph._breaking(0))",
-        "tests": ("tests/test_ideals.py::test_pair_validation_matches_the_oracles",),
+        "old": "gaps = g._breaking(h) & ~p._b",
+        "new": "gaps = g._breaking(0) & ~p._b",
+        "tests": ("tests/test_ideals.py::test_quotient_e4_empty_B_keeps_gap",),
         "origin": "Validate once in the graph layer",
     },
     {
@@ -110,6 +110,47 @@ MUTANTS = (
             "tests/test_prime_kernel.py::test_one_return_marks_the_vertices_with_one_first_return_path",
         ),
         "origin": "Validate once in the graph layer",
+    },
+    # -- each order fact read once -------------------------------------------
+    {
+        "name": "breaking_pair_keeps_its_vertex",
+        "file": "src/graphck/graphs.py",
+        "old": "self._breaking(h) & ~(1 << i)",
+        "new": "self._breaking(h)",
+        "tests": (
+            "tests/test_spectrum.py::test_prime_rows_are_distinct_on_graphs_and_their_quotients",
+        ),
+        "origin": "Read each order fact once",
+    },
+    {
+        "name": "t0_names_the_last_twin_class",
+        "file": "src/graphck/actions.py",
+        "old": "i, j = min(twins)",
+        "new": "i, j = max(twins)",
+        "tests": (f"{ACTIONS}test_t0_check_matches_the_related_pair_walk",),
+        "origin": "Read each order fact once",
+    },
+    {
+        "name": "tail_printed_from_h",
+        "file": "src/graphck/spectrum.py",
+        "old": '",".join(g.names(g._full & ~self.pair._h))',
+        "new": '",".join(g.names(self.pair._h))',
+        "tests": (f"{GOLDEN}[spectrum-e4-text]",),
+        "origin": "Read each order fact once",
+    },
+    {
+        "name": "L_read_off_the_simple_verdict_alone",
+        "file": "src/graphck/classify.py",
+        "old": (
+            'entranceless_cycle_at(g) if simple.reason_kind == "nontrivial_lattice" '
+            "else simple.cycle_at"
+        ),
+        "new": "simple.cycle_at",
+        "tests": (
+            "tests/test_classify.py::test_classify_fields_match_direct_conditions",
+            f"{GOLDEN}[analyze-e6-text]",
+        ),
+        "origin": "Read each order fact once",
     },
     # -- the actions layer ----------------------------------------------------
     {

@@ -291,7 +291,7 @@ def test_gap_witness_is_first_sh_set_with_breaking_vertex(corpus):
     for g in list(corpus.values()) + mixed_graphs(97, 450):
         expected = next(
             (
-                (H, g.sort_set(breaking_vertices_of(g, H))[0])
+                (H, g.names(g.mask(breaking_vertices_of(g, H)))[0])
                 for H in saturated_hereditary_sets(g)
                 if breaking_vertices_of(g, H)
             ),

@@ -1,12 +1,14 @@
 """Closure operators, saturated hereditary sets, Conditions (L) and (K)."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from graphck import (
     ConditionK,
     Graph,
+    admissible_pairs,
     condition_K,
     condition_L,
     cycle_entrances,
@@ -14,6 +16,7 @@ from graphck import (
     is_hereditary,
     is_saturated,
     parse_graph,
+    quotient_graph,
     saturated_hereditary_sets,
     saturation,
 )
@@ -21,6 +24,7 @@ from graphck import (
 from hypothesis import given, strategies as st
 
 from util import (
+    KINDS,
     all_subsets,
     brute_condition_L,
     brute_is_hereditary,
@@ -272,3 +276,19 @@ def test_condition_K_on_loops_and_chords(edges, witness):
     g = parse_graph("vertex v\nvertex u\nvertex w\n" + edges + "\n", "edgelist")
     assert condition_K(g) == ConditionK(witness is None, witness)
     assert condition_K(g) == first_single_return(g)
+
+
+def test_K_holds_exactly_when_L_holds_on_every_quotient():
+    """The residual identity: (K) holds exactly when (L) holds on the
+    quotient by every admissible pair, the bottom pair (g itself) included.
+    A third oracle for (K), beside the first-return count and
+    `first_single_return`; 400 seeded graphs of each kind."""
+    rng, seen = random.Random(41), Counter()
+    for kind in KINDS:
+        for _ in range(400):
+            g = kind(rng)
+            quotients = [quotient_graph(g, p) for p in admissible_pairs(g).pairs]
+            K = condition_K(g).holds
+            assert K == all(condition_L(q).holds for q in quotients), g
+            seen["K" if K else "L holds, K fails" if condition_L(g).holds else "L fails"] += 1
+    assert min(seen.values()) >= 50, seen

@@ -142,7 +142,7 @@ def test_pair_validation_matches_the_oracles(kind):
             if expected is None:
                 p = AdmissiblePair(g, H, B)
                 assert (p.h, p.b) == (H, B)
-                h, b = g.sort_set(H), g.sort_set(B)
+                h, b = [v for v in g.vertices if v in H], [v for v in g.vertices if v in B]
                 assert p.label == "H={" + ",".join(h) + "};B={" + ",".join(b) + "}"
                 assert p.to_json_obj() == {"H": list(h), "B": list(b)}
                 seen["accepted"] += 1
@@ -166,7 +166,7 @@ def test_pair_validation_matches_the_oracles(kind):
             ):
                 for p in pairs:
                     q = AdmissiblePair(g, p.h, p.b)
-                    assert p == q and hash(p) == hash(q) and p._range == q._range, (g, p)
+                    assert p == q and hash(p) == hash(q), (g, p)
                     seen[source] += 1
     assert min(seen.values()) >= 20, seen  # every verdict and every source is exercised
 

@@ -108,7 +108,7 @@ def test_graph_documents_have_the_json_dumps_layout(tmp_path):
         for command in ("analyze", "spectrum"):
             check_layout(command, path)
         for p in admissible_pairs(g).pairs:
-            selector = f"H={','.join(g.sort_set(p.h))};B={','.join(g.sort_set(p.b))}"
+            selector = f"H={','.join(g.names(p._h))};B={','.join(g.names(p._b))}"
             check_layout("quotient", path, "--pair", selector)
         # the library's own renderers, on the same graph
         report, space = classify(g).to_json_obj(), prim_space_to_json_obj(prim_space(g))

@@ -15,7 +15,6 @@ from graphck.poset import (
     Poset,
     bits,
     cached_property,
-    check_antisymmetric,
     closure,
     record,
     subset_order,
@@ -115,7 +114,7 @@ def test_covers_and_leq_match_brute_force():
     for _ in range(300):
         n = rng.randint(0, 9)
         order = random_order(rng, n)
-        check_antisymmetric(order.up, str)
+        assert len(set(order.up)) == n  # distinct rows: antisymmetric
         assert list(order.covers) == brute_covers(order.leq)
         for i in range(n):
             for j in range(n):
@@ -216,11 +215,6 @@ def test_meet_needs_a_linear_extension():
     assert ref_meet_table(chain) == ((0, 0), (0, 1))
     with pytest.raises(ValueError, match="linear extension"):
         ref_meet_table(Poset((0b01, 0b11)))  # 1 <= 0
-
-
-def test_antisymmetry_violation_names_elements():
-    with pytest.raises(ValueError, match="not antisymmetric: 'a' and 'c'"):
-        check_antisymmetric(closure([0b100, 0, 0b001]), "abc".__getitem__)
 
 
 def test_dot_escapes_labels():

@@ -288,7 +288,7 @@ def reference_is_purely_infinite(
                 cycles[y], trees[y] = copying_cycle_at(g, y), bfs_paths(g, y)
             witnesses.append(
                 {
-                    "tail": list(g.sort_set(M)),
+                    "tail": list(g.names(m)),
                     "vertex": v,
                     "cycle": list(cycles[y].walk_edge_ids()),
                     "path": list(trees[y][v]),
@@ -737,6 +737,16 @@ def brute_closure(n: int, pairs):
             for j in range(n):
                 rel[i][j] = rel[i][j] or (rel[i][k] and rel[k][j])
     return rel
+
+
+def check_antisymmetric(up, name) -> None:
+    """Raise ValueError naming, by name(i), the first i < j with i <= j and
+    j <= i, found by a walk over every related pair of the up-sets: the
+    check `FiniteT0Space` made before it read T0 as distinct rows."""
+    for i, m in enumerate(up):
+        for j in bits(m >> (i + 1)):
+            if up[i + 1 + j] >> i & 1:
+                raise ValueError(f"not antisymmetric: {clip(name(i))} and {clip(name(i + 1 + j))}")
 
 
 def poset_isomorphic(leq1, leq2) -> bool:
