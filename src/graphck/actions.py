@@ -290,11 +290,6 @@ class FinitePartialAction:
         return _reduce(runs)
 
     @cached_property
-    def _index_maps(self) -> tuple[tuple[int, ...], ...]:
-        """Each generator's index tuple, then its inverse's."""
-        return tuple(f for gen in self.generators for f in (gen._fwd, gen._inv))
-
-    @cached_property
     def _word_maps(self) -> dict[str, tuple[int, ...]]:
         """Word text -> its index tuple, filled by _word_map."""
         return {}
@@ -349,22 +344,17 @@ class FinitePartialAction:
     # -- orbits ----------------------------------------------------------------
 
     @cached_property
-    def _step_succ(self) -> tuple[int, ...]:
-        """Per point, the mask of its images under the generators and their inverses."""
-        succ = [0] * len(self.space.points)
-        for f in self._index_maps:
-            for i, j in enumerate(f):
-                if j >= 0:
-                    succ[i] |= 1 << j
-        return tuple(succ)
-
-    @cached_property
     def _orbits(self) -> tuple[int, ...]:
         """Per point, its orbit: the connected component of x in the relation
-        joining x and theta(x), which _step_succ holds both ways.  One search
-        per orbit, a frontier at a time, so the cost is linear in the points
-        times the generators."""
-        succ = self._step_succ
+        joining x and theta(x), built from each generator's pairs taken both
+        ways, so no inverse map is read.  One search per orbit, a frontier
+        at a time, so the cost is linear in the points times the generators."""
+        succ = [0] * len(self.space.points)
+        for gen in self.generators:
+            for i, j in enumerate(gen._fwd):
+                if j >= 0:
+                    succ[i] |= 1 << j
+                    succ[j] |= 1 << i
         out = [0] * len(succ)
         for i in range(len(succ)):
             if not out[i]:
@@ -632,9 +622,12 @@ def check_infinite_witness(a: FinitePartialAction, d: Decomposition) -> WitnessC
 
 
 def decide_G_infinite(a: FinitePartialAction, V: Iterable[str]) -> GInfiniteDecision:
-    """On a finite carrier no nonempty open set is ever G-infinite."""
+    """On a finite carrier no nonempty open set is ever G-infinite.
+
+    An empty V, or one that is not open, raises ValueError.  An unknown
+    point raises ActionFormatError, naming the least one: the openness test
+    reads V through `FiniteT0Space.mask`."""
     V = frozenset(V)
-    _check_known(a.space.index, "unknown point", V)
     if not V:
         raise ValueError("V must be nonempty")
     if not a.space.is_open(V):

@@ -42,9 +42,10 @@ points: the constructor, which first validates every vertex and edge
 record, and ``Graph._of``, which checks nothing and serves graphs built
 valid from a validated one (`ideals.quotient_graph` says why a quotient
 is).  The rest stays lazy, so a graph that is only printed never pays the
-closure's O(V (V + E)): the first read of any of ``_reach``, ``_comps``,
-``_cyclic``, ``_one_return`` and ``_tails`` runs ``_kernel``, which takes
-the closure and passes over its rows and stores all five.  A quotient
+closure's O(V (V + E)): ``_reach``, ``_comps``, ``_cyclic``, ``_one_return``
+and ``_tails`` share one reader (``_KernelTable``), and the first read of
+any of them runs ``_kernel``, which takes the closure and passes over its
+rows and stores all five (its docstring defines each).  A quotient
 computes its own, as any graph does.
 
 ``Graph`` is the one home of the prime-point kernel, and `conditions`,
@@ -160,6 +161,20 @@ class InTable(NamedTuple):
     infinite: int
 
 
+class _KernelTable:
+    """A table that `Graph._kernel` stores, under the name it is bound to:
+    the first read of any of them runs the kernel, which puts all of them
+    in the instance dict, where every later read finds them."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj._kernel()[self.name]
+
+
 @record
 class Graph:
     """Immutable directed multigraph.  Safe to share between threads."""
@@ -273,10 +288,23 @@ class Graph:
     # -- per-vertex masks ------------------------------------------------------
 
     def _kernel(self) -> dict:
-        """Store ``_reach``, ``_comps`` (the classes of equal reach rows, met
-        in smallest-member order), ``_cyclic``, ``_one_return`` and
-        ``_tails`` from the one closure; returns the instance dict that
-        holds them."""
+        """Store the five kernel tables from the one closure and return the
+        instance dict that holds them:
+
+        - ``_reach``: per vertex i, the mask of the vertices reachable from
+          i, i included;
+        - ``_comps``: the strongly connected component masks, the classes
+          of equal ``_reach`` rows, ordered by smallest member;
+        - ``_cyclic``: the mask of the vertices on a cycle, those with a
+          successor that reaches back;
+        - ``_one_return``: the mask of the vertices with exactly one
+          first-return path, the members of the components that are a bare
+          cycle;
+        - ``_tails``: the maximal tails, by (-size, mask): the distinct
+          ``_reach`` rows of the vertices on a cycle, with no in-edge or
+          with an OMEGA in-edge (every other member of such a row has a
+          source inside it).  They cover V.
+        """
         succ, src, omega, repeated = self._succ, self._in.src, self._in.omega, self._in.repeated
         reach, comps = closure(succ), {}
         for i, r in enumerate(reach):
@@ -300,33 +328,8 @@ class Graph:
         )
         return self.__dict__
 
-    @cached_property
-    def _reach(self) -> tuple[int, ...]:
-        """reach[i] = mask of the vertices reachable from vertex i (incl. i)."""
-        return self._kernel()["_reach"]
-
-    @cached_property
-    def _comps(self) -> tuple[int, ...]:
-        """Strongly connected component masks, ordered by smallest member."""
-        return self._kernel()["_comps"]
-
-    @cached_property
-    def _cyclic(self) -> int:
-        """Mask of the vertices on a cycle: some successor reaches back."""
-        return self._kernel()["_cyclic"]
-
-    @cached_property
-    def _one_return(self) -> int:
-        """Mask of the vertices with exactly one first-return path: the
-        members of the components that are a bare cycle."""
-        return self._kernel()["_one_return"]
-
-    @cached_property
-    def _tails(self) -> tuple[int, ...]:
-        """The maximal tails, by (-size, mask): the distinct ``_reach`` rows of
-        the vertices on a cycle, with no in-edge or with an OMEGA in-edge (every
-        other member of such a row has a source inside it).  They cover V."""
-        return self._kernel()["_tails"]
+    # one reader per kernel table (see `_KernelTable`)
+    _reach, _comps, _cyclic, _one_return, _tails = (_KernelTable() for _ in range(5))
 
     @cached_property
     def _breakers(self) -> tuple[int, ...]:

@@ -57,13 +57,10 @@ T = TypeVar("T")
 def breaking_vertices_of(g: Graph, H: Iterable[str]) -> frozenset[str]:
     """Infinite receivers outside H fed finitely (but not zero) from outside H.
 
-    This is the admissible range for the B component of a pair over H.
+    This is the admissible range for the B component of a pair over H.  H
+    is checked as `AdmissiblePair` checks it, with the same errors.
     """
-    H = frozenset(H)
-    h = g.mask(H)
-    if g._sh_closure(h) != h:
-        raise ValueError(f"not a saturated hereditary set: {clip(sorted(H))}")
-    return g.unmask(g._breaking(h))
+    return g.unmask(g._breaking(AdmissiblePair(g, H, ())._h))
 
 
 @record(init=False)

@@ -152,6 +152,119 @@ MUTANTS = (
         ),
         "origin": "Read each order fact once",
     },
+    # -- one copy of each routine --------------------------------------------
+    {
+        "name": "kernel_reader_reads_one_table",
+        "file": "src/graphck/graphs.py",
+        "old": "return obj._kernel()[self.name]",
+        "new": 'return obj._kernel()["_reach"]',
+        "tests": (
+            "tests/test_prime_kernel.py::test_one_return_marks_the_vertices_with_one_first_return_path",
+        ),
+        "origin": "One copy of each routine",
+    },
+    {
+        "name": "orbit_pair_joined_one_way",
+        "file": "src/graphck/actions.py",
+        "old": "                    succ[j] |= 1 << i\n",
+        "new": "",
+        "tests": (f"{ACTIONS}test_orbits_match_the_step_closure",),
+        "origin": "One copy of each routine",
+    },
+    {
+        "name": "breaking_range_read_off_B",
+        "file": "src/graphck/ideals.py",
+        "old": "AdmissiblePair(g, H, ())._h",
+        "new": "AdmissiblePair(g, H, ())._b",
+        "tests": (
+            "tests/test_ideals.py::test_breaking_candidates_examples",
+            "tests/test_ideals.py::test_breaking_vertices_against_brute_force",
+        ),
+        "origin": "One copy of each routine",
+    },
+    # -- recorded before the catalogue, re-expressed against today's code ------
+    {
+        "name": "tail_rule_drops_omega_in_edges",
+        "file": "src/graphck/graphs.py",
+        "old": "elif not src[i] or omega[i]:",
+        "new": "elif not src[i]:",
+        "tests": ("tests/test_prime_kernel.py::test_tails_and_breaking_vertices_match_definitions",),
+        "origin": "Saturation read off the prime points",
+    },
+    {
+        "name": "tail_rule_drops_sourceless_vertices",
+        "file": "src/graphck/graphs.py",
+        "old": "elif not src[i] or omega[i]:",
+        "new": "elif omega[i]:",
+        "tests": ("tests/test_prime_kernel.py::test_tails_and_breaking_vertices_match_definitions",),
+        "origin": "Classify each graph in one kernel pass",
+    },
+    {
+        "name": "cyclic_misses_self_loops",
+        "file": "src/graphck/graphs.py",
+        "old": "if succ[i] & c:  # a successor shares the component",
+        "new": "if succ[i] & c & ~(1 << i):",
+        "tests": (
+            "tests/test_prime_kernel.py::test_reachability_kernel_matches_a_search_over_edge_records",
+        ),
+        "origin": "Classify each graph in one kernel pass",
+    },
+    {
+        "name": "breakers_skip_the_reach_test",
+        "file": "src/graphck/graphs.py",
+        "old": "and not o[i] & r and s[i] & r)",
+        "new": "and not o[i] & r)",
+        "tests": ("tests/test_prime_kernel.py::test_tails_and_breaking_vertices_match_definitions",),
+        "origin": "Saturation read off the prime points",
+    },
+    {
+        "name": "upset_exclude_skips_the_down_set",
+        "file": "src/graphck/poset.py",
+        "old": "decided | down[i], upset, acc)",
+        "new": "decided | 1 << i, upset, acc)",
+        "tests": ("tests/test_prime_kernel.py::test_upset_meets_lists_every_up_set_once",),
+        "origin": "Saturation read off the prime points",
+    },
+    {
+        "name": "K_names_the_last_one_return_vertex",
+        "file": "src/graphck/conditions.py",
+        "old": "g.vertices[(m & -m).bit_length() - 1]",
+        "new": "g.vertices[m.bit_length() - 1]",
+        "tests": ("tests/test_conditions.py::test_condition_K_matches_first_return_definition",),
+        "origin": "Conditions (L) and (K) read off the SCC condensation",
+    },
+    {
+        "name": "homeo_names_the_lowest_offending_point",
+        "file": "src/graphck/actions.py",
+        "old": "y = min(bits(bad), key=order.index)",
+        "new": "y = min(bits(bad))",
+        "tests": (f"{ACTIONS}test_homeo_validation_matches_pairwise_check",),
+        "origin": "One point-set representation in the actions layer",
+    },
+    {
+        "name": "word_run_not_squared",
+        "file": "src/graphck/actions.py",
+        "old": "                if k & 1:\n",
+        "new": "                if k:\n",
+        "tests": (f"{ACTIONS}test_element_map_runs_match_letter_by_letter_reference",),
+        "origin": "Saturation read off the prime points",
+    },
+    {
+        "name": "word_map_drops_undefined_points",
+        "file": "src/graphck/actions.py",
+        "old": "current = tuple(f[v] if v >= 0 else -1 for v in current)",
+        "new": "current = tuple(f[v] for v in current)",
+        "tests": (f"{ACTIONS}test_element_map_runs_match_letter_by_letter_reference",),
+        "origin": "Actions layer on compiled index maps",
+    },
+    {
+        "name": "runs_never_merge",
+        "file": "src/graphck/actions.py",
+        "old": "if out and out[-1][0] == name:",
+        "new": "if False:",
+        "tests": (f"{ACTIONS}test_element_map_runs_match_letter_by_letter_reference",),
+        "origin": "Saturation read off the prime points",
+    },
     # -- the actions layer ----------------------------------------------------
     {
         "name": "fixed_union_strict_cycle_count",

@@ -1110,6 +1110,9 @@ def test_decide_G_infinite():
         decide_G_infinite(b, frozenset(("b",)))
     one = trivial_action(FiniteT0Space.from_pairs(("x",)))
     assert not decide_G_infinite(one, frozenset(("x",))).infinite
+    # an unknown point is named by the openness test, the least one first
+    with pytest.raises(ActionFormatError, match="^unknown point 'w'$"):
+        decide_G_infinite(a, frozenset(("z", "1", "w", "y")))
 
 
 # -- parsing -----------------------------------------------------------------------------

@@ -316,6 +316,33 @@ def test_report_invariants():
         assert r.to_json_obj()["limit_exceeded"] is False
 
 
+def test_simple_graphs_are_af_or_purely_infinite():
+    """Structure identities on 400 seeded graphs of each `KINDS` kind and
+    every nonempty quotient of each: a graph with no cycle is not purely
+    infinite (its algebra is AF), and a simple one is either AF or purely
+    infinite, never both (Kumjian-Pask-Raeburn, Pacific J. Math. 1998, for
+    row-finite graphs; Drinen-Tomforde, Rocky Mountain J. Math. 2005, for
+    arbitrary ones, so OMEGA edges are kept).
+    Whether a cycle exists is read off a search over the edge records."""
+    rng, seen = random.Random(43), Counter()
+    for kind in KINDS:
+        for _ in range(400):
+            g = kind(rng)
+            for q in [quotient_graph(g, p) for p in admissible_pairs(g).pairs]:
+                if not q.vertices:
+                    continue
+                r = reach(q)
+                acyclic = not any(e.src in r[e.rng] for e in q.edges)
+                pi = is_purely_infinite(q).verdict == "yes"
+                assert not (acyclic and pi), q
+                if is_simple(q).verdict == "yes":
+                    assert acyclic != pi, q
+                    seen["simple, acyclic" if acyclic else "simple, purely infinite"] += 1
+                else:
+                    seen["not simple, acyclic" if acyclic else "not simple, cyclic"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_degenerate_graph_verdicts_are_pinned():
     """The empty graph (the quotient by H = V) and one bare vertex: no tail
     or one, so the lattice is trivial and (L) decides simplicity.  The empty

@@ -69,8 +69,10 @@ def test_breaking_candidates_examples(corpus):
     assert breaking_vertices_of(e4, frozenset()) == frozenset()
     for g in (corpus["e1"], corpus["e2"], corpus["e3"], corpus["e5"]):
         assert breaking_vertices_of(g, frozenset()) == frozenset()
-    with pytest.raises(ValueError, match="saturated hereditary"):
+    with pytest.raises(ValueError, match=r"^not a saturated hereditary set: \['v'\]$"):
         breaking_vertices_of(e4, frozenset("v"))
+    with pytest.raises(KeyError, match="unknown vertex 'x'"):
+        breaking_vertices_of(e4, frozenset("wx"))
 
 
 def test_breaking_vertices_against_brute_force():

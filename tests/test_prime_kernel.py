@@ -283,6 +283,10 @@ def test_upset_meets_lists_every_up_set_once():
             for j in range(i + 1, n):
                 if rng.random() < 0.3:
                     up[i] |= up[j]
+        # relabelled, so that an element may sit below one of lower index
+        # (as a breaking vertex sits below its tail's point)
+        perm = rng.sample(range(n), n)
+        up = [sum(1 << perm[j] for j in bits(up[perm.index(i)])) for i in range(n)]
         poset = Poset(tuple(up))
         # the complements of the up-sets grow with the order, and their AND
         # over an up-set U is the complement of U

@@ -1268,6 +1268,18 @@ def brute_fixed_union(a: FinitePartialAction) -> frozenset:
     return frozenset(fixed)
 
 
+def step_succ(a: FinitePartialAction) -> list[int]:
+    """Per point, the mask of its images under the generators and their
+    inverses, read off each generator's ``_fwd`` and ``_inv`` tuples."""
+    succ = [0] * len(a.space.points)
+    for gen in a.generators:
+        for f in (gen._fwd, gen._inv):
+            for i, j in enumerate(f):
+                if j >= 0:
+                    succ[i] |= 1 << j
+    return succ
+
+
 def state_closure_fixed_union(a: FinitePartialAction) -> int:
     """Mask of the union of fixed points of theta_w over nontrivial reduced words w.
 
@@ -1277,7 +1289,8 @@ def state_closure_fixed_union(a: FinitePartialAction) -> int:
     (point, last letter) states, polynomial in the number of points; the
     generator of Z walks like the one of F1.
     """
-    maps, n = a._index_maps, len(a.space.points)
+    maps = [f for gen in a.generators for f in (gen._fwd, gen._inv)]
+    n = len(a.space.points)
     k = len(maps)  # letters: each generator, then its inverse; j ^ 1 inverts j
     succ = [0] * (n * k)
     for p in range(n):
@@ -1297,7 +1310,7 @@ def state_closure_fixed_union(a: FinitePartialAction) -> int:
 def step_closure_invariant_masks(a: FinitePartialAction) -> tuple[int, ...]:
     """Per point, the mask of the smallest closed invariant set containing it:
     everything reachable by specialization and by generator steps."""
-    return reach_closure([s | up for s, up in zip(a._step_succ, a.space._up)])
+    return reach_closure([s | up for s, up in zip(step_succ(a), a.space._up)])
 
 
 def closed_invariant_masks(a: FinitePartialAction) -> tuple[int, ...]:
@@ -1310,7 +1323,7 @@ def closed_invariant_masks(a: FinitePartialAction) -> tuple[int, ...]:
 def step_closure_orbits(a: FinitePartialAction) -> tuple[int, ...]:
     """Per point, the mask of its orbit: everything reachable by generator
     steps, one depth-first search per point."""
-    return reach_closure(a._step_succ)
+    return reach_closure(step_succ(a))
 
 
 def brute_orbit(a: FinitePartialAction, x) -> frozenset:
